@@ -2,13 +2,17 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload fabric_drain --seed 0 --seconds 20 --trace 0
-    python3 perfbench/run.py --workload all --seconds 20    # every workload in turn
+    python3 perfbench/run.py --workload fabric_drain --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload all --seconds 25    # every workload in turn
 
 Every repetition runs in a fresh ``worker.py`` process (one client, closed
 loop, no pools) until ``--seconds`` have passed.  ``--trace 0`` reports the
-end-to-end metrics of ``BENCHMARK.json``: times from the fastest repetition,
-memory as the median.  ``--trace 1`` alternates untraced, span-timed and
+end-to-end metrics of ``BENCHMARK.json``: ``wall_s`` sums, over the pieces a
+run is cut into at every platform build, each piece's fastest time over the
+repetitions; ``setup_s`` is the fastest set-up.  Both are scaled to a nominal
+host speed, measured by a fixed reference loop that runs between pieces.
+Memory is the median.
+``--trace 1`` alternates untraced, span-timed and
 profiled repetitions, adds ``-X importtime`` folds, and reports the
 per-layer metrics as medians.
 
@@ -31,6 +35,7 @@ import os
 import pathlib
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -69,6 +74,27 @@ PROFILE_LAYERS = (
 
 def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
+
+
+def piecewise_fastest(repetitions: List[List[float]]) -> float:
+    """Sum over a run's pieces of each piece's fastest time.
+
+    Host interference comes in bursts far shorter than a repetition, so a
+    short piece is often timed free of it where a whole repetition almost
+    never is.
+    """
+    if len({len(r) for r in repetitions}) != 1:
+        raise RuntimeError("repetitions of one seed were cut into different pieces")
+    return sum(min(piece) for piece in zip(*repetitions))
+
+
+def reference_s(plain: List[dict]) -> float:
+    """Seconds per reference chunk in this run, taken the way ``wall_s`` is:
+    each chunk's fastest time over the repetitions, averaged over the
+    chunks.  Timed alike, the reference and the workload see the same share
+    of the host's fast moments."""
+    chunks = [r["reference_chunks"] for r in plain]
+    return piecewise_fastest(chunks) / len(chunks[0])
 
 
 class Bench:
@@ -190,14 +216,18 @@ class Bench:
     # -- metrics ---------------------------------------------------------------------
 
     def end_to_end(self, plain: List[dict]) -> Dict[str, float]:
-        """Times are the fastest repetition's: every repetition does the same
+        """Times are the fastest seen: every repetition does the same
         deterministic work, so a slower one measures interference from the
-        rest of the host, not the program."""
-        fastest = min(plain, key=lambda r: r["wall_s"])
+        rest of the host, not the program.  They are then scaled to the
+        nominal host speed: the speed of the host drifts by tens of percent
+        over minutes, and a fixed reference loop that calls nothing in
+        ``repro``, run between the pieces, drifts with it."""
+        scale = suite.REFERENCE_NOMINAL_S / reference_s(plain)
+        wall_s = piecewise_fastest([r["pieces"] for r in plain]) * scale
         return {
-            "wall_s": fastest["wall_s"],
-            "setup_s": min(r["setup_s"] for r in plain),
-            "sim_events_per_s": _ratio(fastest["counters"]["events"], fastest["wall_s"]),
+            "wall_s": wall_s,
+            "setup_s": min(r["setup_s"] for r in plain) * scale,
+            "sim_events_per_s": _ratio(plain[0]["counters"]["events"], wall_s),
             "peak_rss_mb": statistics.median([r["peak_rss_mb"] for r in plain]),
         }
 
@@ -304,6 +334,13 @@ class Bench:
         plain = [r for r in reps if r["mode"] == "plain" and "error" not in r]
         for key in ("wall_s", "setup_s"):
             print(f"# samples {key}: {json.dumps([round(r[key], 5) for r in plain])}")
+        if plain and "pieces" in plain[0]:
+            print(
+                f"# pieces per repetition: {sorted({len(r['pieces']) for r in plain})}; "
+                f"unscaled wall_s {piecewise_fastest([r['pieces'] for r in plain]):.6g} s; "
+                f"reference {reference_s(plain):.6g} s "
+                f"(nominal {suite.REFERENCE_NOMINAL_S} s)"
+            )
         missing = sorted({t for r in reps for t in r.get("missing_targets", ())})
         if missing:
             print(f"# span targets not found (their spans read 0): {', '.join(missing)}")
@@ -320,9 +357,14 @@ def parse_args(argv=None) -> argparse.Namespace:
         help="one workload, or 'all' to run each in turn (one result line each)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)
+
+
+def _exit_on_sigterm(signum, frame) -> None:
+    # Raised inside subprocess.run, this kills and reaps the running worker.
+    sys.exit(128 + signum)
 
 
 def main(argv=None) -> int:
@@ -352,4 +394,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     sys.exit(main())

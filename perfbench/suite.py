@@ -4,16 +4,17 @@ Each workload is driven through the public API only, with the default
 ``object`` engine, ``campaign_workers=1`` and ``sweep_workers=1``:
 
 ``fabric_drain``
-    ``deep_hierarchy_3seg``, protected, no attacks, a workload large enough
-    that the drain dominates.  The only workload that crosses bridges.
+    ``deep_hierarchy_3seg``, protected, no attacks, as a series of
+    experiments whose drains dominate.  The only workload that crosses
+    bridges.
 ``crypto_writes``
-    ``crypto_heavy``, protected, no attacks: 90% external traffic, 60%
-    writes, so the Local Ciphering Firewall and the crypto layer carry the
-    load on a flat bus.
+    ``crypto_heavy``, protected, no attacks, as a series of experiments:
+    90% external traffic, 60% writes, so the Local Ciphering Firewall and
+    the crypto layer carry the load on a flat bus.
 ``sweep_cold``
-    every registered scenario x {protected, unprotected} x two seeds, each
-    point with its attack campaign, through ``SweepRunner`` into a fresh
-    ``ResultStore`` (the ``repro sweep run`` / ``repro paper`` path).
+    every registered scenario x {protected, unprotected} at the run's seed,
+    each point with its attack campaign, through ``SweepRunner`` into a
+    fresh ``ResultStore`` (the ``repro sweep run`` / ``repro paper`` path).
 ``fuzz_probe``
     ``fuzz_scenario`` over every registered scenario at a fixed budget: a
     fresh platform per case and a dozen synchronous probes, many of them
@@ -25,26 +26,45 @@ and the exact counters the run reports.  Nothing here reads program state
 that the results do not carry, except the kernel event count of fuzz
 platforms, which :class:`BuildEventCounter` reads from each platform
 ``ScenarioBuilder.build`` returns.
+
+:class:`PieceClock` splits a run into pieces at every
+``ScenarioBuilder.build`` call and times a fixed reference loop between
+pieces.  The workloads are deterministic, so piece ``j`` is the same work in
+every repetition of a seed, and ``run.py`` can take each piece's fastest
+time over a run's repetitions and scale it by the reference.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import pathlib
+import time
 from typing import Callable, Dict, List, Optional, Tuple
 
-#: Workload name -> (scenario, n_operations) for the two drain workloads.
+#: Workload name -> (scenario, n_operations, experiments) for the two drain
+#: workloads.  Many short experiments rather than one long one, so that a run
+#: splits into short pieces (see :class:`PieceClock`).
 DRAINS = {
-    "fabric_drain": ("deep_hierarchy_3seg", 8000),
-    "crypto_writes": ("crypto_heavy", 6000),
+    "fabric_drain": ("deep_hierarchy_3seg", 100, 24),
+    "crypto_writes": ("crypto_heavy", 100, 24),
 }
 #: Seeds of one ``sweep_cold`` grid are ``seed + offset`` for these offsets.
-SWEEP_SEED_OFFSETS = (0, 1)
+SWEEP_SEED_OFFSETS = (0,)
 #: Cases per scenario of one ``fuzz_probe`` run.
-FUZZ_BUDGET = 60
+FUZZ_BUDGET = 30
 WORKLOADS = ("fabric_drain", "crypto_writes", "sweep_cold", "fuzz_probe")
+
+#: The host-speed reference: loop steps per chunk, and per workload the cuts
+#: from one chunk to the next (see :class:`PieceClock`), about 10 to 20 ms.
+REFERENCE_CHUNK_STEPS = 500
+REFERENCE_STRIDE = {"fabric_drain": 1, "crypto_writes": 1, "sweep_cold": 4, "fuzz_probe": 8}
+#: Seconds one reference chunk takes at the nominal host speed (the fastest
+#: seen on a 2-core x86_64 virtual machine).  Reported times are scaled by
+#: this over the reference chunk time of their own run.
+REFERENCE_NOMINAL_S = 0.0005
 
 #: Table II cycle costs every protected distributed result must show.
 TABLE2_CYCLES = {"SB (LF/LCF)": 12, "CC": 11, "IC": 20}
@@ -170,29 +190,120 @@ class BuildEventCounter:
             self._undo = None
 
 
+class PieceClock:
+    """Cuts a run into pieces at every ``ScenarioBuilder.build`` call, and
+    times the host-speed reference between pieces.
+
+    Each experiment, sweep point, campaign attack and fuzz case builds a
+    platform, so the cuts make short pieces.  At every ``stride``-th cut,
+    from the first, one chunk of the reference loop runs; the pieces leave
+    its time out.  Install the clock last, so that it cuts before any other
+    wrapper of ``build`` runs.
+    """
+
+    def __init__(self, stride: int = 1) -> None:
+        self.stride = stride
+        #: (end of the piece before, start of the piece after) per cut.
+        self.cuts: List[Tuple[float, float]] = []
+        #: Durations of the reference chunks run at cuts.
+        self.references: List[float] = []
+        self._undo: Optional[Callable[[], None]] = None
+
+    def install(self) -> None:
+        from repro.scenarios.builder import ScenarioBuilder
+
+        original = ScenarioBuilder.__dict__["build"]
+        cuts, references, stride = self.cuts, self.references, self.stride
+        clock = time.perf_counter
+
+        def build(builder, *args, **kwargs):
+            now = after = clock()
+            if len(cuts) % stride == 0:
+                _reference_chunk()
+                after = clock()
+                references.append(after - now)
+            cuts.append((now, after))
+            return original(builder, *args, **kwargs)
+
+        ScenarioBuilder.build = build
+        self._undo = lambda: setattr(ScenarioBuilder, "build", original)
+
+    def pieces(self, start: float, end: float) -> List[float]:
+        """Durations of the pieces between ``start``, every cut and ``end``."""
+        starts = [start] + [after for _, after in self.cuts]
+        ends = [before for before, _ in self.cuts] + [end]
+        return [b - a for a, b in zip(starts, ends)]
+
+    def uninstall(self) -> None:
+        if self._undo is not None:
+            self._undo()
+            self._undo = None
+
+
+class _Event:
+    __slots__ = ("time", "kind", "value")
+
+    def __init__(self, time_: int, kind: int, value: int) -> None:
+        self.time = time_
+        self.kind = kind
+        self.value = value
+
+    def key(self) -> int:
+        return (self.time << 8) | self.kind
+
+
+def _reference_chunk(n: int = REFERENCE_CHUNK_STEPS) -> int:
+    """A fixed piece of interpreter work shaped like a simulator's: small
+    objects, method calls, an event heap, dict counters, integer mixing and
+    a little hashing.  It calls nothing in ``repro``."""
+    heap: list = []
+    counts: Dict[int, int] = {}
+    acc = 0
+    for i in range(n):
+        event = _Event((i * 7919) % 10007, i & 255, i)
+        heapq.heappush(heap, (event.key(), i, event))
+        counts[event.kind] = counts.get(event.kind, 0) + event.value
+        acc ^= (event.value * 0x9E3779B1) & 0xFFFFFFFF
+        if len(heap) > 64:
+            acc += heapq.heappop(heap)[2].time
+        if i % 64 == 0:
+            acc ^= hashlib.sha256(acc.to_bytes(8, "little")).digest()[0]
+    return acc
+
+
 # -- the workloads ----------------------------------------------------------------------
+
+
+def drain_seeds(name: str, seed: int) -> List[int]:
+    """Seeds of the experiments of one drain run."""
+    experiments = DRAINS[name][2]
+    return [seed * experiments + index for index in range(experiments)]
 
 
 def _run_drain(name: str, seed: int):
     from repro.api import Experiment
     from repro.scenarios import get_scenario
 
-    scenario, n_operations = DRAINS[name]
-    spec = get_scenario(scenario)
-    spec = dataclasses.replace(
-        spec,
-        workload=dataclasses.replace(spec.workload, n_operations=n_operations, seed=seed),
-    )
-    result = (
-        Experiment.from_spec(spec)
-        .protected(True)
-        .no_attacks()
-        .with_seed(seed)
-        .with_engine("object")
-        .campaign(1)
-        .run()
-    )
-    return [result]
+    scenario, n_operations, _ = DRAINS[name]
+    base = get_scenario(scenario)
+    results = []
+    for experiment_seed in drain_seeds(name, seed):
+        spec = dataclasses.replace(
+            base,
+            workload=dataclasses.replace(
+                base.workload, n_operations=n_operations, seed=experiment_seed
+            ),
+        )
+        results.append(
+            Experiment.from_spec(spec)
+            .protected(True)
+            .no_attacks()
+            .with_seed(experiment_seed)
+            .with_engine("object")
+            .campaign(1)
+            .run()
+        )
+    return results
 
 
 def _drain_check(result: Dict[str, object]) -> Optional[str]:
@@ -249,10 +360,10 @@ def inspect(workload: str, seed: int, raw) -> Tuple[Dict[str, str], Dict[str, fl
     units: Dict[str, str] = {}
     counters = _zero_counters()
     if workload in DRAINS:
-        scenario, n_operations = DRAINS[workload]
-        for result in raw:
+        scenario, n_operations, _ = DRAINS[workload]
+        for experiment_seed, result in zip(drain_seeds(workload, seed), raw):
             payload = result.to_dict()
-            units[f"{scenario}/ops={n_operations}/seed={seed}"] = unit_digest(
+            units[f"{scenario}/ops={n_operations}/seed={experiment_seed}"] = unit_digest(
                 payload, _drain_check
             )
             add_result_counters(counters, payload)

@@ -9,6 +9,7 @@ import argparse
 import json
 import pathlib
 import re
+import time
 
 import pytest
 
@@ -126,6 +127,69 @@ def test_importtime_fold_sums_self_times_per_subpackage():
     assert folded == {"soc": pytest.approx(0.0015), "api": pytest.approx(0.002), "fuzz": 0.0}
 
 
+# -- piecewise timing ------------------------------------------------------------------
+
+
+def test_piecewise_fastest_sums_each_pieces_fastest_time():
+    reps = [
+        [0.5, 1.0, 2.0],
+        [0.7, 0.8, 2.5],
+        [0.6, 0.9, 1.5],
+    ]
+    assert run.piecewise_fastest(reps) == pytest.approx(0.5 + 0.8 + 1.5)
+    with pytest.raises(RuntimeError):
+        run.piecewise_fastest(reps + [[0.1, 0.1]])
+
+
+def test_times_are_scaled_by_the_reference_speed():
+    bench = _bench()
+    plain = _fake_reps()[0]
+    nominal = suite.REFERENCE_NOMINAL_S
+    at_nominal = bench.end_to_end([plain])
+    assert at_nominal["wall_s"] == pytest.approx(1.0)
+    assert at_nominal["setup_s"] == pytest.approx(0.1)
+    # A host running at half speed: everything, the reference too, takes twice as long.
+    slow = dict(plain, pieces=[0.8, 1.2], setup_s=0.2, reference_chunks=[2 * nominal] * 4)
+    assert bench.end_to_end([slow]) == pytest.approx(at_nominal)
+
+
+def test_reference_is_each_chunks_fastest_time_averaged():
+    nominal = suite.REFERENCE_NOMINAL_S
+    reps = [
+        {"reference_chunks": [nominal, 3 * nominal]},
+        {"reference_chunks": [2 * nominal, 2 * nominal]},
+    ]
+    assert run.reference_s(reps) == pytest.approx(1.5 * nominal)
+
+
+def test_reference_chunk_is_deterministic_and_set_for_every_workload():
+    assert suite._reference_chunk(500) == suite._reference_chunk(500)
+    assert set(suite.REFERENCE_STRIDE) == set(suite.WORKLOADS)
+
+
+def test_piece_clock_cuts_a_run_at_every_build():
+    from repro.api import Experiment
+    from repro.scenarios.builder import ScenarioBuilder
+
+    before = ScenarioBuilder.__dict__["build"]
+    clock = suite.PieceClock()
+    clock.install()
+    try:
+        start = time.perf_counter()
+        Experiment.from_scenario("minimal_1x1").no_attacks().run()
+        Experiment.from_scenario("minimal_1x1").no_attacks().run()
+        end = time.perf_counter()
+    finally:
+        clock.uninstall()
+    assert ScenarioBuilder.__dict__["build"] is before
+    pieces = clock.pieces(start, end)
+    assert len(pieces) == 3
+    assert all(piece >= 0 for piece in pieces)
+    # Every cut times a reference chunk at stride 1; the pieces leave it out.
+    assert len(clock.references) == 2
+    assert sum(pieces) + sum(clock.references) == pytest.approx(end - start)
+
+
 # -- correctness check -----------------------------------------------------------------
 
 
@@ -224,7 +288,8 @@ def test_benchmark_json_follows_the_declared_limits():
 def _fake_reps():
     counters = suite._zero_counters()
     plain = {"mode": "plain", "wall_s": 1.0, "setup_s": 0.1, "peak_rss_mb": 40.0,
-             "counters": counters}
+             "counters": counters, "pieces": [0.4, 0.6],
+             "reference_chunks": [suite.REFERENCE_NOMINAL_S] * 4}
     traced = dict(plain, mode="spans", spans={}, unattributed_s=0.0)
     profiled = dict(plain, mode="profile", profile={"soc.kernel": 1.0})
     imports = [dict.fromkeys(run.IMPORT_SUBPACKAGES, 0.0)]

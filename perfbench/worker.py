@@ -6,7 +6,8 @@ the spawn (the monotonic clock is system-wide, so the difference is the
 process start-up cost).  The config names the workload, the seed, a scratch
 directory and the mode:
 
-``plain``    no tracing: the end-to-end figures;
+``plain``    no tracing: the end-to-end figures, with the run cut into
+             pieces at every platform build (``suite.PieceClock``);
 ``spans``    span timers around the public entry points (``spans.py``);
 ``profile``  cProfile over the timed region, folded by module.
 
@@ -55,8 +56,11 @@ def measure(config, setup_s: float) -> dict:
     counter = suite.BuildEventCounter() if workload == "fuzz_probe" else None
     if counter is not None:
         counter.install()
-    recorder = uninstall = profiler = None
-    if mode == "spans":
+    recorder = uninstall = profiler = clock = None
+    if mode == "plain":
+        clock = suite.PieceClock(suite.REFERENCE_STRIDE[workload])
+        clock.install()
+    elif mode == "spans":
         recorder = spans.SpanRecorder()
         uninstall, out["missing_targets"] = spans.install(recorder)
     elif mode == "profile":
@@ -67,9 +71,16 @@ def measure(config, setup_s: float) -> dict:
             profiler.enable()
         start = time.perf_counter()
         raw = suite.run(workload, seed, tmp)
-        out["wall_s"] = time.perf_counter() - start
+        end = time.perf_counter()
         if profiler is not None:
             profiler.disable()
+        out["wall_s"] = end - start
+        if clock is not None:
+            clock.uninstall()
+            out["pieces"] = clock.pieces(start, end)
+            out["reference_chunks"] = clock.references
+            # The reference chunks ran inside the timed region: leave them out.
+            out["wall_s"] = sum(out["pieces"])
         if uninstall is not None:
             uninstall()
         out["units"], counters = suite.inspect(workload, seed, raw)
@@ -77,6 +88,8 @@ def measure(config, setup_s: float) -> dict:
             counters["events"] = counter.settle()
         out["counters"] = counters
     finally:
+        if clock is not None:
+            clock.uninstall()
         if counter is not None:
             counter.uninstall()
         shutil.rmtree(tmp, ignore_errors=True)
