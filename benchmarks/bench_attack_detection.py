@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 
-from conftest import FAST_MODE, bench_rounds, write_bench_json, write_result
+from conftest import bench_rounds, write_bench_json, write_result
 
 from repro.analysis.tables import format_table
 from repro.attacks import (
@@ -118,38 +118,4 @@ def test_attack_detection_matrix(benchmark, results_dir):
         monitor_totals=report.monitor_totals,
         campaign_workers=report.metrics.get("n_workers"),
         campaign_wall_seconds=report.metrics.get("wall_seconds"),
-    )
-
-
-def test_engine_throughput_attack_heavy(results_dir):
-    """Paired object-vs-vector engine timings on the attack-heavy scenario.
-
-    Complements the Table-II pairing with a workload where alerts force the
-    vector engine through its real-call fallback paths; the drain ratio is
-    recorded honestly (mild floor — both engines share the kernel work and
-    the alert handling) while the vectorized policy pass carries the hard
-    throughput gate.
-    """
-    from engine_common import measure_drain_pair, measure_policy_pass
-
-    drain = measure_drain_pair(
-        "attack_heavy",
-        n_operations=300 if FAST_MODE else 2000,
-        repeats=1 if FAST_MODE else 3,
-    )
-    n_calls = 2_000 if FAST_MODE else 20_000
-    policy = measure_policy_pass(n_calls=n_calls)
-
-    floor = 2.0 if FAST_MODE else 5.0
-    if policy["policy_speedup"] < floor:
-        # One re-measure before failing: a noise spike can land inside a
-        # single measurement window; a real regression fails both.
-        policy = max(policy, measure_policy_pass(n_calls=n_calls),
-                     key=lambda m: m["policy_speedup"])
-    assert policy["policy_speedup"] >= floor, policy
-    if not FAST_MODE:
-        assert drain["drain_speedup"] >= 1.1, drain
-
-    write_bench_json(
-        results_dir, "attack_detection_engine_throughput", None, **drain, **policy
     )

@@ -19,17 +19,9 @@ Asserted invariants:
 The timed section is the largest cell (most segments, most masters); in
 ``REPRO_BENCH_FAST=1`` smoke mode (the CI bench job) the grid shrinks and a
 single timing round runs.
-
-The heaviest cell also runs paired object-vs-vector engine measurements
-(see :mod:`engine_common`): the honest full-drain ratio on a heavier
-workload, and the cross-fabric policy stack — leaf chain plus the Security
-Builder chain on every bridge of the route — where the ≥3x CI gate on
-``BENCH_fabric.json`` lives.  Both speedups are medians of paired ratios.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 from conftest import FAST_MODE, bench_rounds, write_bench_json, write_result
 
@@ -115,45 +107,6 @@ def run_cell(n_segments: int, cpus_per_segment: int) -> dict:
     }
 
 
-def paired_engine_metrics(cell) -> dict:
-    """Object-vs-vector pairing on the heaviest grid cell.
-
-    The vector engine mirrors the object path's fabric calendar event for
-    event (the differential suite's identity guarantee), so the full-drain
-    ratio is bounded by the arbitration/bridge work both engines share — it
-    is recorded honestly with a mild floor.  The cross-fabric policy stack
-    is the pass ``_drain_fabric`` actually serves from interned chain
-    tables, and carries the hard ≥3x gate.
-    """
-    from engine_common import measure_fabric_policy_pass, measure_spec_drain_pair
-
-    spec = fabric_spec(*cell)
-    heavy = replace(spec, workload=replace(
-        spec.workload, n_operations=120 if FAST_MODE else 400))
-    drain = measure_spec_drain_pair(heavy, repeats=1 if FAST_MODE else 3)
-
-    built = Experiment.from_spec(spec).build()
-    master = sorted(built.system.master_ports)[0]
-    n_calls = 2_000 if FAST_MODE else 20_000
-
-    def policy_pass():
-        return measure_fabric_policy_pass(
-            built.system, master,
-            local_base=_BRAM_BASE, remote_base=_DDR_BASE, n_calls=n_calls,
-        )
-
-    floor = 2.0 if FAST_MODE else 3.0
-    policy = policy_pass()
-    if policy["policy_speedup"] < floor:
-        # One re-measure before failing: a noise spike can land inside a
-        # single measurement window; a real regression fails both.
-        policy = max(policy, policy_pass(), key=lambda m: m["policy_speedup"])
-    assert policy["policy_speedup"] >= floor, policy
-    if not FAST_MODE:
-        assert drain["drain_speedup"] >= 1.1, drain
-    return {**drain, **policy}
-
-
 def test_fabric_scaling_sweep(benchmark, results_dir):
     rows = [run_cell(*cell) for cell in GRID]
 
@@ -163,7 +116,6 @@ def test_fabric_scaling_sweep(benchmark, results_dir):
         rounds=bench_rounds(3),
         iterations=1,
     )
-    engine = paired_engine_metrics(largest)
 
     rendered = format_table(
         ["segments", "cpus/seg", "masters", "cycles", "bridge cyc", "segment cyc",
@@ -181,5 +133,4 @@ def test_fabric_scaling_sweep(benchmark, results_dir):
         grid=[list(cell) for cell in GRID],
         cells=rows,
         timed_cell=list(largest),
-        **engine,
     )

@@ -196,35 +196,3 @@ def test_table2_latency(benchmark, results_dir):
         external_reads=len(external_reads),
         internal_reads=len(internal_reads),
     )
-
-
-def test_engine_throughput_table2(results_dir):
-    """Paired object-vs-vector engine timings on the Table-II workload family.
-
-    The vector engine mirrors the object path's event calendar exactly (the
-    differential suite's identity guarantee), so the full-drain ratio is
-    bounded by the kernel work both engines share — it is recorded honestly
-    with a mild floor.  The policy-evaluation pass is the part the engine
-    actually vectorizes, and carries the hard throughput gate.
-    """
-    from engine_common import measure_drain_pair, measure_policy_pass
-
-    drain = measure_drain_pair(
-        "paper_baseline",
-        n_operations=400 if FAST_MODE else 4000,
-        repeats=1 if FAST_MODE else 3,
-    )
-    n_calls = 2_000 if FAST_MODE else 20_000
-    policy = measure_policy_pass(n_calls=n_calls)
-
-    floor = 2.0 if FAST_MODE else 5.0
-    if policy["policy_speedup"] < floor:
-        # One re-measure before failing: a noise spike can land inside a
-        # single measurement window; a real regression fails both.
-        policy = max(policy, measure_policy_pass(n_calls=n_calls),
-                     key=lambda m: m["policy_speedup"])
-    assert policy["policy_speedup"] >= floor, policy
-    if not FAST_MODE:
-        assert drain["drain_speedup"] >= 1.2, drain
-
-    write_bench_json(results_dir, "table2_engine_throughput", None, **drain, **policy)

@@ -154,12 +154,6 @@ def render_experiment(result: Dict[str, object]) -> str:
         f"{workload['final_cycle']}, makespan {workload['makespan']}, "
         f"{workload['events_processed']} kernel events"
     )
-    engine = (result.get("meta") or {}).get("engine")
-    if engine:
-        line = f"  engine     : {engine['used']} (requested {engine['requested']})"
-        if engine.get("fallback_reason"):
-            line += f" -- fell back: {engine['fallback_reason']}"
-        lines.append(line)
     alerts = result.get("alerts")
     if alerts is not None:
         by_violation = ", ".join(f"{k}={v}" for k, v in sorted(alerts["by_violation"].items()))

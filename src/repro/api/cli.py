@@ -18,15 +18,15 @@ Subcommands:
   results from old code fingerprints (dry run unless ``--apply``),
 * ``repro paper [--fast] [--store DIR] [--out DIR]`` — regenerate every
   paper table/figure from the store (see ``docs/reproducing-the-paper.md``),
-* ``repro verify [SCENARIO ...|--all] [--json] [--confirm] [--engine E]`` —
+* ``repro verify [SCENARIO ...|--all] [--json] [--confirm]`` —
   static policy/fabric verification: address-map defects, unguarded paths,
   dead rules and bridge hazards, each with a concrete witness; ``--confirm``
   replays every witness as a probe attack under the simulator (exit 1 on
   any ERROR finding or failed confirmation),
-* ``repro fuzz SCENARIO [--seed N] [--budget N] [--steps N] [--engine E]
+* ``repro fuzz SCENARIO [--seed N] [--budget N] [--steps N]
   [--store DIR] [--replay FILE] [--json]`` — the seeded property-based
   bypass fuzzer: search for transaction sequences that silently reach
-  protected state, minimize each find and replay it under both engines
+  protected state, minimize each find and replay it after the workload
   (exit 1 on any finding; ``--replay`` re-checks a committed corpus file),
 * ``repro catalog [--write PATH] [--check]`` — render the scenario catalog
   markdown page from the registry,
@@ -97,10 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--workers", type=int, default=1, metavar="N",
                          help="campaign worker processes (default: 1, serial)")
     run_cmd.add_argument("--seed", type=int, default=0, help="campaign base seed")
-    run_cmd.add_argument("--engine", default=None,
-                         choices=["object", "vector", "auto"],
-                         help="workload execution engine (default: the scenario's "
-                              "own; results are identical across engines)")
 
     campaign_cmd = sub.add_parser("campaign", help="run only the scenario's attack campaign")
     campaign_cmd.add_argument("scenario", help="registered scenario name")
@@ -108,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_cmd.add_argument("--workers", type=int, default=None, metavar="N",
                               help="worker processes (default: one per attack, capped)")
     campaign_cmd.add_argument("--seed", type=int, default=0, help="campaign base seed")
-    campaign_cmd.add_argument("--engine", default=None,
-                              choices=["object", "vector", "auto"],
-                              help="workload execution engine threaded into the "
-                                   "shipped scenario spec (results are identical)")
 
     sweep_cmd = sub.add_parser("sweep", help="grid sweeps with a persistent result store")
     sweep_sub = sweep_cmd.add_subparsers(dest="sweep_command", required=True)
@@ -127,10 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="campaign seed axis value (repeatable; default: 0)")
     sweep_run.add_argument("--campaign-workers", action="append", type=int, default=None,
                            metavar="N", help="campaign worker-count axis value (repeatable)")
-    sweep_run.add_argument("--engine", action="append", default=None, metavar="E",
-                           choices=["default", "object", "vector", "auto"],
-                           help="engine axis value (repeatable; 'default' keeps the "
-                                "scenario's own engine)")
     sweep_run.add_argument("--unprotected", action="store_true",
                            help="add the unprotected build to the protection axis")
     sweep_run.add_argument("--no-attacks", action="store_true",
@@ -191,9 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="campaign seed axis value (repeatable; default: 0)")
     submit_cmd.add_argument("--campaign-workers", action="append", type=int, default=None,
                             metavar="N", help="campaign worker-count axis value (repeatable)")
-    submit_cmd.add_argument("--engine", action="append", default=None, metavar="E",
-                            choices=["default", "object", "vector", "auto"],
-                            help="engine axis value (repeatable)")
     submit_cmd.add_argument("--unprotected", action="store_true",
                             help="add the unprotected build to the protection axis")
     submit_cmd.add_argument("--no-attacks", action="store_true",
@@ -226,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--confirm", action="store_true",
                             help="replay every witness as a probe attack under "
                                  "the simulator (differential honesty check)")
-    verify_cmd.add_argument("--engine", default=None,
-                            choices=["object", "vector", "auto"],
-                            help="engine for --confirm warm-up workloads")
 
     fuzz_cmd = sub.add_parser(
         "fuzz", help="seeded property-based search for silent firewall bypasses"
@@ -243,16 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of generated cases to try (default: 200)")
     fuzz_cmd.add_argument("--steps", type=int, default=12, metavar="N",
                           help="steps per generated case (default: 12)")
-    fuzz_cmd.add_argument("--engine", action="append", default=None, metavar="E",
-                          choices=["object", "vector"],
-                          help="engine for finding replays (repeatable; "
-                               "default: both object and vector)")
     fuzz_cmd.add_argument("--store", default=None, metavar="DIR",
                           help="persist minimized finds into this result store "
                                f"(e.g. {DEFAULT_STORE_DIR}; default: no store)")
     fuzz_cmd.add_argument("--replay", metavar="FILE", default=None,
                           help="skip the search; replay the corpus file's cases "
-                               "under every engine and re-check each verdict")
+                               "and re-check each verdict")
     fuzz_cmd.add_argument("--json", action="store_true", help="machine-readable report")
 
     catalog_cmd = sub.add_parser(
@@ -286,8 +264,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         .with_seed(args.seed)
         .campaign(args.workers)
     )
-    if args.engine:
-        experiment.with_engine(args.engine)
     if args.no_attacks:
         experiment.no_attacks()
     trace_sink = None
@@ -310,15 +286,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    experiment = (
+    result = (
         Experiment.from_scenario(args.scenario)
         .with_seed(args.seed)
         .campaign(args.workers)
         .with_workload(None)
+        .run()
     )
-    if args.engine:
-        experiment.with_engine(args.engine)
-    result = experiment.run()
     campaign = result.campaign
     if campaign is None:
         print(f"scenario {args.scenario!r} has no attack mix", file=sys.stderr)
@@ -368,9 +342,6 @@ def _sweep_spec_from_args(args: argparse.Namespace):
     placements = tuple(
         None if p == "default" else p for p in (args.placement or ["default"])
     )
-    engines = tuple(
-        None if e == "default" else e for e in (args.engine or ["default"])
-    )
     return SweepSpec(
         scenarios=_match_scenarios(args.scenario),
         placements=placements,
@@ -378,7 +349,6 @@ def _sweep_spec_from_args(args: argparse.Namespace):
         campaign_workers=tuple(args.campaign_workers or [1]),
         protected=(True, False) if args.unprotected else (True,),
         attack_modes=("scenario", "none") if args.no_attacks else ("scenario",),
-        engines=engines,
         exclude=tuple(args.exclude or ()),
     )
 
@@ -564,8 +534,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     confirmations = {}
     if args.confirm:
         confirmations = {
-            report.scenario: confirm_report(report, engine=args.engine)
-            for report in reports
+            report.scenario: confirm_report(report) for report in reports
         }
 
     errors = sum(len(report.errors) for report in reports)
@@ -607,11 +576,9 @@ def _fuzz_spec(name: str):
 
 def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
     """Re-check a committed corpus file: every case must still reproduce its
-    recorded violation identity, under identical engine behaviour."""
+    recorded violation identity and its recorded per-step outcomes."""
     from repro.fuzz import BypassOracle, FuzzCase, load_cases, replay_case
-    from repro.scenarios.differential import diff_fingerprints
 
-    engines = tuple(args.engine or ("object", "vector"))
     entries = load_cases(args.replay)
     results = []
     failures = 0
@@ -623,21 +590,14 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
         want = entry.get("violation", {})
         identity = (want.get("kind"), want.get("master"), want.get("target"), want.get("op"))
         reproduced = any(v.identity == identity for v in outcome.violations)
-        replays = {engine: replay_case(spec, case, engine) for engine in engines}
-        reference = replays[engines[0]]
-        identical = all(
-            not diff_fingerprints(reference["fingerprint"], replays[e]["fingerprint"])
-            and reference["steps"] == replays[e]["steps"]
-            for e in engines[1:]
-        )
-        ok = reproduced and identical
-        failures += 0 if ok else 1
+        replay_matches = replay_case(spec, case) == entry.get("replay")
+        failures += 0 if (reproduced and replay_matches) else 1
         results.append({
             "scenario": case.scenario,
             "digest": case.digest(),
             "steps": len(case),
             "reproduced": reproduced,
-            "engines_identical": identical,
+            "replay_matches": replay_matches,
         })
     if args.json:
         print(json.dumps(
@@ -647,7 +607,7 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
         ))
         return 1 if failures else 0
     for row in results:
-        verdict = "ok" if (row["reproduced"] and row["engines_identical"]) else "FAIL"
+        verdict = "ok" if (row["reproduced"] and row["replay_matches"]) else "FAIL"
         print(f"  {row['scenario']}/{row['digest']} ({row['steps']} steps): {verdict}")
     print(f"replayed {len(results)} corpus case(s), {failures} failure(s)")
     return 1 if failures else 0
@@ -667,7 +627,6 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         seed=args.seed,
         budget=args.budget,
         n_steps=args.steps,
-        engines=tuple(args.engine or ("object", "vector")),
         corpus=corpus,
     )
     if args.json:
@@ -684,10 +643,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     for finding in report.findings:
         violation = finding["violation"]
         case = finding["case"]
-        identical = finding["engines_identical"]
         print(f"  FINDING  : {violation['kind']} {violation['master']} -> "
               f"{violation['target']} ({violation['op']}) in "
-              f"{len(case['steps'])} step(s), engines identical: {identical}")
+              f"{len(case['steps'])} step(s)")
         for index, step in enumerate(case["steps"]):
             print(f"      step {index}: {step['master']} {step['op']} "
                   f"0x{step['address']:08x}")

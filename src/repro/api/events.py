@@ -145,18 +145,6 @@ class EventSink:
     def record_kind(self, kind: str) -> None:
         """Counting-only fast path; default builds nothing and does nothing."""
 
-    def record_kind_n(self, kind: str, n: int) -> None:
-        """Batch counting: record ``n`` occurrences of ``kind`` at once.
-
-        The vector engine settles whole batches of per-transaction events in
-        one call at flush time instead of emitting them one by one; the
-        default delegates to :meth:`record_kind` ``n`` times so any existing
-        counting sink stays correct, while :class:`StatsSink` overrides it
-        with a single dict update.
-        """
-        for _ in range(n):
-            self.record_kind(kind)
-
     def flush(self) -> None:
         """Push buffered output to its destination; default is a no-op."""
 
@@ -210,18 +198,6 @@ class EventBus:
         for sink in self._sinks:
             sink.record_kind(kind)
 
-    def count_n(self, kind: str, n: int) -> None:
-        """Batch publication: ``n`` occurrences of ``kind`` in one call.
-
-        Same :attr:`count_only` contract as :meth:`count`.  The vector engine
-        uses this to settle per-transaction event counts once per drained
-        batch rather than once per transaction.
-        """
-        if n <= 0:
-            return
-        for sink in self._sinks:
-            sink.record_kind_n(kind, n)
-
     def emit(self, kind: str, cycle: int, source: str, **data: Any) -> None:
         """Publish one event (no-op without sinks)."""
         sinks = self._sinks
@@ -272,9 +248,6 @@ class StatsSink(EventSink):
 
     def record_kind(self, kind: str) -> None:
         self.counts[kind] = self.counts.get(kind, 0) + 1
-
-    def record_kind_n(self, kind: str, n: int) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + n
 
     def handle(self, event: InstrumentationEvent) -> None:
         # Mixed-bus fallback (another sink forced full event construction).

@@ -55,7 +55,6 @@ from repro.api.events import EventBus, EventSink
 from repro.attacks.campaign import CampaignReport
 from repro.attacks.runner import CampaignRunner
 from repro.core.secure import SecuredPlatform
-from repro.engine import EngineSpec
 from repro.metrics.area import AreaModel
 from repro.metrics.latency import aggregate_hop_latency, generate_table2, placement_split
 from repro.scenarios import get_scenario, list_scenarios
@@ -69,6 +68,11 @@ __all__ = ["Experiment", "ExperimentResult", "RESULT_SCHEMA_VERSION"]
 #: Bumped whenever the shape of :meth:`ExperimentResult.to_dict` changes.
 #: v2: ``latency`` gained ``table2`` (per-module firewall latency rows).
 RESULT_SCHEMA_VERSION = 2
+
+#: ``meta["engine"]`` of every result.  The event-driven kernel is the only
+#: execution engine; the block is kept verbatim so result payloads, and every
+#: digest taken over them, are byte-identical to those of earlier releases.
+ENGINE_META = {"requested": "object", "used": "object", "fallback_reason": None}
 
 
 def _jsonable(value: Any) -> Any:
@@ -223,19 +227,13 @@ class Experiment:
         return self
 
     def with_engine(self, mode: str) -> "Experiment":
-        """Select the execution engine for the workload phase.
+        """Accept ``"object"``, the event-driven kernel and only engine.
 
-        ``"object"`` (the event-driven kernel, the default), ``"vector"``
-        (the batch engine — parallel-array decode and policy passes over the
-        whole stream) or ``"auto"`` (vector where eligible).  Engine choice
-        never changes the result — the vector engine is an exact event mirror
-        and declines whole runs it cannot mirror — so every field of the
-        :class:`ExperimentResult` except ``meta["engine"]`` and wall-clock
-        timings is identical across modes.
+        Kept so callers that pin the engine keep working; any other mode
+        raises :class:`ValueError`.
         """
-        engine = EngineSpec(mode=mode)
-        engine.validate()
-        self._spec = dataclasses.replace(self._spec, engine=engine)
+        if mode != "object":
+            raise ValueError(f"unknown engine {mode!r}; the only engine is 'object'")
         return self
 
     def campaign(self, n_workers: Optional[int] = None) -> "Experiment":
@@ -383,15 +381,7 @@ class Experiment:
                 "n_workers": self._n_workers,
                 "instrumented": bus is not None,
                 "sinks": [type(s).__name__ for s in self._sinks],
-                # Provenance only: which engine drained the workload phase.
-                # Results are engine-invariant, so this never feeds a cache
-                # key or a fingerprint comparison.
-                "engine": (
-                    built.engine_report.to_dict()
-                    if built.engine_report is not None
-                    else {"requested": spec.engine.mode, "used": "object",
-                          "fallback_reason": None}
-                ),
+                "engine": dict(ENGINE_META),
             },
         )
 

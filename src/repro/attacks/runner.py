@@ -430,8 +430,8 @@ class CampaignRunner:
         """The supported constructor for scenario-driven campaigns.
 
         Instantiates the scenario's attack mix fresh and ships the resolved
-        spec (plain picklable data, :class:`~repro.scenarios.spec.EngineSpec`
-        included) to each worker, which rebuilds the exact platform from it.
+        spec (plain picklable data) to each worker, which rebuilds the exact
+        platform from it.
         Raises :class:`ValueError` when the scenario defines no attacks —
         same contract as direct construction with an empty battery.
         """

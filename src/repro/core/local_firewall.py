@@ -158,8 +158,6 @@ class SecurityBuilder:
 
         A verdict is a pure function of this tuple (given a fixed rule set —
         tracked separately via the configuration memory's ``generation``).
-        The batch engine keys its per-batch lookup tables on the same tuple,
-        so engine replays are valid exactly when a cache hit would be.
         """
         return (
             txn.address,
@@ -227,14 +225,6 @@ class SecurityBuilder:
         if failed:
             self.violations += 1
         return policy, results, failed, missed_rules
-
-    def address_range_check(self) -> Optional[AddressRangeCheck]:
-        """The address-range checking module, if instantiated (used by the
-        manager to confine a quarantined IP)."""
-        for check in self.checks:
-            if isinstance(check, AddressRangeCheck):
-                return check
-        return None
 
 
 class FirewallInterface:

@@ -299,15 +299,6 @@ class ConfigurationMemory:
         if missed:
             self.miss_count += 1
 
-    def note_cached_lookups(self, count: int, missed_count: int = 0) -> None:
-        """Bulk form of :meth:`note_cached_lookup` for batch engines that
-        replay memoised verdicts and settle lookup statistics per batch
-        instead of per transaction."""
-        if count < 0 or missed_count < 0 or missed_count > count:
-            raise ValueError("invalid cached-lookup accounting")
-        self.lookup_count += count
-        self.miss_count += missed_count
-
     def lookup(self, address: int, size: int = 1) -> SecurityPolicy:
         """Find the policy governing ``[address, address+size)``.
 

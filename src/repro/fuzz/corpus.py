@@ -19,7 +19,8 @@ from repro.sweep.store import ResultStore, code_fingerprint
 
 __all__ = ["Corpus", "export_cases", "load_cases"]
 
-_SCHEMA = 1
+#: v2: entries carry the minimized case's per-step ``replay`` outcomes.
+_SCHEMA = 2
 _KEY_PREFIX = "fuzz/"
 
 
@@ -37,7 +38,7 @@ class Corpus:
         self,
         case: FuzzCase,
         violation: Dict[str, object],
-        engines: Optional[Dict[str, object]] = None,
+        replay: List[Dict[str, object]],
     ) -> str:
         """Persist one minimized case; returns its store key."""
         key = self.key_for(case)
@@ -50,7 +51,7 @@ class Corpus:
                 "schema": _SCHEMA,
                 "case": case.to_dict(),
                 "violation": violation,
-                "engines": engines or {},
+                "replay": replay,
             },
         )
         return key
@@ -80,7 +81,7 @@ class Corpus:
 def export_cases(
     path: Union[str, pathlib.Path], entries: List[Dict[str, object]]
 ) -> None:
-    """Write corpus entries (``{"case", "violation", "engines"}`` dicts) as
+    """Write corpus entries (``{"case", "violation", "replay"}`` dicts) as
     a reviewable JSON document."""
     payload = {"schema": _SCHEMA, "cases": entries}
     pathlib.Path(path).write_text(

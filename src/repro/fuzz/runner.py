@@ -9,9 +9,8 @@ Coverage feedback: every case whose replay produces a *novel* device-counter
 signature (which protocol transitions it exercised) joins the mutation pool,
 so sequences that got partway through a device protocol breed sequences that
 finish it.  Every found violation is minimized with the ddmin shrinker and
-then replayed under **both** transaction engines — a bypass only enters the
-report (and the corpus) with its engine fingerprints attached, so a vector
-divergence can never hide behind a security finding or vice versa.
+then replayed after a workload run; the per-step outcomes of that replay go
+into the report and the corpus, so a committed case pins them.
 """
 
 from __future__ import annotations
@@ -26,24 +25,16 @@ from repro.fuzz.generator import SequenceGenerator
 from repro.fuzz.oracle import BypassOracle, Violation
 from repro.fuzz.shrink import shrink_case
 from repro.scenarios.builder import ScenarioBuilder
-from repro.scenarios.differential import _variant_fingerprint, diff_fingerprints
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["FuzzReport", "fuzz_scenario", "replay_case"]
 
 
-def replay_case(
-    spec: ScenarioSpec, case: FuzzCase, engine: Optional[str] = None
-) -> Dict[str, object]:
-    """Replay one case after a workload run under the chosen engine.
-
-    Returns the per-step statuses/alert deltas and the full structural
-    fingerprint of the final platform state — comparing two engines'
-    replays with :func:`diff_fingerprints` is the fuzz analogue of the
-    engine-identity differential gate.
-    """
+def replay_case(spec: ScenarioSpec, case: FuzzCase) -> List[Dict[str, object]]:
+    """Replay one case after a workload run: each step's status and the
+    number of alerts it raised."""
     built = ScenarioBuilder(spec, verify=False).build(_warn=False)
-    built.run_workload(engine=engine)
+    built.run_workload()
     monitor = built.monitor
     steps: List[Dict[str, object]] = []
     for step in case.steps:
@@ -57,14 +48,7 @@ def replay_case(
             "status": txn.status.value,
             "alerts": (len(monitor.alerts) if monitor else 0) - before,
         })
-    report = built.engine_report
-    return {
-        "engine": engine or spec.engine.mode,
-        "engine_used": getattr(report, "used", "object"),
-        "fallback_reason": getattr(report, "fallback_reason", None),
-        "steps": steps,
-        "fingerprint": _variant_fingerprint(built, built.system.sim.now),
-    }
+    return steps
 
 
 @dataclass
@@ -80,7 +64,7 @@ class FuzzReport:
     blocked_steps: int = 0
     coverage_signatures: int = 0
     #: One record per distinct violation identity:
-    #: {"case", "violation", "engines", "engines_identical"}.
+    #: {"case", "violation", "replay"}.
     findings: List[Dict[str, object]] = field(default_factory=list)
     #: Store keys of corpus entries written this run.
     corpus_keys: List[str] = field(default_factory=list)
@@ -91,8 +75,8 @@ class FuzzReport:
 
     def to_dict(self) -> Dict[str, object]:
         def scrub(value: object) -> object:
-            # Fingerprints carry tuples (alert rows); normalise for JSON
-            # equality so two runs of the same seed serialise identically.
+            # Finding records may carry tuples; normalise for JSON equality
+            # so two runs of the same seed serialise identically.
             if isinstance(value, dict):
                 return {str(k): scrub(v) for k, v in value.items()}
             if isinstance(value, (list, tuple)):
@@ -120,43 +104,24 @@ def _judge_violation(
     oracle: BypassOracle,
     case: FuzzCase,
     violation: Violation,
-    engines: Sequence[str],
     do_shrink: bool,
     corpus: Optional[Corpus],
 ) -> Tuple[Dict[str, object], Optional[str]]:
-    """Minimize, cross-engine replay and (optionally) persist one finding."""
+    """Minimize, replay and (optionally) persist one finding."""
     minimized = shrink_case(oracle, case, violation) if do_shrink else case
     replay = oracle.run(minimized)
     confirmed = next(
         (v for v in replay.violations if v.identity == violation.identity),
         violation,
     )
-    engine_results = {
-        engine: replay_case(spec, minimized, engine) for engine in engines
-    }
-    identical = True
-    reference = None
-    for engine in engines:
-        current = engine_results[engine]
-        if reference is None:
-            reference = current
-            continue
-        if diff_fingerprints(reference["fingerprint"], current["fingerprint"]):
-            identical = False
-        if reference["steps"] != current["steps"]:
-            identical = False
     record: Dict[str, object] = {
         "case": minimized.to_dict(),
         "violation": confirmed.to_dict(),
-        "engines": {
-            engine: {k: v for k, v in result.items() if k != "fingerprint"}
-            for engine, result in engine_results.items()
-        },
-        "engines_identical": identical,
+        "replay": replay_case(spec, minimized),
     }
     key = None
     if corpus is not None:
-        key = corpus.add(minimized, confirmed.to_dict(), record["engines"])
+        key = corpus.add(minimized, confirmed.to_dict(), record["replay"])
     return record, key
 
 
@@ -166,12 +131,18 @@ def fuzz_scenario(
     seed: int = 0,
     budget: int = 200,
     n_steps: int = 12,
-    engines: Sequence[str] = ("object", "vector"),
     shrink: bool = True,
     corpus: Optional[Corpus] = None,
     stop_on_first: bool = False,
+    engines: Sequence[str] = ("object",),
 ) -> FuzzReport:
-    """Search ``budget`` cases for silent reaches of protected memory."""
+    """Search ``budget`` cases for silent reaches of protected memory.
+
+    ``engines`` accepts only ``("object",)``, the one execution engine; it is
+    kept so callers that pin the engine keep working.
+    """
+    if tuple(engines) != ("object",):
+        raise ValueError(f"unknown engines {engines!r}; the only engine is 'object'")
     generator = SequenceGenerator(spec, seed)
     oracle = BypassOracle(spec)
     report = FuzzReport(scenario=spec.name, seed=seed, budget=budget, n_steps=n_steps)
@@ -195,9 +166,7 @@ def fuzz_scenario(
             if violation.identity in found:
                 continue
             found[violation.identity] = True
-            record, key = _judge_violation(
-                spec, oracle, case, violation, engines, shrink, corpus
-            )
+            record, key = _judge_violation(spec, oracle, case, violation, shrink, corpus)
             report.findings.append(record)
             if key is not None:
                 report.corpus_keys.append(key)

@@ -97,10 +97,6 @@ class BuiltScenario:
     spec: ScenarioSpec
     system: SoCSystem
     security: Optional[Union[SecuredPlatform, CentralizedPlatform]] = None
-    #: Filled by :meth:`run_workload` when an engine choice was in play
-    #: (:class:`repro.engine.EngineReport`); None before the workload runs
-    #: or under the plain object engine.
-    engine_report: Optional[object] = None
 
     @property
     def protected(self) -> bool:
@@ -187,27 +183,16 @@ class BuiltScenario:
                 )
             self.system.sim.schedule_at(event.at_cycle, apply)
 
-    def run_workload(self, engine: Optional[str] = None) -> int:
+    def run_workload(self) -> int:
         """Load the workload, arm reconfigurations, run to completion.
 
-        ``engine`` overrides the spec's engine mode (``"object"``,
-        ``"vector"`` or ``"auto"``); results are identical either way — the
-        vector engine is an exact event mirror and declines whole runs it
-        cannot mirror.  Returns the final simulation cycle.
+        Returns the final simulation cycle.
         """
-        mode = engine if engine is not None else self.spec.engine.mode
         if self.spec.workload is None:
             return self.system.sim.now
         self.load_workload()
         self.schedule_reconfigurations()
         self.system.start_all(stagger=self.spec.workload.stagger)
-        if mode in ("vector", "auto"):
-            from repro.engine import drive_workload
-
-            final, report = drive_workload(self.system, requested=mode)
-            self.engine_report = report
-            if final is not None:
-                return final
         return self.system.run()
 
     def attacks(self) -> List[object]:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.secure import FIREWALL_PLACEMENTS
-from repro.engine.spec import EngineSpec
 
 __all__ = [
     "WindowSpec",
@@ -452,13 +451,6 @@ class ScenarioSpec:
         Reaction threshold forwarded to the Security Policy Manager.
     config_memory_capacity:
         Rule capacity of each trusted Configuration Memory.
-    engine:
-        Which execution engine drains the protected workload
-        (:class:`repro.engine.EngineSpec`): ``"object"`` (the event-driven
-        kernel, the default), ``"vector"`` (the batch engine, falling back to
-        the object path when the platform is outside its mirrored subset) or
-        ``"auto"``.  Engine choice never changes results, only wall-clock
-        speed — the differential harness enforces fingerprint identity.
 
     Examples
     --------
@@ -487,12 +479,10 @@ class ScenarioSpec:
     key_seed: int = 0x5CE2_0001
     quarantine_after: int = 1000  # effectively off unless a scenario opts in
     config_memory_capacity: int = 16
-    engine: EngineSpec = field(default_factory=EngineSpec)
 
     def validate(self) -> None:
         if not self.name:
             raise ValueError("scenario needs a name")
-        self.engine.validate()
         if self.enforcement not in ("distributed", "centralized"):
             raise ValueError(f"unknown enforcement model {self.enforcement!r}")
         if self.placement not in FIREWALL_PLACEMENTS:

@@ -46,7 +46,7 @@ from repro.attacks.runner import PersistentPool
 from repro.service import protocol
 from repro.sweep.engine import SweepJob, SweepReport, SweepRunner, _execute_point
 from repro.sweep.spec import SweepPoint, SweepSpec
-from repro.sweep.store import ResultStore, code_fingerprint, engine_fingerprint
+from repro.sweep.store import ResultStore, code_fingerprint
 
 __all__ = ["ReproDaemon", "Job"]
 
@@ -115,8 +115,8 @@ class ReproDaemon:
     trace_path:
         Optional JSONL trace file; opened in append mode with per-line
         flushing so restarts extend one continuous trace.
-    fingerprint / engine_fp:
-        Key-fingerprint overrides, passed straight to
+    fingerprint:
+        Key-fingerprint override, passed straight to
         :class:`~repro.sweep.engine.SweepRunner` (tests pin them; the
         defaults hash the installed package).
     """
@@ -131,7 +131,6 @@ class ReproDaemon:
         workers: int = 2,
         trace_path: Optional[os.PathLike] = None,
         fingerprint: Optional[str] = None,
-        engine_fp: Optional[str] = None,
     ) -> None:
         self.store = ResultStore(store_dir)
         self.socket_path = pathlib.Path(socket_path)
@@ -140,7 +139,6 @@ class ReproDaemon:
         self.workers = workers
         # Resolved once: classify() and put() must agree on the fingerprint.
         self.fingerprint = fingerprint if fingerprint is not None else code_fingerprint()
-        self.engine_fp = engine_fp if engine_fp is not None else engine_fingerprint()
         self._trace = (
             JsonlTraceSink(str(trace_path), append=True) if trace_path else None
         )
@@ -238,10 +236,7 @@ class ReproDaemon:
         """Parse a submit request and classify it against the shared store."""
         spec = protocol.submission_to_sweep_spec(request)
         self.store.reload()  # pick up points other processes stored
-        runner = SweepRunner(
-            spec, self.store,
-            fingerprint=self.fingerprint, engine_fp=self.engine_fp,
-        )
+        runner = SweepRunner(spec, self.store, fingerprint=self.fingerprint)
         report, pending = runner.classify()
         self._job_counter += 1
         job = Job(

@@ -198,7 +198,6 @@ _EXPERIMENT_FIELDS = {
     "protected": True,
     "workload_ops": None,
     "attack_mode": "scenario",
-    "engine": None,
 }
 
 
@@ -230,7 +229,6 @@ def experiment_to_sweep_spec(payload: Dict[str, Any]) -> SweepSpec:
                 None if merged["workload_ops"] is None else int(merged["workload_ops"]),
             ),
             attack_modes=(merged["attack_mode"],),
-            engines=(merged["engine"],),
         )
     except (TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid experiment submission: {exc}") from None

@@ -11,9 +11,7 @@ break the chain.
 Three such devices are modelled here, each a :class:`~repro.soc.ip.
 RegisterFileIP` subclass so it keeps word-granular register semantics, the
 untimed ``read_register`` interface the fingerprint digests rely on, and a
-plain :class:`~repro.soc.ports.SlavePort` attachment (which keeps it native
-under the vector engine — device ``access`` is invoked live in mirrored
-event order, never memoised):
+plain :class:`~repro.soc.ports.SlavePort` attachment:
 
 * :class:`FirmwareUpdateIP` — an unlock/arm/stage/commit state machine.
   Staging writes outside the armed window are protocol violations and do
@@ -29,8 +27,7 @@ event order, never memoised):
   bypass fuzzer must find.
 
 All state transitions are pure functions of the transaction history, so the
-devices are deterministic by construction and fingerprint-identical under
-the object and vector engines.
+devices are deterministic by construction.
 """
 
 from __future__ import annotations

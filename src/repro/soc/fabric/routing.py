@@ -12,13 +12,6 @@ segment S to address A cross?" — for the metrics layer and for tests.
 Resolved routes are memoised in a bounded LRU keyed by
 ``(segment, address, size)``, mirroring the decode cache of
 :class:`~repro.soc.address_map.AddressMap`.
-
-The vector engine's fabric prepass
-(:func:`repro.engine.batch.fabric_route_prepass`) uses :meth:`FabricRouter.
-resolve_many` as its batched census — one control-plane query per home
-segment decides routability — but derives the actual per-hop targets by
-walking each segment's own address map, exactly like the datapath, so BFS
-tie-breaking can never diverge from the installed proxy regions.
 """
 
 from __future__ import annotations
@@ -140,19 +133,3 @@ class FabricRouter:
             return self.resolve(segment, address, size)
         except (DecodeError, RoutingError):
             return None
-
-    def resolve_many(
-        self, segment: str, shapes: List[Tuple[int, int]]
-    ) -> Dict[Tuple[int, int], Optional[Route]]:
-        """Resolve a whole batch of unique ``(address, size)`` shapes at once.
-
-        The batch engine uses this to characterise a transaction stream
-        against a hierarchical fabric before deciding to fall back: the
-        returned map tells it how many shapes would cross bridges (and is the
-        shape census reported in the engine report).  Unroutable shapes map
-        to None, mirroring :meth:`try_resolve`.
-        """
-        return {
-            (address, size): self.try_resolve(segment, address, size)
-            for address, size in shapes
-        }

@@ -21,12 +21,6 @@ the containment property the firewalls must provide).
 to; the flat bus keeps the historical ``"bus"`` so single-segment platforms
 stay byte-identical, while a fabric names each segment's bucket
 ``"bus:<segment>"`` for per-hop latency attribution.
-
-The vector engine (:mod:`repro.engine.vector`) mirrors this class event for
-event — grant ordering, the split-transaction handoff/release pair, the
-synchronous reply-before-rearbitrate sequence, decode-error termination.
-Behavioural changes here must be reflected in the mirror (the differential
-suite catches divergence on every registered scenario).
 """
 
 from __future__ import annotations
@@ -153,8 +147,7 @@ class BusSegment(Component, Interconnect):
 
     def transfer_cycles(self, burst_length: int) -> int:
         """Bus occupancy of one transaction: address phase plus one data phase
-        per beat.  Exposed so the batch engine can precompute occupancy for a
-        whole transaction stream in one pass over the burst-length array."""
+        per beat."""
         return (
             self.address_phase_cycles
             + self.data_phase_cycles_per_beat * burst_length

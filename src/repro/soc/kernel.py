@@ -5,9 +5,11 @@ shared integer clock (one tick = one bus clock cycle at the nominal 100 MHz of
 the paper's MicroBlaze system).  The kernel is a classic calendar queue built
 on :mod:`heapq`:
 
-* events are ``(time, sequence, callback, args)`` tuples; the sequence number
-  makes ordering deterministic for events scheduled at the same cycle, which
-  keeps every experiment bit-reproducible,
+* events are ordered by ``(time, sequence)``; the sequence number makes
+  ordering deterministic for events scheduled at the same cycle, which keeps
+  every experiment bit-reproducible.  The heap holds ``(key, event)`` pairs
+  whose integer key packs both, so every heap comparison is one integer
+  comparison,
 * components schedule work with :meth:`Simulator.schedule` (relative delay) or
   :meth:`Simulator.schedule_at` (absolute cycle),
 * :meth:`Simulator.run` drains the queue up to an optional horizon.
@@ -20,29 +22,32 @@ counts so the latency accounting of Table II carries through unchanged.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 __all__ = ["Event", "Simulator", "Component", "SimulationError"]
+
+#: Bits of a heap key below the event time, holding the sequence number
+#: (unique keys for the first 2**44 events of a simulation).
+SEQUENCE_BITS = 44
 
 
 class SimulationError(RuntimeError):
     """Raised for kernel-level misuse (negative delays, running twice, ...)."""
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, run at cycle ``time`` in ``sequence`` order."""
 
-    Ordering is by (time, sequence); the callback and its arguments do not
-    participate in comparisons.
-    """
+    __slots__ = ("time", "sequence", "callback", "args", "cancelled")
 
-    time: int
-    sequence: int
-    callback: Callable[..., None] = field(compare=False)
-    args: Tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    def __init__(
+        self, time: int, sequence: int, callback: Callable[..., None], args: Tuple[Any, ...] = ()
+    ) -> None:
+        self.time = time
+        self.sequence = sequence
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Mark the event so the kernel skips it when popped."""
@@ -58,7 +63,7 @@ class Simulator:
         self.clock_frequency_hz = clock_frequency_hz
         self._now = 0
         self._sequence = 0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[int, Event]] = []
         self._running = False
         self.events_processed = 0
         self.components: List["Component"] = []
@@ -96,9 +101,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at cycle {time}, current time is {self._now}"
             )
-        event = Event(time=time, sequence=self._sequence, callback=callback, args=args)
-        self._sequence += 1
-        heapq.heappush(self._queue, event)
+        sequence = self._sequence
+        event = Event(time, sequence, callback, args)
+        self._sequence = sequence + 1
+        heapq.heappush(self._queue, ((time << SEQUENCE_BITS) | sequence, event))
         return event
 
     # -- execution --------------------------------------------------------------
@@ -106,7 +112,7 @@ class Simulator:
     def step(self) -> bool:
         """Process a single event.  Returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[1]
             if event.cancelled:
                 continue
             self._now = event.time
@@ -134,7 +140,7 @@ class Simulator:
             pop = heapq.heappop
             processed = 0
             while queue:
-                head = queue[0]
+                head = queue[0][1]
                 if head.cancelled:
                     pop(queue)
                     continue
@@ -160,36 +166,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for e in self._queue if not e.cancelled)
-
-    def drain_pending(self) -> List[Event]:
-        """Remove and return every queued live event in (time, sequence) order.
-
-        This is the hand-off point for alternative execution engines (the
-        batch engine of :mod:`repro.engine`): they take ownership of the
-        pending calendar, execute it under their own loop, and leave the
-        simulator's clock/sequence state consistent via :meth:`resync`.
-        Cancelled events are discarded, exactly as :meth:`run` would skip
-        them.
-        """
-        drained: List[Event] = []
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            event = pop(queue)
-            if not event.cancelled:
-                drained.append(event)
-        return drained
-
-    def resync(self, now: int, extra_events: int = 0) -> None:
-        """Advance the clock and event statistics on behalf of an external
-        execution engine that drained the calendar via :meth:`drain_pending`."""
-        if now < self._now:
-            raise SimulationError(
-                f"cannot move time backwards (now={self._now}, target={now})"
-            )
-        self._now = now
-        self.events_processed += extra_events
+        return sum(1 for _, event in self._queue if not event.cancelled)
 
     # -- registry -----------------------------------------------------------------
 

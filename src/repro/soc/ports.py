@@ -311,9 +311,7 @@ class SlavePort(Component):
 
     #: Whether the segment may release the bus at request hand-off instead of
     #: holding it until the reply returns.  False for plain device ports;
-    #: bridge ingress endpoints override it (posted-write buffering).  The
-    #: batch engine keys its eligibility check off this flag: split-capable
-    #: endpoints always take the object path.
+    #: bridge ingress endpoints override it (posted-write buffering).
     split_transactions = False
 
     def __init__(

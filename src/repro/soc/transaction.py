@@ -200,40 +200,6 @@ class BusTransaction:
             raise ValueError("latency contribution cannot be negative")
         self.latency_breakdown[stage] = self.latency_breakdown.get(stage, 0) + cycles
 
-    @classmethod
-    def blank(
-        cls,
-        master: str,
-        operation: BusOperation,
-        address: int,
-        width: int = 4,
-        burst_length: int = 1,
-        data: Optional[bytes] = None,
-    ) -> "BusTransaction":
-        """Fast constructor for *pre-validated* field values.
-
-        Skips ``__init__``/``__post_init__`` entirely — the batch engine
-        validates whole programs once up front, so re-running the per-field
-        checks on every transaction would only burn the hot loop.  Ids come
-        from the same global counter as the normal constructor, so issue
-        order stays globally consistent across engines.
-        """
-        txn = cls.__new__(cls)
-        txn.master = master
-        txn.operation = operation
-        txn.address = address
-        txn.width = width
-        txn.burst_length = burst_length
-        txn.data = data
-        txn.txn_id = next(_txn_ids)
-        txn.status = TransactionStatus.CREATED
-        txn.issued_at = -1
-        txn.granted_at = -1
-        txn.completed_at = -1
-        txn.latency_breakdown = {}
-        txn.annotations = {}
-        return txn
-
     def clone_for_retry(self) -> "BusTransaction":
         """Fresh copy of this transaction with a new id and clean lifecycle."""
         return BusTransaction(

@@ -13,8 +13,8 @@ spec declares.
 Checks
 ------
 * **address-map defects** — overlapping slave regions, and proxy regions in
-  a built fabric that diverge from the per-segment maps the vector engine's
-  route prepass trusts (``proxy-divergence``).
+  a built fabric that diverge from the routed control plane
+  (``proxy-divergence``).
 * **unguarded paths** — a per-master restriction (an ``accessible`` list
   excluding a slave, or a ``readonly`` entry) that *no* hop on the route can
   enforce.  Under a leaf-claiming placement this is an ``error``
@@ -216,10 +216,10 @@ class _Analysis:
     def check_proxy_regions(self) -> None:
         """Built fabric maps must agree with the routed control plane.
 
-        The vector engine's route prepass trusts each segment's installed
-        proxy regions; this cross-checks them against a fresh BFS over the
-        spec — any divergence means the datapath and the control plane would
-        route the same address differently.
+        The datapath routes through each segment's installed proxy regions;
+        this cross-checks them against a fresh BFS over the spec — any
+        divergence means the datapath and the control plane would route the
+        same address differently.
         """
         if not self.topology.hierarchical:
             return

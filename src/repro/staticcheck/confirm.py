@@ -1,8 +1,7 @@
 """Dynamic confirmation of static findings: compile witnesses into probes.
 
-The verifier is only trustworthy if the simulator agrees with it, the same
-way the vector engine is only trustworthy because the differential suite
-pins it to the object engine.  This module closes that loop: every
+The verifier is only trustworthy if the simulator agrees with it.  This
+module closes that loop: every
 :class:`~repro.staticcheck.findings.Witness` compiles into a single-shot
 probe attack driven through the existing Experiment/BuiltScenario API, and
 
@@ -79,7 +78,6 @@ class ConfirmationResult:
     alerts: int
     status: str
     confirmed: bool
-    engine: str
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -88,7 +86,6 @@ class ConfirmationResult:
             "alerts": self.alerts,
             "status": self.status,
             "confirmed": self.confirmed,
-            "engine": self.engine,
         }
 
 
@@ -102,21 +99,18 @@ def confirm_witness(
     spec: ScenarioSpec,
     witness: Witness,
     *,
-    engine: Optional[str] = None,
     run_workload: bool = False,
 ) -> ConfirmationResult:
     """Replay one witness against a freshly built protected platform.
 
-    ``engine`` selects the transaction engine for the optional warm-up
-    workload (``run_workload=True``), proving the witness verdict is
-    engine-independent; the probe itself is a single synchronous
-    transaction and always settles through the calendar.
+    ``run_workload=True`` drains the scenario's workload first, so the probe
+    meets the platform in its post-workload state.
     """
     from repro.api.experiment import Experiment
 
     built = Experiment.from_spec(spec).protected(True).build()
     if run_workload:
-        built.run_workload(engine=engine)
+        built.run_workload()
     probe = WitnessProbe(witness)
     result = probe.run(built.system, built.security)
     return ConfirmationResult(
@@ -125,14 +119,12 @@ def confirm_witness(
         alerts=result.alerts,
         status=str(result.extra.get("status", "")),
         confirmed=_judge(witness, result),
-        engine=engine or spec.engine.mode,
     )
 
 
 def confirm_report(
     scenario: Union[str, ScenarioSpec, VerificationReport],
     *,
-    engine: Optional[str] = None,
     max_coverage: Optional[int] = None,
 ) -> List[ConfirmationResult]:
     """Confirm every witness a verification report carries.
@@ -163,4 +155,4 @@ def confirm_report(
     if max_coverage is not None:
         coverage = coverage[:max_coverage]
     witnesses.extend(coverage)
-    return [confirm_witness(spec, witness, engine=engine) for witness in witnesses]
+    return [confirm_witness(spec, witness) for witness in witnesses]

@@ -28,7 +28,7 @@ The CLI surface is ``python -m repro sweep run`` / ``sweep gc`` /
 """
 
 from repro.sweep.spec import SweepPoint, SweepSpec, point_key, spec_hash
-from repro.sweep.store import ResultStore, code_fingerprint, engine_fingerprint
+from repro.sweep.store import ResultStore, code_fingerprint
 from repro.sweep.engine import SweepReport, SweepRunner
 from repro.sweep.paper import PaperReport, paper_sweep_spec, regenerate_paper
 
@@ -39,7 +39,6 @@ __all__ = [
     "spec_hash",
     "ResultStore",
     "code_fingerprint",
-    "engine_fingerprint",
     "SweepReport",
     "SweepRunner",
     "PaperReport",

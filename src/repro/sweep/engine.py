@@ -30,7 +30,7 @@ from repro.attacks.runner import parallel_map
 from repro.scenarios.spec import ScenarioSpec
 from repro.staticcheck.gate import enforce
 from repro.sweep.spec import SweepPoint, SweepSpec, point_key
-from repro.sweep.store import ResultStore, code_fingerprint, engine_fingerprint
+from repro.sweep.store import ResultStore, code_fingerprint
 
 __all__ = ["SweepRunner", "SweepReport", "SweepJob"]
 
@@ -99,13 +99,7 @@ class SweepRunner:
         spec-hash invalidation.
     fingerprint:
         Code fingerprint baked into every key; defaults to
-        :func:`repro.sweep.store.code_fingerprint` (which excludes the
-        engine subtree).
-    engine_fp:
-        Fingerprint of ``repro/engine/`` mixed into the keys of points whose
-        resolved spec runs a non-object engine; defaults to
-        :func:`repro.sweep.store.engine_fingerprint`.  Editing engine code
-        therefore invalidates exactly the vector/auto cells.
+        :func:`repro.sweep.store.code_fingerprint`.
     sweep_workers:
         ``1`` (default) runs points serially in-process; ``>1`` shards the
         missing points across processes (every point's ``campaign_workers``
@@ -125,7 +119,6 @@ class SweepRunner:
         *,
         resolver: Optional[Callable[[str], ScenarioSpec]] = None,
         fingerprint: Optional[str] = None,
-        engine_fp: Optional[str] = None,
         sweep_workers: int = 1,
         point_hook: Optional[Callable[[SweepPoint], None]] = None,
     ) -> None:
@@ -135,7 +128,6 @@ class SweepRunner:
         self.store = store
         self.resolver = resolver
         self.fingerprint = fingerprint if fingerprint is not None else code_fingerprint()
-        self.engine_fp = engine_fp if engine_fp is not None else engine_fingerprint()
         self.sweep_workers = sweep_workers
         self.point_hook = point_hook
 
@@ -162,14 +154,7 @@ class SweepRunner:
             # a grid cell whose resolved spec claims an unenforceable
             # protection dies here, before it burns a store slot.
             enforce(resolved, where=f"sweep point {point.point_id}")
-            key = point_key(
-                point,
-                resolved,
-                self.fingerprint,
-                # Object-path results cannot depend on engine code; only
-                # cells that actually run the vector/auto path key on it.
-                self.engine_fp if resolved.engine.mode != "object" else None,
-            )
+            key = point_key(point, resolved, self.fingerprint)
             report.keys[point.point_id] = key
             if self.store.has(key):
                 report.cached.append(point.point_id)

@@ -1,4 +1,4 @@
-"""Declarative sweep grids: scenario × placement × seed × worker × engine axes.
+"""Declarative sweep grids: scenario × placement × seed × worker axes.
 
 A :class:`SweepSpec` names the axes of a grid sweep; :meth:`SweepSpec.plan`
 expands it into concrete :class:`SweepPoint`\\ s, silently skipping only the
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.api.experiment import RESULT_SCHEMA_VERSION, _jsonable
-from repro.engine.spec import ENGINE_MODES, EngineSpec
 from repro.scenarios.registry import list_scenarios
 from repro.scenarios.spec import ScenarioSpec
 
@@ -60,13 +59,14 @@ class SweepPoint:
     protected: bool
     workload_ops: Optional[int]  # None = the scenario's own workload size
     attack_mode: str  # "scenario" or "none"
-    # None = the scenario's own engine.  Declared last so existing positional
-    # constructions (and pickles) of the seven original fields stay valid.
-    engine: Optional[str] = None
 
     @property
     def point_id(self) -> str:
-        """Stable human-readable identity (the filter and report label)."""
+        """Stable human-readable identity (the filter and report label).
+
+        The trailing ``/engine=default`` is a frozen part of the format, so
+        ids of stored results and published reports stay valid.
+        """
         return (
             f"{self.scenario}"
             f"/placement={self.placement or 'default'}"
@@ -75,7 +75,7 @@ class SweepPoint:
             f"/{'protected' if self.protected else 'unprotected'}"
             f"/attacks={self.attack_mode}"
             f"/ops={'default' if self.workload_ops is None else self.workload_ops}"
-            f"/engine={self.engine or 'default'}"
+            "/engine=default"
         )
 
     def resolve_spec(self, base: ScenarioSpec) -> ScenarioSpec:
@@ -88,27 +88,15 @@ class SweepPoint:
                 spec,
                 workload=dataclasses.replace(spec.workload, n_operations=self.workload_ops),
             )
-        if self.engine is not None and self.engine != spec.engine.mode:
-            spec = dataclasses.replace(spec, engine=EngineSpec(mode=self.engine))
         return spec
 
 
-def point_key(
-    point: SweepPoint,
-    resolved: ScenarioSpec,
-    fingerprint: str,
-    engine_fingerprint: Optional[str] = None,
-) -> str:
+def point_key(point: SweepPoint, resolved: ScenarioSpec, fingerprint: str) -> str:
     """Content-addressed store key of one point.
 
     Covers the point parameters, the fully resolved scenario definition, the
     result schema version and the code fingerprint — change any of them and
-    the key (hence the cache entry) changes.  ``engine_fingerprint`` (the
-    hash of ``repro/engine/``, excluded from the base ``fingerprint``) joins
-    the payload only for points running a non-object engine: an engine-code
-    edit therefore invalidates exactly the vector/auto cells, while the
-    object-path cells — whose results engine code cannot influence — stay
-    served from the store.
+    the key (hence the cache entry) changes.
     """
     payload = {
         "point": dataclasses.asdict(point),
@@ -116,8 +104,6 @@ def point_key(
         "schema_version": RESULT_SCHEMA_VERSION,
         "fingerprint": fingerprint,
     }
-    if engine_fingerprint is not None:
-        payload["engine_fingerprint"] = engine_fingerprint
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
@@ -151,7 +137,6 @@ class SweepSpec:
     protected: Tuple[bool, ...] = (True,)
     workload_ops: Tuple[Optional[int], ...] = (None,)
     attack_modes: Tuple[str, ...] = ("scenario",)
-    engines: Tuple[Optional[str], ...] = (None,)  # None = scenario's own engine
     include: Tuple[str, ...] = ()
     exclude: Tuple[str, ...] = ()
 
@@ -159,14 +144,9 @@ class SweepSpec:
         for mode in self.attack_modes:
             if mode not in ATTACK_MODES:
                 raise ValueError(f"attack mode must be one of {ATTACK_MODES}, got {mode!r}")
-        for engine in self.engines:
-            if engine is not None and engine not in ENGINE_MODES:
-                raise ValueError(
-                    f"engine must be None or one of {ENGINE_MODES}, got {engine!r}"
-                )
         # ``scenarios`` may legitimately be empty ("all registered").
         for axis in ("placements", "seeds", "campaign_workers",
-                     "protected", "workload_ops", "attack_modes", "engines"):
+                     "protected", "workload_ops", "attack_modes"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis!r} must not be empty")
 
@@ -221,39 +201,29 @@ class SweepSpec:
                                 ):
                                     norm_ops = None
                                 for mode in self.attack_modes:
-                                    for engine in self.engines:
-                                        # Same collapse as placement: an
-                                        # explicit engine equal to the
-                                        # scenario's own shares the default
-                                        # cell's cache key.
-                                        norm_engine = (
-                                            None if engine == base.engine.mode
-                                            else engine
-                                        )
-                                        point = SweepPoint(
-                                            scenario=name,
-                                            placement=norm_placement,
-                                            seed=seed,
-                                            campaign_workers=workers,
-                                            protected=prot,
-                                            workload_ops=norm_ops,
-                                            attack_mode=mode,
-                                            engine=norm_engine,
-                                        )
-                                        if point.point_id in seen_ids:
-                                            continue
-                                        if not self._selected(name, point.point_id):
-                                            continue
-                                        if (
-                                            norm_placement in ("bridge", "both")
-                                            and not base.topology.bridges
-                                        ):
-                                            skipped.append({
-                                                "point_id": point.point_id,
-                                                "reason": f"placement {placement!r} needs bridges",
-                                            })
-                                            seen_ids.add(point.point_id)
-                                            continue
+                                    point = SweepPoint(
+                                        scenario=name,
+                                        placement=norm_placement,
+                                        seed=seed,
+                                        campaign_workers=workers,
+                                        protected=prot,
+                                        workload_ops=norm_ops,
+                                        attack_mode=mode,
+                                    )
+                                    if point.point_id in seen_ids:
+                                        continue
+                                    if not self._selected(name, point.point_id):
+                                        continue
+                                    if (
+                                        norm_placement in ("bridge", "both")
+                                        and not base.topology.bridges
+                                    ):
+                                        skipped.append({
+                                            "point_id": point.point_id,
+                                            "reason": f"placement {placement!r} needs bridges",
+                                        })
                                         seen_ids.add(point.point_id)
-                                        points.append(point)
+                                        continue
+                                    seen_ids.add(point.point_id)
+                                    points.append(point)
         return SweepPlan(points=tuple(points), skipped=tuple(skipped), bases=bases)

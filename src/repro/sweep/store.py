@@ -35,10 +35,7 @@ the historical single-writer behaviour.
 
 Keys come from :func:`repro.sweep.spec.point_key` and embed the **code
 fingerprint** — a hash over every ``*.py`` file of the installed ``repro``
-package except ``repro/engine/``, which is hashed separately as the
-**engine fingerprint** and mixed in only for points that ran the vector
-engine — so results computed by older code are never served as current,
-while engine-only edits leave object-path cells warm.
+package — so results computed by older code are never served as current.
 Old-fingerprint entries stay on disk (they are the perf-trajectory history)
 until ``repro sweep gc --keep-latest N`` rewrites the store.
 """
@@ -64,37 +61,15 @@ __all__ = [
     "ResultStore",
     "GcReport",
     "code_fingerprint",
-    "engine_fingerprint",
     "canonical_result",
 ]
 
 
-#: Package subtree holding the vector execution engine.  Its code is excluded
-#: from :func:`code_fingerprint` and hashed separately by
-#: :func:`engine_fingerprint`: the engines are observationally identical by
-#: contract, so engine-only edits must invalidate only the cells that *ran*
-#: the vector engine (``point_key`` mixes the engine fingerprint in for
-#: exactly those points).
-ENGINE_SUBTREE = "engine"
-
-
-def _tree_fingerprint(root: pathlib.Path, subtree: Optional[str] = None,
-                      exclude: Optional[str] = None) -> str:
-    """Hash the ``*.py`` files under ``root`` (relative paths + contents).
-
-    ``subtree`` restricts the walk to one direct subdirectory; ``exclude``
-    prunes one.  Paths are hashed relative to ``root`` either way, so the two
-    halves recombine consistently.
-    """
+def _tree_fingerprint(root: pathlib.Path) -> str:
+    """Hash the ``*.py`` files under ``root`` (relative paths + contents)."""
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
-        relative = path.relative_to(root)
-        top = relative.parts[0] if len(relative.parts) > 1 else None
-        if subtree is not None and top != subtree:
-            continue
-        if exclude is not None and top == exclude:
-            continue
-        digest.update(relative.as_posix().encode())
+        digest.update(path.relative_to(root).as_posix().encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
@@ -108,15 +83,8 @@ def _package_root() -> pathlib.Path:
 
 @functools.lru_cache(maxsize=1)
 def code_fingerprint() -> str:
-    """Hash of every Python source file of the installed ``repro`` package,
-    except the engine subtree (see :func:`engine_fingerprint`)."""
-    return _tree_fingerprint(_package_root(), exclude=ENGINE_SUBTREE)
-
-
-@functools.lru_cache(maxsize=1)
-def engine_fingerprint() -> str:
-    """Hash of the vector-engine subtree (``repro/engine/``) alone."""
-    return _tree_fingerprint(_package_root(), subtree=ENGINE_SUBTREE)
+    """Hash of every Python source file of the installed ``repro`` package."""
+    return _tree_fingerprint(_package_root())
 
 
 def canonical_result(result: Dict[str, object]) -> Dict[str, object]:

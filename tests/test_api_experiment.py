@@ -106,72 +106,26 @@ class TestExperimentPipeline:
             repro.does_not_exist
 
 
-class TestEngineSelection:
-    """`with_engine` threads the batch engine through the façade: results are
-    identical to the object path, and the meta block records what ran."""
+class TestSingleEngine:
+    """The event-driven kernel is the only engine: pinning it is accepted,
+    anything else is refused, and results carry a fixed provenance block."""
 
-    def test_vector_engine_result_matches_object_path(self):
+    def test_object_engine_is_accepted_and_changes_nothing(self):
         from repro.sweep.store import canonical_result
 
-        def scrubbed(mode):
-            result = (
-                Experiment.from_scenario("minimal_1x1").with_engine(mode).run()
-            )
-            payload = canonical_result(result.to_dict())
-            payload["meta"] = None  # provenance (incl. engine report) differs
-            return payload, result.meta["engine"]
-
-        obj, obj_engine = scrubbed("object")
-        vec, vec_engine = scrubbed("vector")
-        assert obj == vec
-        assert obj_engine["used"] == "object"
-        assert vec_engine["used"] == "vector"
-        assert vec_engine["replayed"] is not None
-
-    def test_auto_engine_engages_on_hierarchical_fabrics(self):
-        result = (
-            Experiment.from_scenario("deep_hierarchy_3seg")
-            .no_attacks()
-            .with_engine("auto")
-            .run()
+        plain = Experiment.from_scenario("minimal_1x1").no_attacks().run()
+        pinned = (
+            Experiment.from_scenario("minimal_1x1").no_attacks().with_engine("object").run()
         )
-        engine = result.meta["engine"]
-        assert engine["requested"] == "auto"
-        assert engine["used"] == "vector"
-        assert engine["fallback_reason"] is None
-        assert engine["extra"]["fabric"] == {"segments": 3, "bridges": 2}
-
-    def test_render_experiment_surfaces_engine_and_fallback(self):
-        from repro.analysis.report import render_experiment
-
-        result = (
-            Experiment.from_scenario("minimal_1x1")
-            .no_attacks()
-            .with_engine("vector")
-            .run()
-        )
-        payload = result.to_dict()
-        assert "engine     : vector (requested vector)" in render_experiment(payload)
-
-        payload["meta"]["engine"] = {
-            "requested": "vector",
-            "used": "object",
-            "fallback_reason": "instrumentation event bus with payload sinks attached",
+        assert canonical_result(plain.to_dict()) == canonical_result(pinned.to_dict())
+        assert plain.meta["engine"] == {
+            "requested": "object", "used": "object", "fallback_reason": None,
         }
-        rendered = render_experiment(payload)
-        assert "engine     : object (requested vector)" in rendered
-        assert "fell back: instrumentation event bus" in rendered
 
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("mode", ["vector", "auto", "warp"])
+    def test_other_engines_are_rejected(self, mode):
         with pytest.raises(ValueError, match="engine"):
-            Experiment.from_scenario("minimal_1x1").with_engine("warp")
-
-    def test_cli_engine_flag_reaches_the_meta_block(self, capsys):
-        assert cli_main(
-            ["run", "minimal_1x1", "--no-attacks", "--engine", "vector", "--json"]
-        ) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["meta"]["engine"]["used"] == "vector"
+            Experiment.from_scenario("minimal_1x1").with_engine(mode)
 
 
 class TestSummaryPlacement:

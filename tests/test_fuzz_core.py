@@ -165,7 +165,8 @@ def test_shrinker_refuses_a_non_reproducing_premise(leak_violation):
 def test_corpus_round_trips_through_store_and_json(tmp_path, leak_violation):
     _, case, violation = leak_violation
     corpus = Corpus(ResultStore(tmp_path / "store"))
-    key = corpus.add(case, violation.to_dict(), {"object": {"steps": []}})
+    replay = [{"status": "completed", "alerts": 0}] * len(case)
+    key = corpus.add(case, violation.to_dict(), replay)
     assert key == f"fuzz/{case.scenario}/{case.digest()}"
     assert corpus.has(case)
     assert corpus.cases("planted_backdoor") == [case]
@@ -177,6 +178,7 @@ def test_corpus_round_trips_through_store_and_json(tmp_path, leak_violation):
     assert len(loaded) == 1
     assert FuzzCase.from_dict(loaded[0]["case"]) == case
     assert loaded[0]["violation"]["kind"] == "guard_leak"
+    assert loaded[0]["replay"] == replay
 
 
 def test_load_cases_rejects_unknown_schema(tmp_path):
@@ -190,7 +192,7 @@ def test_load_cases_rejects_unknown_schema(tmp_path):
 
 
 def test_fuzz_scenario_is_bit_reproducible():
-    kwargs = dict(seed=5, budget=8, n_steps=6, engines=("object",), shrink=False)
+    kwargs = dict(seed=5, budget=8, n_steps=6, shrink=False)
     first = fuzz_scenario(get_scenario("minimal_1x1"), **kwargs)
     second = fuzz_scenario(get_scenario("minimal_1x1"), **kwargs)
     assert first.to_dict() == second.to_dict()
@@ -201,14 +203,19 @@ def test_fuzz_scenario_is_bit_reproducible():
     assert first.clean
 
 
-def test_replay_case_reports_engine_and_fingerprint(leak_violation):
+def test_fuzz_scenario_accepts_only_the_object_engine():
+    spec = get_scenario("minimal_1x1")
+    pinned = fuzz_scenario(spec, seed=5, budget=2, n_steps=4, engines=("object",))
+    assert pinned.to_dict() == fuzz_scenario(spec, seed=5, budget=2, n_steps=4).to_dict()
+    with pytest.raises(ValueError, match="engine"):
+        fuzz_scenario(spec, budget=1, engines=("object", "vector"))
+
+
+def test_replay_case_reports_each_step(leak_violation):
     _, case, _ = leak_violation
-    replay = replay_case(SPEC, case, "vector")
-    assert replay["engine"] == "vector"
-    assert replay["engine_used"] == "vector"
-    assert replay["fallback_reason"] is None
-    assert len(replay["steps"]) == len(case)
-    assert "alerts" in replay["fingerprint"]
+    replay = replay_case(SPEC, case)
+    assert len(replay) == len(case)
+    assert all(set(step) == {"status", "alerts"} for step in replay)
 
 
 # -- CLI --------------------------------------------------------------------------
@@ -216,7 +223,7 @@ def test_replay_case_reports_engine_and_fingerprint(leak_violation):
 
 def test_cli_fuzz_clean_scenario_exits_zero(capsys):
     assert main(["fuzz", "minimal_1x1", "--seed", "1", "--budget", "4",
-                 "--steps", "4", "--engine", "object"]) == 0
+                 "--steps", "4"]) == 0
     out = capsys.readouterr().out
     assert "clean" in out
 
@@ -229,7 +236,7 @@ def test_cli_fuzz_planted_backdoor_exits_one_with_json(capsys):
     assert payload["clean"] is False
     finding = payload["findings"][0]
     assert finding["violation"]["kind"] == "guard_leak"
-    assert finding["engines_identical"] is True
+    assert [step["status"] for step in finding["replay"]] == ["completed"] * 3
 
 
 def test_cli_fuzz_unknown_scenario_fails(capsys):

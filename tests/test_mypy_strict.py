@@ -16,7 +16,6 @@ ROOT = pathlib.Path(__file__).parent.parent
 
 #: The modules held to --strict (keep in sync with pyproject + CI).
 STRICT_TARGETS = [
-    "src/repro/engine/spec.py",
     "src/repro/sweep/spec.py",
     "src/repro/staticcheck/findings.py",
     "src/repro/staticcheck/gate.py",
@@ -51,14 +50,14 @@ def test_pyproject_declares_the_mypy_config():
     for block in overrides:
         if block.get("disallow_untyped_defs"):
             strict_modules.update(block["module"])
-    assert {"repro.engine.spec", "repro.sweep.spec", "repro.staticcheck.*"} <= strict_modules
+    assert {"repro.sweep.spec", "repro.staticcheck.*"} <= strict_modules
     assert "mypy>=1.8" in config["project"]["optional-dependencies"]["dev"]
 
 
 def test_ci_runs_the_same_strict_targets():
     workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
     assert "mypy --strict" in workflow
-    for target in ("src/repro/engine/spec.py", "src/repro/sweep/spec.py"):
+    for target in STRICT_TARGETS:
         assert target in workflow, f"CI must type-check {target}"
 
 

@@ -56,7 +56,7 @@ def serial_digest(tmp_path, spec: SweepSpec = GRID_SPEC) -> str:
 class TestProtocol:
     def test_sweep_spec_round_trips_through_json(self):
         spec = SweepSpec(scenarios=("minimal_1x1",), seeds=(0, 1, 2),
-                         engines=(None, "vector"))
+                         placements=(None, "leaf"))
         wire = json.loads(protocol.encode_line(protocol.sweep_spec_to_dict(spec)))
         assert protocol.sweep_spec_from_dict(wire) == spec
 

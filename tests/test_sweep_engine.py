@@ -84,41 +84,6 @@ class TestInvalidation:
         edited = SweepRunner(GRID, store, resolver=edited_resolver).run()
         assert len(edited.computed) == 2 and not edited.cached
 
-    def test_engine_code_edit_invalidates_exactly_the_vector_cells(self, tmp_path):
-        # Grid with one object-default cell and one vector cell per seed.
-        grid = dataclasses.replace(GRID, engines=(None, "vector"))
-        store = ResultStore(tmp_path / "store")
-        warm = SweepRunner(grid, store, engine_fp="eng-a").run()
-        assert len(warm.computed) == 4
-
-        # A simulated edit under repro/engine/ changes only the engine
-        # fingerprint: the two vector cells recompute, the two object cells
-        # stay served from the store.
-        edited = SweepRunner(grid, store, engine_fp="eng-b").run()
-        assert sorted(edited.computed) == sorted(
-            pid for pid in warm.computed if pid.endswith("/engine=vector")
-        )
-        assert sorted(edited.cached) == sorted(
-            pid for pid in warm.computed if pid.endswith("/engine=default")
-        )
-
-    def test_engine_cells_record_used_engine_in_stored_meta(self, tmp_path):
-        # Cached sweep results must be auditable: each engine cell's stored
-        # record says what actually ran, fabric scenarios included.
-        grid = SweepSpec(
-            scenarios=("two_segment_dma_isolation",), seeds=(0,),
-            engines=(None, "vector"),
-        )
-        store = ResultStore(tmp_path / "store")
-        report = SweepRunner(grid, store).run()
-        for pid in report.computed:
-            engine = store.get(report.keys[pid])["result"]["meta"]["engine"]
-            assert engine["used"] in ("object", "vector")
-            if pid.endswith("/engine=vector"):
-                assert engine["requested"] == "vector"
-                assert engine["used"] == "vector"
-                assert engine["fallback_reason"] is None
-
 
 class TestSharding:
     def test_sharded_sweep_matches_serial_digest(self, tmp_path):

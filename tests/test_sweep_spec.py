@@ -50,20 +50,13 @@ class TestExpansion:
         ).plan()
         assert [p.workload_ops for p in plan.points] == [None, 7]
 
-    def test_engine_equal_to_the_scenario_default_collapses(self):
-        # Every stock scenario's own engine is "object": an explicit object
-        # axis value must share the default point's identity (and thus its
-        # cache key), exactly like the placement collapse above.
-        plan = SweepSpec(
-            scenarios=("minimal_1x1",), engines=(None, "object", "vector")
-        ).plan()
-        assert [p.engine for p in plan.points] == [None, "vector"]
-        assert plan.points[0].point_id.endswith("/engine=default")
-        assert plan.points[1].point_id.endswith("/engine=vector")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            SweepSpec(engines=("warp",))
+    def test_point_id_format_is_frozen(self):
+        # Stored results and published reports are labelled by point id.
+        (point,) = SweepSpec(scenarios=("minimal_1x1",)).plan().points
+        assert point.point_id == (
+            "minimal_1x1/placement=default/seed=0/workers=1/protected"
+            "/attacks=scenario/ops=default/engine=default"
+        )
 
     def test_plan_carries_the_resolved_base_specs(self):
         plan = SweepSpec(scenarios=("minimal_1x1",)).plan()
@@ -111,12 +104,6 @@ class TestPointResolution:
         resolved = self._point(workload_ops=17).resolve_spec(base)
         assert resolved.workload.n_operations == 17
 
-    def test_engine_override_is_applied(self):
-        base = get_scenario("two_segment_dma_isolation")
-        resolved = self._point(engine="vector").resolve_spec(base)
-        assert resolved.engine.mode == "vector"
-        resolved.validate()
-
     def test_defaults_keep_the_base_spec(self):
         base = get_scenario("two_segment_dma_isolation")
         assert self._point().resolve_spec(base) == base
@@ -147,14 +134,3 @@ class TestKeys:
         a = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario")
         b = SweepPoint("minimal_1x1", None, 1, 1, True, None, "scenario")
         assert point_key(a, spec, "fp") != point_key(b, spec, "fp")
-
-    def test_engine_fingerprint_only_keys_engine_cells(self):
-        spec = get_scenario("minimal_1x1")
-        obj = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario")
-        vec = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario", "vector")
-        assert obj.point_id != vec.point_id
-        # An object cell's key ignores the engine fingerprint entirely ...
-        assert point_key(obj, spec, "fp") == point_key(obj, spec, "fp", None)
-        # ... while an engine cell's key changes with it.
-        assert point_key(vec, spec, "fp", "eng-a") != point_key(vec, spec, "fp", "eng-b")
-        assert point_key(vec, spec, "fp", "eng-a") != point_key(obj, spec, "fp")

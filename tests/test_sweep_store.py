@@ -236,32 +236,19 @@ def test_code_fingerprint_is_stable_within_a_process():
     assert len(code_fingerprint()) == 16
 
 
-def test_code_and_engine_fingerprints_split_the_package():
-    from repro.sweep import engine_fingerprint
-
-    assert engine_fingerprint() != code_fingerprint()
-    assert len(engine_fingerprint()) == 16
-
-
-def test_tree_fingerprint_partitions_edits_by_subtree(tmp_path):
-    """An engine-only edit must move the engine fingerprint and leave the
-    base code fingerprint untouched — and vice versa."""
+def test_tree_fingerprint_moves_with_any_source_edit(tmp_path):
+    """Every ``*.py`` file of the package, nested or not, keys the hash."""
     from repro.sweep.store import _tree_fingerprint
 
     root = tmp_path / "pkg"
-    (root / "engine").mkdir(parents=True)
-    (root / "core").mkdir()
-    (root / "core" / "a.py").write_text("x = 1\n")
-    (root / "engine" / "vector.py").write_text("y = 1\n")
+    (root / "soc").mkdir(parents=True)
+    (root / "a.py").write_text("x = 1\n")
+    (root / "soc" / "kernel.py").write_text("y = 1\n")
 
-    base = _tree_fingerprint(root, exclude="engine")
-    engine = _tree_fingerprint(root, subtree="engine")
+    base = _tree_fingerprint(root)
+    (root / "soc" / "kernel.py").write_text("y = 2\n")
+    nested = _tree_fingerprint(root)
+    assert nested != base
 
-    (root / "engine" / "vector.py").write_text("y = 2\n")
-    assert _tree_fingerprint(root, exclude="engine") == base
-    engine_after = _tree_fingerprint(root, subtree="engine")
-    assert engine_after != engine
-
-    (root / "core" / "a.py").write_text("x = 2\n")
-    assert _tree_fingerprint(root, exclude="engine") != base
-    assert _tree_fingerprint(root, subtree="engine") == engine_after
+    (root / "a.py").write_text("x = 2\n")
+    assert _tree_fingerprint(root) not in (base, nested)

@@ -1,13 +1,12 @@
 #!/usr/bin/env python3
-"""AST lint: determinism rules for fingerprinted engine/sweep code.
+"""AST lint: determinism rules for fingerprinted sweep and fuzz code.
 
-The sweep store keys cached results on a code fingerprint and the vector
-engine's whole contract is fingerprint-identical replay of the object path —
-both break silently if the code under them observes wall clocks, unseeded
-randomness, or iteration orders Python does not guarantee.  This lint walks
-the ASTs of ``src/repro/engine/`` and ``src/repro/sweep/`` (no imports, no
-execution) — plus ``src/repro/fuzz/``, whose seeded search makes the same
-bit-reproducibility promise — and fails on:
+The sweep store keys cached results on a code fingerprint, which breaks
+silently if the code under it observes wall clocks, unseeded randomness, or
+iteration orders Python does not guarantee.  This lint walks the ASTs of
+``src/repro/sweep/`` (no imports, no execution) — plus ``src/repro/fuzz/``,
+whose seeded search makes the same bit-reproducibility promise — and fails
+on:
 
 ``unseeded-random``
     Any use of the module-level ``random.*`` functions (``random.random()``,
@@ -40,7 +39,7 @@ import sys
 from typing import List, Sequence, Tuple
 
 #: Directories whose code feeds fingerprinted results.
-DEFAULT_TARGETS = ("src/repro/engine", "src/repro/sweep", "src/repro/fuzz")
+DEFAULT_TARGETS = ("src/repro/sweep", "src/repro/fuzz")
 
 WAIVER = "# determinism: allow"
 
