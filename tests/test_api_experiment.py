@@ -127,6 +127,19 @@ class TestSingleEngine:
         with pytest.raises(ValueError, match="engine"):
             Experiment.from_scenario("minimal_1x1").with_engine(mode)
 
+    def test_cli_json_carries_the_fixed_engine_block(self, capsys):
+        from repro.api.experiment import ENGINE_META
+
+        assert cli_main(["run", "minimal_1x1", "--no-attacks", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["meta"]["engine"] == ENGINE_META
+
+    def test_cli_refuses_the_engine_flag(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", "minimal_1x1", "--no-attacks", "--engine", "vector"])
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestSummaryPlacement:
     """SecuredPlatform.summary() must cover bridge firewalls and placement."""

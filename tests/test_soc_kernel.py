@@ -103,6 +103,82 @@ class TestScheduling:
         sim.run()
 
 
+class TestHeapOrdering:
+    """The calendar queue packs (time, sequence) into one integer key; these
+    pin the ordering and bookkeeping that packing must preserve."""
+
+    def test_far_future_times_order_by_time_then_sequence(self):
+        sim = Simulator()
+        order = []
+        times = [2**50, 3, 2**50, 2**44 + 1, 2**44, 0, 3]
+        for index, time in enumerate(times):
+            sim.schedule_at(time, order.append, (time, index))
+        sim.run()
+        assert order == sorted(order)
+        assert sim.now == 2**50
+
+    def test_zero_delay_event_from_a_callback_runs_after_queued_same_cycle_events(self):
+        sim = Simulator()
+        order = []
+
+        def first():
+            order.append("first")
+            sim.schedule(0, order.append, "spawned")
+
+        sim.schedule(5, first)
+        sim.schedule(5, order.append, "queued")
+        sim.run()
+        assert order == ["first", "queued", "spawned"]
+        assert sim.now == 5
+
+    def test_cancelled_head_before_the_horizon_is_skipped(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(5, fired.append, "cancelled").cancel()
+        sim.schedule(100, fired.append, "live")
+        assert sim.run(until=50) == 50
+        assert fired == [] and sim.events_processed == 0
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["live"] and sim.now == 100
+        assert sim.events_processed == 1
+
+    def test_cancelled_tail_does_not_advance_the_clock(self):
+        sim = Simulator()
+        sim.schedule(10, lambda: None)
+        sim.schedule(500, lambda: None).cancel()
+        assert sim.run() == 10
+        assert sim.events_processed == 1
+        assert sim.pending_events == 0
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2**46), st.booleans()),
+            min_size=1, max_size=40,
+        )
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_step_and_run_drain_in_the_same_order(self, draws):
+        def build():
+            sim = Simulator()
+            order = []
+            for index, (time, cancelled) in enumerate(draws):
+                event = sim.schedule_at(time, order.append, (time, index))
+                if cancelled:
+                    event.cancel()
+            return sim, order
+
+        stepped, stepped_order = build()
+        while stepped.step():
+            pass
+        ran, ran_order = build()
+        ran.run()
+        assert stepped_order == ran_order
+        assert stepped.now == ran.now
+        assert stepped.events_processed == ran.events_processed == len(ran_order)
+        assert ran_order == sorted(ran_order)
+
+
 class TestTimeConversion:
     def test_cycles_to_seconds_at_100mhz(self):
         sim = Simulator(clock_frequency_hz=100e6)
