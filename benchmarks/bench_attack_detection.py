@@ -21,8 +21,6 @@ The benchmark timing measures a single spoofing attack run end to end
 
 from __future__ import annotations
 
-import os
-
 from conftest import bench_rounds, write_bench_json, write_result
 
 from repro.analysis.tables import format_table
@@ -47,9 +45,6 @@ CONTAINED_ATTACKS = {"sensitive_register_probe", "hijacked_ip_write", "exfiltrat
 
 
 def run_campaign():
-    # Sharded campaign runner; results are identical for any worker count, so
-    # the default stays serial for benchmark determinism and CI, while local
-    # sweeps can set REPRO_CAMPAIGN_WORKERS to fan out across cores.
     runner = CampaignRunner(
         [
             SpoofingAttack(),
@@ -60,8 +55,7 @@ def run_campaign():
             ExfiltrationAttack(),
             DoSFloodAttack(n_requests=80),
         ],
-        security_config=SECURITY,
-        n_workers=int(os.environ.get("REPRO_CAMPAIGN_WORKERS", "1")),
+        default_platform_factory(security_config=SECURITY),
     )
     return runner.run()
 
@@ -116,6 +110,5 @@ def test_attack_detection_matrix(benchmark, results_dir):
         prevention_rate=report.prevention_rate(),
         detection_rate=report.detection_rate(),
         monitor_totals=report.monitor_totals,
-        campaign_workers=report.metrics.get("n_workers"),
         campaign_wall_seconds=report.metrics.get("wall_seconds"),
     )

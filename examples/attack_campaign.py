@@ -12,34 +12,23 @@ then prints the resulting detection/prevention matrix:
 * a denial-of-service flood from a hijacked processor.
 
 The whole pipeline runs through the unified ``Experiment`` façade: the
-``paper_baseline`` scenario's attack mix is sharded across worker processes
-by the parallel campaign runner (results are identical for any worker
-count), and the shard-merged instrumentation counters come back in the same
-uniform result record.
+``paper_baseline`` scenario's attack mix runs on fresh platforms, one attack
+after the other, and the instrumentation counters of every platform the
+campaign built come back in the same uniform result record.
 
-Run with:  python examples/attack_campaign.py [--workers N | --serial]
-Equivalent CLI:  python -m repro campaign paper_baseline [--workers N]
+Run with:  python examples/attack_campaign.py
+Equivalent CLI:  python -m repro campaign paper_baseline
 """
-
-import argparse
 
 from repro.api import Experiment, StatsSink
 from repro.analysis.tables import format_table
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker processes (default: one per attack, capped)")
-    parser.add_argument("--serial", action="store_true",
-                        help="run everything in-process")
-    args = parser.parse_args()
-
     result = (
         Experiment.from_scenario("paper_baseline")
         .with_workload(None)                      # campaign only, no workload phase
-        .campaign(n_workers=1 if args.serial else args.workers)
-        .with_sink(StatsSink())                   # shard-merged event counters
+        .with_sink(StatsSink())                   # campaign event counters
         .run()
     )
     campaign = result.campaign
@@ -71,13 +60,12 @@ def main() -> None:
           f"({100 * summary['prevention_rate']:.0f}%)")
     print(f"detected           : {summary['detected']} "
           f"({100 * summary['detection_rate']:.0f}%)")
-    print(f"workers            : {metrics.get('n_workers', 1)} "
-          f"({metrics.get('wall_seconds', 0.0):.2f}s wall)")
+    print(f"wall time          : {metrics.get('wall_seconds', 0.0):.2f}s")
     if campaign["monitor_totals"]:
         print("alerts by violation:",
               ", ".join(f"{k}={v}" for k, v in sorted(campaign["monitor_totals"].items())))
     if campaign["event_totals"]:
-        print("events (all shards):",
+        print("campaign events    :",
               ", ".join(f"{k}={v}" for k, v in sorted(campaign["event_totals"].items())))
 
 

@@ -46,7 +46,6 @@ from repro.soc.system import SoCConfig, SoCSystem, build_reference_platform
 from repro.core.secure import (
     SecurityConfiguration,
     SecuredPlatform,
-    secure_platform,
     secure_reference_platform,
 )
 from repro.core.policy import (
@@ -70,7 +69,6 @@ __all__ = [
     "build_reference_platform",
     "SecurityConfiguration",
     "SecuredPlatform",
-    "secure_platform",
     "secure_reference_platform",
     "Experiment",
     "ExperimentResult",

@@ -2,7 +2,7 @@
 
 * :mod:`repro.api.experiment` — the :class:`Experiment` façade composing
   scenario resolution → fabric build → security attach → workload/attack
-  execution → campaign sharding → metrics into one pipeline, returning a
+  execution → attack campaign → metrics into one pipeline, returning a
   uniform JSON-serializable :class:`ExperimentResult`,
 * :mod:`repro.api.events` — the typed instrumentation event bus the
   substrate publishes on (transactions, grants, firewall decisions, alerts,
@@ -13,9 +13,7 @@
   ``catalog``).
 
 API stability: ``Experiment`` / ``ExperimentResult`` and the event-bus
-surface are **stable**; the CLI flag set is **provisional**;
-``secure_platform``, direct ``ScenarioBuilder.build`` use and
-``CampaignRunner.from_scenario`` are **deprecated** shims over this layer.
+surface are **stable**; the CLI flag set is **provisional**.
 """
 
 from repro.api.events import (

@@ -6,11 +6,11 @@ Subcommands:
   placement/enforcement and description (the same metadata that generates
   ``docs/scenario-catalog.md``),
 * ``repro run SCENARIO [--json] [--trace FILE] [--unprotected] [--reference]
-  [--no-attacks] [--workers N] [--seed N]`` — one full experiment; human
+  [--no-attacks] [--seed N]`` — one full experiment; human
   report by default, the schema-stable :class:`ExperimentResult` JSON with
   ``--json``, a JSONL instrumentation trace with ``--trace``,
-* ``repro campaign SCENARIO [--json] [--workers N] [--seed N]`` — the
-  scenario's attack campaign only (sharded), printed as a detection matrix,
+* ``repro campaign SCENARIO [--json] [--seed N]`` — the scenario's attack
+  campaign only, printed as a detection matrix,
 * ``repro sweep run [--scenario PATTERN ...] [--placement P ...]
   [--seed N ...] [--store DIR] ...`` — a grid sweep into the persistent
   result store (cached points are skipped, interrupted sweeps resume),
@@ -29,17 +29,7 @@ Subcommands:
   protected state, minimize each find and replay it after the workload
   (exit 1 on any finding; ``--replay`` re-checks a committed corpus file),
 * ``repro catalog [--write PATH] [--check]`` — render the scenario catalog
-  markdown page from the registry,
-* ``repro serve [--socket PATH] [--store DIR] [--workers N] [--http PORT]
-  [--trace FILE]`` — the long-running experiment daemon: one shared result
-  store, a warm worker pool, concurrent submissions deduped in flight
-  (see ``docs/service.md``),
-* ``repro submit [--scenario PATTERN ...] [--seed N ...] ... [--socket PATH]
-  [--no-wait]`` — send a sweep grid to a running daemon (same axes as
-  ``sweep run``); with the default ``--wait`` streams progress events and
-  prints the final per-point statuses,
-* ``repro status [--socket PATH] [--json]`` — jobs, in-flight points and
-  store summary of a running daemon.
+  markdown page from the registry.
 """
 
 from __future__ import annotations
@@ -69,9 +59,6 @@ DEFAULT_PAPER_OUT = "paper-artifacts"
 #: Default location of the generated scenario catalog page.
 DEFAULT_CATALOG_PATH = "docs/scenario-catalog.md"
 
-#: Default unix socket of the ``repro serve`` daemon.
-DEFAULT_SOCKET_PATH = ".repro-serve.sock"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -94,15 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="force the reference implementations (differential mode)")
     run_cmd.add_argument("--no-attacks", action="store_true",
                          help="skip the scenario's attack campaign")
-    run_cmd.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="campaign worker processes (default: 1, serial)")
     run_cmd.add_argument("--seed", type=int, default=0, help="campaign base seed")
 
     campaign_cmd = sub.add_parser("campaign", help="run only the scenario's attack campaign")
     campaign_cmd.add_argument("scenario", help="registered scenario name")
     campaign_cmd.add_argument("--json", action="store_true", help="machine-readable output")
-    campaign_cmd.add_argument("--workers", type=int, default=None, metavar="N",
-                              help="worker processes (default: one per attack, capped)")
     campaign_cmd.add_argument("--seed", type=int, default=0, help="campaign base seed")
 
     sweep_cmd = sub.add_parser("sweep", help="grid sweeps with a persistent result store")
@@ -117,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "scenario's own placement)")
     sweep_run.add_argument("--seed", action="append", type=int, default=None, metavar="N",
                            help="campaign seed axis value (repeatable; default: 0)")
-    sweep_run.add_argument("--campaign-workers", action="append", type=int, default=None,
-                           metavar="N", help="campaign worker-count axis value (repeatable)")
     sweep_run.add_argument("--unprotected", action="store_true",
                            help="add the unprotected build to the protection axis")
     sweep_run.add_argument("--no-attacks", action="store_true",
@@ -126,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_run.add_argument("--exclude", action="append", default=None, metavar="PATTERN",
                            help="exclude scenarios/point ids matching this pattern")
     sweep_run.add_argument("--sweep-workers", type=int, default=1, metavar="N",
-                           help="processes sharding the sweep's points (default: 1)")
+                           help="processes running the sweep's points (default: 1)")
     sweep_run.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR",
                            help=f"result store directory (default: {DEFAULT_STORE_DIR})")
     sweep_run.add_argument("--json", action="store_true", help="machine-readable report")
@@ -150,55 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     paper_cmd.add_argument("--out", default=DEFAULT_PAPER_OUT, metavar="DIR",
                            help=f"artifact output directory (default: {DEFAULT_PAPER_OUT})")
     paper_cmd.add_argument("--sweep-workers", type=int, default=1, metavar="N",
-                           help="processes sharding the sweep's points (default: 1)")
+                           help="processes running the sweep's points (default: 1)")
     paper_cmd.add_argument("--json", action="store_true", help="machine-readable report")
-
-    serve_cmd = sub.add_parser(
-        "serve", help="run the experiment daemon (shared store, warm worker pool)"
-    )
-    serve_cmd.add_argument("--socket", default=DEFAULT_SOCKET_PATH, metavar="PATH",
-                           help=f"unix socket to listen on (default: {DEFAULT_SOCKET_PATH})")
-    serve_cmd.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR",
-                           help=f"shared result store directory (default: {DEFAULT_STORE_DIR})")
-    serve_cmd.add_argument("--workers", type=int, default=2, metavar="N",
-                           help="persistent worker pool size (default: 2)")
-    serve_cmd.add_argument("--http", type=int, default=None, metavar="PORT",
-                           help="also serve local HTTP on 127.0.0.1:PORT (0 picks a free port)")
-    serve_cmd.add_argument("--trace", metavar="FILE", default=None,
-                           help="append daemon events to a JSONL trace file")
-
-    submit_cmd = sub.add_parser(
-        "submit", help="submit a sweep grid to a running daemon"
-    )
-    submit_cmd.add_argument("--scenario", action="append", default=None, metavar="PATTERN",
-                            help="scenario name or fnmatch pattern (repeatable; default: all)")
-    submit_cmd.add_argument("--placement", action="append", default=None, metavar="P",
-                            choices=["default", "leaf", "bridge", "both"],
-                            help="placement axis value (repeatable)")
-    submit_cmd.add_argument("--seed", action="append", type=int, default=None, metavar="N",
-                            help="campaign seed axis value (repeatable; default: 0)")
-    submit_cmd.add_argument("--campaign-workers", action="append", type=int, default=None,
-                            metavar="N", help="campaign worker-count axis value (repeatable)")
-    submit_cmd.add_argument("--unprotected", action="store_true",
-                            help="add the unprotected build to the protection axis")
-    submit_cmd.add_argument("--no-attacks", action="store_true",
-                            help="add the attack-free mode to the attack axis")
-    submit_cmd.add_argument("--exclude", action="append", default=None, metavar="PATTERN",
-                            help="exclude scenarios/point ids matching this pattern")
-    submit_cmd.add_argument("--fast", action="store_true",
-                            help="shorthand for the one-point smoke grid "
-                                 "(--scenario minimal_1x1)")
-    submit_cmd.add_argument("--socket", default=DEFAULT_SOCKET_PATH, metavar="PATH",
-                            help=f"daemon socket (default: {DEFAULT_SOCKET_PATH})")
-    submit_cmd.add_argument("--no-wait", dest="wait", action="store_false",
-                            help="return after the daemon accepts the job "
-                                 "(default: stream progress until it finishes)")
-    submit_cmd.add_argument("--json", action="store_true", help="machine-readable output")
-
-    status_cmd = sub.add_parser("status", help="query a running daemon")
-    status_cmd.add_argument("--socket", default=DEFAULT_SOCKET_PATH, metavar="PATH",
-                            help=f"daemon socket (default: {DEFAULT_SOCKET_PATH})")
-    status_cmd.add_argument("--json", action="store_true", help="machine-readable output")
 
     verify_cmd = sub.add_parser(
         "verify", help="statically verify scenario policy/fabric coverage"
@@ -262,7 +196,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         .protected(not args.unprotected)
         .reference(args.reference)
         .with_seed(args.seed)
-        .campaign(args.workers)
     )
     if args.no_attacks:
         experiment.no_attacks()
@@ -289,7 +222,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     result = (
         Experiment.from_scenario(args.scenario)
         .with_seed(args.seed)
-        .campaign(args.workers)
         .with_workload(None)
         .run()
     )
@@ -312,8 +244,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     ))
     summary = campaign["summary"]
     print(f"\nattacks={summary['attacks']} prevented={summary['prevented']} "
-          f"detected={summary['detected']} "
-          f"workers={campaign['metrics'].get('n_workers', 1)}")
+          f"detected={summary['detected']}")
     return 0
 
 
@@ -336,7 +267,7 @@ def _match_scenarios(patterns: Optional[List[str]]) -> tuple:
 
 
 def _sweep_spec_from_args(args: argparse.Namespace):
-    """Build the sweep grid shared by ``sweep run`` and ``submit``."""
+    """Build the ``sweep run`` grid from its command-line axes."""
     from repro.sweep import SweepSpec
 
     placements = tuple(
@@ -346,7 +277,6 @@ def _sweep_spec_from_args(args: argparse.Namespace):
         scenarios=_match_scenarios(args.scenario),
         placements=placements,
         seeds=tuple(args.seed or [0]),
-        campaign_workers=tuple(args.campaign_workers or [1]),
         protected=(True, False) if args.unprotected else (True,),
         attack_modes=("scenario", "none") if args.no_attacks else ("scenario",),
         exclude=tuple(args.exclude or ()),
@@ -412,107 +342,6 @@ def _cmd_paper(args: argparse.Namespace) -> int:
           f"(store digest {sweep.store_digest[:16]})")
     for name in sorted(report.artifacts):
         print(f"  artifact : {report.artifacts[name]}")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from repro.service import ReproDaemon
-
-    daemon = ReproDaemon(
-        args.store,
-        args.socket,
-        http_port=args.http,
-        workers=args.workers,
-        trace_path=args.trace,
-    )
-
-    async def _serve() -> None:
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            loop.add_signal_handler(signum, daemon.request_shutdown)
-        task = asyncio.ensure_future(daemon.run())
-        # Give run() a beat to bind before announcing the endpoints.
-        await asyncio.sleep(0)
-        endpoints = f"socket {args.socket}"
-        if daemon.http_port is not None:
-            endpoints += f", http://127.0.0.1:{daemon.http_port}"
-        print(f"repro serve: store {args.store}, {args.workers} workers, {endpoints}",
-              flush=True)
-        await task
-
-    asyncio.run(_serve())
-    print("repro serve: stopped")
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-    from repro.service.protocol import sweep_spec_to_dict
-
-    if args.fast and not args.scenario:
-        args.scenario = ["minimal_1x1"]
-    spec = _sweep_spec_from_args(args)
-    client = ServiceClient(args.socket)
-
-    def _print_event(event):
-        data = event.get("data", {})
-        label = data.get("point_id", data.get("job_id", ""))
-        extra = data.get("status") or data.get("error") or ""
-        print(f"  {event['kind']:<14} {label}" + (f" ({extra})" if extra else ""),
-              flush=True)
-
-    try:
-        outcome = client.submit(
-            sweep=sweep_spec_to_dict(spec),
-            wait=args.wait,
-            on_event=None if (args.json or not args.wait) else _print_event,
-        )
-    except (ServiceError, OSError) as exc:
-        print(f"repro submit: {exc} (is `repro serve` running on {args.socket}?)",
-              file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(outcome, indent=2, sort_keys=True))
-        return 0 if (not args.wait or outcome["job"]["state"] == "done") else 1
-    if not args.wait:
-        accepted = outcome["accepted"]
-        print(f"accepted {outcome['job_id']}: {accepted['missing']} to compute, "
-              f"{accepted['cached']} cached, {accepted['skipped']} skipped")
-        return 0
-    job = outcome["job"]
-    counts = job["counts"]
-    print(f"{job['job_id']} {job['state']}: "
-          f"computed={counts['computed']} coalesced={counts['coalesced']} "
-          f"cached={counts['cached']} failed={counts['failed']}")
-    print(f"store digest {job['store_digest'][:16]}")
-    return 0 if job["state"] == "done" else 1
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceClient, ServiceError
-
-    try:
-        status = ServiceClient(args.socket).status()
-    except (ServiceError, OSError) as exc:
-        print(f"repro status: {exc} (is `repro serve` running on {args.socket}?)",
-              file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(status, indent=2, sort_keys=True))
-        return 0
-    store = status["store"]
-    print(f"store: {store['entries']} results, digest {store['digest'][:16]}")
-    print(f"in-flight points: {status['inflight']}")
-    if not status["jobs"]:
-        print("jobs: (none)")
-    for job in status["jobs"]:
-        counts = job["counts"]
-        print(f"  {job['job_id']} {job['state']}: {job['total']} points "
-              f"(computed={counts['computed']} coalesced={counts['coalesced']} "
-              f"cached={counts['cached']} failed={counts['failed']})")
     return 0
 
 
@@ -695,12 +524,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_sweep_gc(args)
     if args.command == "paper":
         return _cmd_paper(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "fuzz":

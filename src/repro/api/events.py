@@ -2,9 +2,8 @@
 
 Observability used to be wired by hand: examples poked
 ``security.monitor.alerts``, benchmarks read firewall counters, the campaign
-runner summarised monitors inside each worker — every consumer re-implemented
-its own harvesting.  This module replaces that with one publish/subscribe
-surface:
+runner summarised monitors itself — every consumer re-implemented its own
+harvesting.  This module replaces that with one publish/subscribe surface:
 
 * **publishers** — the simulation kernel, bus segments, bridges, master
   ports, firewalls, the security monitor and the policy manager — emit
@@ -41,10 +40,11 @@ kind                        emitted when
 ==========================  ====================================================
 
 Consumers: ``python -m repro run --trace FILE`` streams the vocabulary to a
-JSONL file through :class:`JsonlTraceSink`; the sharded campaign runner
-attaches a :class:`StatsSink` per worker and merges the per-kind counts into
-``CampaignReport.event_totals``; sweep results (:mod:`repro.sweep`) persist
-whatever counts the experiment collected as part of the stored record.
+JSONL file through :class:`JsonlTraceSink`; the campaign runner attaches one
+:class:`StatsSink` to every platform it builds and reports its per-kind
+counts as ``CampaignReport.event_totals``; sweep results (:mod:`repro.sweep`)
+persist whatever counts the experiment collected as part of the stored
+record.
 """
 
 from __future__ import annotations
@@ -266,9 +266,7 @@ class JsonlTraceSink(EventSink):
     Path-opened sinks flush after every line by default (``line_flush``),
     so a crashed or killed run leaves a trace complete up to its last event
     and a live ``tail -f``/subscriber sees events as they happen rather
-    than only at close.  ``append=True`` reopens an existing trace path
-    without truncating prior events (a restarted daemon keeps one
-    continuous trace).  Caller-owned streams default to buffered writes —
+    than only at close.  Caller-owned streams default to buffered writes —
     pass ``line_flush=True`` to stream through e.g. a pipe.
     """
 
@@ -276,11 +274,10 @@ class JsonlTraceSink(EventSink):
         self,
         target: Union[str, IO[str]],
         *,
-        append: bool = False,
         line_flush: Optional[bool] = None,
     ) -> None:
         if isinstance(target, str):
-            self._stream: IO[str] = open(target, "a" if append else "w", encoding="utf-8")
+            self._stream: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_stream = True
             self._line_flush = True if line_flush is None else line_flush
         else:

@@ -1,10 +1,9 @@
 """The :class:`Experiment` façade: one pipeline from scenario to report.
 
 Before this layer, reproducing one of the paper's claims meant hand-wiring
-four entry points — ``secure_platform`` (or ``attach_security``),
-``ScenarioBuilder.build``, ``CampaignRunner`` and the monitor/metrics
-harvesting — and every example, benchmark and analysis script re-implemented
-the plumbing.  ``Experiment`` composes the whole pipeline behind one fluent
+four entry points — ``attach_security``, ``ScenarioBuilder.build``,
+``CampaignRunner`` and the monitor/metrics harvesting — and every example,
+benchmark and analysis script re-implemented the plumbing.  ``Experiment`` composes the whole pipeline behind one fluent
 surface::
 
     from repro.api import Experiment
@@ -16,13 +15,12 @@ surface::
         .with_reconfig(ReconfigSpec(at_cycle=500, firewall="lf_cpu0",
                                     rule_base=0x0, action="make_readonly"))
         .protected(True)
-        .campaign(n_workers=4)
         .run()
     )
     print(result.to_json())
 
 ``run()`` resolves the scenario, builds the fabric, attaches security, drives
-the workload (with mid-run reconfigurations), shards the attack campaign, and
+the workload (with mid-run reconfigurations), runs the attack campaign, and
 folds alerts, per-hop latency, the leaf-vs-bridge placement split, the area
 model, the campaign report and run metadata into one JSON-serializable
 :class:`ExperimentResult` — the uniform record the analysis layer, the
@@ -160,7 +158,6 @@ class Experiment:
         self._protected = True
         self._reference = False
         self._run_attacks = True
-        self._n_workers: Optional[int] = 1
         self._seed = 0
         self._sinks: List[EventSink] = []
         self._instrumented = False
@@ -222,7 +219,7 @@ class Experiment:
         return self
 
     def with_seed(self, seed: int) -> "Experiment":
-        """Base seed of the campaign's deterministic per-shard seeding."""
+        """Seed recorded with the result and its campaign metadata."""
         self._seed = seed
         return self
 
@@ -236,13 +233,14 @@ class Experiment:
             raise ValueError(f"unknown engine {mode!r}; the only engine is 'object'")
         return self
 
-    def campaign(self, n_workers: Optional[int] = None) -> "Experiment":
-        """Shard the attack campaign across worker processes.
+    def campaign(self, n_workers: int = 1) -> "Experiment":
+        """Accept ``1``: the attack campaign runs in this process.
 
-        ``None`` lets the runner pick (one worker per attack, capped); the
-        default without calling this is the serial in-process path.
+        Kept so callers that pin the worker count keep working; any other
+        value raises :class:`ValueError`.
         """
-        self._n_workers = n_workers
+        if n_workers != 1:
+            raise ValueError(f"campaigns run in-process; n_workers must be 1, got {n_workers!r}")
         return self
 
     def no_attacks(self) -> "Experiment":
@@ -264,13 +262,8 @@ class Experiment:
     # -- execution -----------------------------------------------------------------
 
     def build(self) -> BuiltScenario:
-        """Construct the platform (with instrumentation, when configured).
-
-        This is the supported replacement for direct
-        ``ScenarioBuilder(spec).build()`` use: same
-        :class:`BuiltScenario`, no deprecation warning, bus pre-wired.
-        """
-        built = ScenarioBuilder(self._spec).build(self._protected, _warn=False)
+        """Construct the platform (with instrumentation, when configured)."""
+        built = ScenarioBuilder(self._spec).build(self._protected)
         if self._instrumented or self._sinks:
             built.attach_instrumentation(EventBus(self._sinks))
         return built
@@ -289,7 +282,7 @@ class Experiment:
         if self._instrumented or self._sinks:
             bus = EventBus(self._sinks)
 
-        built = ScenarioBuilder(spec).build(self._protected, _warn=False)
+        built = ScenarioBuilder(spec).build(self._protected)
         if bus is not None:
             built.attach_instrumentation(bus)
         final_cycle = built.run_workload()
@@ -347,10 +340,7 @@ class Experiment:
         campaign = None
         if self._run_attacks and spec.attacks:
             runner = CampaignRunner.from_spec(
-                spec,
-                n_workers=self._n_workers,
-                base_seed=self._seed,
-                collect_events=bus is not None,
+                spec, base_seed=self._seed, collect_events=bus is not None
             )
             campaign = _campaign_section(runner.run())
 
@@ -378,7 +368,7 @@ class Experiment:
             events=events,
             memories=_memory_digests(system),
             meta={
-                "n_workers": self._n_workers,
+                "n_workers": 1,
                 "instrumented": bus is not None,
                 "sinks": [type(s).__name__ for s in self._sinks],
                 "engine": dict(ENGINE_META),
@@ -415,13 +405,11 @@ def _memory_digests(system) -> Dict[str, str]:
 def run_experiment(
     name: str,
     protected: bool = True,
-    n_workers: Optional[int] = 1,
     seed: int = 0,
     sinks: Sequence[EventSink] = (),
 ) -> ExperimentResult:
     """One-call convenience wrapper: ``Experiment.from_scenario(name)...run()``."""
     experiment = Experiment.from_scenario(name).protected(protected).with_seed(seed)
-    experiment.campaign(n_workers)
     for sink in sinks:
         experiment.with_sink(sink)
     return experiment.run()

@@ -16,9 +16,9 @@ enumerates:
   IPs reaching across a hierarchical fabric, exercising containment at the
   bus bridges (leaf vs. bridge firewall placement).
 
-:class:`AttackCampaign` runs a list of attacks against a platform (protected
-or not) and produces the detection matrix used by the E6 experiment and the
-``attack_campaign`` example.
+:class:`CampaignRunner` runs a list of attacks against fresh protected and
+unprotected platforms and produces the detection matrix used by the E6
+experiment and the ``attack_campaign`` example.
 """
 
 from repro.attacks.base import Attack, AttackOutcome, AttackResult
@@ -27,8 +27,8 @@ from repro.attacks.memory_attacks import RelocationAttack, ReplayAttack, Spoofin
 from repro.attacks.hijack import ExfiltrationAttack, HijackedIPAttack, SensitiveRegisterProbe
 from repro.attacks.cross_segment import CrossSegmentProbe, CrossSegmentWriteStorm
 from repro.attacks.dos import DoSFloodAttack
-from repro.attacks.campaign import AttackCampaign, CampaignReport
-from repro.attacks.runner import CampaignRunner, parallel_map
+from repro.attacks.campaign import CampaignReport
+from repro.attacks.runner import CampaignRunner
 
 __all__ = [
     "Attack",
@@ -44,8 +44,6 @@ __all__ = [
     "DoSFloodAttack",
     "CrossSegmentProbe",
     "CrossSegmentWriteStorm",
-    "AttackCampaign",
     "CampaignReport",
     "CampaignRunner",
-    "parallel_map",
 ]

@@ -1,21 +1,22 @@
-"""Attack campaigns: run a battery of attacks against protected and
-unprotected platforms and build the detection matrix.
+"""Attack campaign results: the detection matrix and its platform factory.
 
-This is the harness behind the E6 experiment of DESIGN.md (the paper's
-qualitative security claims turned into a measurable matrix) and behind the
-``attack_campaign`` example.
+:class:`~repro.attacks.runner.CampaignRunner` runs a battery of attacks
+against protected and unprotected platforms and fills the
+:class:`CampaignReport` defined here.  This is the harness behind the E6
+experiment of DESIGN.md (the paper's qualitative security claims turned into
+a measurable matrix) and behind the ``attack_campaign`` example.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.attacks.base import Attack, AttackResult
+from repro.attacks.base import AttackResult
 from repro.core.secure import SecuredPlatform, SecurityConfiguration, secure_reference_platform
 from repro.soc.system import SoCConfig, SoCSystem, build_reference_platform
 
-__all__ = ["AttackCampaign", "CampaignReport", "default_platform_factory"]
+__all__ = ["CampaignReport", "CampaignRow", "PlatformFactory", "default_platform_factory"]
 
 
 PlatformFactory = Callable[[bool], Tuple[SoCSystem, Optional[SecuredPlatform]]]
@@ -69,16 +70,14 @@ class CampaignReport:
 
     ``monitor_totals`` aggregates the protected-platform SecurityMonitor
     alert counts per violation type across all runs, and ``metrics`` carries
-    execution metadata (worker count, per-shard timings) when the campaign
-    was produced by :class:`repro.attacks.runner.CampaignRunner`.
+    the run's metadata (wall time, seed, scenario name).
     """
 
     rows: List[CampaignRow] = field(default_factory=list)
     monitor_totals: Dict[str, int] = field(default_factory=dict)
     metrics: Dict[str, object] = field(default_factory=dict)
-    #: Instrumentation-event counts per kind, merged across shards when the
-    #: campaign ran with ``collect_events=True`` (empty otherwise).  Merging
-    #: is additive, so any worker count yields the same totals as a serial run.
+    #: Instrumentation-event counts per kind over every platform the campaign
+    #: built, when it ran with ``collect_events=True`` (empty otherwise).
     event_totals: Dict[str, int] = field(default_factory=dict)
 
     def add(self, row: CampaignRow) -> None:
@@ -125,10 +124,9 @@ class CampaignReport:
 
         Classic single-transaction attacks score one blocked/alerted decision
         per attempt; a chain needs per-*step* accounting (which link broke,
-        at which interface) or sharded runs would double-count whole chains.
-        Totals are derived purely from the per-row ``chain_steps`` records the
-        chain attacks emit on the protected platform, so they are identical
-        whether the rows were produced serially or merged from shards.
+        at which interface).  Totals are derived purely from the per-row
+        ``chain_steps`` records the chain attacks emit on the protected
+        platform.
         """
         totals: Dict[str, object] = {
             "attacks": 0,
@@ -171,37 +169,3 @@ class CampaignReport:
         if chains["attacks"]:
             summary["chains"] = chains
         return summary
-
-
-class AttackCampaign:
-    """Run a sequence of attacks against protected and unprotected platforms."""
-
-    def __init__(
-        self,
-        attacks: Sequence[Attack],
-        platform_factory: Optional[PlatformFactory] = None,
-    ) -> None:
-        if not attacks:
-            raise ValueError("campaign needs at least one attack")
-        self.attacks = list(attacks)
-        self.platform_factory = platform_factory or default_platform_factory()
-
-    def run(self) -> CampaignReport:
-        """Execute every attack on both platform variants."""
-        report = CampaignReport()
-        for attack in self.attacks:
-            system_plain, _ = self.platform_factory(False)
-            unprotected_result = attack.run(system_plain, None)
-
-            system_secure, security = self.platform_factory(True)
-            protected_result = attack.run(system_secure, security)
-
-            report.add(
-                CampaignRow(
-                    attack=attack.name,
-                    goal=attack.goal,
-                    unprotected=unprotected_result,
-                    protected=protected_result,
-                )
-            )
-        return report

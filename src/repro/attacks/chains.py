@@ -9,9 +9,6 @@ checkpoint sees each access in isolation; the distributed layout gets a
 fresh chance to break the chain at every hop, and per-step attribution
 (which step was blocked, by which interface) is exactly the containment
 evidence the campaign reports need.
-
-Chains carry only plain attribute state (names, addresses, ints) so they
-pickle cleanly into :class:`repro.attacks.runner.CampaignRunner` shards.
 """
 
 from __future__ import annotations

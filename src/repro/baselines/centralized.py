@@ -179,8 +179,8 @@ def secure_platform_centralized(
     """Attach the centralised baseline to an unprotected platform.
 
     Installs the same access-control rules as
-    :func:`repro.core.secure.secure_platform` (per-slave read/write, data
-    format and burst rules), but evaluated by a single central module on the
+    :func:`repro.core.secure.secure_reference_platform` (per-slave
+    read/write, data format and burst rules), but evaluated by a single central module on the
     slave side of the bus.  External-memory ciphering is *not* part of this
     baseline — SECA-style architectures control communications only, which is
     exactly the gap the paper's LCF fills.

@@ -8,8 +8,9 @@ Public surface:
   (:mod:`repro.core.local_firewall`, :mod:`repro.core.ciphering_firewall`),
 * alerting (:mod:`repro.core.alerts`) and runtime reaction / reconfiguration
   (:mod:`repro.core.manager`),
-* :func:`repro.core.secure.secure_platform`, which attaches all of the above
-  to a platform built by :func:`repro.soc.system.build_reference_platform`,
+* :func:`repro.core.secure.secure_reference_platform`, which attaches all of
+  the above to a platform built by
+  :func:`repro.soc.system.build_reference_platform`,
 * the paper-calibrated latency constants (:mod:`repro.core.constants`).
 """
 
@@ -62,7 +63,6 @@ from repro.core.secure import (
     SecuredPlatform,
     SecurityConfiguration,
     default_policies,
-    secure_platform,
     secure_reference_platform,
 )
 
@@ -107,7 +107,6 @@ __all__ = [
     "THREAD_ID_ANNOTATION",
     "SecurityConfiguration",
     "SecuredPlatform",
-    "secure_platform",
     "secure_reference_platform",
     "default_policies",
 ]

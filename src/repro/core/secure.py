@@ -1,8 +1,9 @@
 """Attach the distributed security enhancements to a platform.
 
-:func:`secure_platform` takes an unprotected :class:`~repro.soc.system.SoCSystem`
-(as produced by :func:`repro.soc.system.build_reference_platform`) and builds
-the protected system of the paper's Figure 1:
+:func:`secure_reference_platform` takes an unprotected
+:class:`~repro.soc.system.SoCSystem` (as produced by
+:func:`repro.soc.system.build_reference_platform`) and builds the protected
+system of the paper's Figure 1:
 
 * a Local Firewall on every master interface (each MicroBlaze, the DMA IP),
 * a Local Firewall on every internal slave interface (BRAM, dedicated IP),
@@ -40,7 +41,6 @@ from repro.soc.system import SoCSystem
 __all__ = [
     "SecurityConfiguration",
     "SecuredPlatform",
-    "secure_platform",
     "secure_reference_platform",
     "default_policies",
     "PlanRule",
@@ -253,13 +253,13 @@ class SecuredPlatform:
 # Security plans: a declarative description of where firewalls go
 # ---------------------------------------------------------------------------
 #
-# ``secure_platform`` used to hard-wire the Figure-1 layout (every master,
-# BRAM + IP on the slave side, one LCF on the DDR).  The layout is now data:
-# a :class:`SecurityPlan` lists the firewalls to attach and the rules each
-# Configuration Memory holds, and :func:`attach_security` executes any plan
-# against any :class:`SoCSystem`.  ``secure_platform`` builds the paper's
-# default plan from a :class:`SecurityConfiguration`; the scenario engine
-# (:mod:`repro.scenarios`) builds plans for arbitrary topologies.
+# The Figure-1 layout (every master, BRAM + IP on the slave side, one LCF on
+# the DDR) is data: a :class:`SecurityPlan` lists the firewalls to attach and
+# the rules each Configuration Memory holds, and :func:`attach_security`
+# executes any plan against any :class:`SoCSystem`.
+# ``secure_reference_platform`` builds the paper's default plan from a
+# :class:`SecurityConfiguration`; the scenario engine (:mod:`repro.scenarios`)
+# builds plans for arbitrary topologies.
 
 
 @dataclass(frozen=True)
@@ -549,31 +549,8 @@ def secure_reference_platform(
     """Attach the paper's default security plan to a reference platform.
 
     Equivalent to ``attach_security(system, default_plan(system, config))``:
-    the paper's layout expressed as the default security plan.  This is the
-    supported spelling; the historical :func:`secure_platform` alias is a
-    deprecation shim over it.
+    the paper's layout expressed as the default security plan.
     """
     config = config or SecurityConfiguration()
     return attach_security(system, default_plan(system, config), config)
 
-
-def secure_platform(
-    system: SoCSystem,
-    config: Optional[SecurityConfiguration] = None,
-) -> SecuredPlatform:
-    """Deprecated alias of :func:`secure_reference_platform`.
-
-    Prefer :class:`repro.api.Experiment` for whole experiments, or
-    :func:`secure_reference_platform` / :func:`attach_security` when only the
-    security attachment is needed.  Behaviour is unchanged; the shim warns
-    once per process.
-    """
-    from repro._deprecation import warn_once
-
-    warn_once(
-        "secure_platform",
-        "secure_platform() is deprecated; use repro.api.Experiment for whole "
-        "experiments or repro.core.secure.secure_reference_platform() / "
-        "attach_security() for bare security attachment",
-    )
-    return secure_reference_platform(system, config)

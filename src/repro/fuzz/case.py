@@ -1,9 +1,9 @@
 """Fuzz cases: immutable, canonically serialisable transaction sequences.
 
 A case is pure data — scenario name, the seed that produced it, and a tuple
-of single-transaction steps — so it pickles into campaign shards, survives
-the JSON round-trip through the corpus store bit-identically, and hashes to
-a stable digest that keys deduplication and corpus storage.
+of single-transaction steps — so it survives the JSON round-trip through the
+corpus store bit-identically, and hashes to a stable digest that keys
+deduplication and corpus storage.
 """
 
 from __future__ import annotations

@@ -75,12 +75,12 @@ __all__ = [
 def platform_factory_for(spec: ScenarioSpec):
     """``factory(protected) -> (system, security_or_None)`` for one spec.
 
-    Builds a fresh platform per call; this is the closure the campaign
-    machinery rebuilds inside each worker process from the shipped spec.
+    Builds a fresh platform per call; this is the factory a scenario's
+    attack campaign runs on.
     """
 
     def factory(protected: bool):
-        built = ScenarioBuilder(spec).build(protected, _warn=False)
+        built = ScenarioBuilder(spec).build(protected)
         return built.system, built.security
 
     return factory

@@ -500,25 +500,13 @@ class ScenarioBuilder:
 
     # -- top-level -----------------------------------------------------------------------
 
-    def build(self, protected: bool = True, *, _warn: bool = True) -> BuiltScenario:
+    def build(self, protected: bool = True) -> BuiltScenario:
         """Construct the platform, optionally with its security enhancements.
 
-        Calling this directly still works but is deprecated where the
-        :class:`repro.api.Experiment` façade supersedes it (build + workload +
-        attacks as one pipeline); ``Experiment.from_spec(spec).build()``
-        returns the same :class:`BuiltScenario`.  Internal callers (the
-        differential harness, the campaign workers, the façade itself) pass
-        ``_warn=False``.
+        :class:`repro.api.Experiment` wraps this with the workload, the
+        attack campaign and the metrics; ``Experiment.from_spec(spec).build()``
+        returns the same :class:`BuiltScenario` with instrumentation wired.
         """
-        if _warn:
-            from repro._deprecation import warn_once
-
-            warn_once(
-                "scenario-builder-build",
-                "direct ScenarioBuilder.build() use is deprecated; use "
-                "repro.api.Experiment.from_spec(spec).build() (or .run() for "
-                "the whole scenario-to-report pipeline)",
-            )
         system = self.build_system()
         if not protected:
             return BuiltScenario(self.spec, system, None)

@@ -156,7 +156,7 @@ def _attack_fingerprint(spec: ScenarioSpec, protected: bool) -> List[Dict[str, o
     builder = ScenarioBuilder(spec)
     rows: List[Dict[str, object]] = []
     for attack in instantiate_attacks(spec):
-        built = builder.build(protected, _warn=False)
+        built = builder.build(protected)
         result = attack.run(built.system, built.security)
         rows.append(
             {
@@ -184,7 +184,7 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
     """
     fingerprint: Dict[str, object] = {"scenario": spec.name}
     for label, protected in (("protected", True), ("unprotected", False)):
-        built = ScenarioBuilder(spec).build(protected, _warn=False)
+        built = ScenarioBuilder(spec).build(protected)
         final_cycle = built.run_workload()
         variant = _variant_fingerprint(built, final_cycle)
         variant["attacks"] = _attack_fingerprint(spec, protected)

@@ -11,10 +11,9 @@ ScenarioBuilder` turns a spec into a live platform; the registry in
 test harness and the benchmarks sweep over.
 
 Everything in a spec is plain data (ints, strings, tuples), so specs are
-picklable — which is what lets :class:`repro.attacks.runner.CampaignRunner`
-ship the spec itself to worker processes and rebuild the exact platform in
-each shard (registry names would not resolve for user-registered scenarios
-under the ``spawn`` start method).
+picklable — which is what lets a sweep with ``sweep_workers > 1`` ship the
+resolved spec itself to worker processes (registry names would not resolve
+for user-registered scenarios under the ``spawn`` start method).
 """
 
 from __future__ import annotations
@@ -420,7 +419,7 @@ class ScenarioSpec:
     ----------
     name:
         Registry key; also used by ``examples/scenario_matrix.py`` and
-        ``CampaignRunner.from_scenario``.
+        ``Experiment.from_scenario``.
     description:
         One-line human summary shown by the matrix driver.
     topology:

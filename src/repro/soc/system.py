@@ -227,8 +227,8 @@ def build_reference_platform(
     """Build the unprotected Figure-1 platform.
 
     Returns a :class:`SoCSystem` whose ports carry no filters; attach
-    firewalls with :func:`repro.core.secure.secure_platform` to obtain the
-    protected variant.
+    firewalls with :func:`repro.core.secure.secure_reference_platform` to
+    obtain the protected variant.
     """
     config = config or SoCConfig()
     config.validate()

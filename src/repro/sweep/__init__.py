@@ -6,7 +6,7 @@ hand-running individual benchmarks.  This package turns "run the grid" into
 infrastructure on top of the :class:`repro.api.Experiment` façade:
 
 * :mod:`repro.sweep.spec` — :class:`SweepSpec`, a declarative grid over
-  scenario × placement × seed × campaign-worker × workload/attack axes with
+  scenario × placement × seed × protection × workload/attack axes with
   include/exclude filters; it expands to :class:`SweepPoint`\\ s, each with a
   stable identity and a content hash covering the *resolved* scenario
   definition,
@@ -16,9 +16,9 @@ infrastructure on top of the :class:`repro.api.Experiment` façade:
   stale results are invalidated when the code or a scenario definition
   changes,
 * :mod:`repro.sweep.engine` — :class:`SweepRunner`, which executes only the
-  missing points (serially, or sharded across processes with the same
-  deterministic machinery as :func:`repro.attacks.runner.parallel_map`) and
-  reports computed/cached/skipped point sets,
+  missing points (serially, or across processes with
+  :func:`repro.sweep.engine.parallel_map`) and reports computed/cached/skipped
+  point sets,
 * :mod:`repro.sweep.paper` — one-command regeneration of every paper
   table/figure from the store (``python -m repro paper``), rendered through
   :mod:`repro.analysis.report` and :mod:`repro.analysis.compare`.

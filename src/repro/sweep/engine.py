@@ -7,49 +7,62 @@ interrupted sweep rerun from the same spec therefore resumes exactly where it
 stopped, and a second invocation over a warm store computes nothing at all
 (the :class:`SweepReport` says which was which).
 
-Execution is serial by default (each point's attack campaign may itself shard
-across processes via ``campaign_workers``).  ``sweep_workers > 1`` instead
-shards the *points* across worker processes with
-:func:`repro.attacks.runner.parallel_map` — the same deterministic
-round-robin machinery the campaign runner uses — which requires every point's
-own campaign to stay in-process (``multiprocessing`` workers are daemonic and
-cannot spawn a nested pool).  Durability granularity differs by mode: the
+Execution is serial and in-process by default.  ``sweep_workers > 1``
+instead runs the *points* in worker processes with :func:`parallel_map`, the
+only process pool in the package; a point, campaign included, runs whole in
+one worker.  Durability granularity differs by mode: the
 serial path stores each point as it completes (a kill loses at most the
 point in flight), while the sharded path stores one *batch* of
 ``sweep_workers`` points at a time (a kill loses at most the current batch).
+
+Two ``repro sweep run`` processes may share one store: the store's writer
+lock keeps their appends whole, and a point both compute is stored twice
+with byte-identical canonical results, so the store digest matches a serial
+run's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.api.experiment import Experiment
-from repro.attacks import runner as _runner
-from repro.attacks.runner import parallel_map
 from repro.scenarios.spec import ScenarioSpec
 from repro.staticcheck.gate import enforce
 from repro.sweep.spec import SweepPoint, SweepSpec, point_key
 from repro.sweep.store import ResultStore, code_fingerprint
 
-__all__ = ["SweepRunner", "SweepReport", "SweepJob"]
+__all__ = ["SweepRunner", "SweepReport", "SweepJob", "parallel_map"]
 
 #: One store-missing grid cell ready to execute: ``(point, resolved scenario
-#: spec, store key)``.  :meth:`SweepRunner.classify` returns these; the
-#: ``repro serve`` daemon schedules them onto its persistent pool (with
-#: in-flight dedup on the key) instead of calling :meth:`SweepRunner.run`.
+#: spec, store key)``, as :meth:`SweepRunner.classify` returns them.
 SweepJob = Tuple[SweepPoint, ScenarioSpec, str]
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def parallel_map(fn: Callable[[T], R], items: Sequence[T], n_workers: int) -> List[R]:
+    """Apply ``fn`` to every item in up to ``n_workers`` processes.
+
+    Results come back in input order.  ``fn`` and the items must pickle when
+    more than one worker runs; one worker (or one item) runs in-process.
+    """
+    items = list(items)
+    workers = max(1, min(n_workers, len(items)))
+    if workers == 1:
+        return [fn(item) for item in items]
+    # Imported here so that importing the package never loads it.
+    import multiprocessing
+
+    with multiprocessing.Pool(processes=workers) as pool:
+        return pool.map(fn, items)
 
 
 def _execute_point(job: Tuple[SweepPoint, ScenarioSpec]) -> Dict[str, object]:
     """Run one grid point through the Experiment façade (picklable job)."""
     point, resolved = job
-    experiment = (
-        Experiment.from_spec(resolved)
-        .protected(point.protected)
-        .with_seed(point.seed)
-        .campaign(point.campaign_workers)
-    )
+    experiment = Experiment.from_spec(resolved).protected(point.protected).with_seed(point.seed)
     if point.attack_mode == "none":
         experiment.no_attacks()
     return experiment.run().to_dict()
@@ -101,11 +114,8 @@ class SweepRunner:
         Code fingerprint baked into every key; defaults to
         :func:`repro.sweep.store.code_fingerprint`.
     sweep_workers:
-        ``1`` (default) runs points serially in-process; ``>1`` shards the
-        missing points across processes (every point's ``campaign_workers``
-        must then be 1).  Inside a daemonic worker process the sharded path
-        degrades to serial execution with a once-per-process warning
-        instead of crashing on the nested-pool limitation.
+        ``1`` (default) runs points serially in-process; ``>1`` runs the
+        missing points in that many worker processes.
     point_hook:
         Called with each :class:`SweepPoint` immediately before it executes;
         exceptions propagate after everything already computed was stored —
@@ -136,9 +146,7 @@ class SweepRunner:
 
         Returns the report skeleton (cached/skipped points and every point's
         store key already filled in) plus the missing points as
-        :data:`SweepJob`\\ s.  :meth:`run` executes the jobs here; the
-        service daemon instead schedules them itself so it can dedupe
-        in-flight keys across concurrent submissions.
+        :data:`SweepJob`\\ s, which :meth:`run` then executes.
         """
         plan = self.spec.plan(self.resolver)
         report = SweepReport(
@@ -188,29 +196,6 @@ class SweepRunner:
             report.computed.append(point.point_id)
 
     def _run_sharded(self, jobs, report: SweepReport) -> None:
-        if _runner.in_worker_process():
-            # Invoked from inside a daemonic pool worker (a daemon worker
-            # running a sharded campaign, a nested sweep in a test harness):
-            # spawning a nested pool would crash, so degrade to the serial
-            # per-point path — identical results, per-point durability.
-            from repro._deprecation import warn_once
-
-            warn_once(
-                "sweep-runner-nested-pool",
-                "SweepRunner(sweep_workers > 1) invoked inside a worker "
-                "process cannot spawn a nested pool; degrading to serial "
-                "per-point execution (results are identical)",
-                category=RuntimeWarning,
-            )
-            self._run_serial(jobs, report)
-            return
-        offenders = [p.point_id for p, _, _ in jobs if p.campaign_workers > 1]
-        if offenders:
-            raise ValueError(
-                "sweep_workers > 1 requires campaign_workers == 1 on every point "
-                "(worker processes cannot spawn nested pools); offending points: "
-                + ", ".join(offenders)
-            )
         # One batch of sweep_workers points at a time, stored after each
         # batch: a kill loses at most the batch in flight, so long sweeps
         # stay resumable (results are unaffected — points are independent).

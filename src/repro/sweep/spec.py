@@ -1,4 +1,4 @@
-"""Declarative sweep grids: scenario × placement × seed × worker axes.
+"""Declarative sweep grids: scenario × placement × seed × protection axes.
 
 A :class:`SweepSpec` names the axes of a grid sweep; :meth:`SweepSpec.plan`
 expands it into concrete :class:`SweepPoint`\\ s, silently skipping only the
@@ -12,8 +12,7 @@ and recording those skips so reports stay honest.  Each point has
   version and the code fingerprint of the installed ``repro`` package.
 
 Everything is plain data: specs and points pickle, which is what lets the
-engine shard points across worker processes with
-:func:`repro.attacks.runner.parallel_map`.
+engine run points in worker processes (``sweep_workers``).
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class SweepPoint:
     scenario: str
     placement: Optional[str]  # None = the scenario's own placement
     seed: int
-    campaign_workers: int
     protected: bool
     workload_ops: Optional[int]  # None = the scenario's own workload size
     attack_mode: str  # "scenario" or "none"
@@ -64,14 +62,15 @@ class SweepPoint:
     def point_id(self) -> str:
         """Stable human-readable identity (the filter and report label).
 
-        The trailing ``/engine=default`` is a frozen part of the format, so
-        ids of stored results and published reports stay valid.
+        The ``/workers=1`` segment and the trailing ``/engine=default`` are
+        frozen parts of the format, so ids of stored results and published
+        reports stay valid.
         """
         return (
             f"{self.scenario}"
             f"/placement={self.placement or 'default'}"
             f"/seed={self.seed}"
-            f"/workers={self.campaign_workers}"
+            "/workers=1"
             f"/{'protected' if self.protected else 'unprotected'}"
             f"/attacks={self.attack_mode}"
             f"/ops={'default' if self.workload_ops is None else self.workload_ops}"
@@ -127,7 +126,9 @@ class SweepSpec:
     placements that a topology cannot support (bridge placement without
     bridges) are skipped with a recorded reason.  ``include`` / ``exclude``
     are ``fnmatch`` patterns matched against both the scenario name and the
-    full point id (exclude wins).
+    full point id (exclude wins).  ``campaign_workers`` accepts only
+    ``(1,)``: campaigns run in-process, and the field stays so callers that
+    pin it keep working.
     """
 
     scenarios: Tuple[str, ...] = ()
@@ -144,9 +145,13 @@ class SweepSpec:
         for mode in self.attack_modes:
             if mode not in ATTACK_MODES:
                 raise ValueError(f"attack mode must be one of {ATTACK_MODES}, got {mode!r}")
+        if self.campaign_workers != (1,):
+            raise ValueError(
+                f"campaigns run in-process; campaign_workers must be (1,), "
+                f"got {self.campaign_workers!r}"
+            )
         # ``scenarios`` may legitimately be empty ("all registered").
-        for axis in ("placements", "seeds", "campaign_workers",
-                     "protected", "workload_ops", "attack_modes"):
+        for axis in ("placements", "seeds", "protected", "workload_ops", "attack_modes"):
             if not getattr(self, axis):
                 raise ValueError(f"sweep axis {axis!r} must not be empty")
 
@@ -191,39 +196,37 @@ class SweepSpec:
                 # cache key instead of recomputing identical results.
                 norm_placement = None if placement == base.placement else placement
                 for seed in self.seeds:
-                    for workers in self.campaign_workers:
-                        for prot in self.protected:
-                            for ops in self.workload_ops:
-                                norm_ops = ops
+                    for prot in self.protected:
+                        for ops in self.workload_ops:
+                            norm_ops = ops
+                            if (
+                                base.workload is not None
+                                and ops == base.workload.n_operations
+                            ):
+                                norm_ops = None
+                            for mode in self.attack_modes:
+                                point = SweepPoint(
+                                    scenario=name,
+                                    placement=norm_placement,
+                                    seed=seed,
+                                    protected=prot,
+                                    workload_ops=norm_ops,
+                                    attack_mode=mode,
+                                )
+                                if point.point_id in seen_ids:
+                                    continue
+                                if not self._selected(name, point.point_id):
+                                    continue
                                 if (
-                                    base.workload is not None
-                                    and ops == base.workload.n_operations
+                                    norm_placement in ("bridge", "both")
+                                    and not base.topology.bridges
                                 ):
-                                    norm_ops = None
-                                for mode in self.attack_modes:
-                                    point = SweepPoint(
-                                        scenario=name,
-                                        placement=norm_placement,
-                                        seed=seed,
-                                        campaign_workers=workers,
-                                        protected=prot,
-                                        workload_ops=norm_ops,
-                                        attack_mode=mode,
-                                    )
-                                    if point.point_id in seen_ids:
-                                        continue
-                                    if not self._selected(name, point.point_id):
-                                        continue
-                                    if (
-                                        norm_placement in ("bridge", "both")
-                                        and not base.topology.bridges
-                                    ):
-                                        skipped.append({
-                                            "point_id": point.point_id,
-                                            "reason": f"placement {placement!r} needs bridges",
-                                        })
-                                        seen_ids.add(point.point_id)
-                                        continue
+                                    skipped.append({
+                                        "point_id": point.point_id,
+                                        "reason": f"placement {placement!r} needs bridges",
+                                    })
                                     seen_ids.add(point.point_id)
-                                    points.append(point)
+                                    continue
+                                seen_ids.add(point.point_id)
+                                points.append(point)
         return SweepPlan(points=tuple(points), skipped=tuple(skipped), bases=bases)

@@ -16,13 +16,12 @@ trailing partial line is tolerated and ignored on load); rerunning the sweep
 skips every completed key and appends only the missing points, which makes
 the resumed store *identical* to an uninterrupted run — the property
 :meth:`ResultStore.digest` exists to assert.  The digest
-canonicalizes entries by zeroing the only nondeterministic fields an
-:class:`~repro.api.experiment.ExperimentResult` carries (campaign wall-clock
-timings), so two stores with the same digest hold the same results.
+canonicalizes entries by dropping the only nondeterministic field an
+:class:`~repro.api.experiment.ExperimentResult` carries (the campaign's
+wall-clock time), so two stores with the same digest hold the same results.
 
-The store is safe under **concurrent writers** (the ``repro serve`` daemon,
-parallel sweeps on a shared disk, a client hammering the daemon's store
-directly): every mutating operation — :meth:`ResultStore.put`,
+The store is safe under **concurrent writers** (parallel ``repro sweep run``
+processes on one store directory): every mutating operation — :meth:`ResultStore.put`,
 :meth:`ResultStore.flush_manifest` and ``gc(apply=True)`` — holds an
 ``fcntl`` advisory lock on ``store/.lock`` and *re-reads lines appended by
 other writers since the last load* before touching the file, so appends
@@ -88,7 +87,7 @@ def code_fingerprint() -> str:
 
 
 def canonical_result(result: Dict[str, object]) -> Dict[str, object]:
-    """A deep copy with the wall-clock campaign timings zeroed.
+    """A deep copy without the campaign's wall-clock time.
 
     Everything else in a result is deterministic for a fixed scenario and
     seed, so this is the form store digests and resume tests compare.
@@ -99,9 +98,6 @@ def canonical_result(result: Dict[str, object]) -> Dict[str, object]:
         metrics = campaign.get("metrics")
         if isinstance(metrics, dict):
             metrics.pop("wall_seconds", None)
-            for shard in metrics.get("shards", ()):
-                if isinstance(shard, dict):
-                    shard.pop("seconds", None)
     return result
 
 
@@ -239,8 +235,7 @@ class ResultStore:
         """Pick up lines other writers appended since this handle last read.
 
         Called automatically (under the lock) by every mutator; also public
-        so long-lived readers — the daemon's status endpoint, a dashboard —
-        can refresh without reopening the store.
+        so long-lived readers can refresh without reopening the store.
         """
         if self.results_path.exists():
             if self.results_path.stat().st_size < self._tail_offset:

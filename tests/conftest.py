@@ -10,7 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.manager import ReactionPolicy
-from repro.core.secure import SecurityConfiguration, secure_platform
+from repro.core.secure import SecurityConfiguration, secure_reference_platform
 from repro.soc.system import SoCConfig, build_reference_platform
 
 
@@ -54,7 +54,7 @@ def plain_platform(soc_config):
 def secured(soc_config, security_config):
     """A protected reference platform: returns (system, security)."""
     system = build_reference_platform(soc_config)
-    security = secure_platform(system, security_config)
+    security = secure_reference_platform(system, security_config)
     return system, security
 
 
@@ -66,6 +66,6 @@ def platform_factory(soc_config, security_config):
         system = build_reference_platform(make_soc_config())
         if not protected:
             return system, None
-        return system, secure_platform(system, make_security_config())
+        return system, secure_reference_platform(system, make_security_config())
 
     return factory

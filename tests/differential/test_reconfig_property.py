@@ -48,7 +48,7 @@ def _randomized_spec(seed: int):
 
 
 def _run(spec):
-    built = ScenarioBuilder(spec).build(True, _warn=False)
+    built = ScenarioBuilder(spec).build(True)
     final = built.run_workload()
     hits = sum(fw.security_builder.cache_hits for fw in built.security.all_firewalls)
     return _variant_fingerprint(built, final), hits

@@ -10,14 +10,14 @@ judged by the new rule — on cached and uncached builds alike.
 from __future__ import annotations
 
 from repro.core.policy import ReadWriteAccess
-from repro.core.secure import SecurityConfiguration, secure_platform
+from repro.core.secure import SecurityConfiguration, secure_reference_platform
 from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
 
 def _secured():
     system = build_reference_platform()
-    security = secure_platform(
+    security = secure_reference_platform(
         system,
         SecurityConfiguration(ddr_secure_size=1024, ddr_cipher_only_size=1024),
     )

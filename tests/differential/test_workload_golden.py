@@ -53,7 +53,7 @@ INSTRUMENTED_SCENARIOS = sorted(FABRIC_SCENARIOS) + ["attack_heavy"]
 
 
 def _run(name: str, protected: bool = True, instrument=None):
-    built = ScenarioBuilder(registry.get_scenario(name)).build(protected, _warn=False)
+    built = ScenarioBuilder(registry.get_scenario(name)).build(protected)
     if instrument is not None:
         attach_instrumentation(built.system, built.security, EventBus([instrument]))
     final = built.run_workload()
@@ -107,7 +107,7 @@ def test_registry_covers_both_fabric_shapes():
     assert FABRIC_SCENARIOS <= names
     assert names - FABRIC_SCENARIOS, "expected at least one flat scenario"
     for name in ALL_SCENARIOS:
-        bus = ScenarioBuilder(registry.get_scenario(name)).build(True, _warn=False).system.bus
+        bus = ScenarioBuilder(registry.get_scenario(name)).build(True).system.bus
         segments = getattr(bus, "segments", None) or {}
         bridges = getattr(bus, "bridges", None) or {}
         if name in FABRIC_SCENARIOS:
@@ -155,9 +155,7 @@ def test_split_transaction_flag_only_moves_the_schedule():
     transaction is still served with the same data and the same verdicts."""
 
     def run(split):
-        built = ScenarioBuilder(registry.get_scenario("paper_baseline")).build(
-            True, _warn=False
-        )
+        built = ScenarioBuilder(registry.get_scenario("paper_baseline")).build(True)
         name = built.system.bus.slave_names[0]
         built.system.bus.slave_port(name).split_transactions = split
         final = built.run_workload()
@@ -176,9 +174,7 @@ def test_completion_hook_fires_once_without_perturbing_the_run():
     """A processor completion hook observes the run and changes nothing."""
 
     def run(hooked):
-        built = ScenarioBuilder(registry.get_scenario("paper_baseline")).build(
-            True, _warn=False
-        )
+        built = ScenarioBuilder(registry.get_scenario("paper_baseline")).build(True)
         proc = next(iter(built.system.processors.values()))
         calls = []
         if hooked:

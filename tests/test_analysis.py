@@ -10,7 +10,7 @@ from repro.analysis.report import (
     render_table2,
 )
 from repro.analysis.tables import format_resource_table, format_table
-from repro.core.secure import secure_platform
+from repro.core.secure import secure_reference_platform
 from repro.metrics.area import generate_table1
 from repro.metrics.latency import Table2Row
 from repro.soc.system import build_reference_platform
@@ -102,7 +102,7 @@ class TestArchitectureReport:
         assert unprotected.firewall_count() == 0
         assert "(no firewall)" in unprotected.render()
 
-        secure_platform(system, make_security_config())
+        secure_reference_platform(system, make_security_config())
         protected = ArchitectureReport(system.describe_topology())
         assert protected.firewall_count() == len(system.master_ports) + len(system.slave_ports)
         rendered = protected.render()

@@ -1,21 +1,21 @@
-"""Experiment façade, result schema, deprecation shims and CLI tests."""
+"""Experiment façade, result schema and CLI tests."""
 
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
-from repro import _deprecation
+import repro
 from repro.api import Experiment, ExperimentResult, RESULT_SCHEMA_VERSION
 from repro.api.cli import main as cli_main
-from repro.attacks.runner import CampaignRunner
-from repro.core.secure import (
-    SecurityConfiguration,
-    secure_platform,
-    secure_reference_platform,
-)
+from repro.attacks.runner import CampaignRunner, shard_seed
+from repro.core.secure import SecurityConfiguration, secure_reference_platform
 from repro.scenarios import ScenarioBuilder, get_scenario, list_scenarios
 from repro.soc.system import build_reference_platform
 
@@ -75,13 +75,24 @@ class TestExperimentPipeline:
         assert fast.workload["final_cycle"] == reference.workload["final_cycle"]
         assert reference.reference is True
 
-    def test_sharded_campaign_matches_serial(self):
-        serial = Experiment.from_scenario("paper_baseline").with_workload(None).run()
-        sharded = (
-            Experiment.from_scenario("paper_baseline").with_workload(None).campaign(3).run()
+    def test_campaign_runs_in_process_and_records_one_shard(self):
+        result = (
+            Experiment.from_scenario("paper_baseline").with_workload(None).with_seed(5).run()
         )
-        assert serial.campaign["rows"] == sharded.campaign["rows"]
-        assert serial.campaign["monitor_totals"] == sharded.campaign["monitor_totals"]
+        pinned = (
+            Experiment.from_scenario("paper_baseline").with_workload(None).with_seed(5)
+            .campaign(1).run()
+        )
+        assert pinned.campaign["rows"] == result.campaign["rows"]
+        assert result.meta["n_workers"] == 1
+        metrics = result.campaign["metrics"]
+        assert metrics["n_workers"] == 1
+        assert metrics["shards"] == [{"shard": 0, "seed": shard_seed(5, 0), "attacks": 7}]
+
+    @pytest.mark.parametrize("n_workers", [0, 2, None])
+    def test_campaign_rejects_other_worker_counts(self, n_workers):
+        with pytest.raises(ValueError, match="in-process"):
+            Experiment.from_scenario("minimal_1x1").campaign(n_workers)
 
     def test_schema_version_recorded(self):
         result = Experiment.from_scenario("minimal_1x1").no_attacks().run()
@@ -172,82 +183,25 @@ class TestSummaryPlacement:
         assert split["leaf_master"]["evaluations"] > 0
 
 
-class TestDeprecationShims:
-    def _catch(self):
-        ctx = warnings.catch_warnings(record=True)
-        caught = ctx.__enter__()
-        warnings.simplefilter("always")
-        return ctx, caught
+class TestComposedEntryPoints:
+    """The façade composes the builder and the campaign runner; calling
+    either directly gives the same platform and the same campaign."""
 
-    def test_secure_platform_warns_once_and_matches_new_path(self):
-        _deprecation.reset()
-        ctx, caught = self._catch()
-        try:
-            old_system = build_reference_platform()
-            old_security = secure_platform(old_system, SecurityConfiguration())
-            first = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(first) == 1 and "secure_platform" in str(first[0].message)
-
-            # Second call: silent (once per process).
-            secure_platform(build_reference_platform(), SecurityConfiguration())
-            assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
-        finally:
-            ctx.__exit__(None, None, None)
-
-        new_system = build_reference_platform()
-        new_security = secure_reference_platform(new_system, SecurityConfiguration())
-        assert old_security.summary() == new_security.summary()
-        assert [f.name for f in old_security.all_firewalls] == [
-            f.name for f in new_security.all_firewalls
-        ]
-
-    def test_scenario_builder_build_warns_once_and_matches_facade(self):
-        _deprecation.reset()
+    def test_builder_build_matches_facade_build(self):
         spec = get_scenario("minimal_1x1")
-        ctx, caught = self._catch()
-        try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             direct = ScenarioBuilder(spec).build()
-            relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(relevant) == 1 and "ScenarioBuilder.build" in str(relevant[0].message)
-            ScenarioBuilder(spec).build()
-            assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
-        finally:
-            ctx.__exit__(None, None, None)
-
         facade = Experiment.from_spec(get_scenario("minimal_1x1")).build()
         assert direct.system.describe_topology() == facade.system.describe_topology()
         assert direct.security.summary() == facade.security.summary()
 
-    def test_from_scenario_warns_once_and_matches_facade(self):
-        _deprecation.reset()
-        ctx, caught = self._catch()
-        try:
-            old_report = CampaignRunner.from_scenario("minimal_1x1", n_workers=1).run()
-            relevant = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-            assert len(relevant) == 1 and "from_scenario" in str(relevant[0].message)
-            CampaignRunner.from_scenario("minimal_1x1", n_workers=1)
-            assert len([w for w in caught if issubclass(w.category, DeprecationWarning)]) == 1
-        finally:
-            ctx.__exit__(None, None, None)
-
-        new_result = (
-            Experiment.from_scenario("minimal_1x1").with_workload(None).campaign(1).run()
-        )
-        new_rows = new_result.campaign["rows"]
-        old_rows = [
-            {
-                "attack": row.attack,
-                "unprotected": row.unprotected.outcome.value,
-                "protected": row.protected.outcome.value,
-                "detected": "yes" if row.detected else "no",
-            }
-            for row in old_report.rows
-        ]
-        assert [
-            {k: row[k] for k in ("attack", "unprotected", "protected", "detected")}
-            for row in new_rows
-        ] == old_rows
-        assert old_report.monitor_totals == new_result.campaign["monitor_totals"]
+    def test_campaign_runner_matches_facade_campaign(self):
+        report = CampaignRunner.from_spec(get_scenario("minimal_1x1")).run()
+        result = Experiment.from_scenario("minimal_1x1").with_workload(None).run()
+        assert result.campaign["rows"] == report.as_table_rows()
+        assert result.campaign["monitor_totals"] == report.monitor_totals
+        assert report.metrics["scenario"] == "minimal_1x1"
 
 
 class TestCli:
@@ -291,3 +245,29 @@ class TestCli:
         assert cli_main(["campaign", "minimal_1x1", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["attacks"] == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "minimal_1x1", "--workers", "2"],
+        ["campaign", "minimal_1x1", "--workers", "2"],
+        ["serve"],
+        ["submit"],
+        ["status"],
+    ])
+    def test_worker_options_and_daemon_commands_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+
+
+def test_importing_the_api_leaves_multiprocessing_unloaded():
+    """Only a sweep with ``sweep_workers > 1`` starts processes, so no
+    command pays for importing ``multiprocessing`` up front."""
+    code = (
+        "import sys, repro.api, repro.api.cli, repro.sweep\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

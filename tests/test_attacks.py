@@ -3,10 +3,10 @@
 import pytest
 
 from repro.attacks import (
-    AttackCampaign,
     AttackOutcome,
     AttackResult,
     AttackerMaster,
+    CampaignRunner,
     DoSFloodAttack,
     ExfiltrationAttack,
     HijackedIPAttack,
@@ -166,13 +166,13 @@ class TestDoSAttack:
 class TestCampaign:
     def test_requires_at_least_one_attack(self):
         with pytest.raises(ValueError):
-            AttackCampaign([])
+            CampaignRunner([])
 
     def test_small_campaign_matrix(self):
         factory = default_platform_factory(
             security_config=make_security_config(flood_threshold=20)
         )
-        campaign = AttackCampaign(
+        campaign = CampaignRunner(
             [SpoofingAttack(), SensitiveRegisterProbe()], platform_factory=factory
         )
         report = campaign.run()

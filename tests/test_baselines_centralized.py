@@ -4,7 +4,7 @@ the paper's distributed firewalls."""
 
 from repro.baselines import CentralizedSecurityModule, secure_platform_centralized
 from repro.core.alerts import ViolationType
-from repro.core.secure import secure_platform
+from repro.core.secure import secure_reference_platform
 from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
@@ -107,7 +107,7 @@ class TestDistributedVsCentralized:
         cfg_factory = malformed_ip_write()
 
         distributed_system = build_reference_platform()
-        secure_platform(distributed_system, make_security_config())
+        secure_reference_platform(distributed_system, make_security_config())
         d_txn = issue(distributed_system, "cpu1", cfg_factory(distributed_system.config))
 
         centralized_system = build_reference_platform()
@@ -123,7 +123,7 @@ class TestDistributedVsCentralized:
         from repro.attacks import DoSFloodAttack
 
         distributed_system = build_reference_platform()
-        d_security = secure_platform(distributed_system, make_security_config(flood_threshold=10))
+        d_security = secure_reference_platform(distributed_system, make_security_config(flood_threshold=10))
         d_result = DoSFloodAttack(n_requests=60).run(distributed_system, d_security)
 
         centralized_system = build_reference_platform()

@@ -1,25 +1,26 @@
-"""Tests for the parallel campaign runner and the sharded map helper.
+"""Tests for the in-process campaign loop.
 
-The contract under test: for any worker count, a sharded campaign produces
-exactly the rows the serial :class:`AttackCampaign` produces, in the same
-order, with the protected-monitor summaries merged deterministically.
+The contract under test: every attack runs on a fresh unprotected and a fresh
+protected platform, so a battery's rows and monitor totals are exactly what
+each attack produces when it runs alone, in attack order.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.attacks import (
-    AttackCampaign,
     CampaignRunner,
     DoSFloodAttack,
     HijackedIPAttack,
     SpoofingAttack,
-    parallel_map,
 )
 from repro.attacks.campaign import default_platform_factory
-from repro.attacks.runner import default_worker_count, shard_seed
+from repro.attacks.runner import shard_seed
 from repro.core.secure import SecurityConfiguration
+from repro.scenarios import get_scenario
 
 SECURITY = SecurityConfiguration(
     ddr_secure_size=1024, ddr_cipher_only_size=1024, flood_threshold=20
@@ -28,6 +29,10 @@ SECURITY = SecurityConfiguration(
 
 def _attacks():
     return [SpoofingAttack(), HijackedIPAttack(), DoSFloodAttack(n_requests=40)]
+
+
+def _factory():
+    return default_platform_factory(security_config=SECURITY)
 
 
 def _row_fingerprint(report):
@@ -44,233 +49,53 @@ def _row_fingerprint(report):
 
 
 class TestCampaignRunner:
-    def test_serial_matches_legacy_campaign(self):
-        legacy = AttackCampaign(
-            _attacks(), platform_factory=default_platform_factory(security_config=SECURITY)
-        ).run()
-        serial = CampaignRunner(_attacks(), security_config=SECURITY, n_workers=1).run()
-        assert _row_fingerprint(serial) == _row_fingerprint(legacy)
+    def test_battery_equals_each_attack_run_alone(self):
+        battery = CampaignRunner(_attacks(), _factory()).run()
+        alone = [CampaignRunner([attack], _factory()).run() for attack in _attacks()]
+        assert _row_fingerprint(battery) == [
+            fingerprint for report in alone for fingerprint in _row_fingerprint(report)
+        ]
+        summed = {}
+        for report in alone:
+            for violation, count in report.monitor_totals.items():
+                summed[violation] = summed.get(violation, 0) + count
+        assert battery.monitor_totals == summed
+        assert battery.monitor_totals  # protected runs raised alerts
 
-    def test_parallel_matches_serial_and_merges_monitors(self):
-        serial = CampaignRunner(_attacks(), security_config=SECURITY, n_workers=1).run()
-        parallel = CampaignRunner(_attacks(), security_config=SECURITY, n_workers=3).run()
-        assert _row_fingerprint(parallel) == _row_fingerprint(serial)
-        assert parallel.monitor_totals == serial.monitor_totals
-        assert parallel.monitor_totals  # protected runs raised alerts
-        assert parallel.metrics["n_workers"] == 3
-        assert len(parallel.metrics["shards"]) == 3
-
-    def test_worker_count_clamped_to_attacks(self):
-        report = CampaignRunner(
-            [SpoofingAttack()], security_config=SECURITY, n_workers=16
-        ).run()
+    def test_metrics_record_one_in_process_shard(self):
+        report = CampaignRunner(_attacks(), _factory(), base_seed=42).run()
         assert report.metrics["n_workers"] == 1
-        assert report.n_attacks == 1
+        assert report.metrics["shards"] == [
+            {"shard": 0, "seed": shard_seed(42, 0), "attacks": 3}
+        ]
+        assert report.metrics["wall_seconds"] >= 0
+        assert "scenario" not in report.metrics
 
-    def test_rejects_empty_attack_list(self):
-        try:
-            CampaignRunner([])
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("empty campaign should be rejected")
+    def test_default_factory_is_the_reference_platform(self):
+        report = CampaignRunner([SpoofingAttack()]).run()
+        assert report.n_attacks == 1
+        assert report.rows[0].prevented
 
     def test_empty_campaign_rejected_everywhere(self):
         """Every campaign entry point refuses an empty battery the same way."""
-        import pytest
-
         with pytest.raises(ValueError):
-            AttackCampaign([])
+            CampaignRunner([])
         with pytest.raises(ValueError):
-            CampaignRunner([], security_config=SECURITY)
-        with pytest.raises(ValueError):
-            CampaignRunner([], security_config=SECURITY, n_workers=8)
-
-    def test_single_worker_vs_eight_workers_row_identity(self):
-        """workers=8 (more shards than most batteries) must reproduce the
-        serial rows bit for bit, monitor totals included."""
-        serial = CampaignRunner(_attacks(), security_config=SECURITY, n_workers=1).run()
-        eight = CampaignRunner(_attacks(), security_config=SECURITY, n_workers=8).run()
-        assert _row_fingerprint(eight) == _row_fingerprint(serial)
-        assert eight.monitor_totals == serial.monitor_totals
-        # Worker count is clamped to the attack count, never above it.
-        assert eight.metrics["n_workers"] == len(_attacks())
-
-    def test_shard_count_exceeding_attack_count(self):
-        """Requesting far more shards than attacks degenerates gracefully:
-        one shard per attack, rows in original order."""
-        attacks = [SpoofingAttack(), HijackedIPAttack()]
-        report = CampaignRunner(
-            attacks, security_config=SECURITY, n_workers=64
-        ).run()
-        assert report.metrics["n_workers"] == 2
-        assert len(report.metrics["shards"]) == 2
-        assert [row.attack for row in report.rows] == [a.name for a in attacks]
-        assert all(shard["attacks"] == 1 for shard in report.metrics["shards"])
-
-
-class TestScenarioCampaigns:
-    def test_from_scenario_matches_serial_rows(self):
-        serial = CampaignRunner.from_scenario("paper_baseline", n_workers=1).run()
-        sharded = CampaignRunner.from_scenario("paper_baseline", n_workers=3).run()
-        assert _row_fingerprint(sharded) == _row_fingerprint(serial)
-        assert sharded.monitor_totals == serial.monitor_totals
-        assert serial.metrics["scenario"] == "paper_baseline"
-        assert serial.n_attacks == 7
-
-    def test_from_scenario_unknown_name(self):
-        import pytest
-
-        with pytest.raises(KeyError):
-            CampaignRunner.from_scenario("no_such_scenario")
-
-    def test_scenario_without_attack_mix_is_rejected(self):
-        import pytest
-
-        from repro.scenarios import get_scenario, register_scenario
-
-        spec = get_scenario("minimal_1x1")
-        spec.name = "minimal_no_attacks"
-        spec.attacks = ()
-        register_scenario(lambda: spec)
-        try:
-            with pytest.raises(ValueError):
-                CampaignRunner.from_scenario("minimal_no_attacks")
-        finally:
-            from repro.scenarios import registry
-
-            registry._REGISTRY.pop("minimal_no_attacks", None)
-
-
-class TestFromSpecRouting:
-    """``from_spec`` supersedes direct ``CampaignRunner(..., scenario=...)``
-    construction: identical results, one deprecation warning per process."""
-
-    def test_from_spec_matches_direct_construction(self):
-        import warnings
-
-        from repro.scenarios import get_scenario, instantiate_attacks
-
-        spec = get_scenario("minimal_1x1")
-        new = CampaignRunner.from_spec(spec, n_workers=1).run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = CampaignRunner(
-                instantiate_attacks(spec), scenario=spec, n_workers=1
-            ).run()
-        assert _row_fingerprint(old) == _row_fingerprint(new)
-        assert old.monitor_totals == new.monitor_totals
-        assert new.metrics["scenario"] == "minimal_1x1"
-
-    def test_direct_scenario_construction_warns_once_per_process(self):
-        import warnings
-
-        import pytest
-
-        from repro import _deprecation
-        from repro.scenarios import get_scenario, instantiate_attacks
-
-        spec = get_scenario("minimal_1x1")
-        _deprecation.reset()
-        with pytest.warns(DeprecationWarning, match="from_spec"):
-            CampaignRunner(instantiate_attacks(spec), scenario=spec, n_workers=1)
-        # Second construction is silent (once-per-process dedup) ...
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            CampaignRunner(instantiate_attacks(spec), scenario=spec, n_workers=1)
-
-    def test_config_path_construction_never_warns(self):
-        import warnings
-
-        from repro import _deprecation
-
-        # ... and the raw-config path (no scenario) is not deprecated at all.
-        _deprecation.reset()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            CampaignRunner(_attacks(), security_config=SECURITY, n_workers=1)
-
-    def test_from_spec_rejects_attackless_scenario(self):
-        from dataclasses import replace
-
-        import pytest
-
-        from repro.scenarios import get_scenario
-
+            CampaignRunner([], _factory())
         spec = replace(get_scenario("minimal_1x1"), attacks=())
         with pytest.raises(ValueError, match="no attack mix"):
             CampaignRunner.from_spec(spec)
 
 
-class TestShardingHelpers:
-    def test_shard_seeds_are_deterministic_and_distinct(self):
-        seeds = [shard_seed(42, index) for index in range(16)]
-        assert seeds == [shard_seed(42, index) for index in range(16)]
-        assert len(set(seeds)) == len(seeds)
-
-    def test_default_worker_count_bounds(self):
-        assert default_worker_count(1) == 1
-        assert 1 <= default_worker_count(100) <= 8
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(23))
-        assert parallel_map(_square, items, n_workers=4) == [i * i for i in items]
-        assert parallel_map(_square, items, n_workers=1) == [i * i for i in items]
-        assert parallel_map(_square, []) == []
-
-    def test_parallel_map_reuses_a_persistent_pool(self):
-        from repro.attacks.runner import PersistentPool
-
-        items = list(range(17))
-        with PersistentPool(3) as pool:
-            first = parallel_map(_square, items, n_workers=3, pool=pool)
-            second = parallel_map(_square, items, n_workers=3, pool=pool)
-        assert first == second == [i * i for i in items]
-
-    def test_persistent_pool_submit_is_seeded_and_async(self):
-        from repro.attacks.runner import PersistentPool
-
-        with PersistentPool(2) as pool:
-            handles = [pool.submit(_square, i) for i in range(6)]
-            assert [h.get(timeout=60) for h in handles] == [i * i for i in range(6)]
-
-    def test_persistent_pool_rejects_zero_workers(self):
-        from repro.attacks.runner import PersistentPool
-
-        with pytest.raises(ValueError):
-            PersistentPool(0)
-
-    def test_parallel_map_degrades_serially_inside_a_worker(self, monkeypatch):
-        import warnings
-
-        from repro import _deprecation
-        from repro.attacks import runner as attacks_runner
-
-        items = list(range(9))
-        reference = parallel_map(_square, items, n_workers=3)
-        monkeypatch.setattr(attacks_runner, "in_worker_process", lambda: True)
-        _deprecation.reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            degraded = parallel_map(_square, items, n_workers=3)
-        assert degraded == reference
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
-        _deprecation.reset()
-
-    def test_campaign_degrades_serially_inside_a_worker(self, monkeypatch):
-        from repro import _deprecation
-        from repro.attacks import runner as attacks_runner
-        from repro.scenarios import get_scenario
-
-        spec = get_scenario("minimal_1x1")
-        reference = CampaignRunner.from_spec(spec, n_workers=1).run()
-        monkeypatch.setattr(attacks_runner, "in_worker_process", lambda: True)
-        _deprecation.reset()
-        degraded = CampaignRunner.from_spec(spec, n_workers=2).run()
-        assert degraded.as_table_rows() == reference.as_table_rows()
-        assert degraded.monitor_totals == reference.monitor_totals
-        _deprecation.reset()
+class TestScenarioCampaigns:
+    def test_from_spec_runs_the_scenario_mix(self):
+        report = CampaignRunner.from_spec(get_scenario("paper_baseline")).run()
+        assert report.metrics["scenario"] == "paper_baseline"
+        assert report.n_attacks == 7
+        assert report.n_detected == 7
 
 
-def _square(x: int) -> int:
-    return x * x
+def test_shard_seeds_are_deterministic_and_distinct():
+    seeds = [shard_seed(42, index) for index in range(16)]
+    assert seeds == [shard_seed(42, index) for index in range(16)]
+    assert len(set(seeds)) == len(seeds)

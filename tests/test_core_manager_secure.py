@@ -1,5 +1,5 @@
 """Tests for the security manager (reactions/reconfiguration) and for
-secure_platform wiring."""
+secure_reference_platform wiring."""
 
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
@@ -7,7 +7,7 @@ from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
 from repro.core.manager import ReactionPolicy, SecurityPolicyManager
 from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
-from repro.core.secure import default_policies, secure_platform
+from repro.core.secure import default_policies, secure_reference_platform
 from repro.crypto.keys import KeyStore
 from repro.soc.kernel import Simulator
 from repro.soc.processor import MemoryOperation, ProcessorProgram
@@ -129,7 +129,7 @@ class TestSecurePlatform:
     def test_partial_protection_options(self):
         system = build_reference_platform()
         config = make_security_config(protect_masters=False, protect_external_memory=False)
-        security = secure_platform(system, config)
+        security = secure_reference_platform(system, config)
         assert not security.master_firewalls
         assert security.ciphering_firewall is None
         assert security.slave_firewalls

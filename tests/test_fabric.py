@@ -329,25 +329,25 @@ class TestFabricSpecs:
 
 class TestFabricScenarios:
     def test_bridge_placement_builds_only_bridge_firewalls(self):
-        built = ScenarioBuilder(get_scenario("bridge_firewalled_centralized")).build(True, _warn=False)
+        built = ScenarioBuilder(get_scenario("bridge_firewalled_centralized")).build(True)
         assert list(built.security.bridge_firewalls) == ["br_sec"]
         assert built.security.master_firewalls == {}
         assert built.security.slave_firewalls == {}
         assert list(built.security.ciphering_firewalls) == ["ddr"]
 
     def test_both_placement_builds_leaf_and_bridge_firewalls(self):
-        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(True, _warn=False)
+        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(True)
         assert set(built.security.bridge_firewalls) == {"br01", "br12"}
         assert set(built.security.master_firewalls) == {"cpu0", "cpu1", "dma"}
 
     def test_describe_topology_carries_fabric_structure(self):
-        built = ScenarioBuilder(get_scenario("two_segment_dma_isolation")).build(False, _warn=False)
+        built = ScenarioBuilder(get_scenario("two_segment_dma_isolation")).build(False)
         description = built.system.describe_topology()
         assert set(description["fabric"]["segments"]) == {"seg_cpu", "seg_io"}
         assert "br_io" in description["fabric"]["bridges"]
 
     def test_placement_split_accounts_bridge_cycles(self):
-        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(True, _warn=False)
+        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(True)
         built.run_workload()
         rows = {row.placement: row for row in placement_split(built.security)}
         assert rows["leaf_master"].evaluations > 0
@@ -358,7 +358,7 @@ class TestFabricScenarios:
         assert rows["leaf_master"].mean_cycles == pytest.approx(12.0)
 
     def test_aggregate_hop_latency_splits_segments_and_bridges(self):
-        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(False, _warn=False)
+        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(False)
         built.run_workload()
         txns = built.system.bus.monitor.history
         totals = aggregate_hop_latency(txns)
@@ -391,7 +391,7 @@ class TestFabricScenarios:
                     **topology_kwargs,
                 ),
             )
-            built = ScenarioBuilder(spec).build(True, _warn=False)
+            built = ScenarioBuilder(spec).build(True)
             sim = built.system.sim
             port = built.system.master_ports["cpu0"]
             results = []
@@ -497,6 +497,6 @@ class TestCrossSegmentAttackSurface:
         reached_bus used to double per bridge crossed)."""
         from repro.attacks.dos import DoSFloodAttack
 
-        built = ScenarioBuilder(get_scenario("two_segment_dma_isolation")).build(False, _warn=False)
+        built = ScenarioBuilder(get_scenario("two_segment_dma_isolation")).build(False)
         result = DoSFloodAttack(hijacked_master="dma", n_requests=20).run(built.system, None)
         assert result.extra["reached_bus"] == 20

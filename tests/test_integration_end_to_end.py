@@ -16,7 +16,7 @@ system-level invariants are:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.secure import secure_platform
+from repro.core.secure import secure_reference_platform
 from repro.metrics.perf import measure_execution_overhead
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 from repro.soc.system import build_reference_platform
@@ -29,7 +29,7 @@ from tests.conftest import make_security_config
 
 def fresh_secured(**overrides):
     system = build_reference_platform()
-    security = secure_platform(system, make_security_config(**overrides))
+    security = secure_reference_platform(system, make_security_config(**overrides))
     return system, security
 
 
@@ -55,7 +55,7 @@ class TestNoFalsePositives:
         def run(protected):
             system = build_reference_platform()
             if protected:
-                secure_platform(system, make_security_config())
+                secure_reference_platform(system, make_security_config())
             cfg = system.config
             program = ProcessorProgram([
                 MemoryOperation.write(cfg.ddr_base + 0x20, bytes(range(32))),

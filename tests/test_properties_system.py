@@ -14,7 +14,7 @@ Two invariants that must hold for *any* access pattern:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.secure import secure_platform
+from repro.core.secure import secure_reference_platform
 from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
@@ -23,7 +23,7 @@ from tests.conftest import make_security_config
 
 def fresh_secured():
     system = build_reference_platform()
-    security = secure_platform(system, make_security_config())
+    security = secure_reference_platform(system, make_security_config())
     return system, security
 
 

@@ -1,13 +1,21 @@
-"""Sweep engine semantics: caching, resume after a kill, invalidation."""
+"""Sweep engine semantics: caching, resume after a kill, invalidation,
+process sharding and two sweep processes sharing one store."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.scenarios import get_scenario
 from repro.sweep import ResultStore, SweepRunner, SweepSpec
+from repro.sweep.engine import parallel_map
 
 #: Cheap two-point grid used throughout (minimal scenario, two seeds).
 GRID = SweepSpec(scenarios=("minimal_1x1",), seeds=(0, 1))
@@ -117,44 +125,60 @@ class TestSharding:
         SweepRunner(grid, reference).run()
         assert ResultStore(tmp_path / "store").digest() == reference.digest()
 
-    def test_nested_pools_are_rejected(self, tmp_path):
-        grid = SweepSpec(scenarios=("minimal_1x1",), campaign_workers=(2,))
-        runner = SweepRunner(grid, ResultStore(tmp_path / "store"), sweep_workers=2)
-        with pytest.raises(ValueError, match="campaign_workers"):
-            runner.run()
-
-    def test_worker_process_degrades_to_serial_with_one_warning(
-        self, tmp_path, monkeypatch
-    ):
-        """Inside a daemonic pool worker a sharded sweep must not crash the
-        job — it degrades to serial per-point execution, warning once."""
-        import warnings
-
-        from repro import _deprecation
-        from repro.attacks import runner as attacks_runner
-
-        monkeypatch.setattr(attacks_runner, "in_worker_process", lambda: True)
-        _deprecation.reset()
-
-        reference = ResultStore(tmp_path / "reference")
-        SweepRunner(GRID, reference).run()
-
-        store = ResultStore(tmp_path / "store")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            report = SweepRunner(GRID, store, sweep_workers=2).run()
-            SweepRunner(GRID, ResultStore(tmp_path / "again"),
-                        sweep_workers=2).run()
-        degrade = [w for w in caught if issubclass(w.category, RuntimeWarning)
-                   and "nested pool" in str(w.message)]
-        assert len(degrade) == 1  # once per process, not once per sweep
-        assert len(report.computed) == 2
-        assert store.digest() == reference.digest()
-        _deprecation.reset()
-
     def test_invalid_sweep_workers_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sweep_workers"):
             SweepRunner(GRID, ResultStore(tmp_path / "store"), sweep_workers=0)
+
+    def test_parallel_map_preserves_order(self):
+        items = list(range(23))
+        assert parallel_map(_square, items, n_workers=4) == [i * i for i in items]
+        assert parallel_map(_square, items, n_workers=1) == [i * i for i in items]
+        assert parallel_map(_square, [], n_workers=4) == []
+
+
+#: ``repro sweep run`` arguments of the shared-store grid (2 x 3 x 2 points).
+SHARED_GRID_ARGS = [
+    "--scenario", "minimal_1x1", "--scenario", "paper_baseline",
+    "--seed", "0", "--seed", "1", "--seed", "2", "--unprotected",
+]
+
+
+class TestSharedStore:
+    def test_two_sweep_processes_on_one_store_match_a_serial_run(self, tmp_path):
+        """Two ``repro sweep run`` processes over one overlapping grid and one
+        store: both succeed, the store stays parseable and complete, and its
+        digest equals a serial run's.  A point both processes compute is
+        stored twice, with byte-identical canonical results."""
+        shared = tmp_path / "shared"
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        command = [sys.executable, "-m", "repro", "sweep", "run", *SHARED_GRID_ARGS,
+                   "--store", str(shared), "--json"]
+        procs = [
+            subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        outputs = [proc.communicate(timeout=300) for proc in procs]
+        for proc, (_, stderr) in zip(procs, outputs):
+            assert proc.returncode == 0, stderr
+
+        grid = SweepSpec(
+            scenarios=("minimal_1x1", "paper_baseline"),
+            seeds=(0, 1, 2),
+            protected=(True, False),
+        )
+        serial = ResultStore(tmp_path / "serial")
+        report = SweepRunner(grid, serial).run()
+        assert len(report.computed) == 12
+
+        lines = (shared / ResultStore.RESULTS_NAME).read_text().splitlines()
+        assert all(json.loads(line)["key"] for line in lines)
+        assert 12 <= len(lines) <= 24
+        store = ResultStore(shared)
+        assert all(store.has(key) for key in report.keys.values())
+        assert store.digest() == serial.digest()
+        for stdout, _ in outputs:
+            assert json.loads(stdout)["keys"] == report.keys
 
 
 class TestSkips:
@@ -163,3 +187,7 @@ class TestSkips:
         report = SweepRunner(grid, ResultStore(tmp_path / "store")).run()
         assert not report.computed and not report.cached
         assert len(report.skipped) == 1
+
+
+def _square(x: int) -> int:
+    return x * x

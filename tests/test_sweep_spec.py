@@ -74,6 +74,16 @@ class TestExpansion:
         with pytest.raises(ValueError, match="axis"):
             SweepSpec(seeds=())
 
+    @pytest.mark.parametrize("workers", [(2,), (1, 2), ()])
+    def test_campaign_workers_other_than_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="in-process"):
+            SweepSpec(campaign_workers=workers)
+
+    def test_campaign_workers_of_one_changes_nothing(self):
+        pinned = SweepSpec(scenarios=("minimal_1x1",), campaign_workers=(1,))
+        assert pinned == SweepSpec(scenarios=("minimal_1x1",))
+        assert pinned.plan().points == SweepSpec(scenarios=("minimal_1x1",)).plan().points
+
     def test_unknown_attack_mode_rejected(self):
         with pytest.raises(ValueError, match="attack mode"):
             SweepSpec(attack_modes=("everything",))
@@ -87,8 +97,7 @@ class TestPointResolution:
     def _point(self, **overrides) -> SweepPoint:
         params = dict(
             scenario="two_segment_dma_isolation", placement=None, seed=0,
-            campaign_workers=1, protected=True, workload_ops=None,
-            attack_mode="scenario",
+            protected=True, workload_ops=None, attack_mode="scenario",
         )
         params.update(overrides)
         return SweepPoint(**params)
@@ -111,12 +120,12 @@ class TestPointResolution:
 
 class TestKeys:
     def test_key_is_stable_for_identical_inputs(self):
-        point = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario")
+        point = SweepPoint("minimal_1x1", None, 0, True, None, "scenario")
         spec = get_scenario("minimal_1x1")
         assert point_key(point, spec, "fp") == point_key(point, spec, "fp")
 
     def test_key_changes_when_the_scenario_definition_changes(self):
-        point = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario")
+        point = SweepPoint("minimal_1x1", None, 0, True, None, "scenario")
         spec = get_scenario("minimal_1x1")
         edited = dataclasses.replace(
             spec, workload=dataclasses.replace(spec.workload, n_operations=999)
@@ -125,12 +134,12 @@ class TestKeys:
         assert spec_hash(spec) != spec_hash(edited)
 
     def test_key_changes_with_the_code_fingerprint(self):
-        point = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario")
+        point = SweepPoint("minimal_1x1", None, 0, True, None, "scenario")
         spec = get_scenario("minimal_1x1")
         assert point_key(point, spec, "fp-a") != point_key(point, spec, "fp-b")
 
     def test_key_changes_with_point_parameters(self):
         spec = get_scenario("minimal_1x1")
-        a = SweepPoint("minimal_1x1", None, 0, 1, True, None, "scenario")
-        b = SweepPoint("minimal_1x1", None, 1, 1, True, None, "scenario")
+        a = SweepPoint("minimal_1x1", None, 0, True, None, "scenario")
+        b = SweepPoint("minimal_1x1", None, 1, True, None, "scenario")
         assert point_key(a, spec, "fp") != point_key(b, spec, "fp")

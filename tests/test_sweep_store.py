@@ -21,7 +21,7 @@ def _result(cycles: int = 100, wall: float = 0.5) -> dict:
             "metrics": {
                 "n_workers": 1,
                 "wall_seconds": wall,
-                "shards": [{"shard": 0, "seed": 7, "attacks": 1, "seconds": wall}],
+                "shards": [{"shard": 0, "seed": 7, "attacks": 1}],
             },
         },
     }
