@@ -22,9 +22,8 @@ from __future__ import annotations
 from conftest import bench_rounds, write_bench_json, write_result
 
 from repro.analysis.tables import format_table
-from repro.core.secure import SecurityConfiguration
 from repro.metrics.perf import measure_execution_overhead, run_workload
-from repro.soc.system import SoCConfig
+from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.workloads.generators import make_uniform_programs
 
 N_OPERATIONS = 60
@@ -34,12 +33,13 @@ EXTERNAL_SHARES = [0.1, 0.4, 0.8]
 FIXED_EXTERNAL_SHARE = 0.4
 FIXED_COMM_RATIO = 0.6
 
-SECURITY = SecurityConfiguration(ddr_secure_size=2048, ddr_cipher_only_size=2048)
+SPEC = get_scenario("paper_baseline")
+CONFIG = ScenarioBuilder(SPEC).build(protected=False).system.config
 
 
 def make_programs(communication_ratio, external_share, seed=11):
     return make_uniform_programs(
-        SoCConfig(),
+        CONFIG,
         CPUS,
         n_operations=N_OPERATIONS,
         communication_ratio=communication_ratio,
@@ -54,7 +54,7 @@ def run_sweeps():
     comm_rows = []
     for ratio in COMM_RATIOS:
         programs = make_programs(ratio, FIXED_EXTERNAL_SHARE)
-        overhead = measure_execution_overhead(programs, security_config=SECURITY)
+        overhead = measure_execution_overhead(programs, SPEC)
         comm_rows.append(
             [f"{ratio:.1f}", overhead.baseline.makespan_cycles,
              overhead.protected.makespan_cycles, f"{overhead.overhead_percent:.1f}%",
@@ -64,7 +64,7 @@ def run_sweeps():
     external_rows = []
     for share in EXTERNAL_SHARES:
         programs = make_programs(FIXED_COMM_RATIO, share, seed=23)
-        overhead = measure_execution_overhead(programs, security_config=SECURITY)
+        overhead = measure_execution_overhead(programs, SPEC)
         external_rows.append(
             [f"{share:.1f}", overhead.baseline.makespan_cycles,
              overhead.protected.makespan_cycles, f"{overhead.overhead_percent:.1f}%",
@@ -77,11 +77,7 @@ def test_ablation_comm_ratio(benchmark, results_dir):
     comm_rows, external_rows = run_sweeps()
 
     def one_protected_run():
-        return run_workload(
-            make_programs(FIXED_COMM_RATIO, FIXED_EXTERNAL_SHARE),
-            protected=True,
-            security_config=SECURITY,
-        )
+        return run_workload(make_programs(FIXED_COMM_RATIO, FIXED_EXTERNAL_SHARE), True, SPEC)
 
     benchmark.pedantic(one_protected_run, rounds=bench_rounds(3), iterations=1)
 

@@ -34,12 +34,9 @@ from repro.attacks import (
     SensitiveRegisterProbe,
     SpoofingAttack,
 )
-from repro.attacks.campaign import default_platform_factory
-from repro.core.secure import SecurityConfiguration
+from repro.scenarios import get_scenario, platform_factory_for
 
-SECURITY = SecurityConfiguration(
-    ddr_secure_size=2048, ddr_cipher_only_size=2048, flood_threshold=20
-)
+FACTORY = platform_factory_for(get_scenario("paper_baseline"))
 
 CONTAINED_ATTACKS = {"sensitive_register_probe", "hijacked_ip_write", "exfiltration"}
 
@@ -55,7 +52,7 @@ def run_campaign():
             ExfiltrationAttack(),
             DoSFloodAttack(n_requests=80),
         ],
-        default_platform_factory(security_config=SECURITY),
+        FACTORY,
     )
     return runner.run()
 
@@ -64,8 +61,7 @@ def test_attack_detection_matrix(benchmark, results_dir):
     report = run_campaign()
 
     def one_spoofing_run():
-        factory = default_platform_factory(security_config=SECURITY)
-        system, security = factory(True)
+        system, security = FACTORY(True)
         return SpoofingAttack().run(system, security)
 
     benchmark.pedantic(one_spoofing_run, rounds=bench_rounds(3), iterations=1)

@@ -24,27 +24,24 @@ from conftest import bench_rounds, write_bench_json, write_result
 
 from repro.analysis.tables import format_table
 from repro.attacks import DoSFloodAttack, HijackedIPAttack
-from repro.baselines import secure_platform_centralized
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
+from dataclasses import replace
+
 from repro.metrics.area import AreaModel
-from repro.soc.system import build_reference_platform
+from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.transaction import TransactionStatus
 
-SECURITY = SecurityConfiguration(
-    ddr_secure_size=2048, ddr_cipher_only_size=2048, flood_threshold=10
-)
+#: The Figure-1 platform, its DoS heuristic tightened to 10 requests.
+SPEC = replace(get_scenario("paper_baseline"), flood_threshold=10)
 
 
 def build_distributed():
-    system = build_reference_platform()
-    security = secure_reference_platform(system, SECURITY)
-    return system, security
+    built = ScenarioBuilder(SPEC).build()
+    return built.system, built.security
 
 
 def build_centralized():
-    system = build_reference_platform()
-    baseline = secure_platform_centralized(system)
-    return system, baseline
+    built = ScenarioBuilder(replace(SPEC, enforcement="centralized")).build()
+    return built.system, built.security
 
 
 def run_comparison():

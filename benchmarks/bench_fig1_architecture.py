@@ -21,16 +21,12 @@ from conftest import write_bench_json, write_result
 from repro.analysis.report import ArchitectureReport
 from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
-from repro.soc.system import build_reference_platform
+from repro.scenarios import ScenarioBuilder, get_scenario
 
 
 def build_secured():
-    system = build_reference_platform()
-    security = secure_reference_platform(
-        system, SecurityConfiguration(ddr_secure_size=2048, ddr_cipher_only_size=2048)
-    )
-    return system, security
+    built = ScenarioBuilder(get_scenario("paper_baseline")).build()
+    return built.system, built.security
 
 
 def test_fig1_architecture(benchmark, results_dir):

@@ -31,19 +31,15 @@ from repro.core.constants import (
     INTEGRITY_CORE_CYCLES,
     SECURITY_BUILDER_CYCLES,
 )
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
 from repro.metrics.latency import generate_table2
+from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.processor import MemoryOperation, ProcessorProgram
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction
 
 
 def build_protected_platform():
-    system = build_reference_platform()
-    security = secure_reference_platform(
-        system, SecurityConfiguration(ddr_secure_size=2048, ddr_cipher_only_size=2048)
-    )
-    return system, security
+    built = ScenarioBuilder(get_scenario("paper_baseline")).build()
+    return built.system, built.security
 
 
 def run_micro_workload(system):

@@ -13,17 +13,15 @@ Prints:
 Run with:  python examples/area_report.py
 """
 
-from repro import build_reference_platform, secure_reference_platform
 from repro.analysis.report import ArchitectureReport, render_table1
 from repro.analysis.tables import format_table
-from repro.core.secure import SecurityConfiguration
+from repro.api import Experiment
 from repro.metrics.area import AreaModel, PAPER_TABLE1, generate_table1
 
 
 def main() -> None:
     # -- Figure 1: the secured platform's topology -----------------------------
-    system = build_reference_platform()
-    secure_reference_platform(system, SecurityConfiguration(ddr_secure_size=2048, ddr_cipher_only_size=2048))
+    system = Experiment.from_scenario("paper_baseline").build().system
     report = ArchitectureReport(system.describe_topology())
     print(report.render())
     print()

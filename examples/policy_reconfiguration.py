@@ -17,10 +17,11 @@ attacks against the system."  This example exercises that extension:
 Run with:  python examples/policy_reconfiguration.py
 """
 
-from repro import build_reference_platform, secure_reference_platform
+from dataclasses import replace
+
 from repro.api import InMemorySink, attach_instrumentation, EventBus
-from repro.core.manager import ReactionPolicy
-from repro.core.secure import SecurityConfiguration, default_policies
+from repro.core.secure import default_policies
+from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
 
@@ -42,15 +43,10 @@ def read(system, master, address):
 
 
 def main() -> None:
-    system = build_reference_platform()
-    security = secure_reference_platform(
-        system,
-        SecurityConfiguration(
-            ddr_secure_size=2048,
-            ddr_cipher_only_size=0,
-            reaction=ReactionPolicy(quarantine_after=3),
-        ),
-    )
+    # The Figure-1 platform, quarantining a master after three violations.
+    spec = replace(get_scenario("paper_baseline"), quarantine_after=3)
+    built = ScenarioBuilder(spec).build()
+    system, security = built.system, built.security
     # Subscribe an in-memory sink: alerts, quarantines and policy rewrites
     # arrive as structured events instead of being dug out of the monitor.
     events = InMemorySink()

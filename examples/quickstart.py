@@ -3,10 +3,10 @@
 
 This walks through the public API in five steps:
 
-1. build the protected reference platform (3 MicroBlaze-like CPUs, BRAM,
-   external DDR, one dedicated IP on a shared bus -- the paper's Figure 1,
-   with Local Firewalls on every interface and a Local Ciphering Firewall on
-   the external memory),
+1. build the protected ``paper_baseline`` scenario (3 MicroBlaze-like CPUs,
+   BRAM, external DDR, one dedicated IP on a shared bus -- the paper's
+   Figure 1, with Local Firewalls on every interface and a Local Ciphering
+   Firewall on the external memory),
 2. run legitimate traffic and observe that it completes with zero alerts
    while the external memory only ever holds ciphertext,
 3. let a hijacked IP issue an unauthorized access and watch it being blocked
@@ -18,20 +18,15 @@ This walks through the public API in five steps:
 Run with:  python examples/quickstart.py
 """
 
-from repro import build_reference_platform, secure_reference_platform
 from repro.api import Experiment
-from repro.core.secure import SecurityConfiguration
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
 
 def main() -> None:
     # ------------------------------------------------------------------ 1
-    system = build_reference_platform()
-    security = secure_reference_platform(
-        system,
-        SecurityConfiguration(ddr_secure_size=4096, ddr_cipher_only_size=4096),
-    )
+    built = Experiment.from_scenario("paper_baseline").build()
+    system, security = built.system, built.security
     print("Platform built:", ", ".join(system.processors), "+ dma, bram, ddr, ip0")
     print("Firewalls attached:", ", ".join(fw.name for fw in security.all_firewalls))
     print()

@@ -18,8 +18,7 @@ the processors.  This example:
 Run with:  python examples/secure_firmware_update.py
 """
 
-from repro import build_reference_platform, secure_reference_platform
-from repro.core.secure import SecurityConfiguration
+from repro.api import Experiment
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 from repro.workloads.patterns import firmware_update_program
 
@@ -41,10 +40,8 @@ def read_word(system, address, size=16):
 
 
 def main() -> None:
-    system = build_reference_platform()
-    security = secure_reference_platform(
-        system, SecurityConfiguration(ddr_secure_size=4096, ddr_cipher_only_size=0)
-    )
+    built = Experiment.from_scenario("paper_baseline").build()
+    system, security = built.system, built.security
     cfg = system.config
 
     # 1. Stream the image and read it back for verification.

@@ -32,22 +32,20 @@ Quickstart::
     result = Experiment.from_scenario("paper_baseline").run()
     print(result.to_json())
 
-or, for handle-level access to the reference platform::
+or, for handle-level access to a built platform::
 
-    from repro import build_reference_platform, secure_reference_platform
-    system = build_reference_platform()
-    security = secure_reference_platform(system)
+    built = Experiment.from_scenario("paper_baseline").build()
+    system, security = built.system, built.security
     # load programs, run, inspect security.monitor ...
+
+``ScenarioBuilder(spec).build()`` (:mod:`repro.scenarios`) does the same
+for any :class:`~repro.scenarios.ScenarioSpec`, registered or not.
 
 See ``examples/quickstart.py`` for a complete walk-through.
 """
 
-from repro.soc.system import SoCConfig, SoCSystem, build_reference_platform
-from repro.core.secure import (
-    SecurityConfiguration,
-    SecuredPlatform,
-    secure_reference_platform,
-)
+from repro.soc.system import SoCConfig, SoCSystem
+from repro.core.secure import SecuredPlatform
 from repro.core.policy import (
     ConfidentialityMode,
     ConfigurationMemory,
@@ -66,10 +64,7 @@ __all__ = [
     "__version__",
     "SoCConfig",
     "SoCSystem",
-    "build_reference_platform",
-    "SecurityConfiguration",
     "SecuredPlatform",
-    "secure_reference_platform",
     "Experiment",
     "ExperimentResult",
     "SecurityPolicy",

@@ -1,4 +1,4 @@
-"""Attack campaign results: the detection matrix and its platform factory.
+"""Attack campaign results: the detection matrix.
 
 :class:`~repro.attacks.runner.CampaignRunner` runs a battery of attacks
 against protected and unprotected platforms and fills the
@@ -13,36 +13,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.attacks.base import AttackResult
-from repro.core.secure import SecuredPlatform, SecurityConfiguration, secure_reference_platform
-from repro.soc.system import SoCConfig, SoCSystem, build_reference_platform
+from repro.core.secure import SecuredPlatform
+from repro.soc.system import SoCSystem
 
-__all__ = ["CampaignReport", "CampaignRow", "PlatformFactory", "default_platform_factory"]
+__all__ = ["CampaignReport", "CampaignRow", "PlatformFactory"]
 
 
+#: ``factory(protected) -> (system, security_or_None)``: a fresh platform per
+#: call, so alerts, quarantines and memory tampering from one attack cannot
+#: influence the next.
 PlatformFactory = Callable[[bool], Tuple[SoCSystem, Optional[SecuredPlatform]]]
-
-
-def default_platform_factory(
-    soc_config: Optional[SoCConfig] = None,
-    security_config: Optional[SecurityConfiguration] = None,
-) -> PlatformFactory:
-    """Factory building a fresh reference platform per attack run.
-
-    A fresh platform per attack keeps runs independent: alerts, quarantines
-    and memory tampering from one attack cannot influence the next.
-    """
-
-    def factory(protected: bool) -> Tuple[SoCSystem, Optional[SecuredPlatform]]:
-        system = build_reference_platform(
-            SoCConfig(**soc_config.__dict__) if soc_config is not None else None
-        )
-        if not protected:
-            return system, None
-        config = security_config or SecurityConfiguration(flood_threshold=20)
-        security = secure_reference_platform(system, config)
-        return system, security
-
-    return factory
 
 
 @dataclass

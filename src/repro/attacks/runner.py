@@ -23,12 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios -> attacks
     from repro.scenarios.spec import ScenarioSpec
 
 from repro.attacks.base import Attack
-from repro.attacks.campaign import (
-    CampaignReport,
-    CampaignRow,
-    PlatformFactory,
-    default_platform_factory,
-)
+from repro.attacks.campaign import CampaignReport, CampaignRow, PlatformFactory
 
 __all__ = ["CampaignRunner", "shard_seed"]
 
@@ -51,8 +46,8 @@ class CampaignRunner:
         Attack instances to run, in order.
     platform_factory:
         ``factory(protected) -> (system, security_or_None)``, called twice
-        per attack; defaults to the reference platform
-        (:func:`~repro.attacks.campaign.default_platform_factory`).
+        per attack (:func:`repro.scenarios.platform_factory_for` makes one
+        from a scenario spec).
     base_seed:
         Recorded in ``metrics["shards"][0]["seed"]`` through
         :func:`shard_seed`.  Attacks draw no randomness from it.
@@ -68,7 +63,7 @@ class CampaignRunner:
     def __init__(
         self,
         attacks: Sequence[Attack],
-        platform_factory: Optional[PlatformFactory] = None,
+        platform_factory: PlatformFactory,
         *,
         base_seed: int = 0,
         collect_events: bool = False,
@@ -76,7 +71,7 @@ class CampaignRunner:
         if not attacks:
             raise ValueError("campaign needs at least one attack")
         self.attacks = list(attacks)
-        self.platform_factory = platform_factory or default_platform_factory()
+        self.platform_factory = platform_factory
         self.base_seed = base_seed
         self.collect_events = collect_events
         self.scenario: Optional[str] = None

@@ -26,7 +26,7 @@ from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
 from repro.core.checks import CheckResult, SecurityCheck, default_check_suite
 from repro.core.constants import SECURITY_BUILDER_CYCLES
 from repro.core.policy import ConfigurationMemory, PolicyLookupError
-from repro.core.secure import SecurityConfiguration, default_policies
+from repro.core.secure import default_policies
 from repro.metrics.resources import ResourceVector
 from repro.soc.kernel import Component, Simulator
 from repro.soc.ports import FilterResult, TransactionFilter
@@ -173,25 +173,24 @@ class CentralizedPlatform:
 
 
 def secure_platform_centralized(
-    system: SoCSystem,
-    config: Optional[SecurityConfiguration] = None,
+    system: SoCSystem, config_memory_capacity: int = 16
 ) -> CentralizedPlatform:
     """Attach the centralised baseline to an unprotected platform.
 
-    Installs the same access-control rules as
-    :func:`repro.core.secure.secure_reference_platform` (per-slave
-    read/write, data format and burst rules), but evaluated by a single central module on the
-    slave side of the bus.  External-memory ciphering is *not* part of this
-    baseline — SECA-style architectures control communications only, which is
-    exactly the gap the paper's LCF fills.
+    Installs one access-control rule per primary slave of ``system.config``
+    (BRAM, dedicated IP registers, DDR) with the same read/write, data
+    format and burst policies the distributed plan uses, but evaluated by a
+    single central module on the slave side of the bus.  External-memory
+    ciphering is *not* part of this baseline — SECA-style architectures
+    control communications only, which is exactly the gap the paper's LCF
+    fills.
     """
-    config = config or SecurityConfiguration()
     policies = default_policies()
     soc_config = system.config
     sim = system.sim
 
     monitor = SecurityMonitor()
-    global_rules = ConfigurationMemory("cfg_sem", capacity=max(16, config.config_memory_capacity))
+    global_rules = ConfigurationMemory("cfg_sem", capacity=max(16, config_memory_capacity))
     global_rules.add(soc_config.bram_base, soc_config.bram_size,
                      policies["internal_full"], label="bram")
     global_rules.add(soc_config.ip_regs_base, 4 * soc_config.ip_n_registers,

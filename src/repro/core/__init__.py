@@ -8,9 +8,8 @@ Public surface:
   (:mod:`repro.core.local_firewall`, :mod:`repro.core.ciphering_firewall`),
 * alerting (:mod:`repro.core.alerts`) and runtime reaction / reconfiguration
   (:mod:`repro.core.manager`),
-* :func:`repro.core.secure.secure_reference_platform`, which attaches all of
-  the above to a platform built by
-  :func:`repro.soc.system.build_reference_platform`,
+* :func:`repro.core.secure.attach_security`, which attaches all of the
+  above to a platform according to a security plan,
 * the paper-calibrated latency constants (:mod:`repro.core.constants`).
 """
 
@@ -59,12 +58,7 @@ from repro.core.thread_policy import (
     ThreadAwareLocalFirewall,
     ThreadSecurityDirectory,
 )
-from repro.core.secure import (
-    SecuredPlatform,
-    SecurityConfiguration,
-    default_policies,
-    secure_reference_platform,
-)
+from repro.core.secure import SecuredPlatform, default_policies
 
 __all__ = [
     "SECURITY_BUILDER_CYCLES",
@@ -105,8 +99,6 @@ __all__ = [
     "ThreadSecurityDirectory",
     "ThreadAwareLocalFirewall",
     "THREAD_ID_ANNOTATION",
-    "SecurityConfiguration",
     "SecuredPlatform",
-    "secure_reference_platform",
     "default_policies",
 ]

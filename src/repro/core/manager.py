@@ -5,8 +5,7 @@ so the reproduction also covers the "future work" surface:
 
 * "We also plan to integrate reconfiguration of security services (i.e.
   modification of security policies) to counter some attacks against the
-  system" -- :meth:`SecurityPolicyManager.reconfigure_policy` and the
-  reaction rules that tighten an IP's policy after repeated violations.
+  system" -- :meth:`SecurityPolicyManager.reconfigure_policy`.
 * Reaction to detected attacks: quarantine of the offending IP (its Local
   Firewall blocks everything), zeroisation of cryptographic keys, and
   counting of reaction latency (cycles between the violation and the
@@ -45,7 +44,6 @@ class ReactionPolicy:
 
     quarantine_after: int = 3
     zeroise_keys_on_critical: bool = False
-    tighten_policy_after: Optional[int] = None
 
 
 @dataclass(frozen=True)

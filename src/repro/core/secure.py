@@ -1,9 +1,9 @@
 """Attach the distributed security enhancements to a platform.
 
-:func:`secure_reference_platform` takes an unprotected
-:class:`~repro.soc.system.SoCSystem` (as produced by
-:func:`repro.soc.system.build_reference_platform`) and builds the protected
-system of the paper's Figure 1:
+A :class:`SecurityPlan` lists the firewalls to attach and the rules each
+trusted Configuration Memory holds; :func:`attach_security` executes it
+against a :class:`~repro.soc.system.SoCSystem` and returns the
+:class:`SecuredPlatform` handle.  For the paper's Figure 1 that means:
 
 * a Local Firewall on every master interface (each MicroBlaze, the DMA IP),
 * a Local Firewall on every internal slave interface (BRAM, dedicated IP),
@@ -11,12 +11,12 @@ system of the paper's Figure 1:
 * one trusted Configuration Memory per firewall, one platform-wide
   :class:`SecurityMonitor` and one :class:`SecurityPolicyManager`.
 
-The default security policies follow the paper's threat model: internal
-communications are not encrypted (the LFs protect them against unauthorized
-access), while the external memory is split into a ciphered+authenticated
-window, a ciphered-only window and an unprotected window ("many systems do
-not provide a uniform protection but allow some parts of the memory to be
-unprotected or only ciphered").
+:class:`repro.scenarios.builder.ScenarioBuilder` derives the plan of every
+platform from its scenario spec.  Internal communications are not encrypted
+(the LFs protect them against unauthorized access), while the external
+memory is split into protection windows ("many systems do not provide a
+uniform protection but allow some parts of the memory to be unprotected or
+only ciphered").
 """
 
 from __future__ import annotations
@@ -28,20 +28,12 @@ from repro.core.alerts import SecurityMonitor
 from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
 from repro.core.manager import ReactionPolicy, SecurityPolicyManager
-from repro.core.policy import (
-    ConfidentialityMode,
-    ConfigurationMemory,
-    IntegrityMode,
-    ReadWriteAccess,
-    SecurityPolicy,
-)
+from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
 from repro.crypto.keys import KeyStore, random_key
 from repro.soc.system import SoCSystem
 
 __all__ = [
-    "SecurityConfiguration",
     "SecuredPlatform",
-    "secure_reference_platform",
     "default_policies",
     "PlanRule",
     "MasterFirewallPlan",
@@ -50,7 +42,6 @@ __all__ = [
     "CipheringFirewallPlan",
     "SecurityPlan",
     "FIREWALL_PLACEMENTS",
-    "default_plan",
     "attach_security",
 ]
 
@@ -67,62 +58,15 @@ __all__ = [
 FIREWALL_PLACEMENTS = ("leaf", "bridge", "both")
 
 
-# Well-known SPI values used by the default configuration.
+# Well-known SPI values of the default policies.
 SPI_INTERNAL_FULL = 1
 SPI_INTERNAL_READONLY = 2
 SPI_IP_REGISTERS = 3
-SPI_DDR_SECURE = 10
-SPI_DDR_CIPHER_ONLY = 11
 SPI_DDR_PLAIN = 12
 
 
-@dataclass
-class SecurityConfiguration:
-    """Tunable parameters of the protected platform."""
-
-    #: Attach Local Firewalls to master interfaces (CPUs, DMA).
-    protect_masters: bool = True
-    #: Attach Local Firewalls to the internal slave interfaces (BRAM, IP).
-    protect_internal_slaves: bool = True
-    #: Attach the Local Ciphering Firewall to the external memory interface.
-    protect_external_memory: bool = True
-
-    #: Size of the ciphered + authenticated window at the bottom of the DDR.
-    #: Kept small by default because the behavioural AES/SHA models are pure
-    #: Python; enlarge for experiments that need a bigger protected footprint.
-    ddr_secure_size: int = 8 * 1024
-    #: Size of the ciphered-only window that follows it.
-    ddr_cipher_only_size: int = 8 * 1024
-
-    #: Masters allowed to reach the dedicated IP's registers.  cpu2 and the
-    #: DMA engine are deliberately left out by default: they have no business
-    #: touching the IP's key/control registers, which is what makes the
-    #: hijacked-IP attack scenarios meaningful.
-    ip_masters: List[str] = field(default_factory=lambda: ["cpu0", "cpu1"])
-
-    #: DoS heuristic of the master-side firewalls (None disables it).
-    flood_threshold: Optional[int] = None
-    flood_window: int = 100
-
-    #: Reaction thresholds of the security manager.
-    reaction: ReactionPolicy = field(default_factory=ReactionPolicy)
-
-    #: Deterministic seed for key generation.
-    key_seed: int = 0x5EC0_0001
-
-    #: Capacity of each configuration memory (number of rules).
-    config_memory_capacity: int = 16
-
-    #: Provision (encrypt + authenticate) the protected DDR windows at setup.
-    #: The default is False because a freshly built platform has an all-zero
-    #: DDR, which matches the hash tree's initial state: blocks are protected
-    #: lazily on their first write.  Set True when the DDR is pre-loaded with
-    #: an image (e.g. firmware) that must be ciphered before the system runs.
-    provision_external_memory: bool = False
-
-
 def default_policies() -> Dict[str, SecurityPolicy]:
-    """The security policies installed by the default configuration."""
+    """The access-control policies plans are built from."""
     return {
         "internal_full": SecurityPolicy(
             spi=SPI_INTERNAL_FULL,
@@ -145,26 +89,6 @@ def default_policies() -> Dict[str, SecurityPolicy]:
             max_burst_length=1,
             description="word-only, single-beat access to IP registers",
         ),
-        "ddr_secure": SecurityPolicy(
-            spi=SPI_DDR_SECURE,
-            rwa=ReadWriteAccess.READ_WRITE,
-            allowed_formats=frozenset({1, 2, 4}),
-            confidentiality=ConfidentialityMode.CIPHER,
-            integrity=IntegrityMode.HASH_TREE,
-            key_spi=SPI_DDR_SECURE,
-            max_burst_length=16,
-            description="ciphered and authenticated external-memory window",
-        ),
-        "ddr_cipher_only": SecurityPolicy(
-            spi=SPI_DDR_CIPHER_ONLY,
-            rwa=ReadWriteAccess.READ_WRITE,
-            allowed_formats=frozenset({1, 2, 4}),
-            confidentiality=ConfidentialityMode.CIPHER,
-            integrity=IntegrityMode.BYPASS,
-            key_spi=SPI_DDR_CIPHER_ONLY,
-            max_burst_length=16,
-            description="ciphered-only external-memory window",
-        ),
         "ddr_plain": SecurityPolicy(
             spi=SPI_DDR_PLAIN,
             rwa=ReadWriteAccess.READ_WRITE,
@@ -186,13 +110,11 @@ class SecuredPlatform:
     def __init__(
         self,
         system: SoCSystem,
-        config: SecurityConfiguration,
         monitor: SecurityMonitor,
         manager: SecurityPolicyManager,
         key_store: KeyStore,
     ) -> None:
         self.system = system
-        self.config = config
         self.monitor = monitor
         self.manager = manager
         self.key_store = key_store
@@ -256,10 +178,8 @@ class SecuredPlatform:
 # The Figure-1 layout (every master, BRAM + IP on the slave side, one LCF on
 # the DDR) is data: a :class:`SecurityPlan` lists the firewalls to attach and
 # the rules each Configuration Memory holds, and :func:`attach_security`
-# executes any plan against any :class:`SoCSystem`.
-# ``secure_reference_platform`` builds the paper's default plan from a
-# :class:`SecurityConfiguration`; the scenario engine (:mod:`repro.scenarios`)
-# builds plans for arbitrary topologies.
+# executes any plan against any :class:`SoCSystem`.  The scenario engine
+# (:mod:`repro.scenarios`) builds the plan of every topology.
 
 
 @dataclass(frozen=True)
@@ -310,7 +230,6 @@ class CipheringFirewallPlan:
 
     slave: str
     rules: List[PlanRule] = field(default_factory=list)
-    provision: bool = False
 
 
 @dataclass
@@ -343,92 +262,13 @@ class SecurityPlan:
             )
 
 
-def default_plan(system: SoCSystem, config: SecurityConfiguration) -> SecurityPlan:
-    """The paper's Figure-1 security plan for the reference platform."""
-    policies = default_policies()
-    soc_config = system.config
-
-    bram_base = soc_config.bram_base
-    bram_size = soc_config.bram_size
-    ip_base = soc_config.ip_regs_base
-    ip_size = 4 * soc_config.ip_n_registers
-    ddr_base = soc_config.ddr_base
-    ddr_size = soc_config.ddr_size
-
-    plan = SecurityPlan(
-        keys=[(SPI_DDR_SECURE, config.key_seed), (SPI_DDR_CIPHER_ONLY, config.key_seed + 1)],
-        reaction=config.reaction,
-        config_memory_capacity=config.config_memory_capacity,
-    )
-
-    if config.protect_masters:
-        for master_name in system.master_ports:
-            rules = [
-                PlanRule(bram_base, bram_size, policies["internal_full"], label="bram"),
-                PlanRule(ddr_base, ddr_size, policies["internal_full"], label="ddr"),
-            ]
-            if master_name in config.ip_masters:
-                rules.append(PlanRule(ip_base, ip_size, policies["ip_registers"], label="ip0_regs"))
-            # Masters not listed in ip_masters simply have no rule covering the
-            # IP registers: default-deny keeps them out.
-            plan.masters.append(
-                MasterFirewallPlan(
-                    master=master_name,
-                    rules=rules,
-                    flood_threshold=config.flood_threshold,
-                    flood_window=config.flood_window,
-                )
-            )
-
-    if config.protect_internal_slaves:
-        plan.slaves.append(
-            SlaveFirewallPlan("bram", [PlanRule(bram_base, bram_size, policies["internal_full"], label="bram")])
-        )
-        plan.slaves.append(
-            SlaveFirewallPlan("ip0", [PlanRule(ip_base, ip_size, policies["ip_registers"], label="ip0")])
-        )
-
-    if config.protect_external_memory:
-        secure_size = min(config.ddr_secure_size, ddr_size)
-        cipher_only_size = min(config.ddr_cipher_only_size, ddr_size - secure_size)
-        plain_base = ddr_base + secure_size + cipher_only_size
-        plain_size = ddr_size - secure_size - cipher_only_size
-
-        rules = []
-        if secure_size > 0:
-            rules.append(PlanRule(ddr_base, secure_size, policies["ddr_secure"], label="ddr_secure"))
-        if cipher_only_size > 0:
-            rules.append(
-                PlanRule(
-                    ddr_base + secure_size,
-                    cipher_only_size,
-                    policies["ddr_cipher_only"],
-                    label="ddr_cipher_only",
-                )
-            )
-        if plain_size > 0:
-            rules.append(PlanRule(plain_base, plain_size, policies["ddr_plain"], label="ddr_plain"))
-        plan.ciphering.append(
-            CipheringFirewallPlan("ddr", rules, provision=config.provision_external_memory)
-        )
-
-    return plan
-
-
-def attach_security(
-    system: SoCSystem,
-    plan: SecurityPlan,
-    config: Optional[SecurityConfiguration] = None,
-) -> SecuredPlatform:
+def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
     """Execute a :class:`SecurityPlan` against a platform.
 
     Builds the monitor, key store and manager, then attaches one firewall per
     plan entry (master LFs, internal slave LFs, LCFs on external memories),
-    each with its own trusted Configuration Memory.  ``config`` is recorded on
-    the returned :class:`SecuredPlatform` for reporting; it does not influence
-    the attachment, which is driven entirely by the plan.
+    each with its own trusted Configuration Memory.
     """
-    config = config or SecurityConfiguration()
     sim = system.sim
 
     monitor = SecurityMonitor()
@@ -437,7 +277,7 @@ def attach_security(
     for spi, seed in plan.keys:
         key_store.install(spi, random_key(seed))
     manager = SecurityPolicyManager(sim, monitor, reaction=plan.reaction, key_store=key_store)
-    platform = SecuredPlatform(system, config, monitor, manager, key_store)
+    platform = SecuredPlatform(system, monitor, manager, key_store)
     platform.placement = plan.placement
 
     # -- master-side Local Firewalls ---------------------------------------------------
@@ -534,23 +374,7 @@ def attach_security(
         system.slave_ports[cipher_plan.slave].attach_filter(lcf)
         platform.ciphering_firewalls[cipher_plan.slave] = lcf
         manager.register_firewall(lcf)
-        if cipher_plan.provision:
-            lcf.protect_existing_contents()
 
     # Keys are provisioned; lock the store for the rest of the run.
     key_store.lock()
     return platform
-
-
-def secure_reference_platform(
-    system: SoCSystem,
-    config: Optional[SecurityConfiguration] = None,
-) -> SecuredPlatform:
-    """Attach the paper's default security plan to a reference platform.
-
-    Equivalent to ``attach_security(system, default_plan(system, config))``:
-    the paper's layout expressed as the default security plan.
-    """
-    config = config or SecurityConfiguration()
-    return attach_security(system, default_plan(system, config), config)
-

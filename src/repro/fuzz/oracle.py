@@ -158,7 +158,7 @@ class BypassOracle:
 
     def run(self, case: FuzzCase) -> OracleResult:
         """Replay one case on a fresh protected platform and judge it."""
-        built = ScenarioBuilder(self.spec, verify=False).build()
+        built = ScenarioBuilder(self.spec).build()
         system, security = built.system, built.security
         monitor = built.monitor
         guards = {

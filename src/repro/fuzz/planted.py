@@ -15,8 +15,8 @@ passes every firewall without an alert and restores real key material into
 the readable bank.  Only a stateful, sequence-aware oracle can catch it —
 which is the whole reason ``repro fuzz`` exists.
 
-The spec is intentionally NOT registered: the registry gate requires
-scenarios to be production-clean, and this one is a test fixture.
+The spec is intentionally NOT registered: registered scenarios are meant to
+be production-clean, and this one is a test fixture.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ __all__ = ["FuzzReport", "fuzz_scenario", "replay_case"]
 def replay_case(spec: ScenarioSpec, case: FuzzCase) -> List[Dict[str, object]]:
     """Replay one case after a workload run: each step's status and the
     number of alerts it raised."""
-    built = ScenarioBuilder(spec, verify=False).build()
+    built = ScenarioBuilder(spec).build()
     built.run_workload()
     monitor = built.monitor
     steps: List[Dict[str, object]] = []

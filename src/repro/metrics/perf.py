@@ -8,19 +8,20 @@ is also impacted by the percentage of internal communication versus external
 communication."
 
 This module turns that discussion into a measurable experiment: run the same
-workload on the unprotected and on the protected platform and compare
-makespans.  The comm-ratio / external-share sweeps of the E5 benchmark are
-thin wrappers around :func:`measure_execution_overhead`.
+workload on the unprotected and on the protected build of one scenario spec
+and compare makespans.  The comm-ratio / external-share sweeps of the E5
+benchmark are thin wrappers around :func:`measure_execution_overhead`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
-from repro.soc.system import SoCConfig, build_reference_platform
 from repro.soc.processor import ProcessorProgram
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (scenarios -> metrics)
+    from repro.scenarios.spec import ScenarioSpec
 
 __all__ = ["WorkloadRunResult", "OverheadResult", "run_workload", "measure_execution_overhead"]
 
@@ -78,16 +79,14 @@ class OverheadResult:
 def run_workload(
     programs: Dict[str, ProcessorProgram],
     protected: bool,
-    soc_config: Optional[SoCConfig] = None,
-    security_config: Optional[SecurityConfiguration] = None,
+    spec: "ScenarioSpec",
     max_events: Optional[int] = None,
 ) -> WorkloadRunResult:
-    """Build a fresh platform, load ``programs`` and run to completion."""
-    system = build_reference_platform(soc_config)
-    if protected:
-        # Attaches the firewalls to the system's ports as a side effect.
-        secure_reference_platform(system, security_config or SecurityConfiguration())
+    """Build a fresh ``spec`` platform, load ``programs`` and run to completion."""
+    # Imported lazily: the scenario builder imports this package.
+    from repro.scenarios.builder import ScenarioBuilder
 
+    system = ScenarioBuilder(spec).build(protected).system
     system.load_programs(programs)
     system.start_all()
     system.run(max_events=max_events)
@@ -114,18 +113,14 @@ def run_workload(
 
 
 def measure_execution_overhead(
-    programs: Dict[str, ProcessorProgram],
-    soc_config: Optional[SoCConfig] = None,
-    security_config: Optional[SecurityConfiguration] = None,
+    programs: Dict[str, ProcessorProgram], spec: "ScenarioSpec"
 ) -> OverheadResult:
-    """Run ``programs`` on both platform variants and compare makespans.
+    """Run ``programs`` on both builds of ``spec`` and compare makespans.
 
     The same program objects are reused for both runs; they carry no mutable
     state besides what the Processor tracks per run (each run constructs new
     Processor instances), so the comparison is apples-to-apples.
     """
-    baseline = run_workload(programs, protected=False, soc_config=soc_config)
-    protected = run_workload(
-        programs, protected=True, soc_config=soc_config, security_config=security_config
-    )
+    baseline = run_workload(programs, False, spec)
+    protected = run_workload(programs, True, spec)
     return OverheadResult(baseline=baseline, protected=protected)

@@ -68,7 +68,6 @@ __all__ = [
     "reference_mode",
     "run_scenario",
     "platform_factory_for",
-    "scenario_platform_factory",
 ]
 
 
@@ -85,7 +84,3 @@ def platform_factory_for(spec: ScenarioSpec):
 
     return factory
 
-
-def scenario_platform_factory(name: str):
-    """Like :func:`platform_factory_for`, resolving a registered name first."""
-    return platform_factory_for(get_scenario(name))

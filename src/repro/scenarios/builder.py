@@ -4,11 +4,12 @@
 (:mod:`repro.scenarios.spec`) and the simulation substrate: it instantiates
 the kernel, address map, bus, devices and master ports for an arbitrary
 topology, derives a :class:`repro.core.secure.SecurityPlan` from the spec's
-policy map, and attaches the distributed firewalls (or the centralized
-baseline) through the same :func:`repro.core.secure.attach_security` path the
-reference platform uses.  The result is a :class:`BuiltScenario` that can
-load the workload mix, schedule mid-run reconfigurations and instantiate the
-attack mix.
+policy map, and attaches the distributed firewalls through
+:func:`repro.core.secure.attach_security` (or the centralized baseline
+through :func:`repro.baselines.centralized.secure_platform_centralized`).
+It is the only code that builds a platform.  The result is a
+:class:`BuiltScenario` that can load the workload mix, schedule mid-run
+reconfigurations and instantiate the attack mix.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from repro.core.secure import (
     MasterFirewallPlan,
     PlanRule,
     SecuredPlatform,
-    SecurityConfiguration,
     SecurityPlan,
     SlaveFirewallPlan,
     attach_security,
@@ -72,7 +72,7 @@ ATTACK_KINDS = {
 }
 
 #: First SPI allocated to scenario-defined ciphering policies (clear of the
-#: well-known SPI_* constants of the default configuration).
+#: well-known SPI_* constants of the default policies).
 _SCENARIO_SPI_BASE = 100
 
 
@@ -201,56 +201,49 @@ class BuiltScenario:
 
 
 class ScenarioBuilder:
-    """Build :class:`BuiltScenario` instances from a :class:`ScenarioSpec`."""
+    """Build :class:`BuiltScenario` instances from a :class:`ScenarioSpec`.
 
-    def __init__(self, spec: ScenarioSpec, *, verify: Optional[bool] = None) -> None:
+    ``verify=True`` runs the static verifier first and raises
+    :class:`~repro.staticcheck.findings.StaticCheckError` when the spec has
+    error findings.
+    """
+
+    def __init__(self, spec: ScenarioSpec, *, verify: bool = False) -> None:
         spec.validate()
         self.spec = spec
-        # Optional fail-fast gate on ERROR-severity static findings: on by
-        # default iff `repro.staticcheck.gate.set_fail_fast(True)` was
-        # called; `verify=False` opts a construction out (the analyzer uses
-        # this while verifying, so verification can never recurse).
-        if verify is None:
-            from repro.staticcheck.gate import fail_fast_enabled
-
-            verify = fail_fast_enabled()
+        # Imported lazily: the analyzer itself builds through this class.
         if verify:
-            from repro.staticcheck.gate import enforce
+            from repro.staticcheck.analyzer import verify_spec
+            from repro.staticcheck.findings import StaticCheckError
 
-            enforce(spec, where="ScenarioBuilder")
+            report = verify_spec(spec)
+            if report.has_errors:
+                raise StaticCheckError(report)
 
     # -- platform construction ----------------------------------------------------------
 
     def _mirror_config(self) -> SoCConfig:
         """A :class:`SoCConfig` mirroring the primary devices of the topology.
 
-        Legacy code (attacks, workload generators, the centralized baseline)
-        addresses the platform through ``system.config``; pointing its fields
-        at the scenario's primary bram/ip/ddr keeps that code working on any
+        Attacks, workload generators and the centralized baseline address
+        the platform through ``system.config``; pointing its fields at the
+        scenario's primary bram/ip/ddr keeps that code working on any
         topology that has them.
         """
         topology = self.spec.topology
-        config = SoCConfig(
-            n_processors=len(topology.cpu_masters()),
-            with_dma=any(m.kind == "dma" for m in topology.masters),
-        )
+        config = SoCConfig()
         bram = topology.primary("bram")
         if bram is not None:
             config.bram_base = bram.base
             config.bram_size = bram.size
-            config.bram_latency = bram.latency
         ip = topology.primary("ip")
         if ip is not None:
             config.ip_regs_base = ip.base
             config.ip_n_registers = ip.n_registers
-            config.ip_access_latency = ip.access_latency
-            config.ip_sensitive_registers = list(ip.sensitive_registers)
         ddr = topology.primary("ddr")
         if ddr is not None:
             config.ddr_base = ddr.base
             config.ddr_size = ddr.size
-            config.ddr_row_hit_latency = ddr.row_hit_latency
-            config.ddr_row_miss_latency = ddr.row_miss_latency
         return config
 
     def _build_interconnect(self, sim: Simulator):
@@ -511,14 +504,7 @@ class ScenarioBuilder:
         if not protected:
             return BuiltScenario(self.spec, system, None)
         if self.spec.enforcement == "centralized":
-            security = secure_platform_centralized(
-                system,
-                SecurityConfiguration(config_memory_capacity=self.spec.config_memory_capacity),
-            )
+            security = secure_platform_centralized(system, self.spec.config_memory_capacity)
         else:
-            security = attach_security(
-                system,
-                self.build_plan(),
-                SecurityConfiguration(config_memory_capacity=self.spec.config_memory_capacity),
-            )
+            security = attach_security(system, self.build_plan())
         return BuiltScenario(self.spec, system, security)

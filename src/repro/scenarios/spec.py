@@ -515,6 +515,6 @@ class ScenarioSpec:
             for kind in ("bram", "ddr", "ip"):
                 if self.topology.primary(kind) is None:
                     raise ValueError(
-                        "centralized enforcement mirrors the reference platform "
+                        "centralized enforcement mirrors the Figure-1 layout "
                         f"and needs a primary {kind} slave"
                     )

@@ -61,7 +61,7 @@ from repro.soc.fabric import (
 from repro.soc.memory import BlockRAM, ExternalDDR, MemoryDevice
 from repro.soc.processor import MemoryOperation, Processor, ProcessorProgram
 from repro.soc.ip import DMAEngine, RegisterFileIP
-from repro.soc.system import SoCConfig, SoCSystem, build_reference_platform
+from repro.soc.system import SoCConfig, SoCSystem
 
 __all__ = [
     "Simulator",
@@ -98,5 +98,4 @@ __all__ = [
     "RegisterFileIP",
     "SoCConfig",
     "SoCSystem",
-    "build_reference_platform",
 ]

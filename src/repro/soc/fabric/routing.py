@@ -3,11 +3,14 @@
 The runtime datapath never consults this module: each segment's address map
 carries proxy regions pointing at the next-hop bridge endpoint, so routing a
 transaction is exactly one (memoised) ``AddressMap.decode`` per hop.  The
-router is the *control plane* that places those proxy regions: it runs a BFS
-over the segment/bridge graph to find the shortest bridge path between any
-two segments (ties broken by bridge registration order, deterministically),
-and it answers whole-path queries — "which bridges does an access from
-segment S to address A cross?" — for the metrics layer and for tests.
+router is the *control plane* that places those proxy regions: it runs
+:func:`bridge_paths`, a BFS over the segment/bridge graph that finds the
+shortest bridge path between any two segments (ties broken by bridge
+registration order, deterministically), and it answers whole-path queries —
+"which bridges does an access from segment S to address A cross?" — for the
+metrics layer and for tests.  The static verifier runs the same
+:func:`bridge_paths` over a spec, so it reasons about the routes the
+datapath installs.
 
 Resolved routes are memoised in a bounded LRU keyed by
 ``(segment, address, size)``, mirroring the decode cache of
@@ -18,11 +21,39 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.soc.address_map import AddressRegion, DecodeError
 
-__all__ = ["Route", "FabricRouter", "RoutingError"]
+__all__ = ["Route", "FabricRouter", "RoutingError", "bridge_paths"]
+
+
+def bridge_paths(
+    segments: Iterable[str], bridges: Iterable[Tuple[str, str, str]]
+) -> Dict[Tuple[str, str], Tuple[str, ...]]:
+    """Shortest bridge path between every pair of connected segments.
+
+    ``bridges`` are ``(name, a, b)`` triples in declaration order.  The BFS
+    visits neighbours in that order from a FIFO frontier, so equal-length
+    paths break ties by declaration order.  Unconnected pairs are absent.
+    """
+    segments = list(segments)
+    adjacency: Dict[str, List[Tuple[str, str]]] = {name: [] for name in segments}
+    for name, a, b in bridges:
+        adjacency[a].append((b, name))
+        adjacency[b].append((a, name))
+    paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+    for source in segments:
+        paths[(source, source)] = ()
+        frontier = deque([source])
+        while frontier:
+            current = frontier.popleft()
+            path_here = paths[(source, current)]
+            for neighbour, bridge_name in adjacency[current]:
+                if (source, neighbour) not in paths:
+                    paths[(source, neighbour)] = path_here + (bridge_name,)
+                    frontier.append(neighbour)
+    return paths
 
 
 class RoutingError(Exception):
@@ -63,28 +94,12 @@ class FabricRouter:
     # -- control plane -----------------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Recompute every segment-to-segment bridge path (BFS per source)."""
-        self._paths.clear()
+        """Recompute every segment-to-segment bridge path."""
         self._route_cache.clear()
-        adjacency: Dict[str, List[Tuple[str, str]]] = {
-            name: [] for name in self._fabric.segments
-        }
-        for bridge in self._fabric.bridges.values():
-            a, b = bridge.segment_names
-            adjacency[a].append((b, bridge.name))
-            adjacency[b].append((a, bridge.name))
-
-        for source in self._fabric.segments:
-            self._paths[(source, source)] = ()
-            frontier = deque([source])
-            while frontier:
-                current = frontier.popleft()
-                path_here = self._paths[(source, current)]
-                for neighbour, bridge_name in adjacency[current]:
-                    if (source, neighbour) in self._paths:
-                        continue
-                    self._paths[(source, neighbour)] = path_here + (bridge_name,)
-                    frontier.append(neighbour)
+        self._paths = bridge_paths(
+            self._fabric.segments,
+            ((bridge.name, *bridge.segment_names) for bridge in self._fabric.bridges.values()),
+        )
 
     def path(self, source: str, destination: str) -> Tuple[str, ...]:
         """Bridge names crossed from ``source`` to ``destination``."""

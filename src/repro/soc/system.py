@@ -1,14 +1,17 @@
-"""Declarative construction of the reference platform (paper Figure 1).
+"""Handle on a constructed platform: simulator, interconnect, devices, ports.
 
-The evaluated system "contains 3 MicroBlaze softcore microprocessors, one
-internal shared memory (BRAM blocks), one external memory (DDR RAM) and one
-dedicated IP" (paper, section V).  :func:`build_reference_platform` builds
-exactly that topology, *without* any security enhancement — the security layer
-of :mod:`repro.core` attaches firewalls to the returned ports afterwards, so
-the same builder produces both the "w/o firewalls" baseline and the protected
-system of Table I.
+Every platform — the paper's Figure 1 ("3 MicroBlaze softcore
+microprocessors, one internal shared memory (BRAM blocks), one external
+memory (DDR RAM) and one dedicated IP", section V) and any other topology —
+is assembled by :class:`repro.scenarios.builder.ScenarioBuilder` from a
+scenario spec onto a :class:`SoCSystem`.  The security layer of
+:mod:`repro.core` attaches firewalls to its ports afterwards, so the same
+build produces both the "w/o firewalls" baseline and the protected system.
 
-The default memory map mirrors a typical MicroBlaze/PLB design:
+:class:`SoCConfig` mirrors the address geometry of the primary BRAM,
+dedicated IP and DDR, which attacks, workload generators and the
+centralized baseline address.  Its defaults, used for a topology without
+one of those slaves, are the paper's reference memory map:
 
 ========== ============ =========== ==========================
 region      base          size        slave
@@ -21,11 +24,10 @@ ddr         0x9000_0000   16 MiB      external DDR (off-chip)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.soc.address_map import AddressMap
-from repro.soc.bus import Arbiter, RoundRobinArbiter, SystemBus
 from repro.soc.fabric import Interconnect
 from repro.soc.ip import DMAEngine, RegisterFileIP
 from repro.soc.kernel import Simulator
@@ -33,39 +35,19 @@ from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.ports import MasterPort, SlavePort
 from repro.soc.processor import Processor, ProcessorProgram
 
-__all__ = ["SoCConfig", "SoCSystem", "build_reference_platform"]
+__all__ = ["SoCConfig", "SoCSystem"]
 
 
 @dataclass
 class SoCConfig:
-    """Parameters of the reference platform."""
-
-    n_processors: int = 3
-    with_dma: bool = True
-    clock_frequency_hz: float = 100e6
+    """Address geometry of the primary BRAM, dedicated IP and DDR."""
 
     bram_base: int = 0x0000_0000
     bram_size: int = 128 * 1024
-    bram_latency: int = 1
-
     ip_regs_base: int = 0x4000_0000
     ip_n_registers: int = 64
-    ip_access_latency: int = 2
-    ip_sensitive_registers: List[int] = field(default_factory=lambda: [0, 1, 2, 3])
-
     ddr_base: int = 0x9000_0000
     ddr_size: int = 16 * 1024 * 1024
-    ddr_row_hit_latency: int = 10
-    ddr_row_miss_latency: int = 30
-
-    address_phase_cycles: int = 1
-    data_phase_cycles_per_beat: int = 1
-
-    def validate(self) -> None:
-        if self.n_processors < 1:
-            raise ValueError("platform needs at least one processor")
-        if self.bram_size <= 0 or self.ddr_size <= 0:
-            raise ValueError("memory sizes must be positive")
 
 
 class SoCSystem:
@@ -112,10 +94,8 @@ class SoCSystem:
 
     # -- generic assembly ------------------------------------------------------------
     #
-    # The reference builder below and the scenario engine
-    # (:mod:`repro.scenarios.builder`) both assemble platforms from these
-    # primitives, so an arbitrary topology gets the exact same port/bus wiring
-    # as the paper's Figure-1 system.  ``segment`` selects which fabric
+    # The scenario engine (:mod:`repro.scenarios.builder`) assembles every
+    # platform from these primitives.  ``segment`` selects which fabric
     # segment the port attaches to; None means the default segment, which on
     # the flat :class:`SystemBus` is the bus itself.
 
@@ -218,64 +198,3 @@ class SoCSystem:
                 for region in self.address_map
             ],
         }
-
-
-def build_reference_platform(
-    config: Optional[SoCConfig] = None,
-    arbiter: Optional[Arbiter] = None,
-) -> SoCSystem:
-    """Build the unprotected Figure-1 platform.
-
-    Returns a :class:`SoCSystem` whose ports carry no filters; attach
-    firewalls with :func:`repro.core.secure.secure_reference_platform` to
-    obtain the protected variant.
-    """
-    config = config or SoCConfig()
-    config.validate()
-
-    sim = Simulator(clock_frequency_hz=config.clock_frequency_hz)
-
-    address_map = AddressMap()
-    address_map.add_region("bram", config.bram_base, config.bram_size, slave="bram", external=False)
-    address_map.add_region(
-        "ip0_regs", config.ip_regs_base, 4 * config.ip_n_registers, slave="ip0", external=False
-    )
-    address_map.add_region("ddr", config.ddr_base, config.ddr_size, slave="ddr", external=True)
-
-    bus = SystemBus(
-        sim,
-        address_map=address_map,
-        arbiter=arbiter or RoundRobinArbiter(),
-        address_phase_cycles=config.address_phase_cycles,
-        data_phase_cycles_per_beat=config.data_phase_cycles_per_beat,
-    )
-    system = SoCSystem(sim, bus, config)
-
-    # Slave devices and their ports.
-    bram = BlockRAM(
-        sim, "bram", base=config.bram_base, size=config.bram_size,
-        read_latency=config.bram_latency, write_latency=config.bram_latency,
-    )
-    ddr = ExternalDDR(
-        sim, "ddr", base=config.ddr_base, size=config.ddr_size,
-        row_hit_latency=config.ddr_row_hit_latency,
-        row_miss_latency=config.ddr_row_miss_latency,
-    )
-    ip0 = RegisterFileIP(
-        sim, "ip0", base=config.ip_regs_base, n_registers=config.ip_n_registers,
-        access_latency=config.ip_access_latency,
-        sensitive_registers=config.ip_sensitive_registers,
-    )
-    system.add_memory(bram)
-    system.add_memory(ddr)
-    system.add_ip(ip0)
-
-    # Processors and their master ports.
-    for index in range(config.n_processors):
-        system.add_processor(f"cpu{index}")
-
-    # Dedicated DMA master.
-    if config.with_dma:
-        system.add_dma("dma")
-
-    return system

@@ -18,14 +18,9 @@ from repro.staticcheck.findings import (
     EXPECTATIONS,
     SEVERITIES,
     Finding,
+    StaticCheckError,
     VerificationReport,
     Witness,
-)
-from repro.staticcheck.gate import (
-    StaticCheckError,
-    enforce,
-    fail_fast_enabled,
-    set_fail_fast,
 )
 
 __all__ = [
@@ -41,7 +36,4 @@ __all__ = [
     "confirm_witness",
     "confirm_report",
     "StaticCheckError",
-    "set_fail_fast",
-    "fail_fast_enabled",
-    "enforce",
 ]

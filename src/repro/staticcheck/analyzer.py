@@ -40,7 +40,6 @@ guarded routes are recorded as coverage witnesses so
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.scenarios.spec import (
@@ -50,6 +49,7 @@ from repro.scenarios.spec import (
     SlaveSpec,
     TopologySpec,
 )
+from repro.soc.fabric.routing import bridge_paths
 from repro.staticcheck.findings import Finding, VerificationReport, Witness
 
 __all__ = ["verify_spec", "verify_scenario", "segment_paths"]
@@ -60,32 +60,13 @@ PROBE_PAYLOAD = b"\x5e\xcc\x0d\xe5"
 
 
 def segment_paths(topology: TopologySpec) -> Dict[Tuple[str, str], Tuple[str, ...]]:
-    """Bridge path between every segment pair, mirroring FabricRouter's BFS.
-
-    Adjacency is built in bridge declaration order and the frontier is a
-    FIFO, so tie-breaking matches :meth:`FabricRouter.rebuild` exactly —
-    the analyzer reasons about the same routes the datapath installs.
-    """
-    adjacency: Dict[str, List[Tuple[str, str]]] = {
-        segment.name: [] for segment in topology.segments
-    }
-    for bridge in topology.bridges:
-        adjacency[bridge.a].append((bridge.b, bridge.name))
-        adjacency[bridge.b].append((bridge.a, bridge.name))
-    paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-    for segment in topology.segments:
-        source = segment.name
-        paths[(source, source)] = ()
-        frontier = deque([source])
-        while frontier:
-            current = frontier.popleft()
-            path_here = paths[(source, current)]
-            for neighbour, bridge_name in adjacency[current]:
-                if (source, neighbour) in paths:
-                    continue
-                paths[(source, neighbour)] = path_here + (bridge_name,)
-                frontier.append(neighbour)
-    return paths
+    """Bridge path between every segment pair: the search
+    :meth:`FabricRouter.rebuild` runs, so the analyzer reasons about the
+    same routes the datapath installs."""
+    return bridge_paths(
+        (segment.name for segment in topology.segments),
+        ((bridge.name, bridge.a, bridge.b) for bridge in topology.bridges),
+    )
 
 
 def _segments_along(
@@ -227,7 +208,7 @@ class _Analysis:
         from repro.soc.kernel import Simulator
 
         # Building the interconnect alone is cheap (no devices, no security).
-        fabric = ScenarioBuilder(self.spec, verify=False)._build_interconnect(Simulator())
+        fabric = ScenarioBuilder(self.spec)._build_interconnect(Simulator())
         slaves_by_region = {slave.region_name: slave for slave in self.topology.slaves}
         for segment_name, segment in fabric.segments.items():
             for region in segment.address_map:
@@ -413,7 +394,7 @@ class _Analysis:
     def check_dead_rules(self) -> None:
         from repro.scenarios.builder import ScenarioBuilder
 
-        plan = ScenarioBuilder(self.spec, verify=False).build_plan()
+        plan = ScenarioBuilder(self.spec).build_plan()
         spans = [(slave.base, slave.end) for slave in self.topology.slaves]
 
         def mapped(base: int, size: int) -> bool:

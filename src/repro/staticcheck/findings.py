@@ -15,8 +15,8 @@ Severities:
 
 * ``error`` — the plan claims a protection it cannot deliver (unguarded
   path, protection window with no ciphering firewall, proxy region diverging
-  from the routed map).  ``repro verify`` exits non-zero and the optional
-  fail-fast gate (:mod:`repro.staticcheck.gate`) raises.
+  from the routed map).  ``repro verify`` exits non-zero and
+  ``ScenarioBuilder(spec, verify=True)`` raises :class:`StaticCheckError`.
 * ``warning`` — honest but lossy configurations: per-master restrictions a
   bridge-only placement structurally cannot express, rules no reachable
   tuple can match.
@@ -36,6 +36,7 @@ __all__ = [
     "Witness",
     "Finding",
     "VerificationReport",
+    "StaticCheckError",
 ]
 
 
@@ -184,3 +185,17 @@ class VerificationReport:
             "findings": [f.to_dict() for f in self.findings],
             "coverage": [w.to_dict() for w in self.coverage],
         }
+
+
+class StaticCheckError(ValueError):
+    """``ScenarioBuilder(spec, verify=True)`` found ERROR findings in a spec."""
+
+    def __init__(self, report: VerificationReport) -> None:
+        self.report = report
+        lines = [
+            f"static verification of {report.scenario!r} failed: "
+            f"{len(report.errors)} error finding(s)"
+        ]
+        for finding in report.errors:
+            lines.append(f"  [{finding.code}] {finding.subject}: {finding.message}")
+        super().__init__("\n".join(lines))

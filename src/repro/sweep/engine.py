@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.api.experiment import Experiment
 from repro.scenarios.spec import ScenarioSpec
-from repro.staticcheck.gate import enforce
 from repro.sweep.spec import SweepPoint, SweepSpec, point_key
 from repro.sweep.store import ResultStore, code_fingerprint
 
@@ -158,10 +157,6 @@ class SweepRunner:
         jobs: List[SweepJob] = []
         for point in plan.points:
             resolved = point.resolve_spec(plan.bases[point.scenario])
-            # Fail-fast static verification (no-op unless the gate is on):
-            # a grid cell whose resolved spec claims an unenforceable
-            # protection dies here, before it burns a store slot.
-            enforce(resolved, where=f"sweep point {point.point_id}")
             key = point_key(point, resolved, self.fingerprint)
             report.keys[point.point_id] = key
             if self.store.has(key):

@@ -130,7 +130,7 @@ def _posted_overflow_platform() -> Tuple[SoCSystem, LocalFirewall]:
     fabric.add_region("bram1", _REMOTE_BASE, 0x1000, slave="bram1", segment="seg1")
     fabric.finalize()
 
-    system = SoCSystem(sim, fabric, SoCConfig(n_processors=1, with_dma=False))
+    system = SoCSystem(sim, fabric, SoCConfig())
     system.add_memory(BlockRAM(sim, "bram0", base=0x0000, size=0x1000), segment="seg0")
     remote = system.add_memory(
         BlockRAM(sim, "bram1", base=_REMOTE_BASE, size=0x1000), segment="seg1"

@@ -28,14 +28,15 @@ import sys
 
 import pytest
 
+if __name__ == "__main__":  # run as a script: make ``tests.conftest`` importable
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
+
 from repro.attacks.runner import CampaignRunner
-from repro.baselines.centralized import CentralizedPlatform, secure_platform_centralized
-from repro.core.manager import ReactionPolicy
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
-from repro.scenarios import get_scenario, instantiate_attacks
+from repro.baselines.centralized import CentralizedPlatform
+from repro.scenarios import get_scenario, instantiate_attacks, platform_factory_for
 from repro.scenarios.differential import _alert_fingerprint, _memory_digests
-from repro.soc.system import build_reference_platform
 from repro.workloads.generators import make_uniform_programs
+from tests.conftest import build_figure1, figure1_spec
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "golden" / "figure1_fingerprints.json"
 
@@ -45,25 +46,10 @@ WINDOWS = (8 * 1024, 1024)
 CONFIG_FIELDS = ("bram_base", "bram_size", "ip_regs_base", "ip_n_registers", "ddr_base", "ddr_size")
 
 
-def _platform(window: int, protected: bool = True, centralized: bool = False,
-              flood_threshold=None):
-    """``(system, security_or_None)`` for the Figure-1 platform."""
-    system = build_reference_platform()
-    if not protected:
-        return system, None
-    if centralized:
-        return system, secure_platform_centralized(system)
-    config = SecurityConfiguration(
-        ddr_secure_size=window,
-        ddr_cipher_only_size=window,
-        reaction=ReactionPolicy(quarantine_after=3),
-        flood_threshold=flood_threshold,
-    )
-    return system, secure_reference_platform(system, config)
-
-
-def _factory(window: int):
-    return lambda protected: _platform(window, protected, flood_threshold=20)
+def _platform(window: int, centralized: bool = False):
+    """``(system, security)`` for the protected Figure-1 platform."""
+    enforcement = "centralized" if centralized else "distributed"
+    return build_figure1(window=window, enforcement=enforcement)
 
 
 def _digest(value) -> str:
@@ -118,7 +104,8 @@ def _workload_run(window: int, centralized: bool) -> dict:
 
 def _campaign(window: int) -> dict:
     attacks = instantiate_attacks(get_scenario("attack_heavy"))
-    report = CampaignRunner(attacks, _factory(window)).run()
+    factory = platform_factory_for(figure1_spec(window, flood_threshold=20))
+    report = CampaignRunner(attacks, factory).run()
     rows = [
         {
             "attack": row.attack,
@@ -150,7 +137,7 @@ def _campaign(window: int) -> dict:
 
 def _fingerprint(window: int) -> dict:
     system, security = _platform(window)
-    central_system, central = _platform(window, centralized=True)
+    _, central = _platform(window, centralized=True)
     return {
         "rules": _installed_rules(security),
         "centralized_rules": _installed_rules(central),

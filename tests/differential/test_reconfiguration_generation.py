@@ -10,18 +10,9 @@ judged by the new rule — on cached and uncached builds alike.
 from __future__ import annotations
 
 from repro.core.policy import ReadWriteAccess
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
-
-def _secured():
-    system = build_reference_platform()
-    security = secure_reference_platform(
-        system,
-        SecurityConfiguration(ddr_secure_size=1024, ddr_cipher_only_size=1024),
-    )
-    return system, security
+from tests.conftest import build_figure1
 
 
 def _issue_write(system, master: str, address: int) -> BusTransaction:
@@ -37,7 +28,7 @@ def _issue_write(system, master: str, address: int) -> BusTransaction:
 
 class TestGenerationCounterInvalidation:
     def test_master_firewall_sees_new_rule_on_next_transaction(self):
-        system, security = _secured()
+        system, security = build_figure1()
         firewall = security.master_firewalls["cpu0"]
         memory = firewall.config_memory
         bram_base = system.config.bram_base
@@ -62,7 +53,7 @@ class TestGenerationCounterInvalidation:
         assert alerts and alerts[-1].violation.value == "unauthorized_write"
 
     def test_rule_removal_reverts_to_default_deny_immediately(self):
-        system, security = _secured()
+        system, security = build_figure1()
         firewall = security.master_firewalls["cpu1"]
         memory = firewall.config_memory
         ddr_base = system.config.ddr_base
@@ -77,7 +68,7 @@ class TestGenerationCounterInvalidation:
         assert security.monitor.alerts[-1].violation.value == "policy_miss"
 
     def test_lcf_region_memo_tracks_generation(self):
-        system, security = _secured()
+        system, security = build_figure1()
         lcf = security.ciphering_firewall
         ddr_base = system.config.ddr_base
 
@@ -100,7 +91,7 @@ class TestGenerationCounterInvalidation:
         identical statuses and alert streams with decision caches on and off."""
         outcomes = []
         for cache_decisions in (True, False):
-            system, security = _secured()
+            system, security = build_figure1()
             for firewall in security.all_firewalls:
                 firewall.security_builder.cache_enabled = (
                     cache_decisions and firewall.security_builder.cache_enabled

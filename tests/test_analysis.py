@@ -10,12 +10,12 @@ from repro.analysis.report import (
     render_table2,
 )
 from repro.analysis.tables import format_resource_table, format_table
-from repro.core.secure import secure_reference_platform
+from repro.core.secure import attach_security
 from repro.metrics.area import generate_table1
 from repro.metrics.latency import Table2Row
-from repro.soc.system import build_reference_platform
+from repro.scenarios import ScenarioBuilder
 
-from tests.conftest import make_security_config
+from tests.conftest import figure1_spec
 
 
 class TestFormatTable:
@@ -97,12 +97,13 @@ class TestExperimentRecord:
 
 class TestArchitectureReport:
     def test_render_unprotected_vs_protected(self):
-        system = build_reference_platform()
+        builder = ScenarioBuilder(figure1_spec())
+        system = builder.build(protected=False).system
         unprotected = ArchitectureReport(system.describe_topology())
         assert unprotected.firewall_count() == 0
         assert "(no firewall)" in unprotected.render()
 
-        secure_reference_platform(system, make_security_config())
+        attach_security(system, builder.build_plan())
         protected = ArchitectureReport(system.describe_topology())
         assert protected.firewall_count() == len(system.master_ports) + len(system.slave_ports)
         rendered = protected.render()

@@ -26,11 +26,11 @@ from repro.api import (
     attach_instrumentation,
 )
 from repro.attacks.runner import CampaignRunner
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
 from repro.scenarios import get_scenario, instantiate_attacks, platform_factory_for
 from repro.scenarios.differential import diff_fingerprints
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+
+from tests.conftest import build_figure1
 
 
 def _stream_fingerprint(sink: InMemorySink):
@@ -244,12 +244,11 @@ class TestDirectWiring:
     """The bus works on hand-assembled platforms, not only through Experiment."""
 
     def test_alert_and_containment_events(self):
-        system = build_reference_platform()
-        security = secure_reference_platform(system, SecurityConfiguration())
+        system, security = build_figure1(window=8 * 1024)
         sink = InMemorySink()
         attach_instrumentation(system, security, EventBus([sink]))
 
-        # cpu2 is not in ip_masters: its LF has no rule for the IP registers.
+        # cpu2 may not touch the IP: its LF has no rule for the IP registers.
         probe = BusTransaction(
             master="cpu2", operation=BusOperation.READ,
             address=system.config.ip_regs_base, width=4,
@@ -269,8 +268,7 @@ class TestDirectWiring:
 
     def test_count_fast_path_matches_full_sink(self):
         def counts_with(sink_factory):
-            system = build_reference_platform()
-            security = secure_reference_platform(system, SecurityConfiguration())
+            system, security = build_figure1(window=8 * 1024)
             sink = sink_factory()
             attach_instrumentation(system, security, EventBus([sink]))
             txn = BusTransaction(

@@ -15,9 +15,9 @@ import repro
 from repro.api import Experiment, ExperimentResult, RESULT_SCHEMA_VERSION
 from repro.api.cli import main as cli_main
 from repro.attacks.runner import CampaignRunner, shard_seed
-from repro.core.secure import SecurityConfiguration, secure_reference_platform
 from repro.scenarios import ScenarioBuilder, get_scenario, list_scenarios
-from repro.soc.system import build_reference_platform
+
+from tests.conftest import build_figure1
 
 #: The stable top-level key set of ``ExperimentResult.to_dict()``.
 RESULT_KEYS = {
@@ -165,8 +165,7 @@ class TestSummaryPlacement:
         assert {"lf_br01", "lf_br12"} <= set(summary["firewalls"])
 
     def test_flat_platform_summary_reports_leaf_placement(self):
-        system = build_reference_platform()
-        security = secure_reference_platform(system, SecurityConfiguration())
+        system, security = build_figure1(window=8 * 1024)
         summary = security.summary()
         assert summary["placement"] == "leaf"
         assert summary["bridge_firewalls"] == []

@@ -15,10 +15,9 @@ from repro.attacks import (
     SensitiveRegisterProbe,
     SpoofingAttack,
 )
-from repro.attacks.campaign import default_platform_factory
-from repro.core.secure import SecurityConfiguration
+from repro.scenarios import platform_factory_for
 
-from tests.conftest import make_security_config
+from tests.conftest import build_figure1, figure1_spec
 
 
 class TestAttackResult:
@@ -145,12 +144,7 @@ class TestDoSAttack:
         assert result.extra["reached_bus"] == 50
 
     def test_flood_throttled_by_firewall(self):
-        factory = default_platform_factory(
-            security_config=SecurityConfiguration(
-                ddr_secure_size=1024, ddr_cipher_only_size=1024, flood_threshold=10
-            )
-        )
-        system, security = factory(True)
+        system, security = build_figure1(flood_threshold=10)
         result = DoSFloodAttack(n_requests=100).run(system, security)
         assert result.detected
         assert not result.achieved_goal
@@ -166,12 +160,10 @@ class TestDoSAttack:
 class TestCampaign:
     def test_requires_at_least_one_attack(self):
         with pytest.raises(ValueError):
-            CampaignRunner([])
+            CampaignRunner([], platform_factory_for(figure1_spec()))
 
     def test_small_campaign_matrix(self):
-        factory = default_platform_factory(
-            security_config=make_security_config(flood_threshold=20)
-        )
+        factory = platform_factory_for(figure1_spec(flood_threshold=20))
         campaign = CampaignRunner(
             [SpoofingAttack(), SensitiveRegisterProbe()], platform_factory=factory
         )

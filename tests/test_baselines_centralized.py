@@ -4,11 +4,9 @@ the paper's distributed firewalls."""
 
 from repro.baselines import CentralizedSecurityModule, secure_platform_centralized
 from repro.core.alerts import ViolationType
-from repro.core.secure import secure_reference_platform
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
-from tests.conftest import make_security_config
+from tests.conftest import build_figure1
 
 
 def issue(system, master, txn):
@@ -27,8 +25,8 @@ def malformed_ip_write(master="cpu1"):
 
 
 class TestCentralizedModule:
-    def test_legitimate_traffic_allowed(self):
-        system = build_reference_platform()
+    def test_legitimate_traffic_allowed(self, plain_platform):
+        system = plain_platform
         baseline = secure_platform_centralized(system)
         cfg = system.config
         txn = issue(system, "cpu0", BusTransaction(
@@ -38,8 +36,8 @@ class TestCentralizedModule:
         assert baseline.monitor.count() == 0
         assert baseline.module.evaluations >= 1
 
-    def test_violation_detected_but_only_at_the_slave_side(self):
-        system = build_reference_platform()
+    def test_violation_detected_but_only_at_the_slave_side(self, plain_platform):
+        system = plain_platform
         baseline = secure_platform_centralized(system)
         txn = issue(system, "cpu1", malformed_ip_write()(system.config))
         assert txn.status is TransactionStatus.BLOCKED_AT_SLAVE
@@ -47,8 +45,8 @@ class TestCentralizedModule:
         # Centralisation's weakness: the malicious transaction did occupy the bus.
         assert "cpu1" in system.bus.monitor.per_master
 
-    def test_concurrent_masters_all_get_checked(self):
-        system = build_reference_platform()
+    def test_concurrent_masters_all_get_checked(self, plain_platform):
+        system = plain_platform
         baseline = secure_platform_centralized(system)
         cfg = system.config
         # Three masters issue simultaneously; every access goes through the SEM.
@@ -67,7 +65,7 @@ class TestCentralizedModule:
 
     def test_sem_queueing_when_checks_overlap(self):
         """Directly exercise the SEM's single-port serialisation (the bus
-        serialises traffic in the reference platform, so this drives the
+        serialises traffic in the Figure-1 platform, so this drives the
         module standalone as a pipelined interconnect would)."""
         from repro.core.policy import ConfigurationMemory, SecurityPolicy
         from repro.soc.kernel import Simulator
@@ -86,8 +84,8 @@ class TestCentralizedModule:
         assert latency_2 == 2 * sem.check_latency
         assert sem.stats["queued_evaluations"] == 1
 
-    def test_summary_and_area_estimate(self):
-        system = build_reference_platform()
+    def test_summary_and_area_estimate(self, plain_platform):
+        system = plain_platform
         baseline = secure_platform_centralized(system)
         issue(system, "cpu1", malformed_ip_write()(system.config))
         summary = baseline.summary()
@@ -106,11 +104,10 @@ class TestDistributedVsCentralized:
         the malicious transaction off the shared bus."""
         cfg_factory = malformed_ip_write()
 
-        distributed_system = build_reference_platform()
-        secure_reference_platform(distributed_system, make_security_config())
+        distributed_system, _ = build_figure1()
         d_txn = issue(distributed_system, "cpu1", cfg_factory(distributed_system.config))
 
-        centralized_system = build_reference_platform()
+        centralized_system, _ = build_figure1(protected=False)
         secure_platform_centralized(centralized_system)
         c_txn = issue(centralized_system, "cpu1", cfg_factory(centralized_system.config))
 
@@ -122,11 +119,10 @@ class TestDistributedVsCentralized:
     def test_flood_reaches_bus_only_in_centralized_design(self):
         from repro.attacks import DoSFloodAttack
 
-        distributed_system = build_reference_platform()
-        d_security = secure_reference_platform(distributed_system, make_security_config(flood_threshold=10))
+        distributed_system, d_security = build_figure1(flood_threshold=10)
         d_result = DoSFloodAttack(n_requests=60).run(distributed_system, d_security)
 
-        centralized_system = build_reference_platform()
+        centralized_system, _ = build_figure1(protected=False)
         secure_platform_centralized(centralized_system)
         c_before = centralized_system.bus.monitor.count()
         DoSFloodAttack(n_requests=60).run(centralized_system, None)

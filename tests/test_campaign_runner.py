@@ -17,14 +17,10 @@ from repro.attacks import (
     HijackedIPAttack,
     SpoofingAttack,
 )
-from repro.attacks.campaign import default_platform_factory
 from repro.attacks.runner import shard_seed
-from repro.core.secure import SecurityConfiguration
-from repro.scenarios import get_scenario
+from repro.scenarios import get_scenario, platform_factory_for
 
-SECURITY = SecurityConfiguration(
-    ddr_secure_size=1024, ddr_cipher_only_size=1024, flood_threshold=20
-)
+from tests.conftest import figure1_spec
 
 
 def _attacks():
@@ -32,7 +28,7 @@ def _attacks():
 
 
 def _factory():
-    return default_platform_factory(security_config=SECURITY)
+    return platform_factory_for(figure1_spec(flood_threshold=20))
 
 
 def _row_fingerprint(report):
@@ -71,15 +67,12 @@ class TestCampaignRunner:
         assert report.metrics["wall_seconds"] >= 0
         assert "scenario" not in report.metrics
 
-    def test_default_factory_is_the_reference_platform(self):
-        report = CampaignRunner([SpoofingAttack()]).run()
-        assert report.n_attacks == 1
-        assert report.rows[0].prevented
+    def test_runner_requires_a_platform_factory(self):
+        with pytest.raises(TypeError):
+            CampaignRunner([SpoofingAttack()])
 
     def test_empty_campaign_rejected_everywhere(self):
         """Every campaign entry point refuses an empty battery the same way."""
-        with pytest.raises(ValueError):
-            CampaignRunner([])
         with pytest.raises(ValueError):
             CampaignRunner([], _factory())
         spec = replace(get_scenario("minimal_1x1"), attacks=())

@@ -1,20 +1,21 @@
-"""Tests for the security manager (reactions/reconfiguration) and for
-secure_reference_platform wiring."""
+"""Tests for the security manager (reactions/reconfiguration) and for the
+security wiring of the Figure-1 platform."""
 
+from dataclasses import replace
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
 from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
 from repro.core.manager import ReactionPolicy, SecurityPolicyManager
 from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
-from repro.core.secure import default_policies, secure_reference_platform
+from repro.core.secure import default_policies
 from repro.crypto.keys import KeyStore
+from repro.scenarios import ScenarioBuilder
 from repro.soc.kernel import Simulator
 from repro.soc.processor import MemoryOperation, ProcessorProgram
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import TransactionStatus
 
-from tests.conftest import make_security_config
+from tests.conftest import SMALL_WINDOW, figure1_spec
 
 
 def make_manager(reaction=None, key_store=None):
@@ -93,10 +94,6 @@ class TestSecurityPolicyManager:
 class TestDefaultPolicies:
     def test_policy_set_shape(self):
         policies = default_policies()
-        assert policies["ddr_secure"].needs_ciphering
-        assert policies["ddr_secure"].needs_integrity
-        assert policies["ddr_cipher_only"].needs_ciphering
-        assert not policies["ddr_cipher_only"].needs_integrity
         assert not policies["ddr_plain"].needs_ciphering
         assert policies["ip_registers"].allowed_formats == frozenset({4})
         assert policies["internal_readonly"].rwa is ReadWriteAccess.READ_ONLY
@@ -127,9 +124,13 @@ class TestSecurePlatform:
         assert len(security.key_store) == 2
 
     def test_partial_protection_options(self):
-        system = build_reference_platform()
-        config = make_security_config(protect_masters=False, protect_external_memory=False)
-        security = secure_reference_platform(system, config)
+        spec = figure1_spec()
+        topology = replace(
+            spec.topology,
+            masters=tuple(replace(m, firewall=False) for m in spec.topology.masters),
+            slaves=tuple(replace(s, firewall=s.kind != "ddr") for s in spec.topology.slaves),
+        )
+        security = ScenarioBuilder(replace(spec, topology=topology)).build().security
         assert not security.master_firewalls
         assert security.ciphering_firewall is None
         assert security.slave_firewalls
@@ -171,4 +172,13 @@ class TestSecurePlatform:
         lcf = security.ciphering_firewall
         secure_region = lcf.region_for(system.config.ddr_base)
         assert secure_region is not None
-        assert secure_region.rule.size == security.config.ddr_secure_size
+        assert secure_region.rule.size == SMALL_WINDOW
+
+    def test_window_policies_cipher_and_authenticate(self, secured):
+        _, security = secured
+        secure, cipher_only, plain = (
+            rule.policy for rule in security.ciphering_firewall.config_memory.rules
+        )
+        assert secure.needs_ciphering and secure.needs_integrity
+        assert cipher_only.needs_ciphering and not cipher_only.needs_integrity
+        assert not plain.needs_ciphering and not plain.needs_integrity

@@ -239,10 +239,10 @@ class TestBridgeFirewallPlacement:
         assert firewall.security_builder.evaluations == 0
 
     def test_attach_security_rejects_bridge_plan_on_flat_bus(self):
-        from repro.soc.system import build_reference_platform
         from repro.core.secure import attach_security
+        from tests.conftest import build_figure1
 
-        system = build_reference_platform()
+        system, _ = build_figure1(protected=False)
         plan = SecurityPlan(bridges=[BridgeFirewallPlan("br0", [])], placement="bridge")
         with pytest.raises(ValueError, match="interconnect has none"):
             attach_security(system, plan)

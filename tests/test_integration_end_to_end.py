@@ -16,26 +16,18 @@ system-level invariants are:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.secure import secure_reference_platform
 from repro.metrics.perf import measure_execution_overhead
 from repro.soc.processor import MemoryOperation, ProcessorProgram
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 from repro.workloads.generators import make_uniform_programs
 from repro.workloads.patterns import producer_consumer_programs
 
-from tests.conftest import make_security_config
-
-
-def fresh_secured(**overrides):
-    system = build_reference_platform()
-    security = secure_reference_platform(system, make_security_config(**overrides))
-    return system, security
+from tests.conftest import build_figure1, figure1_spec
 
 
 class TestNoFalsePositives:
     def test_synthetic_workload_runs_clean_when_protected(self):
-        system, security = fresh_secured()
+        system, security = build_figure1()
         programs = make_uniform_programs(
             system.config, list(system.processors), n_operations=40,
             communication_ratio=0.7, external_share=0.3,
@@ -53,9 +45,7 @@ class TestNoFalsePositives:
         """Protection must be transparent to software: the values a CPU reads
         back are identical with and without firewalls."""
         def run(protected):
-            system = build_reference_platform()
-            if protected:
-                secure_reference_platform(system, make_security_config())
+            system, _ = build_figure1(protected)
             cfg = system.config
             program = ProcessorProgram([
                 MemoryOperation.write(cfg.ddr_base + 0x20, bytes(range(32))),
@@ -71,7 +61,7 @@ class TestNoFalsePositives:
         assert run(protected=False) == run(protected=True)
 
     def test_producer_consumer_data_flow_intact_under_protection(self):
-        system, security = fresh_secured()
+        system, security = build_figure1()
         programs = producer_consumer_programs(system.config, n_items=6, item_size=16)
         system.load_programs(programs)
         system.start_all()
@@ -93,7 +83,7 @@ class TestNoFalsePositives:
 
 class TestProtectionOverheadAccounting:
     def test_security_latency_sums_match_breakdowns(self):
-        system, _ = fresh_secured()
+        system, _ = build_figure1()
         cfg = system.config
         program = ProcessorProgram([
             MemoryOperation.write(cfg.ddr_base + 0x40, bytes(32)),
@@ -112,12 +102,12 @@ class TestProtectionOverheadAccounting:
 
     def test_overhead_is_reproducible(self):
         programs = make_uniform_programs(
-            build_reference_platform().config, ["cpu0", "cpu1", "cpu2"],
+            build_figure1(protected=False)[0].config, ["cpu0", "cpu1", "cpu2"],
             n_operations=30, communication_ratio=0.5, external_share=0.4,
             external_working_set=1024, seed=8,
         )
-        first = measure_execution_overhead(programs, security_config=make_security_config())
-        second = measure_execution_overhead(programs, security_config=make_security_config())
+        first = measure_execution_overhead(programs, figure1_spec())
+        second = measure_execution_overhead(programs, figure1_spec())
         assert first.baseline.makespan_cycles == second.baseline.makespan_cycles
         assert first.protected.makespan_cycles == second.protected.makespan_cycles
 
@@ -129,7 +119,7 @@ class TestNoFalseNegatives:
     )
     @settings(max_examples=12, deadline=None)
     def test_any_tampering_of_protected_window_is_detected(self, offset, corruption):
-        system, security = fresh_secured()
+        system, security = build_figure1()
         cfg = system.config
         address = cfg.ddr_base + offset
 
@@ -158,7 +148,7 @@ class TestNoFalseNegatives:
     @given(master=st.sampled_from(["cpu2", "dma"]))
     @settings(max_examples=6, deadline=None)
     def test_unauthorised_masters_never_reach_the_ip(self, master):
-        system, security = fresh_secured()
+        system, security = build_figure1()
         cfg = system.config
         system.register_ip.write_register(0, 0x5EC4E7)
         probe = BusTransaction(master=master, operation=BusOperation.READ,
@@ -172,7 +162,7 @@ class TestNoFalseNegatives:
 
 class TestQuarantineEndToEnd:
     def test_repeated_violations_lead_to_quarantine_on_the_live_platform(self):
-        system, security = fresh_secured()
+        system, security = build_figure1()
         cfg = system.config
         for _ in range(3):
             probe = BusTransaction(master="cpu2", operation=BusOperation.READ,

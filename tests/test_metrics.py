@@ -22,7 +22,7 @@ from repro.metrics.resources import ResourceVector
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 from repro.workloads.generators import make_uniform_programs
 
-from tests.conftest import make_security_config
+from tests.conftest import figure1_spec
 
 
 class TestResourceVector:
@@ -197,7 +197,7 @@ class TestExecutionOverhead:
 
     def test_run_workload_basic(self):
         programs = self.make_programs(external_share=0.2)
-        result = run_workload(programs, protected=False)
+        result = run_workload(programs, False, figure1_spec())
         assert result.makespan_cycles > 0
         assert result.total_transactions > 0
         assert result.blocked_transactions == 0
@@ -205,9 +205,7 @@ class TestExecutionOverhead:
 
     def test_protection_adds_overhead(self):
         programs = self.make_programs(external_share=0.3)
-        overhead = measure_execution_overhead(
-            programs, security_config=make_security_config()
-        )
+        overhead = measure_execution_overhead(programs, figure1_spec())
         assert overhead.slowdown > 1.0
         assert overhead.overhead_percent > 0.0
         assert overhead.protected.security_cycles > 0
@@ -215,12 +213,6 @@ class TestExecutionOverhead:
         assert 0.0 < overhead.security_cycle_share < 1.0
 
     def test_overhead_grows_with_external_share(self):
-        low = measure_execution_overhead(
-            self.make_programs(external_share=0.05),
-            security_config=make_security_config(),
-        )
-        high = measure_execution_overhead(
-            self.make_programs(external_share=0.8),
-            security_config=make_security_config(),
-        )
+        low = measure_execution_overhead(self.make_programs(external_share=0.05), figure1_spec())
+        high = measure_execution_overhead(self.make_programs(external_share=0.8), figure1_spec())
         assert high.slowdown > low.slowdown

@@ -14,17 +14,9 @@ Two invariants that must hold for *any* access pattern:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.secure import secure_reference_platform
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
-from tests.conftest import make_security_config
-
-
-def fresh_secured():
-    system = build_reference_platform()
-    security = secure_reference_platform(system, make_security_config())
-    return system, security
+from tests.conftest import build_figure1
 
 
 # One write: (word offset within a 256-byte window, length in words 1..8)
@@ -39,7 +31,7 @@ class TestProtectedMemoryReadModifyWrite:
     @given(ops=write_ops, seed=st.integers(min_value=0, max_value=255))
     @settings(max_examples=10, deadline=None)
     def test_arbitrary_write_sequences_read_back_exactly(self, ops, seed):
-        system, security = fresh_secured()
+        system, security = build_figure1()
         cfg = system.config
         window = cfg.ddr_base
         shadow = bytearray(256)
@@ -84,7 +76,7 @@ class TestBusArbitrationProperties:
     )
     @settings(max_examples=15, deadline=None)
     def test_every_request_completes_exactly_once(self, requests):
-        system = build_reference_platform()
+        system, _ = build_figure1(protected=False)
         cfg = system.config
         completions = []
         for master, slot in requests:
@@ -102,7 +94,7 @@ class TestBusArbitrationProperties:
     @given(n_per_master=st.integers(min_value=1, max_value=8))
     @settings(max_examples=10, deadline=None)
     def test_round_robin_never_starves_a_master(self, n_per_master):
-        system = build_reference_platform()
+        system, _ = build_figure1(protected=False)
         cfg = system.config
         order = []
         for _ in range(n_per_master):

@@ -5,7 +5,6 @@ import pytest
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.ip import DMAEngine, RegisterFileIP
-from repro.soc.system import build_reference_platform
 from repro.soc.transaction import BusOperation, BusTransaction
 
 
@@ -134,8 +133,8 @@ class TestRegisterFileIP:
 
 
 class TestDMAEngine:
-    def test_copy_bram_to_ddr(self):
-        system = build_reference_platform()
+    def test_copy_bram_to_ddr(self, plain_platform):
+        system = plain_platform
         source = system.config.bram_base + 0x100
         destination = system.config.ddr_base + 0x100
         payload = bytes(range(64))
@@ -148,8 +147,8 @@ class TestDMAEngine:
         assert system.dma.bytes_copied == len(payload)
         assert system.ddr.peek(destination, len(payload)) == payload
 
-    def test_kickoff_validation(self):
-        system = build_reference_platform()
+    def test_kickoff_validation(self, plain_platform):
+        system = plain_platform
         with pytest.raises(ValueError):
             system.dma.kickoff(0, 0x100, 0)
         system.dma.kickoff(0, system.config.ddr_base, 16)

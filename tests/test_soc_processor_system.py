@@ -1,9 +1,12 @@
-"""Tests for the processor model and the reference platform builder."""
+"""Tests for the processor model and the Figure-1 platform build."""
+
+from dataclasses import replace
 
 import pytest
 
+from repro.scenarios import MasterSpec, ScenarioBuilder, SlaveSpec, TopologySpec
 from repro.soc.processor import MemoryOperation, OperationKind, ProcessorProgram
-from repro.soc.system import SoCConfig, build_reference_platform
+from tests.conftest import figure1_spec
 
 
 class TestMemoryOperation:
@@ -53,8 +56,8 @@ class TestProcessorProgram:
 
 
 class TestProcessorExecution:
-    def test_program_runs_to_completion(self):
-        system = build_reference_platform()
+    def test_program_runs_to_completion(self, plain_platform):
+        system = plain_platform
         cfg = system.config
         program = ProcessorProgram(
             [
@@ -74,8 +77,8 @@ class TestProcessorExecution:
         assert cpu.computation_cycles() == 50
         assert cpu.communication_cycles() > 0
 
-    def test_cannot_start_twice_or_reload_after_start(self):
-        system = build_reference_platform()
+    def test_cannot_start_twice_or_reload_after_start(self, plain_platform):
+        system = plain_platform
         cpu = system.processors["cpu0"]
         cpu.load_program(ProcessorProgram([MemoryOperation.compute(1)]))
         cpu.start()
@@ -84,8 +87,8 @@ class TestProcessorExecution:
         with pytest.raises(RuntimeError):
             cpu.load_program(ProcessorProgram())
 
-    def test_on_finished_callback(self):
-        system = build_reference_platform()
+    def test_on_finished_callback(self, plain_platform):
+        system = plain_platform
         finished = []
         cpu = system.processors["cpu1"]
         cpu.on_finished = finished.append
@@ -94,16 +97,16 @@ class TestProcessorExecution:
         system.run()
         assert finished == [cpu]
 
-    def test_empty_program_finishes_immediately(self):
-        system = build_reference_platform()
+    def test_empty_program_finishes_immediately(self, plain_platform):
+        system = plain_platform
         cpu = system.processors["cpu0"]
         cpu.start()
         system.run()
         assert cpu.done
         assert cpu.execution_cycles == 0
 
-    def test_three_cpus_share_the_bus(self):
-        system = build_reference_platform()
+    def test_three_cpus_share_the_bus(self, plain_platform):
+        system = plain_platform
         cfg = system.config
         programs = {}
         for index in range(3):
@@ -120,8 +123,8 @@ class TestProcessorExecution:
 
 
 class TestReferencePlatform:
-    def test_default_topology_matches_paper_figure1(self):
-        system = build_reference_platform()
+    def test_default_topology_matches_paper_figure1(self, plain_platform):
+        system = plain_platform
         assert len(system.processors) == 3
         assert system.dma is not None
         assert set(system.memories) == {"bram", "ddr"}
@@ -132,26 +135,33 @@ class TestReferencePlatform:
         external = [r for r in topology["regions"] if r["external"]]
         assert [r["name"] for r in external] == ["ddr"]
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            build_reference_platform(SoCConfig(n_processors=0))
-        with pytest.raises(ValueError):
-            build_reference_platform(SoCConfig(bram_size=0))
+    def test_spec_validation_rejects_degenerate_platforms(self):
+        spec = figure1_spec()
+        no_cpu = replace(spec.topology, masters=(MasterSpec("dma", kind="dma"),))
+        with pytest.raises(ValueError, match="at least one cpu master"):
+            ScenarioBuilder(replace(spec, topology=no_cpu))
+        with pytest.raises(ValueError, match="size must be positive"):
+            SlaveSpec("bram", "bram", base=0, size=0)
 
     def test_custom_processor_count(self):
-        system = build_reference_platform(SoCConfig(n_processors=5, with_dma=False))
+        spec = figure1_spec()
+        topology = TopologySpec(
+            masters=tuple(MasterSpec(f"cpu{index}") for index in range(5)),
+            slaves=spec.topology.slaves,
+        )
+        system = ScenarioBuilder(replace(spec, topology=topology)).build(False).system
         assert len(system.processors) == 5
         assert system.dma is None
 
-    def test_load_programs_rejects_unknown_cpu(self):
-        system = build_reference_platform()
+    def test_load_programs_rejects_unknown_cpu(self, plain_platform):
+        system = plain_platform
         with pytest.raises(KeyError):
             system.load_programs({"cpu9": ProcessorProgram()})
 
-    def test_execution_cycles_zero_before_running(self):
-        system = build_reference_platform()
+    def test_execution_cycles_zero_before_running(self, plain_platform):
+        system = plain_platform
         assert system.execution_cycles() == 0
 
-    def test_processor_accessor(self):
-        system = build_reference_platform()
+    def test_processor_accessor(self, plain_platform):
+        system = plain_platform
         assert system.processor(2) is system.processors["cpu2"]

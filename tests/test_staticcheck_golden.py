@@ -1,4 +1,4 @@
-"""Golden expected-findings gate, CLI surface, and fail-fast wiring."""
+"""Golden expected findings, CLI surface, and ``ScenarioBuilder(verify=True)``."""
 
 import json
 import pathlib
@@ -7,13 +7,8 @@ import pytest
 
 from repro.api.cli import main
 from repro.scenarios.builder import ScenarioBuilder
-from repro.scenarios.registry import list_scenarios
-from repro.staticcheck import (
-    StaticCheckError,
-    fail_fast_enabled,
-    set_fail_fast,
-    verify_scenario,
-)
+from repro.scenarios.registry import get_scenario, list_scenarios
+from repro.staticcheck import StaticCheckError, verify_scenario
 from tests.test_staticcheck_analyzer import bypass_spec
 
 GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "verify_findings.json"
@@ -64,61 +59,21 @@ class TestVerifyCli:
         assert "no scenario named" in capsys.readouterr().err
 
 
-class TestFailFastGate:
-    @pytest.fixture(autouse=True)
-    def _restore_gate(self):
-        previous = fail_fast_enabled()
-        yield
-        set_fail_fast(previous)
-
-    def test_gate_off_by_default(self):
-        assert not fail_fast_enabled()
+class TestBuilderVerify:
+    def test_verify_off_by_default(self):
         ScenarioBuilder(bypass_spec())  # builds despite the ERROR finding
-
-    def test_builder_raises_on_error_findings_when_enabled(self):
-        set_fail_fast(True)
-        with pytest.raises(StaticCheckError) as excinfo:
-            ScenarioBuilder(bypass_spec())
-        assert "unguarded-path" in str(excinfo.value)
-        assert excinfo.value.report.has_errors
-        assert excinfo.value.where == "ScenarioBuilder"
-
-    def test_explicit_verify_false_bypasses_the_gate(self):
-        set_fail_fast(True)
         ScenarioBuilder(bypass_spec(), verify=False)
 
-    def test_registered_scenarios_pass_the_gate(self):
-        set_fail_fast(True)
-        for name in ("paper_baseline", "deep_hierarchy_3seg"):
-            from repro.scenarios.registry import get_scenario
-
-            ScenarioBuilder(get_scenario(name))
-
-    def test_sweep_classify_raises_on_error_findings_when_enabled(self, tmp_path):
-        from repro.sweep import ResultStore, SweepRunner, SweepSpec
-
-        set_fail_fast(True)
-        spec = SweepSpec(scenarios=("bypass_probe",))
-        runner = SweepRunner(
-            spec,
-            ResultStore(tmp_path / "store"),
-            resolver=lambda name: bypass_spec(),
-        )
+    def test_verify_raises_on_error_findings(self):
         with pytest.raises(StaticCheckError) as excinfo:
-            runner.classify()
-        assert "sweep point" in excinfo.value.where
+            ScenarioBuilder(bypass_spec(), verify=True)
+        assert "unguarded-path" in str(excinfo.value)
+        assert repr(bypass_spec().name) in str(excinfo.value)
+        assert excinfo.value.report.has_errors
 
-    def test_sweep_classify_clean_when_gate_off(self, tmp_path):
-        from repro.sweep import ResultStore, SweepRunner, SweepSpec
-
-        spec = SweepSpec(scenarios=("bypass_probe",))
-        runner = SweepRunner(
-            spec,
-            ResultStore(tmp_path / "store"),
-            resolver=lambda name: bypass_spec(),
-        )
-        report, jobs = runner.classify()
-        assert len(jobs) == 1
+    def test_registered_scenarios_pass_verify(self):
+        for name in ("paper_baseline", "deep_hierarchy_3seg"):
+            ScenarioBuilder(get_scenario(name), verify=True)
 
 
 def test_catalog_verified_column_matches_analyzer():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.soc.processor import OperationKind, ProcessorProgram
-from repro.soc.system import SoCConfig, build_reference_platform
+from repro.soc.system import SoCConfig
 from repro.soc.transaction import TransactionStatus
 from repro.workloads.generators import (
     SyntheticWorkloadConfig,
@@ -20,6 +20,7 @@ from repro.workloads.patterns import (
     producer_consumer_programs,
 )
 from repro.workloads.traces import TraceRecord, TraceRecorder, replay_program_from_trace
+from tests.conftest import build_figure1
 
 
 class TestSyntheticGenerator:
@@ -220,7 +221,7 @@ class TestTraces:
         assert program.operations[0].data == b"\x01\x02\x03\x04"
         assert program.operations[1].kind is OperationKind.READ
         # Replay on a fresh platform reproduces the same memory state.
-        fresh = build_reference_platform()
+        fresh, _ = build_figure1(protected=False)
         fresh.processors["cpu0"].load_program(program)
         fresh.processors["cpu0"].start()
         fresh.run()
