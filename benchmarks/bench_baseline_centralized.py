@@ -20,12 +20,12 @@ The benchmark timing measures one distributed-vs-centralised attack pair.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from conftest import bench_rounds, write_bench_json, write_result
 
 from repro.analysis.tables import format_table
 from repro.attacks import DoSFloodAttack, HijackedIPAttack
-from dataclasses import replace
-
 from repro.metrics.area import AreaModel
 from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.transaction import TransactionStatus
