@@ -3,8 +3,8 @@ memories in a multiprocessor architecture" (Cotret et al., RAW/IPDPS 2011).
 
 The package is organised bottom-up:
 
-* :mod:`repro.crypto` -- AES-128, SHA-256, CMAC/HMAC, Merkle hash trees,
-  timestamp/nonce management, key store,
+* :mod:`repro.crypto` -- AES-128 in counter mode, SHA-256, Merkle hash
+  trees, key store,
 * :mod:`repro.soc` -- behavioural MPSoC simulator (event kernel, shared bus,
   BRAM/DDR, MicroBlaze-like processors, DMA, register-file IP),
 * :mod:`repro.core` -- the paper's contribution: security policies,

@@ -4,7 +4,6 @@ and cross-scenario comparison tables over stored sweep results."""
 from repro.analysis.tables import format_table, format_resource_table
 from repro.analysis.report import (
     ArchitectureReport,
-    ExperimentRecord,
     PaperComparison,
     render_table1,
     render_table2,
@@ -21,7 +20,6 @@ __all__ = [
     "format_table",
     "format_resource_table",
     "ArchitectureReport",
-    "ExperimentRecord",
     "PaperComparison",
     "render_table1",
     "render_table2",

@@ -4,7 +4,7 @@ tables, and paper-vs-measured comparison records.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.analysis.tables import format_resource_table, format_table
@@ -13,7 +13,6 @@ from repro.metrics.latency import Table2Row
 
 __all__ = [
     "ArchitectureReport",
-    "ExperimentRecord",
     "PaperComparison",
     "render_table1",
     "render_table2",
@@ -84,55 +83,6 @@ class PaperComparison:
     def matches(self, tolerance: float = 0.05) -> bool:
         """Whether the measured value is within ``tolerance`` of the paper's."""
         return self.relative_error <= tolerance
-
-
-@dataclass
-class ExperimentRecord:
-    """Container gathering everything one experiment produced.
-
-    Used by EXPERIMENTS.md generation and by the benchmark harnesses to print
-    a uniform summary per experiment.
-    """
-
-    experiment_id: str
-    description: str
-    comparisons: List[PaperComparison] = field(default_factory=list)
-    tables: Dict[str, str] = field(default_factory=dict)
-    notes: List[str] = field(default_factory=list)
-
-    def add_comparison(self, comparison: PaperComparison) -> None:
-        self.comparisons.append(comparison)
-
-    def add_table(self, name: str, rendered: str) -> None:
-        self.tables[name] = rendered
-
-    def matched_fraction(self, tolerance: float = 0.05) -> float:
-        """Fraction of comparisons within tolerance of the paper value."""
-        if not self.comparisons:
-            return 1.0
-        matched = sum(1 for c in self.comparisons if c.matches(tolerance))
-        return matched / len(self.comparisons)
-
-    def render(self) -> str:
-        lines = [f"Experiment {self.experiment_id}: {self.description}", ""]
-        if self.comparisons:
-            rows = [
-                [c.metric, c.paper_value, c.measured_value, c.unit,
-                 f"{100 * c.relative_error:.1f}%" if c.relative_error != float("inf") else "inf"]
-                for c in self.comparisons
-            ]
-            lines.append(
-                format_table(
-                    ["metric", "paper", "measured", "unit", "rel. error"], rows
-                )
-            )
-            lines.append("")
-        for name, table in self.tables.items():
-            lines.append(table)
-            lines.append("")
-        for note in self.notes:
-            lines.append(f"note: {note}")
-        return "\n".join(lines)
 
 
 def render_experiment(result: Dict[str, object]) -> str:

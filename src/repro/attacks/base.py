@@ -16,7 +16,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.core.alerts import SecurityMonitor
 from repro.core.secure import SecuredPlatform
 from repro.soc.system import SoCSystem
 
@@ -96,10 +95,6 @@ class Attack:
         raise NotImplementedError
 
     # -- helpers shared by concrete attacks -------------------------------------------
-
-    @staticmethod
-    def _monitor(security: Optional[SecuredPlatform]) -> Optional[SecurityMonitor]:
-        return security.monitor if security is not None else None
 
     @staticmethod
     def _alerts_since(security: Optional[SecuredPlatform], baseline: int) -> int:

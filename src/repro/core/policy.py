@@ -282,11 +282,6 @@ class ConfigurationMemory:
         self._default_policy = policy
         self.generation += 1
 
-    def set_default_policy(self, policy: Optional[SecurityPolicy]) -> None:
-        """Change the fallback policy (counts as a reconfiguration)."""
-        self.default_policy = policy
-        self.reconfiguration_count += 1
-
     # -- lookup -------------------------------------------------------------------
 
     def note_cached_lookup(self, missed: bool = False) -> None:

@@ -4,18 +4,13 @@ The paper's Confidentiality Core is an AES-128 block cipher and its Integrity
 Core is a hash tree.  This package provides functional, pure-Python
 implementations of every primitive those cores need:
 
-* :mod:`repro.crypto.aes` -- AES-128 block cipher (key expansion, encrypt,
-  decrypt).
-* :mod:`repro.crypto.modes` -- block-cipher modes of operation (ECB, CBC, CTR)
-  plus PKCS#7 padding helpers.
+* :mod:`repro.crypto.aes` -- AES-128 block cipher (key expansion, encrypt).
+* :mod:`repro.crypto.modes` -- counter (CTR) mode with a keystream cache.
 * :mod:`repro.crypto.sha256` -- SHA-256 compression function and digest.
-* :mod:`repro.crypto.mac` -- HMAC-SHA256 and AES-CMAC message authentication.
 * :mod:`repro.crypto.merkle` -- Merkle hash tree protecting a block-addressed
   memory (the Integrity Core's data structure).
-* :mod:`repro.crypto.nonce` -- timestamp / nonce manager used for replay
-  protection of external-memory blocks.
-* :mod:`repro.crypto.keys` -- deterministic key store and key derivation for
-  per-policy cryptographic keys (the ``CK`` policy parameter).
+* :mod:`repro.crypto.keys` -- deterministic key generation and the key store
+  holding per-policy cryptographic keys (the ``CK`` policy parameter).
 
 These are *functional* models: correctness of what is encrypted, hashed and
 verified is real; the number of clock cycles each hardware core would take is
@@ -23,36 +18,18 @@ accounted separately by :mod:`repro.metrics.latency`.
 """
 
 from repro.crypto.aes import AES128
-from repro.crypto.modes import (
-    CBCMode,
-    CTRMode,
-    ECBMode,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
+from repro.crypto.modes import CTRMode
 from repro.crypto.sha256 import SHA256, sha256
-from repro.crypto.mac import AESCMAC, HMACSHA256
 from repro.crypto.merkle import MerkleTree, IntegrityViolation
-from repro.crypto.nonce import NonceManager, TimestampManager, ReplayDetected
-from repro.crypto.keys import KeyStore, derive_key, random_key
+from repro.crypto.keys import KeyStore, random_key
 
 __all__ = [
     "AES128",
-    "ECBMode",
-    "CBCMode",
     "CTRMode",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "SHA256",
     "sha256",
-    "HMACSHA256",
-    "AESCMAC",
     "MerkleTree",
     "IntegrityViolation",
-    "NonceManager",
-    "TimestampManager",
-    "ReplayDetected",
     "KeyStore",
-    "derive_key",
     "random_key",
 ]

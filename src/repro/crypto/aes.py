@@ -2,23 +2,23 @@
 
 The Local Ciphering Firewall's Confidentiality Core is "based on a AES
 (Advanced Encryption Standard) algorithm with 128-bits key" (paper, section
-IV-B2).  This module implements the FIPS-197 cipher for 128-bit keys from
-scratch: S-box construction from the finite-field inverse, key expansion, the
-four round transformations and their inverses.
+IV-B2).  This module implements the FIPS-197 forward cipher for 128-bit keys
+from scratch: S-box construction from the finite-field inverse, key expansion
+and the four round transformations.  The LCF runs AES in counter mode
+(:mod:`repro.crypto.modes`), which only ever enciphers counter blocks, so the
+inverse cipher is not needed.
 
 Two code paths share the same key schedule:
 
-* the *reference* path (:meth:`AES128.encrypt_block_reference` /
-  :meth:`AES128.decrypt_block_reference`) applies the four round
-  transformations exactly as FIPS-197 writes them, one byte at a time, so
-  every intermediate step stays inspectable;
-* the *table-driven* path (used by :meth:`AES128.encrypt_block` /
-  :meth:`AES128.decrypt_block`) folds SubBytes, ShiftRows and MixColumns of
-  one round into four 256-entry 32-bit T-table lookups per state column —
-  the classic software formulation of the cipher, and the same
-  precompute-then-look-up structure a hardware pipeline uses.  Both paths
-  produce identical ciphertext (asserted byte-for-byte by the fast-path
-  regression tests).
+* the *reference* path (:meth:`AES128.encrypt_block_reference`) applies the
+  four round transformations exactly as FIPS-197 writes them, one byte at a
+  time, so every intermediate step stays inspectable;
+* the *table-driven* path (:meth:`AES128.encrypt_block`) folds SubBytes,
+  ShiftRows and MixColumns of one round into four 256-entry 32-bit T-table
+  lookups per state column — the classic software formulation of the
+  cipher, and the same precompute-then-look-up structure a hardware
+  pipeline uses.  Both paths produce identical ciphertext (asserted
+  byte-for-byte by the fast-path regression tests).
 
 Throughput of the *hardware* core is modelled separately in
 :mod:`repro.metrics.latency`.
@@ -31,16 +31,15 @@ from typing import List, Sequence, Tuple
 __all__ = [
     "AES128",
     "SBOX",
-    "INV_SBOX",
     "xtime",
     "gmul",
     "use_reference_backend",
     "fast_backend_enabled",
 ]
 
-# When True (the default), encrypt_block/decrypt_block use the T-table fast
-# path; the differential harness flips this to force the byte-wise FIPS-197
-# reference rounds through the exact same call sites.
+# When True (the default), encrypt_block uses the T-table fast path; the
+# differential harness flips this to force the byte-wise FIPS-197 reference
+# rounds through the exact same call sites.
 _USE_FAST_BACKEND = True
 
 
@@ -97,15 +96,14 @@ def _ginv(a: int) -> int:
     return result
 
 
-def _build_sbox() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Construct the AES S-box and its inverse from first principles.
+def _build_sbox() -> Tuple[int, ...]:
+    """Construct the AES S-box from first principles.
 
     The S-box maps ``a`` to an affine transformation of the multiplicative
     inverse of ``a``:  b_i = inv_i XOR inv_{i+4} XOR inv_{i+5} XOR inv_{i+6}
     XOR inv_{i+7} XOR c_i with c = 0x63.
     """
     sbox = [0] * 256
-    inv_sbox = [0] * 256
     for value in range(256):
         inv = _ginv(value)
         transformed = 0
@@ -120,11 +118,10 @@ def _build_sbox() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
             ) & 1
             transformed |= b << bit
         sbox[value] = transformed
-        inv_sbox[transformed] = value
-    return tuple(sbox), tuple(inv_sbox)
+    return tuple(sbox)
 
 
-SBOX, INV_SBOX = _build_sbox()
+SBOX = _build_sbox()
 
 # Round constants for key expansion: rcon[i] = x^(i-1) in GF(2^8).
 _RCON = [0x01]
@@ -136,29 +133,16 @@ for _ in range(9):
 # while the reference gmul() implementation above stays available for tests.
 _MUL2 = tuple(gmul(x, 2) for x in range(256))
 _MUL3 = tuple(gmul(x, 3) for x in range(256))
-_MUL9 = tuple(gmul(x, 9) for x in range(256))
-_MUL11 = tuple(gmul(x, 11) for x in range(256))
-_MUL13 = tuple(gmul(x, 13) for x in range(256))
-_MUL14 = tuple(gmul(x, 14) for x in range(256))
 
 # T-tables: one round's SubBytes + MixColumns contribution of a single state
-# byte, as a packed 32-bit column word.  T1..T3 are byte rotations of T0 (and
-# likewise for the decryption tables), matching the classic software AES.
+# byte, as a packed 32-bit column word.  T1..T3 are byte rotations of T0,
+# matching the classic software AES.
 _TE0 = tuple(
     (_MUL2[s] << 24) | (s << 16) | (s << 8) | _MUL3[s] for s in SBOX
 )
 _TE1 = tuple(((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in _TE0)
 _TE2 = tuple(((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in _TE1)
 _TE3 = tuple(((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in _TE2)
-
-_TD0 = tuple(
-    (_MUL14[s] << 24) | (_MUL9[s] << 16) | (_MUL13[s] << 8) | _MUL11[s]
-    for s in INV_SBOX
-)
-_TD1 = tuple(((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in _TD0)
-_TD2 = tuple(((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in _TD1)
-_TD3 = tuple(((w >> 8) | ((w & 0xFF) << 24)) & 0xFFFFFFFF for w in _TD2)
-
 
 class AES128:
     """AES with a 128-bit key (10 rounds), operating on 16-byte blocks.
@@ -170,10 +154,11 @@ class AES128:
 
     Examples
     --------
+    The FIPS-197 Appendix C.1 known answer:
+
     >>> cipher = AES128(bytes(range(16)))
-    >>> block = b"attack at dawn!!"
-    >>> cipher.decrypt_block(cipher.encrypt_block(block)) == block
-    True
+    >>> cipher.encrypt_block(bytes.fromhex("00112233445566778899aabbccddeeff")).hex()
+    '69c4e0d86a7b0430d8cdb78070b4c55a'
     """
 
     BLOCK_SIZE = 16
@@ -194,35 +179,6 @@ class AES128:
         self._rk_enc: Tuple[int, ...] = tuple(
             (w[0] << 24) | (w[1] << 16) | (w[2] << 8) | w[3] for w in self._round_keys
         )
-        self._rk_dec = self._expand_decryption_keys(self._rk_enc)
-
-    @staticmethod
-    def _expand_decryption_keys(rk_enc: Sequence[int]) -> Tuple[int, ...]:
-        """Key schedule of the equivalent inverse cipher (FIPS-197 §5.3.5).
-
-        Round keys are consumed in reverse order, with InvMixColumns applied
-        to the inner rounds so decryption can use the same
-        table-lookup-per-column structure as encryption.
-        """
-        words: List[int] = []
-        for round_index in range(AES128.ROUNDS, -1, -1):
-            for column in range(4):
-                word = rk_enc[4 * round_index + column]
-                if 0 < round_index < AES128.ROUNDS:
-                    a0, a1, a2, a3 = (
-                        word >> 24,
-                        (word >> 16) & 0xFF,
-                        (word >> 8) & 0xFF,
-                        word & 0xFF,
-                    )
-                    word = (
-                        ((_MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3]) << 24)
-                        | ((_MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3]) << 16)
-                        | ((_MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3]) << 8)
-                        | (_MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3])
-                    )
-                words.append(word)
-        return tuple(words)
 
     # -- key schedule -------------------------------------------------------
 
@@ -275,25 +231,12 @@ class AES128:
             state[i] = SBOX[state[i]]
 
     @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
     def _shift_rows(state: List[int]) -> None:
         # Row r (elements state[r], state[r+4], state[r+8], state[r+12]) is
         # rotated left by r positions.
         for row in range(1, 4):
             column_values = [state[row + 4 * col] for col in range(4)]
             rotated = column_values[row:] + column_values[:row]
-            for col in range(4):
-                state[row + 4 * col] = rotated[col]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for row in range(1, 4):
-            column_values = [state[row + 4 * col] for col in range(4)]
-            rotated = column_values[-row:] + column_values[:-row]
             for col in range(4):
                 state[row + 4 * col] = rotated[col]
 
@@ -307,33 +250,17 @@ class AES128:
             _MUL3[a0] ^ a1 ^ a2 ^ _MUL2[a3],
         ]
 
-    @staticmethod
-    def _inv_mix_single_column(column: List[int]) -> List[int]:
-        a0, a1, a2, a3 = column
-        return [
-            _MUL14[a0] ^ _MUL11[a1] ^ _MUL13[a2] ^ _MUL9[a3],
-            _MUL9[a0] ^ _MUL14[a1] ^ _MUL11[a2] ^ _MUL13[a3],
-            _MUL13[a0] ^ _MUL9[a1] ^ _MUL14[a2] ^ _MUL11[a3],
-            _MUL11[a0] ^ _MUL13[a1] ^ _MUL9[a2] ^ _MUL14[a3],
-        ]
-
     @classmethod
     def _mix_columns(cls, state: List[int]) -> None:
         for col in range(4):
             column = state[4 * col : 4 * col + 4]
             state[4 * col : 4 * col + 4] = cls._mix_single_column(column)
 
-    @classmethod
-    def _inv_mix_columns(cls, state: List[int]) -> None:
-        for col in range(4):
-            column = state[4 * col : 4 * col + 4]
-            state[4 * col : 4 * col + 4] = cls._inv_mix_single_column(column)
-
     # -- public block API ----------------------------------------------------
     #
-    # encrypt_block/decrypt_block are the table-driven hot path; the
-    # *_reference variants spell out the FIPS-197 round transformations and
-    # are the ground truth the fast path is tested against.
+    # encrypt_block is the table-driven hot path; encrypt_block_reference
+    # spells out the FIPS-197 round transformations and is the ground truth
+    # the fast path is tested against.
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block (table-driven fast path)."""
@@ -369,40 +296,6 @@ class AES128:
             + o2.to_bytes(4, "big") + o3.to_bytes(4, "big")
         )
 
-    def decrypt_block(self, block: bytes) -> bytes:
-        """Decrypt exactly one 16-byte block (table-driven fast path)."""
-        if not _USE_FAST_BACKEND:
-            return self.decrypt_block_reference(block)
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError(
-                f"AES block must be {self.BLOCK_SIZE} bytes, got {len(block)}"
-            )
-        rk = self._rk_dec
-        td0, td1, td2, td3 = _TD0, _TD1, _TD2, _TD3
-        c0 = int.from_bytes(block[0:4], "big") ^ rk[0]
-        c1 = int.from_bytes(block[4:8], "big") ^ rk[1]
-        c2 = int.from_bytes(block[8:12], "big") ^ rk[2]
-        c3 = int.from_bytes(block[12:16], "big") ^ rk[3]
-        for k in range(4, 40, 4):
-            t0 = td0[c0 >> 24] ^ td1[(c3 >> 16) & 0xFF] ^ td2[(c2 >> 8) & 0xFF] ^ td3[c1 & 0xFF] ^ rk[k]
-            t1 = td0[c1 >> 24] ^ td1[(c0 >> 16) & 0xFF] ^ td2[(c3 >> 8) & 0xFF] ^ td3[c2 & 0xFF] ^ rk[k + 1]
-            t2 = td0[c2 >> 24] ^ td1[(c1 >> 16) & 0xFF] ^ td2[(c0 >> 8) & 0xFF] ^ td3[c3 & 0xFF] ^ rk[k + 2]
-            t3 = td0[c3 >> 24] ^ td1[(c2 >> 16) & 0xFF] ^ td2[(c1 >> 8) & 0xFF] ^ td3[c0 & 0xFF] ^ rk[k + 3]
-            c0, c1, c2, c3 = t0, t1, t2, t3
-        inv_sbox = INV_SBOX
-        o0 = ((inv_sbox[c0 >> 24] << 24) | (inv_sbox[(c3 >> 16) & 0xFF] << 16)
-              | (inv_sbox[(c2 >> 8) & 0xFF] << 8) | inv_sbox[c1 & 0xFF]) ^ rk[40]
-        o1 = ((inv_sbox[c1 >> 24] << 24) | (inv_sbox[(c0 >> 16) & 0xFF] << 16)
-              | (inv_sbox[(c3 >> 8) & 0xFF] << 8) | inv_sbox[c2 & 0xFF]) ^ rk[41]
-        o2 = ((inv_sbox[c2 >> 24] << 24) | (inv_sbox[(c1 >> 16) & 0xFF] << 16)
-              | (inv_sbox[(c0 >> 8) & 0xFF] << 8) | inv_sbox[c3 & 0xFF]) ^ rk[42]
-        o3 = ((inv_sbox[c3 >> 24] << 24) | (inv_sbox[(c2 >> 16) & 0xFF] << 16)
-              | (inv_sbox[(c1 >> 8) & 0xFF] << 8) | inv_sbox[c0 & 0xFF]) ^ rk[43]
-        return (
-            o0.to_bytes(4, "big") + o1.to_bytes(4, "big")
-            + o2.to_bytes(4, "big") + o3.to_bytes(4, "big")
-        )
-
     def encrypt_block_reference(self, block: bytes) -> bytes:
         """Encrypt one block via the byte-wise FIPS-197 round functions."""
         if len(block) != self.BLOCK_SIZE:
@@ -419,24 +312,6 @@ class AES128:
         self._sub_bytes(state)
         self._shift_rows(state)
         self._add_round_key(state, self.ROUNDS)
-        return self._state_to_bytes(state)
-
-    def decrypt_block_reference(self, block: bytes) -> bytes:
-        """Decrypt one block via the byte-wise FIPS-197 round functions."""
-        if len(block) != self.BLOCK_SIZE:
-            raise ValueError(
-                f"AES block must be {self.BLOCK_SIZE} bytes, got {len(block)}"
-            )
-        state = self._bytes_to_state(block)
-        self._add_round_key(state, self.ROUNDS)
-        for round_index in range(self.ROUNDS - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, round_index)
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, 0)
         return self._state_to_bytes(state)
 
     @property

@@ -5,9 +5,8 @@ used by the block cipher module ... only available for the Local Ciphering
 Firewall" (paper, section IV-A).  This module provides:
 
 * :func:`random_key` -- deterministic pseudo-random key generation seeded for
-  reproducible experiments (the simulator never needs true randomness),
-* :func:`derive_key` -- domain-separated key derivation so one master secret
-  can yield independent per-policy / per-region keys,
+  reproducible experiments (the simulator never needs true randomness); every
+  ciphered window of a built platform holds its own such key,
 * :class:`KeyStore` -- the trusted on-chip key table indexed by Security
   Policy Identifier (SPI), with zeroisation support for the reconfiguration
   scenario described in the paper's perspectives.
@@ -15,11 +14,11 @@ Firewall" (paper, section IV-A).  This module provides:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 from repro.crypto.sha256 import sha256
 
-__all__ = ["random_key", "derive_key", "KeyStore", "KeyError_", "KeyStoreLocked"]
+__all__ = ["random_key", "KeyStore", "KeyError_", "KeyStoreLocked"]
 
 
 class KeyError_(KeyError):
@@ -46,25 +45,6 @@ def random_key(seed: int, length: int = 16) -> bytes:
     )
     while len(out) < length:
         out += sha256(bytes(seed_bytes) + counter.to_bytes(4, "big"))
-        counter += 1
-    return bytes(out[:length])
-
-
-def derive_key(master: bytes, label: str, length: int = 16) -> bytes:
-    """Derive a sub-key from ``master`` for the given ``label`` (domain separation).
-
-    Uses the HKDF-like expand step ``SHA256(master || label || counter)``.
-    Distinct labels always yield independent keys.
-    """
-    if not master:
-        raise ValueError("master key must be non-empty")
-    if length <= 0:
-        raise ValueError("length must be positive")
-    out = bytearray()
-    counter = 0
-    label_bytes = label.encode("utf-8")
-    while len(out) < length:
-        out += sha256(master + b"|" + label_bytes + b"|" + counter.to_bytes(4, "big"))
         counter += 1
     return bytes(out[:length])
 
@@ -97,12 +77,6 @@ class KeyStore:
                 f"key must be {self.key_length} bytes, got {len(key)}"
             )
         self._keys[spi] = bytes(key)
-
-    def install_derived(self, spi: int, master: bytes, label: Optional[str] = None) -> bytes:
-        """Derive a key for ``spi`` from ``master`` and install it."""
-        key = derive_key(master, label or f"spi:{spi}", self.key_length)
-        self.install(spi, key)
-        return key
 
     def zeroise(self, spi: int) -> None:
         """Erase the key for one policy (reaction to a detected attack)."""

@@ -1,19 +1,13 @@
-"""Block-cipher modes of operation for the Confidentiality Core.
+"""Counter mode of operation for the Confidentiality Core.
 
 The hardware Confidentiality Core streams 32-bit bus words through an AES-128
-pipeline.  At the behavioural level the Local Ciphering Firewall encrypts and
-decrypts whole external-memory blocks; this module provides the classic modes
-of operation used for that purpose:
-
-* :class:`ECBMode` -- electronic code book (used only for single isolated
-  blocks, e.g. key blobs),
-* :class:`CBCMode` -- cipher block chaining with an explicit IV,
-* :class:`CTRMode` -- counter mode, the natural fit for random-access memory
-  encryption because each 16-byte block of a memory page can be decrypted
-  independently from a (address, timestamp) derived counter.
-
-All modes operate on :class:`repro.crypto.aes.AES128` instances but accept any
-object exposing ``encrypt_block``/``decrypt_block``/``BLOCK_SIZE``.
+pipeline.  At the behavioural level the Local Ciphering Firewall enciphers and
+deciphers whole external-memory blocks in counter mode (:class:`CTRMode`),
+the natural fit for random-access memory encryption: each 16-byte block of a
+memory page is (de)ciphered independently, by XOR with the encryption of a
+counter block derived from its position and timestamp tag.  Counter mode only
+runs the block cipher forward, so any object exposing ``encrypt_block`` and
+``BLOCK_SIZE`` (such as :class:`repro.crypto.aes.AES128`) will do.
 """
 
 from __future__ import annotations
@@ -23,11 +17,7 @@ from typing import Optional, Protocol
 
 __all__ = [
     "BlockCipher",
-    "ECBMode",
-    "CBCMode",
     "CTRMode",
-    "pkcs7_pad",
-    "pkcs7_unpad",
     "xor_bytes",
     "use_keystream_cache",
     "keystream_cache_enabled",
@@ -58,9 +48,6 @@ class BlockCipher(Protocol):
     def encrypt_block(self, block: bytes) -> bytes:  # pragma: no cover - protocol
         ...
 
-    def decrypt_block(self, block: bytes) -> bytes:  # pragma: no cover - protocol
-        ...
-
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR two equal-length byte strings."""
@@ -69,97 +56,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     # One wide integer XOR instead of a per-byte Python loop.
     n = len(a)
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
-
-
-def pkcs7_pad(data: bytes, block_size: int = 16) -> bytes:
-    """Pad ``data`` to a multiple of ``block_size`` using PKCS#7."""
-    if not 1 <= block_size <= 255:
-        raise ValueError(f"block size must be in [1, 255], got {block_size}")
-    pad_len = block_size - (len(data) % block_size)
-    return data + bytes([pad_len]) * pad_len
-
-
-def pkcs7_unpad(data: bytes, block_size: int = 16) -> bytes:
-    """Remove PKCS#7 padding, validating it."""
-    if not data or len(data) % block_size != 0:
-        raise ValueError("invalid padded data length")
-    pad_len = data[-1]
-    if pad_len < 1 or pad_len > block_size:
-        raise ValueError("invalid padding byte")
-    if data[-pad_len:] != bytes([pad_len]) * pad_len:
-        raise ValueError("corrupt padding")
-    return data[:-pad_len]
-
-
-class ECBMode:
-    """Electronic-codebook mode: each block encrypted independently."""
-
-    def __init__(self, cipher: BlockCipher) -> None:
-        self._cipher = cipher
-        self._block = cipher.BLOCK_SIZE
-
-    def encrypt(self, plaintext: bytes) -> bytes:
-        """Encrypt a plaintext whose length is a multiple of the block size."""
-        self._check_length(plaintext)
-        out = bytearray()
-        for offset in range(0, len(plaintext), self._block):
-            out += self._cipher.encrypt_block(plaintext[offset : offset + self._block])
-        return bytes(out)
-
-    def decrypt(self, ciphertext: bytes) -> bytes:
-        """Decrypt a ciphertext whose length is a multiple of the block size."""
-        self._check_length(ciphertext)
-        out = bytearray()
-        for offset in range(0, len(ciphertext), self._block):
-            out += self._cipher.decrypt_block(ciphertext[offset : offset + self._block])
-        return bytes(out)
-
-    def _check_length(self, data: bytes) -> None:
-        if len(data) % self._block != 0:
-            raise ValueError(
-                f"data length {len(data)} is not a multiple of block size {self._block}"
-            )
-
-
-class CBCMode:
-    """Cipher-block-chaining mode with an explicit initialisation vector."""
-
-    def __init__(self, cipher: BlockCipher) -> None:
-        self._cipher = cipher
-        self._block = cipher.BLOCK_SIZE
-
-    def encrypt(self, plaintext: bytes, iv: bytes) -> bytes:
-        """Encrypt ``plaintext`` (multiple of block size) chained from ``iv``."""
-        self._check_iv(iv)
-        if len(plaintext) % self._block != 0:
-            raise ValueError("plaintext length must be a multiple of the block size")
-        out = bytearray()
-        previous = iv
-        for offset in range(0, len(plaintext), self._block):
-            block = xor_bytes(plaintext[offset : offset + self._block], previous)
-            encrypted = self._cipher.encrypt_block(block)
-            out += encrypted
-            previous = encrypted
-        return bytes(out)
-
-    def decrypt(self, ciphertext: bytes, iv: bytes) -> bytes:
-        """Decrypt ``ciphertext`` (multiple of block size) chained from ``iv``."""
-        self._check_iv(iv)
-        if len(ciphertext) % self._block != 0:
-            raise ValueError("ciphertext length must be a multiple of the block size")
-        out = bytearray()
-        previous = iv
-        for offset in range(0, len(ciphertext), self._block):
-            block = ciphertext[offset : offset + self._block]
-            out += xor_bytes(self._cipher.decrypt_block(block), previous)
-            previous = block
-        return bytes(out)
-
-    def _check_iv(self, iv: bytes) -> None:
-        if len(iv) != self._block:
-            raise ValueError(
-                f"IV must be {self._block} bytes, got {len(iv)}"
-            )
 
 
 class CTRMode:

@@ -101,10 +101,6 @@ class LatencyModel:
         bits_per_second = bits_per_operation * self.clock_hz / cycles_per_operation
         return bits_per_second / 1e6
 
-    def transaction_security_overhead(self, txn) -> int:
-        """Security cycles charged to one transaction (SB + CC + IC stages)."""
-        return txn.security_latency
-
 
 def _safe_ratio(total: float, count: int) -> float:
     return total / count if count else 0.0

@@ -60,10 +60,6 @@ class MemoryDevice(Component):
         offset = self._offset(address, len(data))
         self._data[offset : offset + len(data)] = data
 
-    def load_image(self, address: int, image: bytes) -> None:
-        """Bulk-load an initial memory image (e.g. firmware, test patterns)."""
-        self.poke(address, image)
-
     # -- timed access (called by the slave port) ------------------------------------
 
     def access_latency(self, txn: BusTransaction) -> int:  # pragma: no cover - interface

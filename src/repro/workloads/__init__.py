@@ -23,7 +23,6 @@ from repro.workloads.patterns import (
     firmware_update_program,
     producer_consumer_programs,
 )
-from repro.workloads.traces import TraceRecord, TraceRecorder, replay_program_from_trace
 
 __all__ = [
     "SyntheticWorkloadConfig",
@@ -32,7 +31,4 @@ __all__ = [
     "producer_consumer_programs",
     "firmware_update_program",
     "dma_offload_scenario",
-    "TraceRecord",
-    "TraceRecorder",
-    "replay_program_from_trace",
 ]

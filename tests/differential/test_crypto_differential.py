@@ -3,7 +3,7 @@
 Complements the scenario-level harness with direct, randomized checks:
 
 * AES-128: the T-table fast path vs. the byte-wise FIPS-197 reference, over
-  random keys and blocks, both directions, plus the global backend switch;
+  random keys and blocks, plus the global backend switch;
 * SHA-256: the hashlib backend vs. the from-scratch implementation, over
   random lengths straddling every Merkle–Damgård padding boundary;
 * CTR mode: LRU-cached vs. uncached keystreams at and around the cache-limit
@@ -23,14 +23,13 @@ from repro.crypto.sha256 import use_reference_backend as sha_use_reference
 
 
 class TestAESDifferential:
-    def test_random_keys_and_blocks_both_directions(self):
+    def test_random_keys_and_blocks(self):
         rng = random.Random(0xD1FF_AE5)
         for _ in range(200):
             key = rng.randbytes(16)
             block = rng.randbytes(16)
             cipher = AES128(key)
             assert cipher.encrypt_block(block) == cipher.encrypt_block_reference(block)
-            assert cipher.decrypt_block(block) == cipher.decrypt_block_reference(block)
 
     def test_backend_switch_routes_block_calls_to_the_reference(self):
         rng = random.Random(0xAE5_0002)
@@ -42,24 +41,10 @@ class TestAESDifferential:
             assert not aes_fast_enabled()
             # Same call site, reference rounds, identical bytes.
             assert cipher.encrypt_block(block) == fast
-            assert cipher.decrypt_block(fast) == block
         finally:
             aes_use_reference(False)
         assert aes_fast_enabled()
         assert cipher.encrypt_block(block) == fast
-
-    def test_roundtrip_across_mixed_backends(self):
-        rng = random.Random(0xAE5_0003)
-        for _ in range(20):
-            key = rng.randbytes(16)
-            block = rng.randbytes(16)
-            cipher = AES128(key)
-            ciphertext = cipher.encrypt_block(block)
-            aes_use_reference(True)
-            try:
-                assert cipher.decrypt_block(ciphertext) == block
-            finally:
-                aes_use_reference(False)
 
 
 class TestSha256Differential:

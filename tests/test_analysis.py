@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.report import (
     ArchitectureReport,
-    ExperimentRecord,
     PaperComparison,
     render_table1,
     render_table2,
@@ -76,23 +75,6 @@ class TestPaperComparison:
     def test_zero_paper_value(self):
         assert PaperComparison("x", 0.0, 0.0).relative_error == 0.0
         assert PaperComparison("x", 0.0, 1.0).relative_error == float("inf")
-
-
-class TestExperimentRecord:
-    def test_matched_fraction_and_render(self):
-        record = ExperimentRecord("E1", "area table")
-        record.add_comparison(PaperComparison("regs", 100, 100))
-        record.add_comparison(PaperComparison("luts", 100, 150))
-        record.add_table("table1", "rendered table body")
-        record.notes.append("calibrated model")
-        assert record.matched_fraction(tolerance=0.05) == 0.5
-        text = record.render()
-        assert "Experiment E1" in text
-        assert "rendered table body" in text
-        assert "note: calibrated model" in text
-
-    def test_empty_record_matches_trivially(self):
-        assert ExperimentRecord("E0", "empty").matched_fraction() == 1.0
 
 
 class TestArchitectureReport:

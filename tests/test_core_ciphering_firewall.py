@@ -1,15 +1,19 @@
 """Tests for the Local Ciphering Firewall (Confidentiality + Integrity Cores).
 
 These tests exercise the LCF in isolation (standalone firewall in front of a
-raw DDR model) as well as on the full secured platform via fixtures.
+raw DDR model), on the full secured platform via fixtures, and under the
+workload of every registered scenario that builds one.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core.alerts import SecurityMonitor, ViolationType
-from repro.core.ciphering_firewall import LocalCipheringFirewall
+from repro.core.ciphering_firewall import ConfidentialityCore, LocalCipheringFirewall
 from repro.core.constants import (
     CONFIDENTIALITY_CORE_CYCLES,
+    INTEGRITY_BLOCK_BYTES,
     INTEGRITY_CORE_CYCLES,
     SECURITY_BUILDER_CYCLES,
 )
@@ -20,6 +24,7 @@ from repro.core.policy import (
     SecurityPolicy,
 )
 from repro.crypto.keys import KeyStore, random_key
+from repro.scenarios import ScenarioBuilder, registry
 from repro.soc.kernel import Simulator
 from repro.soc.memory import ExternalDDR
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
@@ -28,6 +33,26 @@ DDR_BASE = 0x9000_0000
 SECURE_SIZE = 512          # 16 protected blocks of 32 bytes
 CIPHER_ONLY_BASE = DDR_BASE + SECURE_SIZE
 PLAIN_BASE = DDR_BASE + 2 * SECURE_SIZE
+CIPHERED_WINDOWS = {"secure": DDR_BASE, "cipher_only": CIPHER_ONLY_BASE}
+
+#: Registered scenarios whose protected build has a Local Ciphering Firewall,
+#: with the number of ciphered windows it guards.
+LCF_SCENARIOS = {
+    "attack_heavy": 2,
+    "bridge_firewalled_centralized": 1,
+    "cross_segment_attack_storm": 1,
+    "crypto_heavy": 2,
+    "deep_hierarchy_3seg": 2,
+    "dense_protection": 1,
+    "many_master_contention": 1,
+    "paper_baseline": 2,
+    "reconfiguration_under_load": 2,
+    "sparse_protection": 1,
+    "two_segment_dma_isolation": 2,
+}
+
+#: Workload seeds for the scenario runs (perfbench's default and held-out).
+WORKLOAD_SEEDS = (0, 20111)
 
 
 def build_lcf(monitor=None):
@@ -162,6 +187,42 @@ class TestConfidentiality:
         txn, _ = do_read(ddr, lcf, base, 48)
         assert txn.data == payload
 
+    @pytest.mark.parametrize("window", sorted(CIPHERED_WINDOWS))
+    def test_rewriting_a_block_leaves_fresh_ciphertext(self, window):
+        # Every write advances the block's timestamp tag, which is part of
+        # the CTR nonce, so equal plaintext never leaves equal ciphertext.
+        _, ddr, lcf = build_lcf()
+        address = CIPHERED_WINDOWS[window] + 2 * INTEGRITY_BLOCK_BYTES
+        plaintext = b"SAME-PLAINTEXT-WRITTEN-TWICE!!!!"
+        do_write(ddr, lcf, address, plaintext)
+        first = ddr.peek(address, len(plaintext))
+        do_write(ddr, lcf, address, plaintext)
+        assert ddr.peek(address, len(plaintext)) != first
+        txn, _ = do_read(ddr, lcf, address, len(plaintext))
+        assert txn.data == plaintext
+
+    @pytest.mark.parametrize("source", sorted(CIPHERED_WINDOWS))
+    def test_ciphertext_moved_to_the_other_window_stays_opaque(self, source):
+        # Both blocks sit at the same index with the same timestamp tag, so
+        # they share a CTR nonce: only the per-window key keeps the moved
+        # ciphertext from deciphering to the original plaintext.
+        target = "cipher_only" if source == "secure" else "secure"
+        _, ddr, lcf = build_lcf()
+        index = 3
+        src = CIPHERED_WINDOWS[source] + index * INTEGRITY_BLOCK_BYTES
+        dst = CIPHERED_WINDOWS[target] + index * INTEGRITY_BLOCK_BYTES
+        plaintext = b"RELOCATED-ACROSS-WINDOWS-32BYTES"
+        do_write(ddr, lcf, src, plaintext)
+        do_write(ddr, lcf, dst, bytes(len(plaintext)))
+        source_region, target_region = lcf.region_for(src), lcf.region_for(dst)
+        assert source_region.version_of(index) == target_region.version_of(index) == 1
+        assert source_region.key != target_region.key
+        ddr.poke(dst, ddr.peek(src, len(plaintext)))
+        txn, response = do_read(ddr, lcf, dst, len(plaintext))
+        assert txn.data != plaintext
+        # Only the authenticated window also rejects the read.
+        assert response.allowed == (target == "cipher_only")
+
 
 class TestIntegrity:
     def test_tampered_ciphertext_detected_on_read(self):
@@ -295,3 +356,46 @@ class TestOnSecuredPlatform:
         assert cpu.transactions[1].data == payload
         assert system.ddr.peek(cfg.ddr_base + 0x40, 32) != payload
         assert security.monitor.count() == 0
+
+
+def _ciphered_regions(built):
+    firewalls = getattr(built.security, "ciphering_firewalls", {})
+    return [
+        region
+        for lcf in firewalls.values()
+        for region in lcf.protected_regions
+        if region.rule.policy.needs_ciphering
+    ]
+
+
+class TestRegisteredScenarios:
+    def test_scenario_table_covers_the_registry(self):
+        found = {}
+        for name in registry.list_scenarios():
+            regions = _ciphered_regions(ScenarioBuilder(registry.get_scenario(name)).build(True))
+            if regions:
+                found[name] = len(regions)
+        assert found == LCF_SCENARIOS
+
+    @pytest.mark.parametrize("seed", WORKLOAD_SEEDS)
+    @pytest.mark.parametrize("name", sorted(LCF_SCENARIOS))
+    def test_workload_never_reuses_a_key_nonce_pair(self, name, seed, monkeypatch):
+        pairs = []
+        encipher = ConfidentialityCore.encipher
+
+        def recording(core, key, nonce, plaintext):
+            pairs.append((key, nonce))
+            return encipher(core, key, nonce, plaintext)
+
+        monkeypatch.setattr(ConfidentialityCore, "encipher", recording)
+        spec = registry.get_scenario(name)
+        spec = replace(spec, workload=replace(spec.workload, seed=seed))
+        ScenarioBuilder(spec).build(True).run_workload()
+        assert pairs, f"{name} enciphered nothing at seed {seed}"
+        assert len(set(pairs)) == len(pairs), f"{name} reused a (key, nonce) pair at seed {seed}"
+
+    @pytest.mark.parametrize("name", sorted(n for n, windows in LCF_SCENARIOS.items() if windows > 1))
+    def test_every_ciphered_window_holds_its_own_key(self, name):
+        regions = _ciphered_regions(ScenarioBuilder(registry.get_scenario(name)).build(True))
+        assert len(regions) == LCF_SCENARIOS[name]
+        assert len({region.key for region in regions}) == len(regions)

@@ -1,36 +1,18 @@
-"""Tests for the block-cipher modes of operation and padding helpers."""
+"""Tests for counter mode and its XOR helper."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128
-from repro.crypto.modes import (
-    CBCMode,
-    CTRMode,
-    ECBMode,
-    pkcs7_pad,
-    pkcs7_unpad,
-    xor_bytes,
-)
+from repro.crypto.aes import AES128, use_reference_backend
+from repro.crypto.modes import CTRMode, xor_bytes
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
-# NIST SP 800-38A F.1.1 (AES-128 ECB) first two blocks.
-NIST_ECB_PLAINTEXT = bytes.fromhex(
+# NIST SP 800-38A F.5.1 (AES-128 CTR) first two blocks.
+NIST_PLAINTEXT = bytes.fromhex(
     "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
 )
-NIST_ECB_CIPHERTEXT = bytes.fromhex(
-    "3ad77bb40d7a3660a89ecaf32466ef97f5d3d58503b9699de785895a96fdbaaf"
-)
-
-# NIST SP 800-38A F.2.1 (AES-128 CBC) first two blocks.
-NIST_CBC_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
-NIST_CBC_CIPHERTEXT = bytes.fromhex(
-    "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
-)
-
-# NIST SP 800-38A F.5.1 (AES-128 CTR) first two blocks.
 NIST_CTR_INITIAL_COUNTER = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
 NIST_CTR_CIPHERTEXT = bytes.fromhex(
     "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
@@ -52,84 +34,23 @@ class TestXorBytes:
         assert xor_bytes(xor_bytes(data, mask), mask) == data
 
 
-class TestPkcs7:
-    def test_pad_length_is_multiple_of_block(self):
-        for length in range(0, 40):
-            padded = pkcs7_pad(b"x" * length, 16)
-            assert len(padded) % 16 == 0
-            assert pkcs7_unpad(padded, 16) == b"x" * length
-
-    def test_pad_full_block_when_aligned(self):
-        padded = pkcs7_pad(b"a" * 16, 16)
-        assert len(padded) == 32
-        assert padded[-1] == 16
-
-    def test_unpad_rejects_corrupt_padding(self):
-        padded = bytearray(pkcs7_pad(b"hello", 16))
-        padded[-2] ^= 0xFF
-        with pytest.raises(ValueError):
-            pkcs7_unpad(bytes(padded), 16)
-
-    def test_unpad_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            pkcs7_unpad(b"123", 16)
-
-    def test_pad_rejects_bad_block_size(self):
-        with pytest.raises(ValueError):
-            pkcs7_pad(b"x", 0)
-
-
-class TestECB:
-    def test_nist_vector(self):
-        mode = ECBMode(AES128(KEY))
-        assert mode.encrypt(NIST_ECB_PLAINTEXT) == NIST_ECB_CIPHERTEXT
-        assert mode.decrypt(NIST_ECB_CIPHERTEXT) == NIST_ECB_PLAINTEXT
-
-    def test_rejects_partial_blocks(self):
-        mode = ECBMode(AES128(KEY))
-        with pytest.raises(ValueError):
-            mode.encrypt(b"not a block multiple")
-
-    def test_identical_blocks_leak_in_ecb(self):
-        # The well-known ECB weakness: equal plaintext blocks give equal
-        # ciphertext blocks (this is why the LCF uses CTR, not ECB).
-        mode = ECBMode(AES128(KEY))
-        ciphertext = mode.encrypt(b"A" * 32)
-        assert ciphertext[:16] == ciphertext[16:]
-
-
-class TestCBC:
-    def test_nist_vector(self):
-        mode = CBCMode(AES128(KEY))
-        assert mode.encrypt(NIST_ECB_PLAINTEXT, NIST_CBC_IV) == NIST_CBC_CIPHERTEXT
-        assert mode.decrypt(NIST_CBC_CIPHERTEXT, NIST_CBC_IV) == NIST_ECB_PLAINTEXT
-
-    def test_iv_length_validated(self):
-        mode = CBCMode(AES128(KEY))
-        with pytest.raises(ValueError):
-            mode.encrypt(b"0" * 16, b"shortiv")
-
-    def test_identical_blocks_do_not_leak(self):
-        mode = CBCMode(AES128(KEY))
-        ciphertext = mode.encrypt(b"A" * 32, NIST_CBC_IV)
-        assert ciphertext[:16] != ciphertext[16:]
-
-    @given(st.binary(min_size=16, max_size=16), st.integers(min_value=1, max_value=4))
-    @settings(max_examples=20, deadline=None)
-    def test_roundtrip(self, iv, n_blocks):
-        mode = CBCMode(AES128(KEY))
-        plaintext = bytes(range(16)) * n_blocks
-        assert mode.decrypt(mode.encrypt(plaintext, iv), iv) == plaintext
-
-
 class TestCTR:
-    def test_nist_vector(self):
+    @pytest.mark.parametrize("reference_aes", [False, True], ids=["table_aes", "reference_aes"])
+    @pytest.mark.parametrize("cache_blocks", [True, False], ids=["cached", "uncached"])
+    def test_nist_vector(self, cache_blocks, reference_aes):
         # The NIST CTR vector uses the full 16-byte counter block as the
         # initial counter; reproduce it by splitting into nonce and counter.
         nonce = NIST_CTR_INITIAL_COUNTER[:8]
         initial = int.from_bytes(NIST_CTR_INITIAL_COUNTER[8:], "big")
-        mode = CTRMode(AES128(KEY))
-        assert mode.encrypt(NIST_ECB_PLAINTEXT, nonce, initial) == NIST_CTR_CIPHERTEXT
+        mode = CTRMode(AES128(KEY), cache_blocks=cache_blocks)
+        use_reference_backend(reference_aes)
+        try:
+            # The second pass is served from the keystream cache when it is on.
+            for _ in range(2):
+                assert mode.encrypt(NIST_PLAINTEXT, nonce, initial) == NIST_CTR_CIPHERTEXT
+        finally:
+            use_reference_backend(False)
+        assert mode.cache_hits == (2 if cache_blocks else 0)
 
     def test_arbitrary_length_no_padding(self):
         mode = CTRMode(AES128(KEY))

@@ -21,9 +21,14 @@ KNOWN_VECTORS = {
 
 
 class TestKnownVectors:
+    # sha256() dispatches to hashlib by default; the SHA256 class always runs
+    # the from-scratch compression function.
+    @pytest.mark.parametrize(
+        "digest", [sha256, lambda message: SHA256(message).digest()], ids=["sha256", "SHA256"]
+    )
     @pytest.mark.parametrize("message,expected", sorted(KNOWN_VECTORS.items()))
-    def test_reference_digests(self, message, expected):
-        assert sha256(message).hex() == expected
+    def test_reference_digests(self, message, expected, digest):
+        assert digest(message).hex() == expected
 
     def test_one_million_a(self):
         # The classic NIST long-message vector, built incrementally.

@@ -1,12 +1,10 @@
-"""Tests for the workload generators, application patterns and trace tools."""
-
-import json
+"""Tests for the workload generators and application patterns."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.soc.processor import OperationKind, ProcessorProgram
+from repro.soc.processor import OperationKind
 from repro.soc.system import SoCConfig
 from repro.soc.transaction import TransactionStatus
 from repro.workloads.generators import (
@@ -19,8 +17,6 @@ from repro.workloads.patterns import (
     firmware_update_program,
     producer_consumer_programs,
 )
-from repro.workloads.traces import TraceRecord, TraceRecorder, replay_program_from_trace
-from tests.conftest import build_figure1
 
 
 class TestSyntheticGenerator:
@@ -170,59 +166,3 @@ class TestPatterns:
         with pytest.raises(ValueError):
             dma_offload_scenario(plain_platform, buffer_size=10)
 
-
-class TestTraces:
-    def run_simple_workload(self, platform):
-        from repro.soc.processor import MemoryOperation, ProcessorProgram
-
-        cfg = platform.config
-        program = ProcessorProgram([
-            MemoryOperation.write(cfg.bram_base + 0x10, b"\x01\x02\x03\x04"),
-            MemoryOperation.read(cfg.bram_base + 0x10),
-        ])
-        platform.processors["cpu0"].load_program(program)
-        platform.processors["cpu0"].start()
-        platform.run()
-        return platform.processors["cpu0"].transactions
-
-    def test_capture_and_statistics(self, plain_platform):
-        transactions = self.run_simple_workload(plain_platform)
-        recorder = TraceRecorder(include_data=True)
-        recorder.capture_all(transactions)
-        assert recorder.count() == 2
-        assert recorder.blocked_count() == 0
-        assert recorder.mean_latency() > 0
-        assert recorder.mean_security_latency() == 0  # unprotected platform
-
-    def test_json_roundtrip(self, plain_platform):
-        transactions = self.run_simple_workload(plain_platform)
-        recorder = TraceRecorder(include_data=True)
-        recorder.capture_all(transactions)
-        payload = recorder.to_json(indent=2)
-        parsed = json.loads(payload)
-        assert len(parsed) == 2
-        restored = TraceRecorder.from_json(payload)
-        assert restored.count() == 2
-        assert restored.records[0].master == "cpu0"
-
-    def test_capture_bus_history(self, plain_platform):
-        self.run_simple_workload(plain_platform)
-        recorder = TraceRecorder()
-        recorder.capture_bus_history(plain_platform.bus)
-        assert recorder.count() == 2
-
-    def test_replay_program(self, plain_platform):
-        transactions = self.run_simple_workload(plain_platform)
-        recorder = TraceRecorder(include_data=True)
-        recorder.capture_all(transactions)
-        program = replay_program_from_trace(recorder.records, "cpu0")
-        assert len(program) == 2
-        assert program.operations[0].kind is OperationKind.WRITE
-        assert program.operations[0].data == b"\x01\x02\x03\x04"
-        assert program.operations[1].kind is OperationKind.READ
-        # Replay on a fresh platform reproduces the same memory state.
-        fresh, _ = build_figure1(protected=False)
-        fresh.processors["cpu0"].load_program(program)
-        fresh.processors["cpu0"].start()
-        fresh.run()
-        assert fresh.bram.peek(fresh.config.bram_base + 0x10, 4) == b"\x01\x02\x03\x04"

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
-"""AST lint: determinism rules for fingerprinted sweep and fuzz code.
+"""AST lint: determinism rules for the fingerprinted ``repro`` package.
 
-The sweep store keys cached results on a code fingerprint, which breaks
+The sweep store keys cached results on a code fingerprint, and workload,
+campaign, Figure-1 and fuzz results are pinned by digest; all of that breaks
 silently if the code under it observes wall clocks, unseeded randomness, or
-iteration orders Python does not guarantee.  This lint walks the ASTs of
-``src/repro/sweep/`` (no imports, no execution) — plus ``src/repro/fuzz/``,
-whose seeded search makes the same bit-reproducibility promise — and fails
-on:
+iteration orders Python does not guarantee.  This lint walks the ASTs of all
+of ``src/repro/`` (no imports, no execution) and fails on:
 
 ``unseeded-random``
     Any use of the module-level ``random.*`` functions (``random.random()``,
@@ -39,7 +38,7 @@ import sys
 from typing import List, Sequence, Tuple
 
 #: Directories whose code feeds fingerprinted results.
-DEFAULT_TARGETS = ("src/repro/sweep", "src/repro/fuzz")
+DEFAULT_TARGETS = ("src/repro",)
 
 WAIVER = "# determinism: allow"
 
