@@ -8,6 +8,10 @@ workload run (alert stream, event and cycle counts, memory images, firewall
 verdict counters, reaction log) must hash to the digest recorded in
 ``tests/golden/workload_fingerprints.json``.  A kernel, arbiter, bridge or
 firewall change that moves any observable fails here with the scenario named.
+Each entry also pins three interconnect observables the digest does not
+cover: the per-hop latency keys (``latency.per_hop`` of every result), the
+bus name (Figure 1's ``shared bus:`` line) and the sources of the
+``bus.granted`` events (every JSONL trace).
 
 After an intentional behaviour change, regenerate the file with::
 
@@ -29,6 +33,7 @@ import sys
 import pytest
 
 from repro.api.events import EventBus, InMemorySink, StatsSink, attach_instrumentation
+from repro.metrics.latency import aggregate_hop_latency
 from repro.scenarios import registry
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.differential import _variant_fingerprint, diff_fingerprints
@@ -60,19 +65,26 @@ def _run(name: str, protected: bool = True, instrument=None):
     return _variant_fingerprint(built, final), built
 
 
-def _golden_entry(fingerprint) -> dict:
+def _golden_entry(name: str, protected: bool) -> dict:
+    fingerprint, built = _run(name, protected)
     blob = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    # A second, recorded run: the digest above pins the uninstrumented one.
+    sink = InMemorySink()
+    _run(name, protected, instrument=sink)
     return {
         "digest": hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16],
         "workload_cycles": fingerprint["workload_cycles"],
         "events_processed": fingerprint["events_processed"],
         "alerts": len(fingerprint["alerts"]),
+        "per_hop": sorted(aggregate_hop_latency(built.system.bus.monitor.history)),
+        "bus": built.system.describe_topology()["bus"],
+        "granted_sources": sorted({event.source for event in sink.of_kind("bus.granted")}),
     }
 
 
 def _golden_table() -> dict:
     return {
-        name: {label: _golden_entry(_run(name, protected)[0]) for label, protected in VARIANTS}
+        name: {label: _golden_entry(name, protected) for label, protected in VARIANTS}
         for name in ALL_SCENARIOS
     }
 
@@ -86,7 +98,7 @@ def _load_golden() -> dict:
 def test_workload_fingerprint_matches_golden(name, protected):
     label = "protected" if protected else "unprotected"
     want = _load_golden()[name][label]
-    got = _golden_entry(_run(name, protected)[0])
+    got = _golden_entry(name, protected)
     assert got == want, (
         f"{name} ({label}) drifted from tests/golden/workload_fingerprints.json: "
         f"got {got}, want {want}; regenerate the file if the change is intentional"
