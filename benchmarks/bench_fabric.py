@@ -1,4 +1,4 @@
-"""Interconnect-fabric scaling sweep: masters x segments.
+"""Fabric scaling sweep: masters x segments.
 
 The fabric refactor makes topology a free axis, so this benchmark measures
 what it costs: a grid of (segments, CPUs-per-segment) platforms runs the same

@@ -5,7 +5,8 @@
 interesting to study the adaptation to thread-specific security where each
 thread has its own security level." (paper, conclusion)
 
-This example builds a small platform where cpu0 runs two threads:
+This example builds a small platform (one CPU, one BRAM) from a scenario
+spec, where cpu0 runs two threads:
 
 * thread 7 — the trusted key-management thread (clearance 2),
 * thread 8 — an untrusted application thread (clearance 0),
@@ -27,29 +28,31 @@ from repro.core import (
     ThreadAwareLocalFirewall,
     ThreadSecurityDirectory,
 )
-from repro.soc.address_map import AddressMap
-from repro.soc.bus import SystemBus
-from repro.soc.kernel import Simulator
-from repro.soc.memory import BlockRAM
-from repro.soc.ports import MasterPort, SlavePort
-from repro.soc.processor import MemoryOperation, Processor, ProcessorProgram
+from repro.scenarios import MasterSpec, ScenarioBuilder, ScenarioSpec, SlaveSpec, TopologySpec
+from repro.soc.processor import MemoryOperation, ProcessorProgram
 
 KEY_VAULT_BASE = 0x2000
 PUBLIC_BASE = 0x0000
 REGION = 0x2000
 
 
+SPEC = ScenarioSpec(
+    name="thread_level",
+    description="one CPU and one BRAM on a flat bus",
+    topology=TopologySpec(
+        masters=(MasterSpec("cpu0"),),
+        slaves=(SlaveSpec("bram", "bram", base=0x0, size=0x8000),),
+    ),
+)
+
+
 def main() -> None:
-    sim = Simulator()
-    # Even a hand-assembled platform gets instrumentation for free: attach an
-    # event bus to the kernel and every component publishes through it.
+    # Built unprotected: the thread-aware firewall below is the only one.
+    built = ScenarioBuilder(SPEC).build(protected=False)
+    sim = built.system.sim
+    # Attach an event bus and every component publishes through it.
     events = InMemorySink()
-    sim.event_bus = EventBus([events])
-    amap = AddressMap()
-    amap.add_region("bram", 0x0, 0x8000, slave="bram")
-    bus = SystemBus(sim, address_map=amap)
-    bram = BlockRAM(sim, "bram", base=0x0, size=0x8000)
-    bus.connect_slave(SlavePort(sim, "bram_port", bram))
+    built.attach_instrumentation(EventBus([events]))
 
     monitor = SecurityMonitor()
     monitor.event_bus = sim.event_bus
@@ -66,8 +69,8 @@ def main() -> None:
         clearance_requirements={KEY_VAULT_BASE: 2},
         monitor=monitor,
     )
-    port = MasterPort(sim, "cpu0_port", filters=[firewall])
-    bus.connect_master(port)
+    port = built.system.master_ports["cpu0"]
+    port.attach_filter(firewall)
 
     program = ProcessorProgram([
         # trusted thread provisions a key into the vault and reads it back
@@ -78,7 +81,8 @@ def main() -> None:
         # ...but also tries to read the vault
         MemoryOperation.read(KEY_VAULT_BASE, thread_id=8),
     ], name="two_threads")
-    cpu0 = Processor(sim, "cpu0", port, program)
+    cpu0 = built.system.processors["cpu0"]
+    cpu0.load_program(program)
     cpu0.start()
     sim.run()
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.soc.bus import SystemBus
+from repro.soc.fabric import InterconnectFabric
 from repro.soc.kernel import Component, Simulator
 from repro.soc.ports import MasterPort
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
@@ -39,14 +39,14 @@ class AttackerMaster(Component):
     def with_new_port(
         cls,
         sim: Simulator,
-        bus: SystemBus,
+        bus: InterconnectFabric,
         name: str = "attacker",
         segment: Optional[str] = None,
     ) -> "AttackerMaster":
         """Create an attacker with its own unfiltered port on the bus
-        (modelling an injection point outside any firewall).  On a fabric,
-        ``segment`` places the injection point on a specific bus segment
-        (None = the default segment)."""
+        (modelling an injection point outside any firewall).  ``segment``
+        places the injection point on a specific bus segment (None = the
+        default segment)."""
         port = MasterPort(sim, f"{name}_port")
         bus.connect_master(port, segment=segment)
         return cls(sim, name, port)

@@ -22,7 +22,7 @@ only ciphered").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional, TypeVar
 
 from repro.core.alerts import SecurityMonitor
 from repro.core.ciphering_firewall import LocalCipheringFirewall
@@ -262,12 +262,27 @@ class SecurityPlan:
             )
 
 
+_Endpoint = TypeVar("_Endpoint")
+
+
+def _endpoint(kind: str, endpoints: Mapping[str, _Endpoint], name: str) -> _Endpoint:
+    """The platform endpoint a plan entry names, or a ValueError naming it."""
+    try:
+        return endpoints[name]
+    except KeyError:
+        raise ValueError(
+            f"security plan names unknown {kind} {name!r}; known: {sorted(endpoints)}"
+        ) from None
+
+
 def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
     """Execute a :class:`SecurityPlan` against a platform.
 
     Builds the monitor, key store and manager, then attaches one firewall per
-    plan entry (master LFs, internal slave LFs, LCFs on external memories),
-    each with its own trusted Configuration Memory.
+    plan entry (master LFs, internal slave LFs, bridge LFs, LCFs on external
+    memories), each with its own trusted Configuration Memory.  A plan entry
+    naming a master, slave, bridge or memory the platform lacks raises
+    :class:`ValueError`.
     """
     sim = system.sim
 
@@ -282,7 +297,7 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
 
     # -- master-side Local Firewalls ---------------------------------------------------
     for master_plan in plan.masters:
-        port = system.master_ports[master_plan.master]
+        port = _endpoint("master", system.master_ports, master_plan.master)
         memory = ConfigurationMemory(
             f"cfg_{master_plan.master}", capacity=plan.config_memory_capacity
         )
@@ -303,9 +318,7 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
 
     # -- internal slave-side Local Firewalls ----------------------------------------------
     for slave_plan in plan.slaves:
-        port = system.slave_ports.get(slave_plan.slave)
-        if port is None:
-            continue
+        port = _endpoint("slave", system.slave_ports, slave_plan.slave)
         memory = ConfigurationMemory(
             f"cfg_{slave_plan.slave}", capacity=plan.config_memory_capacity
         )
@@ -323,40 +336,27 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
         manager.register_firewall(firewall)
 
     # -- bridge-placed Local Firewalls -----------------------------------------------------
-    if plan.bridges:
-        fabric_bridges = getattr(system.bus, "bridges", None)
-        if not fabric_bridges:
-            raise ValueError(
-                "security plan places firewalls on bridges, but the platform's "
-                "interconnect has none (flat bus?)"
-            )
-        for bridge_plan in plan.bridges:
-            try:
-                bridge = fabric_bridges[bridge_plan.bridge]
-            except KeyError as exc:
-                raise ValueError(
-                    f"security plan references unknown bridge {bridge_plan.bridge!r}; "
-                    f"known: {sorted(fabric_bridges)}"
-                ) from exc
-            memory = ConfigurationMemory(
-                f"cfg_{bridge_plan.bridge}", capacity=plan.config_memory_capacity
-            )
-            for rule in bridge_plan.rules:
-                memory.add(rule.base, rule.size, rule.policy, label=rule.label)
-            firewall = LocalFirewall(
-                sim,
-                f"lf_{bridge_plan.bridge}",
-                memory,
-                monitor=monitor,
-                protected_ip=bridge_plan.bridge,
-            )
-            bridge.attach_filter(firewall)
-            platform.bridge_firewalls[bridge_plan.bridge] = firewall
-            manager.register_firewall(firewall)
+    for bridge_plan in plan.bridges:
+        bridge = _endpoint("bridge", system.bus.bridges, bridge_plan.bridge)
+        memory = ConfigurationMemory(
+            f"cfg_{bridge_plan.bridge}", capacity=plan.config_memory_capacity
+        )
+        for rule in bridge_plan.rules:
+            memory.add(rule.base, rule.size, rule.policy, label=rule.label)
+        firewall = LocalFirewall(
+            sim,
+            f"lf_{bridge_plan.bridge}",
+            memory,
+            monitor=monitor,
+            protected_ip=bridge_plan.bridge,
+        )
+        bridge.attach_filter(firewall)
+        platform.bridge_firewalls[bridge_plan.bridge] = firewall
+        manager.register_firewall(firewall)
 
     # -- Local Ciphering Firewalls on external memories ------------------------------------
     for cipher_plan in plan.ciphering:
-        device = system.memories[cipher_plan.slave]
+        device = _endpoint("memory", system.memories, cipher_plan.slave)
         memory = ConfigurationMemory(
             f"cfg_{cipher_plan.slave}", capacity=plan.config_memory_capacity
         )

@@ -111,8 +111,8 @@ def _safe_ratio(total: float, count: int) -> float:
 # ---------------------------------------------------------------------------
 #
 # On a multi-segment fabric a transaction's latency breakdown carries one
-# bucket per hop: ``"bus"`` (flat bus) or ``"bus:<segment>"`` per segment
-# crossed, plus ``"bridge:<name>"`` per bridge forwarding.  Splitting those
+# bucket per hop: ``"bus"`` (one-segment fabric) or ``"bus:<segment>"`` per
+# segment crossed, plus ``"bridge:<name>"`` per bridge forwarding.  Splitting those
 # out — and splitting the Security Builder cycles by firewall placement —
 # is what lets a Table-II-style account compare leaf-firewall cycles against
 # bridge-firewall cycles on the same workload.

@@ -2,7 +2,7 @@
 
 :class:`ScenarioBuilder` is the bridge between the declarative layer
 (:mod:`repro.scenarios.spec`) and the simulation substrate: it instantiates
-the kernel, address map, bus, devices and master ports for an arbitrary
+the kernel, interconnect fabric, devices and master ports for an arbitrary
 topology, derives a :class:`repro.core.secure.SecurityPlan` from the spec's
 policy map, and attaches the distributed firewalls through
 :func:`repro.core.secure.attach_security` (or the centralized baseline
@@ -40,9 +40,7 @@ from repro.core.secure import (
     attach_security,
     default_policies,
 )
-from repro.soc.address_map import AddressMap
-from repro.soc.bus import FixedPriorityArbiter, RoundRobinArbiter, SystemBus
-from repro.soc.fabric import InterconnectFabric
+from repro.soc.fabric import FixedPriorityArbiter, InterconnectFabric, RoundRobinArbiter
 from repro.soc.devices import DmaDescriptorRing, FirmwareUpdateIP, SecureBootSequencer
 from repro.soc.ip import RegisterFileIP
 from repro.soc.kernel import Simulator
@@ -50,7 +48,7 @@ from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.system import SoCConfig, SoCSystem
 from repro.workloads.generators import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
-from repro.scenarios.spec import ScenarioSpec, SlaveSpec
+from repro.scenarios.spec import ScenarioSpec, SegmentSpec, SlaveSpec
 
 __all__ = ["ATTACK_KINDS", "ScenarioBuilder", "BuiltScenario", "instantiate_attacks"]
 
@@ -246,23 +244,16 @@ class ScenarioBuilder:
             config.ddr_size = ddr.size
         return config
 
-    def _build_interconnect(self, sim: Simulator):
-        """The spec's interconnect: a flat bus, or a finalized fabric."""
-        topology = self.spec.topology
-        if not topology.hierarchical:
-            address_map = AddressMap()
-            for slave in topology.slaves:
-                address_map.add_region(
-                    slave.region_name,
-                    slave.base,
-                    slave.size,
-                    slave=slave.name,
-                    external=(slave.kind == "ddr"),
-                )
-            return SystemBus(sim, address_map=address_map, arbiter=RoundRobinArbiter())
+    def build_interconnect(self, sim: Simulator) -> InterconnectFabric:
+        """The spec's finalized fabric, without devices or security.
 
-        fabric = InterconnectFabric(sim)
-        for segment in topology.segments:
+        A flat topology is one round-robin segment named ``system_bus`` in a
+        fabric of the same name.
+        """
+        topology = self.spec.topology
+        name = "fabric" if topology.hierarchical else "system_bus"
+        fabric = InterconnectFabric(sim, name)
+        for segment in topology.segments or (SegmentSpec(name),):
             arbiter = (
                 FixedPriorityArbiter()
                 if segment.arbiter == "fixed_priority"
@@ -294,7 +285,7 @@ class ScenarioBuilder:
         """Instantiate kernel, interconnect, devices and masters."""
         topology = self.spec.topology
         sim = Simulator()
-        system = SoCSystem(sim, self._build_interconnect(sim), self._mirror_config())
+        system = SoCSystem(sim, self.build_interconnect(sim), self._mirror_config())
 
         for slave in topology.slaves:
             segment = topology.segment_of(slave)

@@ -291,8 +291,9 @@ class TopologySpec:
     """An arbitrary bus-based SoC layout: N masters, M slaves.
 
     ``segments`` and ``bridges`` describe a hierarchical interconnect
-    fabric; both empty means the classic flat shared bus (and every master
-    and slave must then leave its ``segment`` field empty).
+    fabric; both empty means the classic flat shared bus, built as a
+    one-segment fabric (and every master and slave must then leave its
+    ``segment`` field empty).
     """
 
     masters: Tuple[MasterSpec, ...]

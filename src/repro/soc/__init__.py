@@ -13,12 +13,10 @@ transaction-level, cycle-accounted behavioural model of that platform:
   decoding,
 * :mod:`repro.soc.ports` -- master/slave ports and the transaction-filter
   interface through which the security firewalls are interposed,
-* :mod:`repro.soc.bus` -- the shared system bus with pluggable arbitration
-  (the 1-segment special case of the fabric),
-* :mod:`repro.soc.fabric` -- the hierarchical interconnect fabric: the
-  :class:`Interconnect` contract, :class:`BusSegment`, :class:`BusBridge`
-  (posted writes, firewall-capable filter chains) and memoised multi-hop
-  routing,
+* :mod:`repro.soc.fabric` -- the interconnect fabric every platform is
+  built on: :class:`BusSegment` shared buses with pluggable arbitration,
+  :class:`BusBridge` (posted writes, firewall-capable filter chains) and
+  multi-hop routing; the paper's shared system bus is the one-segment fabric,
 * :mod:`repro.soc.memory` -- BRAM and external-DDR memory models,
 * :mod:`repro.soc.processor` -- MicroBlaze-like programmable bus masters,
 * :mod:`repro.soc.ip` -- dedicated IP models (DMA engine, register-file slave),
@@ -44,19 +42,14 @@ from repro.soc.ports import (
     SlavePort,
     TransactionFilter,
 )
-from repro.soc.bus import (
-    BusMonitor,
-    FixedPriorityArbiter,
-    RoundRobinArbiter,
-    SystemBus,
-)
 from repro.soc.fabric import (
     BusBridge,
+    BusMonitor,
     BusSegment,
     FabricRouter,
-    Interconnect,
+    FixedPriorityArbiter,
     InterconnectFabric,
-    Route,
+    RoundRobinArbiter,
 )
 from repro.soc.memory import BlockRAM, ExternalDDR, MemoryDevice
 from repro.soc.processor import MemoryOperation, Processor, ProcessorProgram
@@ -78,16 +71,13 @@ __all__ = [
     "MasterPort",
     "SlavePort",
     "TransactionFilter",
-    "SystemBus",
     "RoundRobinArbiter",
     "FixedPriorityArbiter",
     "BusMonitor",
-    "Interconnect",
     "BusSegment",
     "BusBridge",
     "InterconnectFabric",
     "FabricRouter",
-    "Route",
     "MemoryDevice",
     "BlockRAM",
     "ExternalDDR",

@@ -1,9 +1,4 @@
-"""Bus arbitration policies, shared by every segment of a fabric.
-
-Moved here from :mod:`repro.soc.bus` when the flat bus became the 1-segment
-special case of the interconnect fabric; :mod:`repro.soc.bus` re-exports them
-so existing imports keep working.
-"""
+"""Bus arbitration policies; each segment of a fabric owns one arbiter."""
 
 from __future__ import annotations
 

@@ -109,22 +109,6 @@ class BusBridge(Component):
     def segment_names(self) -> Tuple[str, str]:
         return (self.a_segment.name, self.b_segment.name)
 
-    def endpoint_on(self, segment_name: str) -> BridgeEndpoint:
-        """The ingress endpoint living on the named segment."""
-        if segment_name == self.a_segment.name:
-            return self.endpoint_a
-        if segment_name == self.b_segment.name:
-            return self.endpoint_b
-        raise ValueError(f"bridge {self.name} does not touch segment {segment_name!r}")
-
-    def other_segment(self, segment_name: str):
-        """The segment on the far side of the named one."""
-        if segment_name == self.a_segment.name:
-            return self.b_segment
-        if segment_name == self.b_segment.name:
-            return self.a_segment
-        raise ValueError(f"bridge {self.name} does not touch segment {segment_name!r}")
-
     def attach_filter(self, filt: TransactionFilter) -> None:
         """Append a filter (e.g. a bridge-placed Local Firewall) to the chain."""
         self.filters.append(filt)

@@ -1,8 +1,8 @@
-"""The hierarchical interconnect fabric.
+"""The interconnect fabric every platform is built on.
 
 :class:`InterconnectFabric` composes :class:`~repro.soc.fabric.segment.
 BusSegment` instances and :class:`~repro.soc.fabric.bridge.BusBridge`
-components into one :class:`~repro.soc.fabric.interconnect.Interconnect`:
+components into one interconnect:
 
 * ``add_segment`` / ``add_bridge`` declare the structure,
 * ``add_region`` places every address region on its home segment,
@@ -15,8 +15,9 @@ components into one :class:`~repro.soc.fabric.interconnect.Interconnect`:
   again.
 
 Masters and slaves attach to a named segment (``None`` = the default/first
-segment), so a 1-segment fabric is wire-compatible with the flat
-:class:`~repro.soc.bus.SystemBus`.
+segment).  The paper's flat shared bus is a fabric with one segment and no
+bridges; its transfers charge the ``"bus"`` latency stage, while the
+segments of a larger fabric each charge ``"bus:<segment>"``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Dict, List, Optional
 from repro.soc.address_map import AddressMap, AddressRegion
 from repro.soc.fabric.arbiters import Arbiter
 from repro.soc.fabric.bridge import BusBridge
-from repro.soc.fabric.interconnect import Interconnect
 from repro.soc.fabric.routing import FabricRouter
 from repro.soc.fabric.segment import BusSegment, BusMonitor
 from repro.soc.kernel import Component, Simulator
@@ -81,8 +81,8 @@ class FabricMonitor:
         return [t for t in self.history if t.master == master]
 
 
-class InterconnectFabric(Component, Interconnect):
-    """Multiple bus segments joined by bridges behind one Interconnect API."""
+class InterconnectFabric(Component):
+    """Bus segments joined by bridges behind one wiring and monitoring API."""
 
     def __init__(
         self,
@@ -133,7 +133,6 @@ class InterconnectFabric(Component, Interconnect):
                 else data_phase_cycles_per_beat
             ),
             bus_width=self.bus_width,
-            latency_stage=f"bus:{name}",
         )
         self.segments[name] = segment
         if self._default_segment is None:
@@ -190,9 +189,17 @@ class InterconnectFabric(Component, Interconnect):
         return region
 
     def finalize(self) -> None:
-        """Compute routes and install local + proxy regions on every segment."""
+        """Compute routes and install local + proxy regions on every segment.
+
+        A one-segment fabric keeps the ``"bus"`` latency stage; the segments
+        of a larger one charge ``"bus:<segment>"`` so per-hop latency can be
+        attributed.
+        """
         if self._finalized:
             raise RuntimeError("fabric is already finalized")
+        if len(self.segments) > 1:
+            for name, segment in self.segments.items():
+                segment.latency_stage = f"bus:{name}"
         self.router.rebuild()
         for region in self._global_map:
             home = self._region_segment[region.name]
@@ -228,21 +235,7 @@ class InterconnectFabric(Component, Interconnect):
             raise KeyError(f"no segment named {name!r}; known: {sorted(self.segments)}")
         return name
 
-    def segment_of_region(self, region_name: str) -> str:
-        """Home segment of a named region."""
-        try:
-            return self._region_segment[region_name]
-        except KeyError:
-            raise KeyError(f"no region named {region_name!r}") from None
-
-    def segment_of_master(self, master_port_name: str) -> Optional[str]:
-        """Segment a master port is attached to, or None if unknown."""
-        for name, segment in self.segments.items():
-            if master_port_name in segment.master_names:
-                return name
-        return None
-
-    # -- Interconnect API -----------------------------------------------------------------
+    # -- wiring and monitoring --------------------------------------------------------------
 
     def connect_master(self, port: MasterPort, segment: Optional[str] = None) -> None:
         self.segment(segment).connect_master(port)
@@ -280,9 +273,6 @@ class InterconnectFabric(Component, Interconnect):
 
     def pending_count(self) -> int:
         return sum(segment.pending_count() for segment in self.segments.values())
-
-    def utilisation_summary(self) -> Dict[str, int]:
-        return dict(self.monitor.per_master)
 
     # -- reporting -----------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """One shared-bus segment of the interconnect fabric.
 
-This is the original flat shared bus of :mod:`repro.soc.bus`, refactored to
-implement the :class:`~repro.soc.fabric.interconnect.Interconnect` contract:
+The paper's flat system bus is a fabric with one such segment.  A segment
+works as follows:
 
 * masters submit transactions through their :class:`~repro.soc.ports.MasterPort`,
 * an arbiter (round-robin by default, fixed-priority available) grants one
@@ -18,9 +18,10 @@ segment (blocked-at-master transactions never show up here, which is exactly
 the containment property the firewalls must provide).
 
 ``latency_stage`` names the bucket the segment charges its transfer cycles
-to; the flat bus keeps the historical ``"bus"`` so single-segment platforms
-stay byte-identical, while a fabric names each segment's bucket
-``"bus:<segment>"`` for per-hop latency attribution.
+to: ``"bus"`` by default, which a one-segment fabric keeps, while
+:meth:`~repro.soc.fabric.fabric.InterconnectFabric.finalize` names each
+segment of a multi-segment fabric ``"bus:<segment>"`` for per-hop latency
+attribution.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.soc.address_map import AddressMap, DecodeError
 from repro.soc.fabric.arbiters import Arbiter, RoundRobinArbiter
-from repro.soc.fabric.interconnect import Interconnect
 from repro.soc.kernel import Component, Simulator
 from repro.soc.ports import MasterPort, SlavePort
 from repro.soc.transaction import BusTransaction, TransactionStatus
@@ -64,7 +64,7 @@ class BusMonitor:
         return [t for t in self.history if t.master == master]
 
 
-class BusSegment(Component, Interconnect):
+class BusSegment(Component):
     """A single shared bus connecting its master ports to its slave ports."""
 
     def __init__(
@@ -76,7 +76,6 @@ class BusSegment(Component, Interconnect):
         address_phase_cycles: int = 1,
         data_phase_cycles_per_beat: int = 1,
         bus_width: int = 4,
-        latency_stage: str = "bus",
     ) -> None:
         super().__init__(sim, name)
         self.address_map = address_map or AddressMap()
@@ -84,7 +83,7 @@ class BusSegment(Component, Interconnect):
         self.address_phase_cycles = address_phase_cycles
         self.data_phase_cycles_per_beat = data_phase_cycles_per_beat
         self.bus_width = bus_width
-        self.latency_stage = latency_stage
+        self.latency_stage = "bus"
         self.monitor = BusMonitor()
 
         self._master_ports: Dict[str, MasterPort] = {}
@@ -94,13 +93,7 @@ class BusSegment(Component, Interconnect):
 
     # -- wiring ------------------------------------------------------------------
 
-    def _check_segment(self, segment: Optional[str]) -> None:
-        if segment is not None and segment != self.name:
-            raise ValueError(
-                f"{self.name} is a single segment; cannot wire to segment {segment!r}"
-            )
-
-    def connect_master(self, port: MasterPort, segment: Optional[str] = None) -> None:
+    def connect_master(self, port: MasterPort) -> None:
         """Attach a master port to the segment.
 
         Arbitration queues are keyed by the *master name carried in each
@@ -108,24 +101,17 @@ class BusSegment(Component, Interconnect):
         lazily on the first submission from a given master, which also fixes
         the round-robin ordering deterministically.
         """
-        self._check_segment(segment)
         if port.name in self._master_ports:
             raise ValueError(f"master port {port.name} already connected")
         self._master_ports[port.name] = port
         port.connect_bus(self)
 
-    def connect_slave(
-        self,
-        port: SlavePort,
-        slave_name: Optional[str] = None,
-        segment: Optional[str] = None,
-    ) -> None:
+    def connect_slave(self, port: SlavePort, slave_name: Optional[str] = None) -> None:
         """Attach a slave port to the segment.
 
         ``slave_name`` is the name used in the address map's regions (defaults
         to the port's device name, falling back to the port name).
         """
-        self._check_segment(segment)
         key = slave_name or getattr(port.device, "name", None) or port.name
         if key in self._slave_ports:
             raise ValueError(f"slave {key} already connected")
@@ -253,7 +239,3 @@ class BusSegment(Component, Interconnect):
     def pending_count(self) -> int:
         """Transactions queued but not yet granted."""
         return sum(len(q) for q in self._waiting.values())
-
-    def utilisation_summary(self) -> Dict[str, int]:
-        """Per-master counts of transactions that reached the segment."""
-        return dict(self.monitor.per_master)

@@ -66,7 +66,6 @@ class Simulator:
         self._queue: List[Tuple[int, Event]] = []
         self._running = False
         self.events_processed = 0
-        self.components: List["Component"] = []
         #: Optional instrumentation event bus (see :mod:`repro.api.events`).
         #: None by default: publishers pay one attribute check and nothing
         #: else, so uninstrumented simulations are unchanged.
@@ -168,16 +167,6 @@ class Simulator:
         """Number of not-yet-cancelled events still queued."""
         return sum(1 for _, event in self._queue if not event.cancelled)
 
-    # -- registry -----------------------------------------------------------------
-
-    def register(self, component: "Component") -> None:
-        """Track a component for statistics collection."""
-        self.components.append(component)
-
-    def collect_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Gather the ``stats`` dictionary of every registered component."""
-        return {component.name: dict(component.stats) for component in self.components}
-
 
 class Component:
     """Base class for everything that lives in the simulated platform.
@@ -190,7 +179,6 @@ class Component:
         self.sim = sim
         self.name = name
         self.stats: Dict[str, Any] = {}
-        sim.register(self)
 
     def bump(self, counter: str, amount: int = 1) -> None:
         """Increment a named statistics counter."""

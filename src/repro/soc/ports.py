@@ -206,7 +206,7 @@ class MasterPort(Component):
     def __init__(self, sim: Simulator, name: str, filters: Optional[List[TransactionFilter]] = None) -> None:
         super().__init__(sim, name)
         self.filters: List[TransactionFilter] = list(filters or [])
-        self.bus = None  # set by SystemBus.connect_master
+        self.bus = None  # set by BusSegment.connect_master
         self._callbacks: Dict[int, Callable[[BusTransaction], None]] = {}
 
     # -- wiring -----------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.soc.address_map import AddressMap
-from repro.soc.fabric import Interconnect
+from repro.soc.fabric import InterconnectFabric
 from repro.soc.ip import DMAEngine, RegisterFileIP
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM, ExternalDDR
@@ -51,7 +51,10 @@ class SoCConfig:
 
 
 class SoCSystem:
-    """Handle on a constructed platform: simulator, bus, devices and ports.
+    """Handle on a constructed platform: simulator, fabric, devices and ports.
+
+    :attr:`bus` is the platform's :class:`InterconnectFabric`; the paper's
+    flat shared bus is its one-segment form.
 
     The security layer manipulates :attr:`master_ports` and
     :attr:`slave_ports` to insert firewalls; the workload layer loads programs
@@ -59,7 +62,7 @@ class SoCSystem:
     through :attr:`sim`.
     """
 
-    def __init__(self, sim: Simulator, bus: Interconnect, config: SoCConfig) -> None:
+    def __init__(self, sim: Simulator, bus: InterconnectFabric, config: SoCConfig) -> None:
         self.sim = sim
         self.bus = bus
         self.config = config
@@ -96,8 +99,8 @@ class SoCSystem:
     #
     # The scenario engine (:mod:`repro.scenarios.builder`) assembles every
     # platform from these primitives.  ``segment`` selects which fabric
-    # segment the port attaches to; None means the default segment, which on
-    # the flat :class:`SystemBus` is the bus itself.
+    # segment the port attaches to; None means the default (first) segment,
+    # the only one of a flat bus.
 
     def add_memory(self, device, segment: Optional[str] = None) -> SlavePort:
         """Connect a memory device as a bus slave; returns its slave port."""
@@ -164,13 +167,10 @@ class SoCSystem:
     def describe_topology(self) -> Dict[str, object]:
         """Structural description used to regenerate Figure 1 as a report.
 
-        For fabric-based platforms the description additionally carries the
-        segment/bridge structure (under ``"fabric"``).
+        ``"fabric"`` carries the segment/bridge structure.
         """
-        fabric_description = getattr(self.bus, "describe", None)
-        extra = {"fabric": fabric_description()} if callable(fabric_description) else {}
         return {
-            **extra,
+            "fabric": self.bus.describe(),
             "bus": self.bus.name,
             "masters": {
                 name: {

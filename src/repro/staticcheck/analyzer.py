@@ -202,13 +202,11 @@ class _Analysis:
         divergence means the datapath and the control plane would route the
         same address differently.
         """
-        if not self.topology.hierarchical:
-            return
         from repro.scenarios.builder import ScenarioBuilder
         from repro.soc.kernel import Simulator
 
         # Building the interconnect alone is cheap (no devices, no security).
-        fabric = ScenarioBuilder(self.spec)._build_interconnect(Simulator())
+        fabric = ScenarioBuilder(self.spec).build_interconnect(Simulator())
         slaves_by_region = {slave.region_name: slave for slave in self.topology.slaves}
         for segment_name, segment in fabric.segments.items():
             for region in segment.address_map:

@@ -37,6 +37,7 @@ from repro.metrics.latency import aggregate_hop_latency
 from repro.scenarios import registry
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.differential import _variant_fingerprint, diff_fingerprints
+from repro.soc.fabric import InterconnectFabric
 
 GOLDEN_PATH = pathlib.Path(__file__).parent.parent / "golden" / "workload_fingerprints.json"
 
@@ -114,18 +115,18 @@ def test_golden_file_covers_the_registry():
 
 def test_registry_covers_both_fabric_shapes():
     """The golden pins are only meaningful if the registry exercises both
-    flat segments and bridged fabrics, and each builds the shape it claims."""
+    flat segments and bridged fabrics, and each builds the shape it claims:
+    every platform is a fabric, and a flat one has one segment, no bridges."""
     names = set(ALL_SCENARIOS)
     assert FABRIC_SCENARIOS <= names
     assert names - FABRIC_SCENARIOS, "expected at least one flat scenario"
     for name in ALL_SCENARIOS:
         bus = ScenarioBuilder(registry.get_scenario(name)).build(True).system.bus
-        segments = getattr(bus, "segments", None) or {}
-        bridges = getattr(bus, "bridges", None) or {}
+        assert isinstance(bus, InterconnectFabric), name
         if name in FABRIC_SCENARIOS:
-            assert len(segments) >= 2 and len(bridges) >= 1, name
+            assert len(bus.segments) >= 2 and len(bus.bridges) >= 1, name
         else:
-            assert not segments and not bridges, name
+            assert list(bus.segments) == ["system_bus"] and not bus.bridges, name
 
 
 @pytest.mark.parametrize("name", INSTRUMENTED_SCENARIOS)
@@ -168,10 +169,10 @@ def test_split_transaction_flag_only_moves_the_schedule():
 
     def run(split):
         built = ScenarioBuilder(registry.get_scenario("paper_baseline")).build(True)
-        name = built.system.bus.slave_names[0]
-        built.system.bus.slave_port(name).split_transactions = split
+        segment = built.system.bus.segment()
+        segment.slave_port(segment.slave_names[0]).split_transactions = split
         final = built.run_workload()
-        return _variant_fingerprint(built, final), dict(built.system.bus.stats)
+        return _variant_fingerprint(built, final), dict(segment.stats)
 
     held, held_bus = run(False)
     split, split_bus = run(True)

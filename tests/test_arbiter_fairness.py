@@ -10,7 +10,7 @@ import random
 from collections import deque
 
 from repro.soc.address_map import AddressMap
-from repro.soc.bus import FixedPriorityArbiter, RoundRobinArbiter, SystemBus
+from repro.soc.fabric import BusSegment, FixedPriorityArbiter, RoundRobinArbiter
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM
 from repro.soc.ports import MasterPort, SlavePort
@@ -120,7 +120,7 @@ class TestBusLevelFairness:
         sim = Simulator()
         amap = AddressMap()
         amap.add_region("mem", 0x0, 0x10000, slave="mem")
-        bus = SystemBus(sim, address_map=amap, arbiter=arbiter)
+        bus = BusSegment(sim, "system_bus", address_map=amap, arbiter=arbiter)
         memory = BlockRAM(sim, "mem", base=0x0, size=0x10000, read_latency=3)
         bus.connect_slave(SlavePort(sim, "mem_port", memory))
         return sim, bus

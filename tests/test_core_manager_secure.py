@@ -3,14 +3,24 @@ security wiring of the Figure-1 platform."""
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
 from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
 from repro.core.manager import ReactionPolicy, SecurityPolicyManager
 from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
-from repro.core.secure import default_policies
+from repro.core.secure import (
+    BridgeFirewallPlan,
+    CipheringFirewallPlan,
+    MasterFirewallPlan,
+    SecurityPlan,
+    SlaveFirewallPlan,
+    attach_security,
+    default_policies,
+)
 from repro.crypto.keys import KeyStore
-from repro.scenarios import ScenarioBuilder
+from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.kernel import Simulator
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 from repro.soc.transaction import TransactionStatus
@@ -100,6 +110,32 @@ class TestDefaultPolicies:
         # SPIs are unique.
         spis = [p.spi for p in policies.values()]
         assert len(spis) == len(set(spis))
+
+
+@pytest.mark.parametrize(
+    "scenario, plan, kind, missing, known",
+    [
+        ("paper_baseline", SecurityPlan(masters=[MasterFirewallPlan("cpu9")]),
+         "master", "cpu9", "cpu0"),
+        ("paper_baseline", SecurityPlan(slaves=[SlaveFirewallPlan("bram_typo")]),
+         "slave", "bram_typo", "bram"),
+        ("two_segment_dma_isolation",
+         SecurityPlan(bridges=[BridgeFirewallPlan("br9")], placement="bridge"),
+         "bridge", "br9", "br_io"),
+        ("paper_baseline", SecurityPlan(ciphering=[CipheringFirewallPlan("ddr9")]),
+         "memory", "ddr9", "ddr"),
+    ],
+    ids=["master", "slave", "bridge", "memory"],
+)
+def test_attach_security_rejects_plans_naming_missing_endpoints(
+    scenario, plan, kind, missing, known
+):
+    """A plan entry for an endpoint the platform lacks is an error, never a
+    silently unprotected interface."""
+    system = ScenarioBuilder(get_scenario(scenario)).build(protected=False).system
+    with pytest.raises(ValueError, match=f"unknown {kind} '{missing}'; known: ") as excinfo:
+        attach_security(system, plan)
+    assert repr(known) in str(excinfo.value)
 
 
 class TestSecurePlatform:

@@ -9,12 +9,9 @@ from repro.core.thread_policy import (
     ThreadAwareLocalFirewall,
     ThreadSecurityDirectory,
 )
+from repro.scenarios import MasterSpec, ScenarioBuilder, ScenarioSpec, SlaveSpec, TopologySpec
 from repro.soc.kernel import Simulator
-from repro.soc.ports import MasterPort, SlavePort
-from repro.soc.bus import SystemBus
-from repro.soc.address_map import AddressMap
-from repro.soc.memory import BlockRAM
-from repro.soc.processor import MemoryOperation, Processor, ProcessorProgram
+from repro.soc.processor import MemoryOperation, ProcessorProgram
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
 
@@ -139,12 +136,15 @@ class TestThreadAwareFirewall:
 
 class TestThreadTagsOnTheBus:
     def test_processor_propagates_thread_ids_through_the_platform(self):
-        sim = Simulator()
-        amap = AddressMap()
-        amap.add_region("mem", 0x0, 0x4000, slave="mem")
-        bus = SystemBus(sim, address_map=amap)
-        memory = BlockRAM(sim, "mem", base=0x0, size=0x4000)
-        bus.connect_slave(SlavePort(sim, "mem_port", memory))
+        spec = ScenarioSpec(
+            name="thread_tags",
+            description="one CPU and one BRAM on a flat bus",
+            topology=TopologySpec(
+                masters=(MasterSpec("cpu0"),),
+                slaves=(SlaveSpec("bram", "bram", base=0x0, size=0x4000),),
+            ),
+        )
+        system = ScenarioBuilder(spec).build(protected=False).system
 
         cfg_memory = ConfigurationMemory("cfg", capacity=4)
         cfg_memory.add(PUBLIC_BASE, REGION_SIZE, SecurityPolicy(spi=1))
@@ -152,11 +152,10 @@ class TestThreadTagsOnTheBus:
         directory = ThreadSecurityDirectory()
         directory.set_clearance(7, 2)
         firewall = ThreadAwareLocalFirewall(
-            sim, "tlf_cpu", cfg_memory, directory,
+            system.sim, "tlf_cpu0", cfg_memory, directory,
             clearance_requirements={SECRET_BASE: 2},
         )
-        port = MasterPort(sim, "cpu_port", filters=[firewall])
-        bus.connect_master(port)
+        system.master_ports["cpu0"].attach_filter(firewall)
 
         program = ProcessorProgram([
             MemoryOperation.write(SECRET_BASE + 0x20, b"\x01\x02\x03\x04", thread_id=7),
@@ -164,9 +163,10 @@ class TestThreadTagsOnTheBus:
             MemoryOperation.read(SECRET_BASE + 0x20, thread_id=8),   # unprivileged thread
             MemoryOperation.read(PUBLIC_BASE, thread_id=8),
         ])
-        cpu = Processor(sim, "cpu", port, program)
+        cpu = system.processors["cpu0"]
+        cpu.load_program(program)
         cpu.start()
-        sim.run()
+        system.run()
 
         statuses = [t.status for t in cpu.transactions]
         assert statuses[0] is TransactionStatus.COMPLETED

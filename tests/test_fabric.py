@@ -1,6 +1,6 @@
 """Tests for the hierarchical interconnect fabric.
 
-Covers the Interconnect contract, multi-hop routing, bridge forwarding
+Covers fabric wiring, multi-hop routing, bridge forwarding
 (posted and non-posted), firewall placement at bridges, the fabric-aware
 scenario specs/builder and the per-hop latency attribution.
 """
@@ -21,8 +21,7 @@ from repro.scenarios import (
     TopologySpec,
     get_scenario,
 )
-from repro.soc.bus import SystemBus
-from repro.soc.fabric import Interconnect, InterconnectFabric, RoutingError
+from repro.soc.fabric import InterconnectFabric, RoutingError
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM
 from repro.soc.ports import MasterPort, SlavePort
@@ -62,22 +61,6 @@ def issue_and_run(sim, port, txn):
 
 
 class TestInterconnectContract:
-    def test_flat_bus_and_fabric_both_implement_interconnect(self):
-        sim = Simulator()
-        assert isinstance(SystemBus(sim), Interconnect)
-        fabric = InterconnectFabric(sim)
-        assert isinstance(fabric, Interconnect)
-        assert isinstance(fabric.add_segment("seg0"), Interconnect)
-
-    def test_flat_bus_rejects_foreign_segment(self):
-        sim = Simulator()
-        bus = SystemBus(sim)
-        with pytest.raises(ValueError, match="single segment"):
-            bus.connect_master(MasterPort(sim, "cpu_port"), segment="other")
-        # Its own name (and None) are accepted.
-        bus.connect_master(MasterPort(sim, "cpu0_port"), segment="system_bus")
-        bus.connect_master(MasterPort(sim, "cpu1_port"))
-
     def test_fabric_aggregates_names_and_pending(self):
         sim, fabric, _, _ = build_chain_fabric()
         assert fabric.master_names == ["cpu0_port"]
@@ -107,13 +90,15 @@ class TestRouting:
 
     def test_router_paths_and_memoisation(self):
         _, fabric, _, _ = build_chain_fabric()
-        route = fabric.router.resolve("seg0", 0x2000)
-        assert route.bridges == ("br0", "br1")
-        assert route.target_segment == "seg2"
-        assert route.hops == 3
-        assert fabric.router.resolve("seg0", 0x2000) is route  # memoised
-        assert fabric.router.resolve("seg2", 0x2000).bridges == ()
+        path = fabric.router.path("seg0", "seg2")
+        assert path == ("br0", "br1")
+        assert fabric.router.path("seg0", "seg2") is path  # table filled by rebuild()
+        assert fabric.router.path("seg2", "seg2") == ()
         assert fabric.router.path("seg2", "seg0") == ("br1", "br0")
+        # Each segment decodes a remote region to its next-hop bridge.
+        assert fabric.segments["seg0"].address_map.decode(0x2000).slave == "bridge:br0"
+        assert fabric.segments["seg1"].address_map.decode(0x2000).slave == "bridge:br1"
+        assert fabric.segments["seg2"].address_map.decode(0x2000).slave == "bram2"
 
     def test_router_raises_for_unknown_destination(self):
         _, fabric, _, _ = build_chain_fabric()
@@ -129,6 +114,16 @@ class TestRouting:
         assert fabric.monitor.per_master == {"cpu0": 3}
         assert fabric.monitor.per_slave["bridge:br0"] == 1
         assert fabric.monitor.per_slave["bram2"] == 1
+
+    def test_finalize_names_latency_stages_by_segment_count(self):
+        """One segment keeps the flat bus's ``"bus"`` stage; several charge
+        ``"bus:<segment>"`` each so per-hop latency can be attributed."""
+        single = InterconnectFabric(Simulator())
+        single.add_segment("seg0")
+        single.finalize()
+        assert single.segments["seg0"].latency_stage == "bus"
+        _, chain, _, _ = build_chain_fabric(n_segments=2)
+        assert [s.latency_stage for s in chain.segments.values()] == ["bus:seg0", "bus:seg1"]
 
     def test_finalize_is_single_shot_and_guards_mutation(self):
         sim = Simulator()
@@ -244,7 +239,7 @@ class TestBridgeFirewallPlacement:
 
         system, _ = build_figure1(protected=False)
         plan = SecurityPlan(bridges=[BridgeFirewallPlan("br0", [])], placement="bridge")
-        with pytest.raises(ValueError, match="interconnect has none"):
+        with pytest.raises(ValueError, match=r"unknown bridge 'br0'; known: \[\]"):
             attach_security(system, plan)
 
     def test_security_plan_validates_placement(self):
@@ -340,6 +335,14 @@ class TestFabricScenarios:
         assert set(built.security.bridge_firewalls) == {"br01", "br12"}
         assert set(built.security.master_firewalls) == {"cpu0", "cpu1", "dma"}
 
+    def test_flat_platform_is_a_one_segment_fabric(self):
+        built = ScenarioBuilder(get_scenario("paper_baseline")).build(False)
+        description = built.system.describe_topology()
+        assert description["bus"] == "system_bus"
+        assert list(description["fabric"]["segments"]) == ["system_bus"]
+        assert description["fabric"]["bridges"] == {}
+        assert built.system.bus.segment().slave_names == ["bram", "ip0", "ddr"]
+
     def test_describe_topology_carries_fabric_structure(self):
         built = ScenarioBuilder(get_scenario("two_segment_dma_isolation")).build(False)
         description = built.system.describe_topology()
@@ -380,8 +383,8 @@ class TestFabricScenarios:
         )
 
     def test_single_segment_fabric_matches_flat_bus_results(self):
-        """A 1-segment fabric must behave like the flat bus (modulo the
-        per-segment latency stage name)."""
+        """A declared one-segment fabric behaves exactly like the flat bus,
+        down to the ``"bus"`` latency stage."""
         def run(topology_kwargs):
             spec = ScenarioSpec(
                 name="flat_vs_fabric", description="",
@@ -401,7 +404,8 @@ class TestFabricScenarios:
                 port.issue(txn, results.append)
             sim.run()
             return [
-                (t.status, t.completed_at - t.issued_at, t.data) for t in results
+                (t.status, t.completed_at - t.issued_at, t.data, t.latency_breakdown)
+                for t in results
             ]
 
         flat = run({})
@@ -413,34 +417,20 @@ class TestFabricIntrospection:
     def test_bridge_endpoint_and_segment_lookups(self):
         _, fabric, _, _ = build_chain_fabric(n_segments=2)
         bridge = fabric.bridges["br0"]
-        assert bridge.endpoint_on("seg0") is bridge.endpoint_a
-        assert bridge.endpoint_on("seg1") is bridge.endpoint_b
-        assert bridge.other_segment("seg0").name == "seg1"
-        with pytest.raises(ValueError, match="does not touch"):
-            bridge.endpoint_on("seg9")
-        with pytest.raises(ValueError, match="does not touch"):
-            bridge.other_segment("seg9")
+        assert fabric.segments["seg0"].slave_port("bridge:br0") is bridge.endpoint_a
+        assert fabric.segments["seg1"].slave_port("bridge:br0") is bridge.endpoint_b
+        assert bridge.segment_names == ("seg0", "seg1")
         assert bridge.summary()["segments"] == ["seg0", "seg1"]
 
     def test_fabric_lookup_errors_and_accessors(self):
         sim, fabric, _, _ = build_chain_fabric(n_segments=2)
         with pytest.raises(KeyError, match="no segment"):
             fabric.segment("ghost")
-        with pytest.raises(KeyError, match="no region"):
-            fabric.segment_of_region("ghost")
-        assert fabric.segment_of_region("bram1") == "seg1"
-        assert fabric.segment_of_master("cpu0_port") == "seg0"
-        assert fabric.segment_of_master("ghost_port") is None
         assert fabric.segments["seg0"].slave_port("bram0") is not None
         assert fabric.segments["seg0"].slave_port("ghost") is None
         empty = InterconnectFabric(Simulator())
         with pytest.raises(RuntimeError, match="no segments"):
             empty.segment()
-
-    def test_router_try_resolve_swallows_unmapped_addresses(self):
-        _, fabric, _, _ = build_chain_fabric(n_segments=2)
-        assert fabric.router.try_resolve("seg0", 0xDEAD_0000) is None
-        assert fabric.router.try_resolve("seg0", 0x1000).target_segment == "seg1"
 
     def test_fabric_monitor_transactions_of(self):
         sim, fabric, _, port = build_chain_fabric(n_segments=2)
@@ -449,7 +439,7 @@ class TestFabricIntrospection:
         observed = fabric.monitor.transactions_of("cpu0")
         assert len(observed) == 2  # one hop observation per segment
         assert fabric.monitor.transactions_of("ghost") == []
-        assert fabric.utilisation_summary() == {"cpu0": 2}
+        assert fabric.monitor.per_master == {"cpu0": 2}
 
     def test_bridge_parameter_validation(self):
         sim = Simulator()

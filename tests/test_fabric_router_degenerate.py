@@ -41,12 +41,6 @@ class TestIsolatedSegments:
         with pytest.raises(RoutingError):
             fabric.finalize()
 
-    def test_try_resolve_returns_none_for_unmapped_addresses(self):
-        fabric = make_fabric(["s0"], [])
-        fabric.add_region("bram", base=0x0, size=0x1000, slave="bram", segment="s0")
-        fabric.finalize()
-        assert fabric.router.try_resolve("s0", 0xDEAD_0000) is None
-
     def test_analyzer_paths_match_router_on_disconnected_graph(self):
         topology = TopologySpec(
             masters=(MasterSpec("cpu0", kind="cpu", segment="s0"),),
@@ -84,11 +78,13 @@ class TestMultipleBridgePaths:
         fabric = make_fabric(["s0", "s1"], [("br", "s0", "s1")])
         fabric.add_region("shared", base=0x0, size=0x1000, slave="shared", segment="s1")
         fabric.finalize()
-        local = fabric.router.resolve("s1", 0x0)
-        remote = fabric.router.resolve("s0", 0x0)
-        assert local.bridges == () and local.hops == 1
-        assert remote.bridges == ("br",) and remote.hops == 2
-        assert remote.region.name == "shared"
+        assert fabric.router.path("s1", "s1") == ()
+        assert fabric.router.path("s0", "s1") == ("br",)
+        local = fabric.segments["s1"].address_map.decode(0x0)
+        remote = fabric.segments["s0"].address_map.decode(0x0)
+        assert local.slave == "shared"
+        assert remote.slave == "bridge:br"
+        assert remote.name == local.name == "shared"
 
     def test_analyzer_mirrors_parallel_bridge_tie_break(self):
         topology = TopologySpec(
@@ -127,8 +123,9 @@ class TestDenyListedOnlyRoute:
         fabric.add_region("vault", base=0x1000_0000, size=0x1000,
                           slave="vault", segment="s1")
         fabric.finalize()
-        route = fabric.router.resolve("s0", 0x1000_0000)
-        assert route.bridges == ("br",)
+        assert fabric.router.path("s0", "s1") == ("br",)
+        proxy = fabric.segments["s0"].address_map.decode(0x1000_0000)
+        assert proxy.slave == "bridge:br"
 
     def test_verifier_credits_the_deny_as_enforcement(self):
         from repro.scenarios.spec import ScenarioSpec

@@ -1,9 +1,9 @@
-"""Tests for ports, filter chains, the system bus and arbitration."""
+"""Tests for ports, filter chains, a bus segment and arbitration."""
 
 import pytest
 
 from repro.soc.address_map import AddressMap
-from repro.soc.bus import FixedPriorityArbiter, RoundRobinArbiter, SystemBus
+from repro.soc.fabric import BusSegment, FixedPriorityArbiter, RoundRobinArbiter
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM
 from repro.soc.ports import (
@@ -45,7 +45,7 @@ def build_single_master_platform(filters=None, slave_filters=None):
     sim = Simulator()
     amap = AddressMap()
     amap.add_region("mem", 0x0, 0x1000, slave="mem")
-    bus = SystemBus(sim, address_map=amap)
+    bus = BusSegment(sim, "system_bus", address_map=amap)
     memory = BlockRAM(sim, "mem", base=0x0, size=0x1000)
     slave_port = SlavePort(sim, "mem_port", memory, filters=slave_filters)
     bus.connect_slave(slave_port)
@@ -188,7 +188,7 @@ class TestArbitration:
         sim = Simulator()
         amap = AddressMap()
         amap.add_region("mem", 0x0, 0x1000, slave="mem")
-        bus = SystemBus(sim, address_map=amap, arbiter=arbiter)
+        bus = BusSegment(sim, "system_bus", address_map=amap, arbiter=arbiter)
         memory = BlockRAM(sim, "mem", base=0x0, size=0x1000, read_latency=5)
         bus.connect_slave(SlavePort(sim, "mem_port", memory))
         ports = {}

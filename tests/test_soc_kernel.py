@@ -198,14 +198,7 @@ class TestComponent:
         component.bump("events", 4)
         component.record("mode", "fast")
         assert component.stats == {"events": 5, "mode": "fast"}
-        assert sim.collect_stats()["thing"]["events"] == 5
-
-    def test_multiple_components_collected(self):
-        sim = Simulator()
-        Component(sim, "a").bump("x")
-        Component(sim, "b").bump("y", 2)
-        stats = sim.collect_stats()
-        assert set(stats) == {"a", "b"}
+        assert component.sim is sim and component.name == "thing"
 
 
 class TestDeterminism:
