@@ -20,14 +20,10 @@ detected compromise) and its next access is blocked too.
 Run with:  python examples/thread_level_security.py
 """
 
-from repro.api import EventBus, InMemorySink
-from repro.core import (
-    ConfigurationMemory,
-    SecurityMonitor,
-    SecurityPolicy,
-    ThreadAwareLocalFirewall,
-    ThreadSecurityDirectory,
-)
+from repro.api import EventBus, InMemorySink, attach_instrumentation
+from repro.core.alerts import SecurityMonitor
+from repro.core.policy import ConfigurationMemory, SecurityPolicy
+from repro.core.thread_policy import ThreadAwareLocalFirewall, ThreadSecurityDirectory
 from repro.scenarios import MasterSpec, ScenarioBuilder, ScenarioSpec, SlaveSpec, TopologySpec
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 
@@ -52,7 +48,7 @@ def main() -> None:
     sim = built.system.sim
     # Attach an event bus and every component publishes through it.
     events = InMemorySink()
-    built.attach_instrumentation(EventBus([events]))
+    attach_instrumentation(built.system, bus=EventBus([events]))
 
     monitor = SecurityMonitor()
     monitor.event_bus = sim.event_bus

@@ -26,6 +26,13 @@ The package is organised bottom-up:
   persistent content-addressed result store and one-command regeneration of
   the paper's tables (``python -m repro paper``).
 
+``repro`` itself exposes only ``Experiment`` and ``ExperimentResult``,
+loaded lazily.  The substrate packages (``crypto``, ``soc``, ``core``,
+``baselines``, ``workloads``, ``metrics``, ``analysis``) re-export nothing:
+import each name from the module that defines it (for example
+``from repro.core.policy import SecurityPolicy``), so importing one module
+loads only what that module needs.
+
 Quickstart::
 
     from repro.api import Experiment
@@ -44,40 +51,7 @@ for any :class:`~repro.scenarios.ScenarioSpec`, registered or not.
 See ``examples/quickstart.py`` for a complete walk-through.
 """
 
-from repro.soc.system import SoCConfig, SoCSystem
-from repro.core.secure import SecuredPlatform
-from repro.core.policy import (
-    ConfidentialityMode,
-    ConfigurationMemory,
-    IntegrityMode,
-    ReadWriteAccess,
-    SecurityPolicy,
-)
-from repro.core.local_firewall import LocalFirewall
-from repro.core.ciphering_firewall import LocalCipheringFirewall
-from repro.core.alerts import SecurityMonitor, ViolationType
-from repro.core.manager import SecurityPolicyManager
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "__version__",
-    "SoCConfig",
-    "SoCSystem",
-    "SecuredPlatform",
-    "Experiment",
-    "ExperimentResult",
-    "SecurityPolicy",
-    "ConfigurationMemory",
-    "ReadWriteAccess",
-    "ConfidentialityMode",
-    "IntegrityMode",
-    "LocalFirewall",
-    "LocalCipheringFirewall",
-    "SecurityMonitor",
-    "ViolationType",
-    "SecurityPolicyManager",
-]
+__all__ = ["Experiment", "ExperimentResult"]
 
 
 def __getattr__(name):

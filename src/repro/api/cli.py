@@ -21,7 +21,7 @@ Subcommands:
 * ``repro verify [SCENARIO ...|--all] [--json] [--confirm]`` —
   static policy/fabric verification: address-map defects, unguarded paths,
   dead rules and bridge hazards, each with a concrete witness; ``--confirm``
-  replays every witness as a probe attack under the simulator (exit 1 on
+  replays every witness's transaction under the simulator (exit 1 on
   any ERROR finding or failed confirmation),
 * ``repro fuzz SCENARIO [--seed N] [--budget N] [--steps N]
   [--store DIR] [--replay FILE] [--json]`` — the seeded property-based
@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="verify every registered scenario")
     verify_cmd.add_argument("--json", action="store_true", help="machine-readable output")
     verify_cmd.add_argument("--confirm", action="store_true",
-                            help="replay every witness as a probe attack under "
+                            help="replay every witness's transaction under "
                                  "the simulator (differential honesty check)")
 
     fuzz_cmd = sub.add_parser(

@@ -312,7 +312,5 @@ def attach_instrumentation(system, security=None, bus: Optional[EventBus] = None
     bus = bus or EventBus()
     system.sim.event_bus = bus
     if security is not None:
-        monitor = getattr(security, "monitor", None)
-        if monitor is not None:
-            monitor.event_bus = bus
+        security.monitor.event_bus = bus
     return bus

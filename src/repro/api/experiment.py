@@ -49,7 +49,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.api.events import EventBus, EventSink
+from repro.api.events import EventBus, EventSink, attach_instrumentation
 from repro.attacks.campaign import CampaignReport
 from repro.attacks.runner import CampaignRunner
 from repro.core.secure import SecuredPlatform
@@ -265,7 +265,7 @@ class Experiment:
         """Construct the platform (with instrumentation, when configured)."""
         built = ScenarioBuilder(self._spec).build(self._protected)
         if self._instrumented or self._sinks:
-            built.attach_instrumentation(EventBus(self._sinks))
+            attach_instrumentation(built.system, built.security, EventBus(self._sinks))
         return built
 
     def run(self) -> ExperimentResult:
@@ -284,7 +284,7 @@ class Experiment:
 
         built = ScenarioBuilder(spec).build(self._protected)
         if bus is not None:
-            built.attach_instrumentation(bus)
+            attach_instrumentation(built.system, built.security, bus)
         final_cycle = built.run_workload()
         system = built.system
 

@@ -18,17 +18,3 @@ The ``bench_baseline_centralized`` benchmark quantifies the two consequences
 the paper's distributed design avoids: malicious traffic still consumes bus
 bandwidth before being rejected, and checking latency grows with contention.
 """
-
-from repro.baselines.centralized import (
-    CentralizedEnforcementInterface,
-    CentralizedPlatform,
-    CentralizedSecurityModule,
-    secure_platform_centralized,
-)
-
-__all__ = [
-    "CentralizedSecurityModule",
-    "CentralizedEnforcementInterface",
-    "CentralizedPlatform",
-    "secure_platform_centralized",
-]

@@ -16,20 +16,3 @@ These are *functional* models: correctness of what is encrypted, hashed and
 verified is real; the number of clock cycles each hardware core would take is
 accounted separately by :mod:`repro.metrics.latency`.
 """
-
-from repro.crypto.aes import AES128
-from repro.crypto.modes import CTRMode
-from repro.crypto.sha256 import SHA256, sha256
-from repro.crypto.merkle import MerkleTree, IntegrityViolation
-from repro.crypto.keys import KeyStore, random_key
-
-__all__ = [
-    "AES128",
-    "CTRMode",
-    "SHA256",
-    "sha256",
-    "MerkleTree",
-    "IntegrityViolation",
-    "KeyStore",
-    "random_key",
-]

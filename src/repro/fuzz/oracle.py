@@ -34,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.attacks.base import issue_sync
 from repro.fuzz.case import FuzzCase, FuzzStep
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.spec import MasterSpec, ScenarioSpec, SlaveSpec
 from repro.soc.transaction import TransactionStatus
-from repro.staticcheck.analyzer import _segments_along, segment_paths, verify_spec
+from repro.staticcheck.analyzer import route_witness, segment_paths, verify_spec
 from repro.staticcheck.findings import Witness
 
 __all__ = ["Violation", "OracleResult", "BypassOracle"]
@@ -134,24 +133,9 @@ class BypassOracle:
         return op == "write" and slave.name in master.readonly
 
     def _witness(self, master: str, slave: SlaveSpec, step: FuzzStep) -> Witness:
-        topology = self.spec.topology
-        source = topology.segment_of(self.masters[master])
-        target_segment = topology.segment_of(slave)
-        bridges: Tuple[str, ...] = ()
-        segments: Tuple[str, ...] = ()
-        if source is not None and target_segment is not None:
-            bridges = self._paths.get((source, target_segment), ())
-            segments = _segments_along(topology, source, bridges)
-        return Witness(
-            master=master,
-            address=step.address,
-            op=step.op,
-            width=step.width,
-            target=slave.name,
-            region=slave.region_name,
-            expectation="reaches_silently",
-            route_segments=segments,
-            route_bridges=bridges,
+        return route_witness(
+            self.spec.topology, self._paths, self.masters[master], slave, step.op,
+            "reaches_silently", address=step.address, width=step.width,
         )
 
     # -- judgement -------------------------------------------------------------------
@@ -174,12 +158,10 @@ class BypassOracle:
         for index, step in enumerate(case.steps):
             if step.master not in self.masters:
                 continue
-            alerts_before = len(monitor.alerts) if monitor else 0
             leaks_before = {name: len(g.leaks) for name, g in guards.items()}
             txn = step.to_transaction()
-            issue_sync(system, step.master, txn)
+            new_alerts = built.issue(step.master, txn)
             result.steps_run += 1
-            new_alerts = (len(monitor.alerts) if monitor else 0) - alerts_before
             if txn.status.is_blocked:
                 result.blocked_steps += 1
 

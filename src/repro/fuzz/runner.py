@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.attacks.base import issue_sync
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.corpus import Corpus
 from repro.fuzz.generator import SequenceGenerator
@@ -35,19 +34,14 @@ def replay_case(spec: ScenarioSpec, case: FuzzCase) -> List[Dict[str, object]]:
     number of alerts it raised."""
     built = ScenarioBuilder(spec).build()
     built.run_workload()
-    monitor = built.monitor
     steps: List[Dict[str, object]] = []
     for step in case.steps:
         if step.master not in built.system.master_ports:
             steps.append({"status": "skipped", "alerts": 0})
             continue
-        before = len(monitor.alerts) if monitor else 0
         txn = step.to_transaction()
-        issue_sync(built.system, step.master, txn)
-        steps.append({
-            "status": txn.status.value,
-            "alerts": (len(monitor.alerts) if monitor else 0) - before,
-        })
+        alerts = built.issue(step.master, txn)
+        steps.append({"status": txn.status.value, "alerts": alerts})
     return steps
 
 

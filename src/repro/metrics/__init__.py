@@ -9,47 +9,3 @@ firewalls charge per-module cycle counts to every transaction, and
 :mod:`repro.metrics.latency` extracts per-module averages from those counters
 the same way the paper's Table II reports per-module figures.
 """
-
-from repro.metrics.resources import ResourceVector
-from repro.metrics.area import (
-    AreaModel,
-    PAPER_TABLE1,
-    Table1Row,
-    generate_table1,
-)
-from repro.metrics.latency import (
-    PAPER_TABLE2,
-    LatencyModel,
-    PlacementRow,
-    Table2Row,
-    aggregate_hop_latency,
-    generate_table2,
-    per_hop_latency,
-    placement_split,
-)
-from repro.metrics.perf import (
-    OverheadResult,
-    WorkloadRunResult,
-    measure_execution_overhead,
-    run_workload,
-)
-
-__all__ = [
-    "ResourceVector",
-    "AreaModel",
-    "Table1Row",
-    "PAPER_TABLE1",
-    "generate_table1",
-    "LatencyModel",
-    "Table2Row",
-    "PAPER_TABLE2",
-    "generate_table2",
-    "per_hop_latency",
-    "aggregate_hop_latency",
-    "PlacementRow",
-    "placement_split",
-    "WorkloadRunResult",
-    "OverheadResult",
-    "run_workload",
-    "measure_execution_overhead",
-]

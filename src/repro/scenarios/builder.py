@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from typing import List, Optional, Tuple, Union
 
+from repro.attacks.base import issue_sync
 from repro.attacks.chains import (
     BootRollbackChain,
     DescriptorHijackChain,
@@ -104,21 +105,13 @@ class BuiltScenario:
     def monitor(self):
         return self.security.monitor if self.security is not None else None
 
-    # -- instrumentation -----------------------------------------------------------
-
-    def attach_instrumentation(self, bus) -> None:
-        """Wire an :class:`repro.api.events.EventBus` into the built platform.
-
-        The kernel, ports, segments, bridges and firewalls publish through
-        ``sim.event_bus``; the security monitor (when present) additionally
-        publishes alerts.  With no sinks on the bus the simulation is
-        byte-identical to an uninstrumented run.
-        """
-        self.system.sim.event_bus = bus
-        if self.security is not None:
-            monitor = getattr(self.security, "monitor", None)
-            if monitor is not None:
-                monitor.event_bus = bus
+    def issue(self, master: str, txn) -> int:
+        """Issue one transaction on ``master``'s port, run the simulator until
+        it completes and return how many alerts it raised."""
+        monitor = self.monitor
+        before = len(monitor.alerts) if monitor is not None else 0
+        issue_sync(self.system, master, txn)
+        return len(monitor.alerts) - before if monitor is not None else 0
 
     # -- workload ------------------------------------------------------------------
 

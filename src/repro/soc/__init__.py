@@ -27,65 +27,3 @@ layer plugs in through the generic filter interface so that exactly the same
 platform can be simulated with and without protection (which is how Table I's
 "without firewalls" baseline is produced).
 """
-
-from repro.soc.kernel import Simulator, Component, Event
-from repro.soc.transaction import (
-    BusOperation,
-    BusTransaction,
-    TransactionStatus,
-)
-from repro.soc.address_map import AddressMap, AddressRegion, DecodeError
-from repro.soc.ports import (
-    FilterAction,
-    FilterResult,
-    MasterPort,
-    SlavePort,
-    TransactionFilter,
-)
-from repro.soc.fabric import (
-    BusBridge,
-    BusMonitor,
-    BusSegment,
-    FabricRouter,
-    FixedPriorityArbiter,
-    InterconnectFabric,
-    RoundRobinArbiter,
-)
-from repro.soc.memory import BlockRAM, ExternalDDR, MemoryDevice
-from repro.soc.processor import MemoryOperation, Processor, ProcessorProgram
-from repro.soc.ip import DMAEngine, RegisterFileIP
-from repro.soc.system import SoCConfig, SoCSystem
-
-__all__ = [
-    "Simulator",
-    "Component",
-    "Event",
-    "BusOperation",
-    "BusTransaction",
-    "TransactionStatus",
-    "AddressMap",
-    "AddressRegion",
-    "DecodeError",
-    "FilterAction",
-    "FilterResult",
-    "MasterPort",
-    "SlavePort",
-    "TransactionFilter",
-    "RoundRobinArbiter",
-    "FixedPriorityArbiter",
-    "BusMonitor",
-    "BusSegment",
-    "BusBridge",
-    "InterconnectFabric",
-    "FabricRouter",
-    "MemoryDevice",
-    "BlockRAM",
-    "ExternalDDR",
-    "Processor",
-    "ProcessorProgram",
-    "MemoryOperation",
-    "DMAEngine",
-    "RegisterFileIP",
-    "SoCConfig",
-    "SoCSystem",
-]

@@ -2,18 +2,13 @@
 
 Proves coverage properties about a ScenarioSpec + SecurityPlan without
 running a simulated cycle, then confirms every claim dynamically by
-compiling its witness into a probe attack.  See
+issuing its witness, one bus transaction, on the simulated platform.  See
 :mod:`repro.staticcheck.analyzer` for the finding catalog and
 ``docs/static-analysis.md`` for the user-facing walkthrough.
 """
 
 from repro.staticcheck.analyzer import verify_scenario, verify_spec
-from repro.staticcheck.confirm import (
-    ConfirmationResult,
-    WitnessProbe,
-    confirm_report,
-    confirm_witness,
-)
+from repro.staticcheck.confirm import ConfirmationResult, confirm_report, confirm_witness
 from repro.staticcheck.findings import (
     EXPECTATIONS,
     SEVERITIES,
@@ -31,7 +26,6 @@ __all__ = [
     "VerificationReport",
     "verify_spec",
     "verify_scenario",
-    "WitnessProbe",
     "ConfirmationResult",
     "confirm_witness",
     "confirm_report",

@@ -52,10 +52,10 @@ from repro.scenarios.spec import (
 from repro.soc.fabric.routing import bridge_paths
 from repro.staticcheck.findings import Finding, VerificationReport, Witness
 
-__all__ = ["verify_spec", "verify_scenario", "segment_paths"]
+__all__ = ["verify_spec", "verify_scenario", "segment_paths", "route_witness"]
 
 
-#: Payload used by write-op witness probes (4 bytes, one bus word).
+#: Payload a write witness carries when it is replayed (4 bytes, one bus word).
 PROBE_PAYLOAD = b"\x5e\xcc\x0d\xe5"
 
 
@@ -110,6 +110,41 @@ def _witness_address(slave: SlaveSpec) -> int:
     return slave.base
 
 
+def route_witness(
+    topology: TopologySpec,
+    paths: Dict[Tuple[str, str], Tuple[str, ...]],
+    master: MasterSpec,
+    slave: SlaveSpec,
+    op: str,
+    expectation: str,
+    *,
+    address: int,
+    width: int = 4,
+    enforced_by: str = "",
+) -> Witness:
+    """The witness of one access by ``master`` to ``slave``, with the route
+    it takes through ``paths`` (:func:`segment_paths` of ``topology``)."""
+    source = topology.segment_of(master)
+    target = topology.segment_of(slave)
+    bridges: Tuple[str, ...] = ()
+    segments: Tuple[str, ...] = ()
+    if source is not None and target is not None:
+        bridges = paths.get((source, target), ())
+        segments = _segments_along(topology, source, bridges)
+    return Witness(
+        master=master.name,
+        address=address,
+        op=op,
+        width=width,
+        target=slave.name,
+        region=slave.region_name,
+        expectation=expectation,
+        route_segments=segments,
+        route_bridges=bridges,
+        enforced_by=enforced_by,
+    )
+
+
 class _Analysis:
     """One verification pass over a single spec (holds the shared context)."""
 
@@ -144,22 +179,9 @@ class _Analysis:
         width: int = 4,
         enforced_by: str = "",
     ) -> Witness:
-        bridges = self._route(master, slave)
-        source = self.topology.segment_of(master)
-        segments: Tuple[str, ...] = ()
-        if source is not None:
-            segments = _segments_along(self.topology, source, bridges)
-        return Witness(
-            master=master.name,
-            address=_witness_address(slave),
-            op=op,
-            width=width,
-            target=slave.name,
-            region=slave.region_name,
-            expectation=expectation,
-            route_segments=segments,
-            route_bridges=bridges,
-            enforced_by=enforced_by,
+        return route_witness(
+            self.topology, self.paths, master, slave, op, expectation,
+            address=_witness_address(slave), width=width, enforced_by=enforced_by,
         )
 
     def _finding(

@@ -1,9 +1,9 @@
-"""Dynamic confirmation of static findings: compile witnesses into probes.
+"""Dynamic confirmation of static findings: replay witnesses on the simulator.
 
 The verifier is only trustworthy if the simulator agrees with it.  This
 module closes that loop: every
-:class:`~repro.staticcheck.findings.Witness` compiles into a single-shot
-probe attack driven through the existing Experiment/BuiltScenario API, and
+:class:`~repro.staticcheck.findings.Witness` is one bus transaction, issued
+by its master on a freshly built protected platform, and
 
 * a witness with ``expectation="reaches_silently"`` (an unguarded path)
   must **complete** against the protected platform with **zero** new
@@ -20,53 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
-from repro.attacks.base import Attack, AttackResult, issue_sync
-from repro.core.secure import SecuredPlatform
 from repro.scenarios.spec import ScenarioSpec
-from repro.soc.system import SoCSystem
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 from repro.staticcheck.analyzer import PROBE_PAYLOAD, verify_spec
 from repro.staticcheck.findings import VerificationReport, Witness
 
-__all__ = ["WitnessProbe", "ConfirmationResult", "confirm_witness", "confirm_report"]
-
-
-class WitnessProbe(Attack):
-    """A single-transaction probe compiled from one static-analysis witness."""
-
-    def __init__(self, witness: Witness) -> None:
-        self.witness = witness
-        self.name = f"witness_probe_{witness.master}_{witness.target}"
-        self.goal = f"{witness.op} {witness.address:#010x} via {witness.master}"
-
-    def run(
-        self, system: SoCSystem, security: Optional[SecuredPlatform] = None
-    ) -> AttackResult:
-        witness = self.witness
-        baseline = len(security.monitor.alerts) if security is not None else 0
-        operation = BusOperation.WRITE if witness.op == "write" else BusOperation.READ
-        data = PROBE_PAYLOAD[: witness.width] if operation is BusOperation.WRITE else None
-        txn = BusTransaction(
-            master=witness.master,
-            operation=operation,
-            address=witness.address,
-            width=witness.width,
-            data=data,
-        )
-        issue_sync(system, witness.master, txn)
-        reached = txn.status is TransactionStatus.COMPLETED
-        alerts = self._alerts_since(security, baseline)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=reached,
-            detected=alerts > 0,
-            contained_at_interface=txn.status is TransactionStatus.BLOCKED_AT_MASTER,
-            detection_cycle=self._detection_cycle_since(security, baseline),
-            alerts=alerts,
-            detail=f"status={txn.status.value}",
-            extra={"status": txn.status.value, "witness": witness.to_dict()},
-        )
+__all__ = ["ConfirmationResult", "confirm_witness", "confirm_report"]
 
 
 @dataclass
@@ -89,12 +48,6 @@ class ConfirmationResult:
         }
 
 
-def _judge(witness: Witness, result: AttackResult) -> bool:
-    if witness.expectation == "reaches_silently":
-        return result.achieved_goal and result.alerts == 0
-    return (not result.achieved_goal) or result.alerts > 0
-
-
 def confirm_witness(
     spec: ScenarioSpec,
     witness: Witness,
@@ -103,22 +56,35 @@ def confirm_witness(
 ) -> ConfirmationResult:
     """Replay one witness against a freshly built protected platform.
 
-    ``run_workload=True`` drains the scenario's workload first, so the probe
-    meets the platform in its post-workload state.
+    ``run_workload=True`` drains the scenario's workload first, so the
+    witness's transaction meets the platform in its post-workload state.
     """
-    from repro.api.experiment import Experiment
+    # Imported lazily: the builder loads every device and attack.
+    from repro.scenarios.builder import ScenarioBuilder
 
-    built = Experiment.from_spec(spec).protected(True).build()
+    built = ScenarioBuilder(spec).build()
     if run_workload:
         built.run_workload()
-    probe = WitnessProbe(witness)
-    result = probe.run(built.system, built.security)
+    write = witness.op == "write"
+    txn = BusTransaction(
+        master=witness.master,
+        operation=BusOperation.WRITE if write else BusOperation.READ,
+        address=witness.address,
+        width=witness.width,
+        data=PROBE_PAYLOAD[: witness.width] if write else None,
+    )
+    alerts = built.issue(witness.master, txn)
+    reached = txn.status is TransactionStatus.COMPLETED
+    if witness.expectation == "reaches_silently":
+        confirmed = reached and alerts == 0
+    else:
+        confirmed = not reached or alerts > 0
     return ConfirmationResult(
         witness=witness,
-        reached=result.achieved_goal,
-        alerts=result.alerts,
-        status=str(result.extra.get("status", "")),
-        confirmed=_judge(witness, result),
+        reached=reached,
+        alerts=alerts,
+        status=txn.status.value,
+        confirmed=confirmed,
     )
 
 

@@ -6,7 +6,7 @@ master→slave route no firewall can guard, a configuration-memory rule no
 reachable transaction can match, or a bridge-graph hazard.  Every finding
 that claims something about traffic carries a :class:`Witness` — a concrete
 (master, route, address, op) tuple — so the confirmation harness in
-:mod:`repro.staticcheck.confirm` can compile it into a probe attack and make
+:mod:`repro.staticcheck.confirm` can replay it under the simulator and make
 the analyzer *differentially honest*: an unguarded-path witness must reach
 protected memory without an alert under the simulator, and a coverage claim
 must be blocked or alerted.
@@ -43,7 +43,7 @@ __all__ = [
 #: Finding severities, most severe first.
 SEVERITIES: Tuple[str, ...] = ("error", "warning", "info")
 
-#: What a witness probe is expected to do under the simulator.
+#: What a witness's transaction is expected to do under the simulator.
 EXPECTATIONS: Tuple[str, ...] = ("reaches_silently", "blocked_or_alerted")
 
 

@@ -12,23 +12,3 @@ those knobs, plus a few named application-shaped workloads used by the
 examples (producer/consumer over the shared BRAM, firmware streaming into the
 protected DDR window, DMA offload).
 """
-
-from repro.workloads.generators import (
-    SyntheticWorkloadConfig,
-    SyntheticWorkloadGenerator,
-    make_uniform_programs,
-)
-from repro.workloads.patterns import (
-    dma_offload_scenario,
-    firmware_update_program,
-    producer_consumer_programs,
-)
-
-__all__ = [
-    "SyntheticWorkloadConfig",
-    "SyntheticWorkloadGenerator",
-    "make_uniform_programs",
-    "producer_consumer_programs",
-    "firmware_update_program",
-    "dma_offload_scenario",
-]

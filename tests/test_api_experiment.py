@@ -270,3 +270,19 @@ def test_importing_the_api_leaves_multiprocessing_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.soc.kernel", "repro.core.policy", "repro.crypto.aes"])
+def test_importing_one_module_loads_only_its_packages(module):
+    """The substrate packages re-export nothing, so importing a module loads
+    ``repro``, its package and the module itself, and no other layer."""
+    code = (
+        f"import json, sys, {module}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'repro')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    parts = module.split(".")
+    assert json.loads(proc.stdout) == [".".join(parts[:n]) for n in range(1, len(parts) + 1)]

@@ -2,7 +2,7 @@
 the paper's distributed firewalls."""
 
 
-from repro.baselines import CentralizedSecurityModule, secure_platform_centralized
+from repro.baselines.centralized import CentralizedSecurityModule, secure_platform_centralized
 from repro.core.alerts import ViolationType
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 
