@@ -13,8 +13,7 @@ and lets tests exercise every rule in isolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from repro.core.alerts import ViolationType
 from repro.core.policy import SecurityPolicy
@@ -31,22 +30,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of one checking module for one transaction."""
+class CheckResult(NamedTuple):
+    """Outcome of one checking module for one transaction.
+
+    Immutable: the Security Builder hands one cached result list to every
+    transaction with the same decision key.
+    """
 
     passed: bool
     check: str
     violation: Optional[ViolationType] = None
     detail: str = ""
 
+    # Both build the tuple directly, as the generated __new__ would.
     @classmethod
     def ok(cls, check: str) -> "CheckResult":
-        return cls(passed=True, check=check)
+        return tuple.__new__(cls, (True, check, None, ""))
 
     @classmethod
     def fail(cls, check: str, violation: ViolationType, detail: str = "") -> "CheckResult":
-        return cls(passed=False, check=check, violation=violation, detail=detail)
+        return tuple.__new__(cls, (False, check, violation, detail))
 
 
 class SecurityCheck:
@@ -119,8 +122,10 @@ class AddressRangeCheck(SecurityCheck):
 
     The Configuration Memory's rule ranges already confine where *policies*
     apply; this additional module lets a firewall restrict its IP to a hard
-    envelope irrespective of policy (used to fence a quarantined IP into a
-    scratch area, one of the manager's reactions).
+    envelope irrespective of policy.  Only a caller that gives it windows
+    restricts traffic: nothing in the platform sets them, and the
+    manager's quarantine reaction denies every request of the IP instead
+    (``LocalFirewall.quarantined``).
     """
 
     name = "address_range"
@@ -146,8 +151,8 @@ def default_check_suite() -> List[SecurityCheck]:
     """The checking modules a Local Firewall instantiates by default.
 
     RWA, ADF and burst-length correspond directly to the policy parameters of
-    section IV-A; the address-range module is instantiated empty (no extra
-    restriction) and only configured by the manager when quarantining.
+    section IV-A; the address-range module is instantiated empty, so it adds
+    no restriction.
     """
     return [
         ReadWriteAccessCheck(),

@@ -40,7 +40,7 @@ from repro.core.checks import (
 from repro.core.constants import SECURITY_BUILDER_CYCLES
 from repro.core.policy import ConfigurationMemory, PolicyLookupError, SecurityPolicy
 from repro.soc.kernel import Simulator
-from repro.soc.ports import FilterResult, TransactionFilter
+from repro.soc.ports import FilterAction, FilterResult, TransactionFilter
 from repro.soc.transaction import BusTransaction
 
 __all__ = [
@@ -109,7 +109,9 @@ class SecurityBuilder:
     the uncached model.  All statistics (evaluations, violations, lookup and
     miss counts, cycles charged) are maintained identically on hits and
     misses.  Caching is automatically disabled when custom, potentially
-    stateful checking modules are installed.
+    stateful checking modules are installed.  The check suite is fixed at
+    construction: the caching decision and the address-range module whose
+    windows enter every key are both taken from it once.
     """
 
     #: Upper bound on memoised verdicts before the cache is reset (guards
@@ -133,39 +135,39 @@ class SecurityBuilder:
         self.evaluations = 0
         self.violations = 0
         self.cycles_charged = 0
-        self.cache_enabled = cache_decisions and all(
+        ranges = [check for check in self.checks if isinstance(check, AddressRangeCheck)]
+        # A key snapshots one module's windows, so a suite with two is not cached.
+        self.cache_enabled = cache_decisions and len(ranges) <= 1 and all(
             type(check) in _STATELESS_CHECKS for check in self.checks
         )
         self.cache_hits = 0
         self.cache_misses = 0
         self._cache: Dict[tuple, Tuple[Optional[SecurityPolicy], List[CheckResult], bool, bool]] = {}
         self._cache_generation = config_memory.generation
+        #: The suite's address-range module, if any.
+        self._address_range: Optional[AddressRangeCheck] = ranges[0] if ranges else None
 
     def invalidate_cache(self) -> None:
         """Drop every memoised verdict (e.g. after mutating a checking module)."""
         self._cache.clear()
         self._cache_generation = self.config_memory.generation
 
-    def _windows_signature(self) -> tuple:
-        """Hashable snapshot of the address-range windows (quarantine fences)."""
-        for check in self.checks:
-            if isinstance(check, AddressRangeCheck) and check.windows:
-                return tuple(tuple(window) for window in check.windows)
-        return ()
-
     def decision_key(self, txn: BusTransaction) -> tuple:
         """The memoisation key of one transaction's verdict.
 
         A verdict is a pure function of this tuple (given a fixed rule set —
         tracked separately via the configuration memory's ``generation``).
+        Its last item snapshots the address-range windows, empty when none
+        are set.
         """
+        windows = self._address_range.windows if self._address_range is not None else None
         return (
             txn.address,
             txn.size,
             txn.is_write,
             txn.width,
             txn.burst_length,
-            self._windows_signature(),
+            tuple(tuple(window) for window in windows) if windows else (),
         )
 
     def evaluate(
@@ -225,6 +227,14 @@ class SecurityBuilder:
         if failed:
             self.violations += 1
         return policy, results, failed, missed_rules
+
+
+def _first_failure(results: List[CheckResult]) -> Optional[CheckResult]:
+    """The first failed check of a Security Builder pass, if any."""
+    for result in results:
+        if not result.passed:
+            return result
+    return None
 
 
 class FirewallInterface:
@@ -305,6 +315,8 @@ class LocalFirewall(TransactionFilter):
 
         self.quarantined = False
         self.alerts_raised = 0
+        #: Annotation key of the policy SPI an allowed request was checked under.
+        self._spi_key = f"{name}.spi"
 
     # -- configuration memory passthroughs -------------------------------------------
 
@@ -346,8 +358,8 @@ class LocalFirewall(TransactionFilter):
     # -- DoS heuristic ---------------------------------------------------------------------
 
     def _flood_detected(self) -> bool:
-        if self.flood_threshold is None:
-            return False
+        """Record a request; True above the threshold (callers check that
+        ``flood_threshold`` is set)."""
         now = self.sim.now
         self._request_cycles.append(now)
         # Drop entries that fell out of the sliding window.
@@ -372,7 +384,7 @@ class LocalFirewall(TransactionFilter):
                 stage="security_builder",
             )
 
-        if self._flood_detected():
+        if self.flood_threshold is not None and self._flood_detected():
             self._raise(txn, ViolationType.TRAFFIC_FLOOD,
                         detail=f"more than {self.flood_threshold} requests in {self.flood_window} cycles")
             if self.flood_block:
@@ -385,9 +397,8 @@ class LocalFirewall(TransactionFilter):
                 )
 
         policy, results = self.security_builder.evaluate(txn)
-        failures = [r for r in results if not r.passed]
-        if failures:
-            first = failures[0]
+        first = _first_failure(results)
+        if first is not None:
             assert first.violation is not None
             self._raise(txn, first.violation, first.detail)
             self.firewall_interface.gate(False)
@@ -399,24 +410,22 @@ class LocalFirewall(TransactionFilter):
             )
 
         if policy is not None:
-            txn.annotations[f"{self.name}.spi"] = policy.spi
+            txn.annotations[self._spi_key] = policy.spi
         self.firewall_interface.gate(True)
-        self._emit_decision(txn, True)
-        return FilterResult.allow(
-            latency=self.security_builder.latency_cycles, stage="security_builder"
-        )
+        if self.sim.event_bus is not None:
+            self._emit_decision(txn, True)
+        return FilterResult(FilterAction.ALLOW, self.security_builder.latency_cycles, "security_builder")
 
     def filter_response(self, txn: BusTransaction) -> FilterResult:
         if not self.check_responses or not txn.is_read:
-            return FilterResult.allow(stage=self.name)
+            return FilterResult(FilterAction.ALLOW, 0, self.name)
         # Response-path re-validation: the policy may have been reconfigured
         # while the transaction was in flight, and read data must be checked
         # "before reaching the IP".  The hardware overlaps this with the data
         # transfer, so no extra cycles are charged.
         policy, results = self.security_builder.evaluate(txn, charge_latency=False)
-        failures = [r for r in results if not r.passed]
-        if failures:
-            first = failures[0]
+        first = _first_failure(results)
+        if first is not None:
             assert first.violation is not None
             self._raise(txn, first.violation, first.detail)
             self.firewall_interface.gate(False)
@@ -425,7 +434,7 @@ class LocalFirewall(TransactionFilter):
                 stage=self.name,
             )
         self.firewall_interface.gate(True)
-        return FilterResult.allow(stage=self.name)
+        return FilterResult(FilterAction.ALLOW, 0, self.name)
 
     # -- reporting ----------------------------------------------------------------------------
 

@@ -238,8 +238,15 @@ class MerkleTree:
         self.verify_count += 1
         if version is None:
             version = self._versions[block_index]
-        path = self.auth_path(block_index)
-        return self.compute_root_from_path(block_index, data, version, path) == self.root
+        # compute_root_from_path over auth_path, without the path objects.
+        node_hash = self._node_hash
+        digest = self._leaf_hash(block_index, data, version)
+        node = block_index
+        for level in self._levels[:-1]:
+            sibling = level[node ^ 1]
+            digest = node_hash(sibling, digest) if node & 1 else node_hash(digest, sibling)
+            node >>= 1
+        return digest == self.root
 
     def verify_or_raise(self, block_index: int, data: bytes, version: Optional[int] = None) -> None:
         """Like :meth:`verify` but raises :class:`IntegrityViolation` on failure."""

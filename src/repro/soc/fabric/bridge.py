@@ -54,7 +54,7 @@ class BridgeEndpoint:
     """
 
     #: Segments release at handoff instead of holding the bus (see
-    #: :meth:`BusSegment._try_grant`).
+    #: :meth:`BusSegment._grant`).
     split_transactions = True
 
     def __init__(self, bridge: "BusBridge", side: str) -> None:

@@ -154,8 +154,11 @@ class BusSegment(Component):
         if self._busy:
             return
         winner = self.arbiter.select(self._waiting)
-        if winner is None:
-            return
+        if winner is not None:
+            self._grant(winner)
+
+    def _grant(self, winner: str) -> None:
+        # Not in _try_grant: the reply lambdas make self and reply cells.
         txn, reply = self._waiting[winner].popleft()
         self._busy = True
         txn.mark_granted(self.sim.now)

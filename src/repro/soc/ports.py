@@ -52,6 +52,10 @@ class FilterAction(enum.Enum):
     DENY = "deny"
 
 
+# Looking a member up on an Enum class costs a __getattr__ hook per access.
+_ALLOW = FilterAction.ALLOW
+
+
 @dataclass
 class FilterResult:
     """What a filter decided about one transaction.
@@ -113,7 +117,7 @@ class FilterResult:
 
     @property
     def allowed(self) -> bool:
-        return self.action is FilterAction.ALLOW
+        return self.action is _ALLOW
 
 
 class TransactionFilter:
@@ -165,11 +169,9 @@ def _apply_chain(
     one checking module raises its alert signal).
     """
     total_latency = 0
+    request = direction == "request"
     for filt in filters:
-        if direction == "request":
-            result = filt.filter_request(txn)
-        else:
-            result = filt.filter_response(txn)
+        result = filt.filter_request(txn) if request else filt.filter_response(txn)
         if result.breakdown:
             for stage, cycles in result.breakdown.items():
                 txn.add_latency(stage, cycles)
@@ -186,7 +188,7 @@ def _apply_chain(
                 reason=result.reason,
                 status=result.status,
             )
-    return FilterResult(FilterAction.ALLOW, latency=total_latency, stage="chain")
+    return FilterResult(_ALLOW, total_latency, "chain")
 
 
 #: Public name for the chain semantics: bus bridges run the same filter chains

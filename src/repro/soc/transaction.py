@@ -30,14 +30,6 @@ class BusOperation(enum.Enum):
     READ = "read"
     WRITE = "write"
 
-    @property
-    def is_read(self) -> bool:
-        return self is BusOperation.READ
-
-    @property
-    def is_write(self) -> bool:
-        return self is BusOperation.WRITE
-
 
 class TransactionStatus(enum.Enum):
     """Lifecycle of a transaction.
@@ -122,7 +114,7 @@ class BusTransaction:
             raise ValueError(f"width must be 1, 2 or 4 bytes, got {self.width}")
         if self.burst_length < 1:
             raise ValueError(f"burst_length must be >= 1, got {self.burst_length}")
-        if self.operation.is_write:
+        if self.is_write:
             if self.data is None:
                 raise ValueError("write transaction requires data")
             if len(self.data) != self.size:
@@ -145,11 +137,11 @@ class BusTransaction:
 
     @property
     def is_read(self) -> bool:
-        return self.operation.is_read
+        return self.operation is BusOperation.READ
 
     @property
     def is_write(self) -> bool:
-        return self.operation.is_write
+        return self.operation is BusOperation.WRITE
 
     @property
     def total_latency(self) -> int:

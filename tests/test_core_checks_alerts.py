@@ -1,10 +1,12 @@
 """Tests for the Security Builder's checking modules and the alert system."""
 
+import pytest
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, Severity, ViolationType
 from repro.core.checks import (
     AddressRangeCheck,
     BurstLengthCheck,
+    CheckResult,
     DataFormatCheck,
     ReadWriteAccessCheck,
     default_check_suite,
@@ -93,6 +95,23 @@ class TestAddressRangeCheck:
         check = AddressRangeCheck(windows=[(0x100, 0x10)])
         result = check.check(policy(), read(address=0x10C, width=4, burst=2))
         assert not result.passed
+
+
+class TestCheckResult:
+    def test_ok_and_fail_fill_the_fields(self):
+        ok = CheckResult.ok("rwa")
+        assert (ok.passed, ok.check, ok.violation, ok.detail) == (True, "rwa", None, "")
+        fail = CheckResult.fail("adf", ViolationType.BAD_DATA_FORMAT, detail="width 1")
+        assert (fail.passed, fail.check, fail.violation, fail.detail) == (
+            False, "adf", ViolationType.BAD_DATA_FORMAT, "width 1",
+        )
+        assert CheckResult.fail("burst", ViolationType.BURST_TOO_LONG).detail == ""
+
+    def test_fields_are_immutable(self):
+        result = CheckResult.fail("rwa", ViolationType.UNAUTHORIZED_WRITE)
+        for field in ("passed", "check", "violation", "detail"):
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
 
 
 class TestDefaultSuite:

@@ -171,6 +171,39 @@ class TestProperties:
                 if i != j:
                     assert not tree.verify(i, contents[j])
 
+    @given(
+        st.integers(min_value=1, max_value=16),
+        st.lists(
+            st.tuples(st.integers(min_value=0, max_value=15), st.binary(min_size=BLOCK, max_size=BLOCK)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=15),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_verify_matches_the_auth_path_walker(self, n_blocks, writes, pick):
+        # verify() walks the sibling digests itself; it must agree with the
+        # hardware walker model, auth_path() then compute_root_from_path().
+        tree = MerkleTree(n_blocks, block_size=BLOCK)
+        latest = {}
+        for index, data in writes:
+            index %= n_blocks
+            tree.update(index, data)
+            latest[index] = data
+        index = sorted(latest)[pick % len(latest)]
+        current = latest[index]
+        version = tree.version(index)
+        tampered = bytes([current[0] ^ 1]) + current[1:]
+        path = tree.auth_path(index)
+        for data, at_version, expected in (
+            (current, version, True),
+            (tampered, version, False),
+            (current, version - 1, False),  # a stale version: replay
+        ):
+            walked = tree.compute_root_from_path(index, data, at_version, path) == tree.root
+            assert tree.verify(index, data, at_version) == walked == expected
+        assert tree.verify(index, current)
+
     @given(st.binary(min_size=BLOCK, max_size=BLOCK), st.integers(min_value=0, max_value=BLOCK * 8 - 1))
     @settings(max_examples=40, deadline=None)
     def test_single_bit_flip_always_detected(self, data, bit):

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.checks import AddressRangeCheck
 from repro.core.local_firewall import LocalFirewall, SecurityBuilder
 from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
 from repro.crypto.aes import AES128
@@ -124,6 +125,8 @@ class TestSecurityBuilderCache:
         policy_b, results_b = builder.evaluate(_write_txn())
         assert builder.cache_hits == 1 and builder.cache_misses == 1
         assert policy_a is policy_b
+        # Every hit shares the cached list; immutable CheckResults keep that safe.
+        assert results_b is results_a
         assert [r.passed for r in results_a] == [r.passed for r in results_b]
 
     def test_statistics_identical_to_uncached_run(self):
@@ -152,6 +155,23 @@ class TestSecurityBuilderCache:
         assert any(not r.passed for r in results), (
             "stale cached ALLOW survived a policy reconfiguration"
         )
+
+    def test_address_range_windows_invalidate_cached_allow(self):
+        builder = SecurityBuilder("sb", _memory_with_rw_rule())
+        _, results = builder.evaluate(_write_txn())
+        assert all(r.passed for r in results)
+        (address_range,) = [c for c in builder.checks if isinstance(c, AddressRangeCheck)]
+        address_range.windows = [(0x2000, 0x100)]  # excludes 0x1000
+        _, results = builder.evaluate(_write_txn())
+        assert [r.check for r in results if not r.passed] == ["address_range"], (
+            "stale cached ALLOW survived new address-range windows"
+        )
+        assert builder.cache_hits == 0 and builder.cache_misses == 2
+
+    def test_suite_with_two_address_range_modules_is_not_cached(self):
+        checks = [AddressRangeCheck(), AddressRangeCheck([(0x1000, 0x100)])]
+        builder = SecurityBuilder("sb", _memory_with_rw_rule(), checks=checks)
+        assert not builder.cache_enabled
 
     def test_default_policy_assignment_invalidates_cached_miss(self):
         memory = ConfigurationMemory("cm_default")

@@ -23,8 +23,12 @@ class TestScheduling:
         order = []
         for label in "abcde":
             sim.schedule(5, order.append, label)
+        # schedule() and schedule_at() share one sequence: call order holds.
+        for index, label in enumerate("fghij"):
+            schedule = sim.schedule if index % 2 else sim.schedule_at
+            schedule(5, order.append, label)
         sim.run()
-        assert order == list("abcde")
+        assert order == list("abcdefghij")
 
     def test_schedule_negative_delay_rejected(self):
         sim = Simulator()
