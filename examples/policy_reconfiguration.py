@@ -20,7 +20,7 @@ Run with:  python examples/policy_reconfiguration.py
 from dataclasses import replace
 
 from repro.api import InMemorySink, attach_instrumentation, EventBus
-from repro.core.secure import default_policies
+from repro.core.policy import default_policies
 from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
 

@@ -25,8 +25,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
 from repro.core.checks import CheckResult, SecurityCheck, default_check_suite
 from repro.core.constants import SECURITY_BUILDER_CYCLES
-from repro.core.policy import ConfigurationMemory, PolicyLookupError
-from repro.core.secure import default_policies
+from repro.core.policy import ConfigurationMemory, PolicyLookupError, default_policies
 from repro.metrics.resources import ResourceVector
 from repro.soc.kernel import Component, Simulator
 from repro.soc.ports import FilterResult, TransactionFilter

@@ -2,7 +2,9 @@
 
 The package re-exports nothing; import each name from its module:
 
-* policies and configuration memories (:mod:`repro.core.policy`),
+* policies and configuration memories, plus the default policies and
+  reaction thresholds security plans are built from
+  (:mod:`repro.core.policy`),
 * checking modules (:mod:`repro.core.checks`),
 * the Local Firewall and the Local Ciphering Firewall
   (:mod:`repro.core.local_firewall`, :mod:`repro.core.ciphering_firewall`),
@@ -11,6 +13,7 @@ The package re-exports nothing; import each name from its module:
 * thread-specific clearances, the paper's closing perspective
   (:mod:`repro.core.thread_policy`),
 * :func:`repro.core.secure.attach_security`, which attaches all of the
-  above to a platform according to a security plan,
+  above to a platform according to a security plan
+  (:mod:`repro.scenarios.plan` derives the plan from a scenario spec),
 * the paper-calibrated latency constants (:mod:`repro.core.constants`).
 """

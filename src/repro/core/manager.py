@@ -25,25 +25,11 @@ from typing import Dict, List, Optional
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, Severity, ViolationType
 from repro.core.local_firewall import LocalFirewall
-from repro.core.policy import SecurityPolicy
+from repro.core.policy import ReactionPolicy, SecurityPolicy
 from repro.crypto.keys import KeyStore
 from repro.soc.kernel import Simulator
 
-__all__ = ["ReactionPolicy", "ReactionEvent", "SecurityPolicyManager"]
-
-
-@dataclass
-class ReactionPolicy:
-    """Thresholds controlling automatic reactions.
-
-    ``quarantine_after`` violations from one master trigger quarantine of the
-    firewall guarding that master; ``zeroise_keys_on_critical`` erases the key
-    store as soon as a CRITICAL integrity alert fires (so an attacker who has
-    begun tampering with external memory cannot keep decrypting it).
-    """
-
-    quarantine_after: int = 3
-    zeroise_keys_on_critical: bool = False
+__all__ = ["ReactionEvent", "SecurityPolicyManager"]
 
 
 @dataclass(frozen=True)
@@ -87,10 +73,6 @@ class SecurityPolicyManager:
 
     def firewall(self, name: str) -> LocalFirewall:
         return self._firewalls[name]
-
-    @property
-    def firewalls(self) -> List[LocalFirewall]:
-        return list(self._firewalls.values())
 
     # -- explicit reconfiguration API (the paper's perspective) -------------------------
 

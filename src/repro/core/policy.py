@@ -15,6 +15,10 @@ parameters protecting one resource:
 Policies are stored in on-chip *Configuration Memories*, "considered as
 trusted units" — each firewall owns one.  A configuration memory maps address
 ranges to policies; the Security Builder queries it on every transaction.
+
+The module also holds the policy data security plans are built from
+(:func:`default_policies`, the ``SPI_*`` identifiers and the
+:class:`ReactionPolicy` thresholds); it imports only the standard library.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ __all__ = [
     "ConfigurationMemory",
     "PolicyLookupError",
     "ConfigurationMemoryFull",
+    "ReactionPolicy",
+    "default_policies",
 ]
 
 
@@ -344,3 +350,62 @@ class ConfigurationMemory:
         for rule in self._rules:
             seen[rule.policy.spi] = rule.policy
         return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# Policy data the security plans are built from
+# ---------------------------------------------------------------------------
+
+# Well-known SPI values of the default policies.
+SPI_INTERNAL_FULL = 1
+SPI_INTERNAL_READONLY = 2
+SPI_IP_REGISTERS = 3
+SPI_DDR_PLAIN = 12
+
+
+def default_policies() -> Dict[str, SecurityPolicy]:
+    """The access-control policies plans are built from."""
+    return {
+        "internal_full": SecurityPolicy(
+            spi=SPI_INTERNAL_FULL,
+            rwa=ReadWriteAccess.READ_WRITE,
+            allowed_formats=frozenset({1, 2, 4}),
+            max_burst_length=16,
+            description="full read/write access to internal resources",
+        ),
+        "internal_readonly": SecurityPolicy(
+            spi=SPI_INTERNAL_READONLY,
+            rwa=ReadWriteAccess.READ_ONLY,
+            allowed_formats=frozenset({1, 2, 4}),
+            max_burst_length=16,
+            description="read-only window (e.g. shared code in BRAM)",
+        ),
+        "ip_registers": SecurityPolicy(
+            spi=SPI_IP_REGISTERS,
+            rwa=ReadWriteAccess.READ_WRITE,
+            allowed_formats=frozenset({4}),
+            max_burst_length=1,
+            description="word-only, single-beat access to IP registers",
+        ),
+        "ddr_plain": SecurityPolicy(
+            spi=SPI_DDR_PLAIN,
+            rwa=ReadWriteAccess.READ_WRITE,
+            allowed_formats=frozenset({1, 2, 4}),
+            max_burst_length=16,
+            description="unprotected external-memory window",
+        ),
+    }
+
+
+@dataclass
+class ReactionPolicy:
+    """Thresholds controlling automatic reactions.
+
+    ``quarantine_after`` violations from one master trigger quarantine of the
+    firewall guarding that master; ``zeroise_keys_on_critical`` erases the key
+    store as soon as a CRITICAL integrity alert fires (so an attacker who has
+    begun tampering with external memory cannot keep decrypting it).
+    """
+
+    quarantine_after: int = 3
+    zeroise_keys_on_critical: bool = False

@@ -1,8 +1,8 @@
 """Attach the distributed security enhancements to a platform.
 
-A :class:`SecurityPlan` lists the firewalls to attach and the rules each
-trusted Configuration Memory holds; :func:`attach_security` executes it
-against a :class:`~repro.soc.system.SoCSystem` and returns the
+:func:`attach_security` executes a
+:class:`~repro.scenarios.plan.SecurityPlan` against a
+:class:`~repro.soc.system.SoCSystem` and returns the
 :class:`SecuredPlatform` handle.  For the paper's Figure 1 that means:
 
 * a Local Firewall on every master interface (each MicroBlaze, the DMA IP),
@@ -11,92 +11,28 @@ against a :class:`~repro.soc.system.SoCSystem` and returns the
 * one trusted Configuration Memory per firewall, one platform-wide
   :class:`SecurityMonitor` and one :class:`SecurityPolicyManager`.
 
-:class:`repro.scenarios.builder.ScenarioBuilder` derives the plan of every
-platform from its scenario spec.  Internal communications are not encrypted
-(the LFs protect them against unauthorized access), while the external
-memory is split into protection windows ("many systems do not provide a
-uniform protection but allow some parts of the memory to be unprotected or
-only ciphered").
+:func:`repro.scenarios.plan.build_plan` derives the plan of every platform
+from its scenario spec.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, TypeVar
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, TypeVar
 
 from repro.core.alerts import SecurityMonitor
 from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
-from repro.core.manager import ReactionPolicy, SecurityPolicyManager
-from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
+from repro.core.manager import SecurityPolicyManager
+from repro.core.policy import ConfigurationMemory
 from repro.crypto.keys import KeyStore, random_key
 from repro.soc.system import SoCSystem
 
-__all__ = [
-    "SecuredPlatform",
-    "default_policies",
-    "PlanRule",
-    "MasterFirewallPlan",
-    "SlaveFirewallPlan",
-    "BridgeFirewallPlan",
-    "CipheringFirewallPlan",
-    "SecurityPlan",
-    "FIREWALL_PLACEMENTS",
-    "attach_security",
-]
+if TYPE_CHECKING:
+    # A runtime import would cycle: repro.scenarios loads the builder, which
+    # loads this module.
+    from repro.scenarios.plan import PlanRule, SecurityPlan
 
-
-#: Where a security plan places its Local Firewalls.
-#:
-#: * ``"leaf"`` — the paper's distributed layout: an LF at every master/slave
-#:   interface (plus the LCF at external memories).
-#: * ``"bridge"`` — LFs only on the fabric's bus bridges: every cross-segment
-#:   access is checked at a chokepoint, reproducing the centralized-security-
-#:   bridge baseline *inside* a distributed topology (intra-segment traffic is
-#:   unchecked, which is exactly the weakness the paper argues against).
-#: * ``"both"`` — leaf and bridge firewalls together (defence in depth).
-FIREWALL_PLACEMENTS = ("leaf", "bridge", "both")
-
-
-# Well-known SPI values of the default policies.
-SPI_INTERNAL_FULL = 1
-SPI_INTERNAL_READONLY = 2
-SPI_IP_REGISTERS = 3
-SPI_DDR_PLAIN = 12
-
-
-def default_policies() -> Dict[str, SecurityPolicy]:
-    """The access-control policies plans are built from."""
-    return {
-        "internal_full": SecurityPolicy(
-            spi=SPI_INTERNAL_FULL,
-            rwa=ReadWriteAccess.READ_WRITE,
-            allowed_formats=frozenset({1, 2, 4}),
-            max_burst_length=16,
-            description="full read/write access to internal resources",
-        ),
-        "internal_readonly": SecurityPolicy(
-            spi=SPI_INTERNAL_READONLY,
-            rwa=ReadWriteAccess.READ_ONLY,
-            allowed_formats=frozenset({1, 2, 4}),
-            max_burst_length=16,
-            description="read-only window (e.g. shared code in BRAM)",
-        ),
-        "ip_registers": SecurityPolicy(
-            spi=SPI_IP_REGISTERS,
-            rwa=ReadWriteAccess.READ_WRITE,
-            allowed_formats=frozenset({4}),
-            max_burst_length=1,
-            description="word-only, single-beat access to IP registers",
-        ),
-        "ddr_plain": SecurityPolicy(
-            spi=SPI_DDR_PLAIN,
-            rwa=ReadWriteAccess.READ_WRITE,
-            allowed_formats=frozenset({1, 2, 4}),
-            max_burst_length=16,
-            description="unprotected external-memory window",
-        ),
-    }
+__all__ = ["SecuredPlatform", "attach_security"]
 
 
 class SecuredPlatform:
@@ -122,8 +58,8 @@ class SecuredPlatform:
         self.slave_firewalls: Dict[str, LocalFirewall] = {}
         self.bridge_firewalls: Dict[str, LocalFirewall] = {}
         self.ciphering_firewalls: Dict[str, LocalCipheringFirewall] = {}
-        #: Which of :data:`FIREWALL_PLACEMENTS` the executed plan implemented
-        #: (recorded by :func:`attach_security`).
+        #: Which of :data:`~repro.scenarios.spec.FIREWALL_PLACEMENTS` the
+        #: executed plan implemented (recorded by :func:`attach_security`).
         self.placement: str = "leaf"
 
     @property
@@ -171,97 +107,6 @@ class SecuredPlatform:
         }
 
 
-# ---------------------------------------------------------------------------
-# Security plans: a declarative description of where firewalls go
-# ---------------------------------------------------------------------------
-#
-# The Figure-1 layout (every master, BRAM + IP on the slave side, one LCF on
-# the DDR) is data: a :class:`SecurityPlan` lists the firewalls to attach and
-# the rules each Configuration Memory holds, and :func:`attach_security`
-# executes any plan against any :class:`SoCSystem`.  The scenario engine
-# (:mod:`repro.scenarios`) builds the plan of every topology.
-
-
-@dataclass(frozen=True)
-class PlanRule:
-    """One Configuration Memory rule of a planned firewall."""
-
-    base: int
-    size: int
-    policy: SecurityPolicy
-    label: str = ""
-
-
-@dataclass
-class MasterFirewallPlan:
-    """A Local Firewall on one master interface."""
-
-    master: str
-    rules: List[PlanRule] = field(default_factory=list)
-    flood_threshold: Optional[int] = None
-    flood_window: int = 100
-
-
-@dataclass
-class SlaveFirewallPlan:
-    """A Local Firewall on one internal slave interface."""
-
-    slave: str
-    rules: List[PlanRule] = field(default_factory=list)
-
-
-@dataclass
-class BridgeFirewallPlan:
-    """A Local Firewall on one fabric bridge.
-
-    The firewall's filter chain runs on every transaction the bridge forwards
-    (both directions), so its rules describe the address ranges cross-segment
-    traffic may touch.  A remote region with *no* rule is default-denied at
-    the bridge (POLICY_MISS), which is how per-bridge isolation is expressed.
-    """
-
-    bridge: str
-    rules: List[PlanRule] = field(default_factory=list)
-
-
-@dataclass
-class CipheringFirewallPlan:
-    """A Local Ciphering Firewall on one external-memory interface."""
-
-    slave: str
-    rules: List[PlanRule] = field(default_factory=list)
-
-
-@dataclass
-class SecurityPlan:
-    """Everything :func:`attach_security` needs to protect a platform.
-
-    ``keys`` lists ``(spi, seed)`` pairs installed into the trusted key store
-    before any firewall is built (ciphering policies reference them through
-    their ``key_spi``).
-
-    ``placement`` records which of :data:`FIREWALL_PLACEMENTS` the plan
-    implements; it is descriptive — attachment is driven by which of the
-    ``masters`` / ``slaves`` / ``bridges`` lists are populated — but reports
-    and the metrics layer use it to label the leaf-vs-bridge split.
-    """
-
-    masters: List[MasterFirewallPlan] = field(default_factory=list)
-    slaves: List[SlaveFirewallPlan] = field(default_factory=list)
-    bridges: List[BridgeFirewallPlan] = field(default_factory=list)
-    ciphering: List[CipheringFirewallPlan] = field(default_factory=list)
-    keys: List[tuple] = field(default_factory=list)
-    reaction: ReactionPolicy = field(default_factory=ReactionPolicy)
-    config_memory_capacity: int = 16
-    placement: str = "leaf"
-
-    def __post_init__(self) -> None:
-        if self.placement not in FIREWALL_PLACEMENTS:
-            raise ValueError(
-                f"placement must be one of {FIREWALL_PLACEMENTS}, got {self.placement!r}"
-            )
-
-
 _Endpoint = TypeVar("_Endpoint")
 
 
@@ -273,6 +118,17 @@ def _endpoint(kind: str, endpoints: Mapping[str, _Endpoint], name: str) -> _Endp
         raise ValueError(
             f"security plan names unknown {kind} {name!r}; known: {sorted(endpoints)}"
         ) from None
+
+
+def _memory(
+    plan: SecurityPlan, name: str, rules: List[PlanRule], label: str = ""
+) -> ConfigurationMemory:
+    """The trusted Configuration Memory ``cfg_<name>`` holding ``rules``
+    (``label`` names the rules that carry none)."""
+    memory = ConfigurationMemory(f"cfg_{name}", capacity=plan.config_memory_capacity)
+    for rule in rules:
+        memory.add(rule.base, rule.size, rule.policy, label=rule.label or label)
+    return memory
 
 
 def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
@@ -298,14 +154,10 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
     # -- master-side Local Firewalls ---------------------------------------------------
     for master_plan in plan.masters:
         port = _endpoint("master", system.master_ports, master_plan.master)
-        memory = ConfigurationMemory(
-            f"cfg_{master_plan.master}", capacity=plan.config_memory_capacity
-        )
-        for rule in master_plan.rules:
-            memory.add(rule.base, rule.size, rule.policy, label=rule.label)
+        memory = _memory(plan, master_plan.master, master_plan.rules)
         firewall = LocalFirewall(
             sim,
-            f"lf_{master_plan.master}",
+            master_plan.firewall,
             memory,
             monitor=monitor,
             protected_ip=master_plan.master,
@@ -319,14 +171,10 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
     # -- internal slave-side Local Firewalls ----------------------------------------------
     for slave_plan in plan.slaves:
         port = _endpoint("slave", system.slave_ports, slave_plan.slave)
-        memory = ConfigurationMemory(
-            f"cfg_{slave_plan.slave}", capacity=plan.config_memory_capacity
-        )
-        for rule in slave_plan.rules:
-            memory.add(rule.base, rule.size, rule.policy, label=rule.label or slave_plan.slave)
+        memory = _memory(plan, slave_plan.slave, slave_plan.rules, slave_plan.slave)
         firewall = LocalFirewall(
             sim,
-            f"lf_{slave_plan.slave}",
+            slave_plan.firewall,
             memory,
             monitor=monitor,
             protected_ip=slave_plan.slave,
@@ -338,14 +186,10 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
     # -- bridge-placed Local Firewalls -----------------------------------------------------
     for bridge_plan in plan.bridges:
         bridge = _endpoint("bridge", system.bus.bridges, bridge_plan.bridge)
-        memory = ConfigurationMemory(
-            f"cfg_{bridge_plan.bridge}", capacity=plan.config_memory_capacity
-        )
-        for rule in bridge_plan.rules:
-            memory.add(rule.base, rule.size, rule.policy, label=rule.label)
+        memory = _memory(plan, bridge_plan.bridge, bridge_plan.rules)
         firewall = LocalFirewall(
             sim,
-            f"lf_{bridge_plan.bridge}",
+            bridge_plan.firewall,
             memory,
             monitor=monitor,
             protected_ip=bridge_plan.bridge,
@@ -357,14 +201,10 @@ def attach_security(system: SoCSystem, plan: SecurityPlan) -> SecuredPlatform:
     # -- Local Ciphering Firewalls on external memories ------------------------------------
     for cipher_plan in plan.ciphering:
         device = _endpoint("memory", system.memories, cipher_plan.slave)
-        memory = ConfigurationMemory(
-            f"cfg_{cipher_plan.slave}", capacity=plan.config_memory_capacity
-        )
-        for rule in cipher_plan.rules:
-            memory.add(rule.base, rule.size, rule.policy, label=rule.label)
+        memory = _memory(plan, cipher_plan.slave, cipher_plan.rules)
         lcf = LocalCipheringFirewall(
             sim,
-            f"lcf_{cipher_plan.slave}",
+            cipher_plan.firewall,
             memory,
             device=device,
             key_store=key_store,

@@ -7,8 +7,11 @@ claim into an executable surface:
 * :mod:`repro.scenarios.spec` — declarative ``TopologySpec`` / ``ScenarioSpec``
   (N masters, M slaves, protected-region maps, per-IP policies, workload and
   attack mixes, runtime reconfiguration events),
+* :mod:`repro.scenarios.plan` — ``build_plan`` deriving the ``SecurityPlan``
+  (which firewalls exist and the rules each Configuration Memory holds) as a
+  pure function of a spec,
 * :mod:`repro.scenarios.builder` — ``ScenarioBuilder`` assembling the kernel,
-  bus, address map, devices, firewalls and Configuration Memories from a spec,
+  fabric, devices and masters from a spec and attaching its plan's firewalls,
 * :mod:`repro.scenarios.registry` — named stock scenarios (``paper_baseline``,
   ``many_master_contention``, ``crypto_heavy``, ...),
 * :mod:`repro.scenarios.differential` — the golden-model harness proving the

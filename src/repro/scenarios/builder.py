@@ -3,10 +3,11 @@
 :class:`ScenarioBuilder` is the bridge between the declarative layer
 (:mod:`repro.scenarios.spec`) and the simulation substrate: it instantiates
 the kernel, interconnect fabric, devices and master ports for an arbitrary
-topology, derives a :class:`repro.core.secure.SecurityPlan` from the spec's
-policy map, and attaches the distributed firewalls through
+topology, and attaches the distributed firewalls of the spec's security plan
+(:func:`repro.scenarios.plan.build_plan`) through
 :func:`repro.core.secure.attach_security` (or the centralized baseline
 through :func:`repro.baselines.centralized.secure_platform_centralized`).
+It only assembles: the plan says which firewalls exist and what each holds.
 It is the only code that builds a platform.  The result is a
 :class:`BuiltScenario` that can load the workload mix, schedule mid-run
 reconfigurations and instantiate the attack mix.
@@ -15,7 +16,7 @@ reconfigurations and instantiate the attack mix.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 from repro.attacks.base import issue_sync
 from repro.attacks.chains import (
@@ -28,19 +29,8 @@ from repro.attacks.dos import DoSFloodAttack
 from repro.attacks.hijack import ExfiltrationAttack, HijackedIPAttack, SensitiveRegisterProbe
 from repro.attacks.memory_attacks import RelocationAttack, ReplayAttack, SpoofingAttack
 from repro.baselines.centralized import CentralizedPlatform, secure_platform_centralized
-from repro.core.manager import ReactionPolicy
-from repro.core.policy import ConfidentialityMode, IntegrityMode, ReadWriteAccess, SecurityPolicy
-from repro.core.secure import (
-    BridgeFirewallPlan,
-    CipheringFirewallPlan,
-    MasterFirewallPlan,
-    PlanRule,
-    SecuredPlatform,
-    SecurityPlan,
-    SlaveFirewallPlan,
-    attach_security,
-    default_policies,
-)
+from repro.core.policy import ReadWriteAccess
+from repro.core.secure import SecuredPlatform, attach_security
 from repro.soc.fabric import FixedPriorityArbiter, InterconnectFabric, RoundRobinArbiter
 from repro.soc.devices import DmaDescriptorRing, FirmwareUpdateIP, SecureBootSequencer
 from repro.soc.ip import RegisterFileIP
@@ -49,7 +39,8 @@ from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.system import SoCConfig, SoCSystem
 from repro.workloads.generators import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
-from repro.scenarios.spec import ScenarioSpec, SegmentSpec, SlaveSpec
+from repro.scenarios.plan import build_plan
+from repro.scenarios.spec import ScenarioSpec, SegmentSpec
 
 __all__ = ["ATTACK_KINDS", "ScenarioBuilder", "BuiltScenario", "instantiate_attacks"]
 
@@ -69,10 +60,6 @@ ATTACK_KINDS = {
     "descriptor_hijack_chain": DescriptorHijackChain,
     "boot_rollback_chain": BootRollbackChain,
 }
-
-#: First SPI allocated to scenario-defined ciphering policies (clear of the
-#: well-known SPI_* constants of the default policies).
-_SCENARIO_SPI_BASE = 100
 
 
 def instantiate_attacks(spec: ScenarioSpec) -> List[object]:
@@ -334,147 +321,6 @@ class ScenarioBuilder:
                 system.add_dma(master.name, segment=segment)
         return system
 
-    # -- security plan -------------------------------------------------------------------
-
-    def _window_rules(
-        self, slave: SlaveSpec, next_spi: int, keys: List[Tuple[int, int]]
-    ) -> Tuple[List[PlanRule], int]:
-        """Ciphering-firewall rules for one DDR slave's protection windows."""
-        policies = default_policies()
-        rules: List[PlanRule] = []
-        offset = slave.base
-        windows = list(slave.windows)
-        remainder = slave.size - sum(w.size for w in windows)
-        for window in windows:
-            if window.protection == "plain":
-                rules.append(
-                    PlanRule(offset, window.size, policies["ddr_plain"], label=f"{slave.name}_plain")
-                )
-            else:
-                secure = window.protection == "secure"
-                policy = SecurityPolicy(
-                    spi=next_spi,
-                    rwa=ReadWriteAccess.READ_WRITE,
-                    allowed_formats=frozenset({1, 2, 4}),
-                    confidentiality=ConfidentialityMode.CIPHER,
-                    integrity=IntegrityMode.HASH_TREE if secure else IntegrityMode.BYPASS,
-                    key_spi=next_spi,
-                    max_burst_length=16,
-                    description=f"{slave.name} {window.protection} window",
-                )
-                keys.append((next_spi, self.spec.key_seed + len(keys)))
-                next_spi += 1
-                rules.append(
-                    PlanRule(offset, window.size, policy, label=f"{slave.name}_{window.protection}")
-                )
-            offset += window.size
-        if remainder > 0:
-            rules.append(
-                PlanRule(offset, remainder, policies["ddr_plain"], label=f"{slave.name}_plain")
-            )
-        return rules, next_spi
-
-    def _bridge_plans(self) -> List[BridgeFirewallPlan]:
-        """Centralized-style rule sets for every bridge of the topology.
-
-        A bridge firewall cannot tell masters apart the way a leaf LF can —
-        its rules are per address range only, exactly like the paper's
-        centralized security bridge.  Every slave region gets a rule by kind
-        (word-only for register-file IPs, full access otherwise) unless the
-        bridge's ``deny`` list names it, in which case the absence of a rule
-        default-denies all cross-segment access to it at this bridge.
-        """
-        policies = default_policies()
-        plans: List[BridgeFirewallPlan] = []
-        for bridge in self.spec.topology.bridges:
-            rules: List[PlanRule] = []
-            for slave in self.spec.topology.slaves:
-                if slave.name in bridge.deny:
-                    continue
-                policy = policies["ip_registers"] if slave.is_register_kind else policies["internal_full"]
-                rules.append(PlanRule(slave.base, slave.size, policy, label=slave.region_name))
-            plans.append(BridgeFirewallPlan(bridge.name, rules))
-        return plans
-
-    def build_plan(self) -> SecurityPlan:
-        """Derive the security plan from the spec's topology and policy map.
-
-        ``spec.placement`` decides where the Local Firewalls go: leaf
-        interfaces (the paper's distributed layout), the fabric's bridges
-        (the in-topology centralized baseline) or both.  The Local Ciphering
-        Firewall always stays at its external memory — it is the
-        cryptographic boundary, not an access-control placement choice.
-        """
-        spec = self.spec
-        topology = spec.topology
-        policies = default_policies()
-        leaf = spec.placement in ("leaf", "both")
-
-        keys: List[Tuple[int, int]] = []
-        next_spi = _SCENARIO_SPI_BASE
-        ciphering: List[CipheringFirewallPlan] = []
-        for slave in topology.slaves_of_kind("ddr"):
-            if not slave.firewall:
-                continue
-            rules, next_spi = self._window_rules(slave, next_spi, keys)
-            ciphering.append(CipheringFirewallPlan(slave.name, rules))
-
-        masters: List[MasterFirewallPlan] = []
-        for master in topology.masters if leaf else ():
-            if not master.firewall:
-                continue
-            rules = []
-            for slave in topology.slaves:
-                if not master.can_access(slave.name):
-                    continue
-                if slave.is_register_kind:
-                    policy = policies["ip_registers"]
-                    if slave.name in master.readonly:
-                        policy = policy.with_updates(
-                            rwa=ReadWriteAccess.READ_ONLY,
-                            description="word-only, read-only access to IP registers",
-                        )
-                elif slave.name in master.readonly:
-                    policy = policies["internal_readonly"]
-                else:
-                    policy = policies["internal_full"]
-                rules.append(PlanRule(slave.base, slave.size, policy, label=slave.region_name))
-            masters.append(
-                MasterFirewallPlan(
-                    master=master.name,
-                    rules=rules,
-                    flood_threshold=spec.flood_threshold,
-                    flood_window=spec.flood_window,
-                )
-            )
-
-        slaves: List[SlaveFirewallPlan] = []
-        for slave in topology.slaves if leaf else ():
-            if slave.kind == "ddr" or not slave.firewall:
-                continue
-            policy = policies["ip_registers"] if slave.is_register_kind else policies["internal_full"]
-            slaves.append(
-                SlaveFirewallPlan(
-                    slave.name,
-                    [PlanRule(slave.base, slave.size, policy, label=slave.name)],
-                )
-            )
-
-        bridges: List[BridgeFirewallPlan] = (
-            self._bridge_plans() if spec.placement in ("bridge", "both") else []
-        )
-
-        return SecurityPlan(
-            masters=masters,
-            slaves=slaves,
-            bridges=bridges,
-            ciphering=ciphering,
-            keys=keys,
-            reaction=ReactionPolicy(quarantine_after=spec.quarantine_after),
-            config_memory_capacity=spec.config_memory_capacity,
-            placement=spec.placement,
-        )
-
     # -- top-level -----------------------------------------------------------------------
 
     def build(self, protected: bool = True) -> BuiltScenario:
@@ -490,5 +336,5 @@ class ScenarioBuilder:
         if self.spec.enforcement == "centralized":
             security = secure_platform_centralized(system, self.spec.config_memory_capacity)
         else:
-            security = attach_security(system, self.build_plan())
+            security = attach_security(system, build_plan(self.spec))
         return BuiltScenario(self.spec, system, security)

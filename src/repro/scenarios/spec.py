@@ -5,8 +5,9 @@ layout, not just the three-processor evaluation platform of Figure 1.  This
 module makes the layout itself data: a :class:`TopologySpec` describes N
 masters and M slaves with their address windows, and a :class:`ScenarioSpec`
 adds the security policy map, a synthetic workload mix, an attack mix and
-optional runtime reconfiguration events.  :class:`repro.scenarios.builder.
-ScenarioBuilder` turns a spec into a live platform; the registry in
+optional runtime reconfiguration events.  :func:`repro.scenarios.plan.
+build_plan` derives a spec's security plan and :class:`repro.scenarios.builder.
+ScenarioBuilder` builds the live platform; the registry in
 :mod:`repro.scenarios.registry` holds the named scenarios the differential
 test harness and the benchmarks sweep over.
 
@@ -20,8 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-from repro.core.secure import FIREWALL_PLACEMENTS
 
 __all__ = [
     "WindowSpec",
@@ -53,6 +52,17 @@ MASTER_KINDS = ("cpu", "dma")
 
 #: Arbitration policies a segment spec can request.
 SEGMENT_ARBITERS = ("round_robin", "fixed_priority")
+
+#: Where a security plan places its Local Firewalls.
+#:
+#: * ``"leaf"`` — the paper's distributed layout: an LF at every master/slave
+#:   interface (plus the LCF at external memories).
+#: * ``"bridge"`` — LFs only on the fabric's bus bridges: every cross-segment
+#:   access is checked at a chokepoint, reproducing the centralized-security-
+#:   bridge baseline *inside* a distributed topology (intra-segment traffic is
+#:   unchecked, which is exactly the weakness the paper argues against).
+#: * ``"both"`` — leaf and bridge firewalls together (defence in depth).
+FIREWALL_PLACEMENTS = ("leaf", "bridge", "both")
 
 
 @dataclass(frozen=True)
@@ -377,10 +387,6 @@ class TopologySpec:
         """Whether this topology declares a multi-segment fabric."""
         return bool(self.segments)
 
-    def default_segment(self) -> Optional[str]:
-        """Name of the first declared segment, or None for a flat bus."""
-        return self.segments[0].name if self.segments else None
-
     def segment_of(self, endpoint) -> Optional[str]:
         """Resolved segment of a master/slave spec (None on a flat bus)."""
         if not self.segments:
@@ -494,28 +500,30 @@ class ScenarioSpec:
             raise ValueError(
                 f"placement {self.placement!r} needs a topology with bridges"
             )
-        firewall_names = {
-            f"lcf_{s.name}" for s in self.topology.slaves if s.firewall and s.kind == "ddr"
-        }
-        if self.placement in ("leaf", "both"):
-            firewall_names |= {f"lf_{m.name}" for m in self.topology.masters if m.firewall}
-            firewall_names |= {
-                f"lf_{s.name}"
-                for s in self.topology.slaves
-                if s.firewall and s.kind != "ddr"
-            }
-        if self.placement in ("bridge", "both"):
-            firewall_names |= {f"lf_{b.name}" for b in self.topology.bridges}
-        for event in self.reconfigs:
-            if event.firewall not in firewall_names:
-                raise ValueError(
-                    f"reconfiguration targets unknown firewall {event.firewall!r}; "
-                    f"known: {sorted(firewall_names)}"
-                )
         if self.enforcement == "centralized":
             for kind in ("bram", "ddr", "ip"):
                 if self.topology.primary(kind) is None:
                     raise ValueError(
                         "centralized enforcement mirrors the Figure-1 layout "
                         f"and needs a primary {kind} slave"
+                    )
+            if self.reconfigs:
+                raise ValueError(
+                    f"scenario {self.name!r}: centralized enforcement has no "
+                    "Local Firewalls to reconfigure"
+                )
+        elif self.reconfigs:
+            # Imported here: the plan module imports this one.
+            from repro.scenarios.plan import build_plan
+
+            plan = build_plan(self)
+            firewall_names = {
+                entry.firewall
+                for entry in (*plan.masters, *plan.slaves, *plan.bridges, *plan.ciphering)
+            }
+            for event in self.reconfigs:
+                if event.firewall not in firewall_names:
+                    raise ValueError(
+                        f"reconfiguration targets unknown firewall {event.firewall!r}; "
+                        f"known: {sorted(firewall_names)}"
                     )

@@ -1,14 +1,16 @@
 """Static policy/fabric verification over ScenarioSpec + SecurityPlan.
 
 The analyzer proves coverage properties about a scenario **without running a
-single simulated cycle**.  It reconstructs exactly what the builder would
-build — the security plan via :meth:`ScenarioBuilder.build_plan` (a pure
-function of the spec) and the fabric routes via the same BFS the
-:class:`~repro.soc.fabric.routing.FabricRouter` control plane runs — and
-then checks, for every master → slave route, whether some hop (the master's
-leaf firewall, a bridge firewall on the path, the slave's leaf firewall or
-the external memory's ciphering firewall) can enforce each protection the
-spec declares.
+single simulated cycle**.  It loads the security plan the builder executes
+(:func:`repro.scenarios.plan.build_plan`, a pure function of the spec) and
+the fabric routes (the same BFS the
+:class:`~repro.soc.fabric.routing.FabricRouter` control plane runs), then
+evaluates the plan's rules hop by hop.  An access meets, in order, the
+master's Local Firewall, each bridge firewall on its route, and the target's
+Local Firewall or Local Ciphering Firewall, whichever of them the plan
+holds.  The first hop whose rules deny the access enforces the protection: it
+has no rule covering the access (default deny), or the covering policy's RWA
+or ADF parameter forbids it.
 
 Checks
 ------
@@ -16,16 +18,16 @@ Checks
   a built fabric that diverge from the routed control plane
   (``proxy-divergence``).
 * **unguarded paths** — a per-master restriction (an ``accessible`` list
-  excluding a slave, or a ``readonly`` entry) that *no* hop on the route can
-  enforce.  Under a leaf-claiming placement this is an ``error``
+  excluding a slave, or a ``readonly`` entry) that *no* hop on the route
+  denies.  Under a leaf-claiming placement this is an ``error``
   (``unguarded-path``): the plan promises leaf coverage and a
   ``firewall=False`` master defeats it.  Under pure bridge placement it is a
   ``warning`` (``placement-gap``): address-range bridge rules structurally
   cannot tell masters apart — the paper's centralized-baseline weakness.
 * **unenforced windows** — a DDR slave declaring secure/cipher-only windows
   with ``firewall=False``: the protection exists on paper only (``error``).
-* **dead rules** — configuration-memory rules no physically reachable
-  (master, address, op) tuple can match, e.g. a bridge rule for a region
+* **dead rules** — configuration-memory rules whose firewall no master's
+  route to a region they overlap meets, e.g. a bridge rule for a region
   whose home segment no master's route crosses that bridge to reach.
 * **bridge hazards** — bridges closing a cycle in the segment graph
   (``warning``: BFS tie-breaking hides one path), posted-write buffers that
@@ -42,13 +44,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.scenarios.spec import (
-    BridgeSpec,
-    MasterSpec,
-    ScenarioSpec,
-    SlaveSpec,
-    TopologySpec,
-)
+from repro.scenarios.plan import BridgeFirewallPlan, FirewallPlan, PlanRule, build_plan
+from repro.scenarios.spec import MasterSpec, ScenarioSpec, SlaveSpec, TopologySpec
 from repro.soc.fabric.routing import bridge_paths
 from repro.staticcheck.findings import Finding, VerificationReport, Witness
 
@@ -110,6 +107,21 @@ def _witness_address(slave: SlaveSpec) -> int:
     return slave.base
 
 
+def _denies(rules: Sequence[PlanRule], address: int, width: int, write: bool) -> bool:
+    """Whether a Configuration Memory holding ``rules`` denies one access.
+
+    It does when no rule covers ``[address, address + width)`` (default
+    deny), or when the covering policy's RWA or ADF parameter forbids the
+    access: the predicates :class:`~repro.core.checks.ReadWriteAccessCheck`
+    and :class:`~repro.core.checks.DataFormatCheck` apply.
+    """
+    for rule in rules:
+        if rule.base <= address and address + width <= rule.base + rule.size:
+            policy = rule.policy
+            return not (policy.allows_operation(write) and policy.allows_format(width))
+    return True
+
+
 def route_witness(
     topology: TopologySpec,
     paths: Dict[Tuple[str, str], Tuple[str, ...]],
@@ -152,12 +164,9 @@ class _Analysis:
         self.spec = spec
         self.topology = spec.topology
         self.report = VerificationReport(scenario=spec.name)
-        self.leaf = spec.placement in ("leaf", "both")
-        self.bridge_fw = spec.placement in ("bridge", "both")
         self.paths: Dict[Tuple[str, str], Tuple[str, ...]] = {}
-        self.bridges_by_name: Dict[str, BridgeSpec] = {
-            bridge.name: bridge for bridge in self.topology.bridges
-        }
+        #: The plan's firewalls, keyed by the master, slave or bridge each guards.
+        self.guards: Dict[str, FirewallPlan] = {}
 
     # -- helpers ------------------------------------------------------------------
 
@@ -168,6 +177,25 @@ class _Analysis:
         if source is None or target is None:
             return ()
         return self.paths.get((source, target), ())
+
+    def _hops(self, master: MasterSpec, slave: SlaveSpec) -> List[FirewallPlan]:
+        """The planned firewalls a master→slave access meets, in order: the
+        master's LF, each bridge LF on its route, then the target's LF or LCF."""
+        names = (master.name, *self._route(master, slave), slave.name)
+        return [self.guards[name] for name in names if name in self.guards]
+
+    def _probe(
+        self, master: MasterSpec, slave: SlaveSpec, op: str, width: int = 4
+    ) -> Witness:
+        """The witness of one access, judged by walking the plan: the first
+        hop whose rules deny it enforces it (a coverage witness); when every
+        hop allows it, the witness reaches its target silently."""
+        address = _witness_address(slave)
+        for hop in self._hops(master, slave):
+            if _denies(hop.rules, address, width, op == "write"):
+                return self._witness(master, slave, op, "blocked_or_alerted",
+                                     width=width, enforced_by=hop.firewall)
+        return self._witness(master, slave, op, "reaches_silently", width=width)
 
     def _witness(
         self,
@@ -260,114 +288,48 @@ class _Analysis:
 
     # -- (b) unguarded paths / placement coverage ---------------------------------
 
-    def _bridge_denies(self, bridges: Sequence[str], slave: SlaveSpec) -> Optional[str]:
-        """First bridge on the route whose deny list default-denies the slave."""
-        if not self.bridge_fw:
-            return None
-        for name in bridges:
-            if slave.name in self.bridges_by_name[name].deny:
-                return name
-        return None
-
-    def _format_hop(
-        self, master: MasterSpec, slave: SlaveSpec, bridges: Sequence[str]
-    ) -> Optional[str]:
-        """The hop enforcing the word-only format of an IP slave, if any."""
-        if self.leaf and master.firewall:
-            return f"lf_{master.name}"
-        if self.bridge_fw:
-            for name in bridges:
-                if slave.name not in self.bridges_by_name[name].deny:
-                    return f"lf_{name}"
-        if self.leaf and slave.firewall and slave.kind != "ddr":
-            return f"lf_{slave.name}"
-        return None
-
     def check_routes(self) -> None:
         for master in self.topology.masters:
             for slave in self.topology.slaves:
-                bridges = self._route(master, slave)
-                self._check_restrictions(master, slave, bridges)
-                self._check_format(master, slave, bridges)
+                self._check_restrictions(master, slave)
+                self._check_format(master, slave)
         self._check_windows()
 
-    def _check_restrictions(
-        self, master: MasterSpec, slave: SlaveSpec, bridges: Sequence[str]
-    ) -> None:
-        """Per-master protections: accessible lists and readonly narrowing."""
+    def _check_restrictions(self, master: MasterSpec, slave: SlaveSpec) -> None:
+        """Per-master protections: an accessible list excluding the slave
+        (probed by a read) and readonly narrowing (probed by a write)."""
+        read = not master.can_access(slave.name)
+        if not read and slave.name not in master.readonly:
+            return
+        witness = self._probe(master, slave, "read" if read else "write")
+        if witness.enforced_by:
+            self.report.coverage.append(witness)
+            return
+        if read:
+            claim = f"{master.name} must not reach {slave.name}, but "
+            gap = ("bridge placement only carries address-range rules — no hop "
+                   "on the route can express a per-master restriction")
+            unguarded = ("it has no leaf firewall and no bridge on the route "
+                         "denies the region — the restriction is unenforceable")
+        else:
+            claim = f"{master.name} is read-only on {slave.name}, but "
+            gap = "only a leaf firewall can bind an RWA restriction to one master"
+            unguarded = "it has no leaf firewall to enforce the restriction"
         subject = f"{master.name}->{slave.name}"
-        master_lf = self.leaf and master.firewall
-        if not master.can_access(slave.name):
-            denying_bridge = self._bridge_denies(bridges, slave)
-            if master_lf:
-                self.report.coverage.append(
-                    self._witness(master, slave, "read", "blocked_or_alerted",
-                                  enforced_by=f"lf_{master.name}")
-                )
-            elif denying_bridge is not None:
-                self.report.coverage.append(
-                    self._witness(master, slave, "read", "blocked_or_alerted",
-                                  enforced_by=f"lf_{denying_bridge}")
-                )
-            elif self.spec.placement == "bridge":
-                self._finding(
-                    "placement-gap",
-                    "warning",
-                    subject,
-                    f"{master.name} must not reach {slave.name}, but bridge "
-                    "placement only carries address-range rules — no hop on the "
-                    "route can express a per-master restriction",
-                    self._witness(master, slave, "read", "reaches_silently"),
-                )
-            else:
-                self._finding(
-                    "unguarded-path",
-                    "error",
-                    subject,
-                    f"{master.name} must not reach {slave.name}, but it has no "
-                    "leaf firewall and no bridge on the route denies the region "
-                    "— the restriction is unenforceable",
-                    self._witness(master, slave, "read", "reaches_silently"),
-                )
-        elif slave.name in master.readonly:
-            if master_lf:
-                self.report.coverage.append(
-                    self._witness(master, slave, "write", "blocked_or_alerted",
-                                  enforced_by=f"lf_{master.name}")
-                )
-            elif self.spec.placement == "bridge":
-                self._finding(
-                    "placement-gap",
-                    "warning",
-                    subject,
-                    f"{master.name} is read-only on {slave.name}, but only a leaf "
-                    "firewall can bind an RWA restriction to one master",
-                    self._witness(master, slave, "write", "reaches_silently"),
-                )
-            else:
-                self._finding(
-                    "unguarded-path",
-                    "error",
-                    subject,
-                    f"{master.name} is read-only on {slave.name}, but it has no "
-                    "leaf firewall to enforce the restriction",
-                    self._witness(master, slave, "write", "reaches_silently"),
-                )
+        if self.spec.placement == "bridge":
+            self._finding("placement-gap", "warning", subject, claim + gap, witness)
+        else:
+            self._finding("unguarded-path", "error", subject, claim + unguarded, witness)
 
-    def _check_format(
-        self, master: MasterSpec, slave: SlaveSpec, bridges: Sequence[str]
-    ) -> None:
+    def _check_format(self, master: MasterSpec, slave: SlaveSpec) -> None:
         """Word-only Allowed-Data-Format protection of register-bank slaves."""
         if not slave.is_register_kind or not slave.firewall:
             return
         if not master.can_access(slave.name):
             return  # already judged as an access restriction
-        hop = self._format_hop(master, slave, bridges)
-        if hop is not None:
-            self.report.coverage.append(
-                self._witness(master, slave, "write", "blocked_or_alerted",
-                              width=1, enforced_by=hop)
-            )
+        witness = self._probe(master, slave, "write", width=1)
+        if witness.enforced_by:
+            self.report.coverage.append(witness)
         else:
             self._finding(
                 "unchecked-format",
@@ -375,14 +337,14 @@ class _Analysis:
                 f"{master.name}->{slave.name}",
                 f"no hop between {master.name} and {slave.name} checks the "
                 "word-only data format of the register file",
-                self._witness(master, slave, "write", "reaches_silently", width=1),
+                witness,
             )
 
     def _check_windows(self) -> None:
-        """Declared DDR protection windows need a ciphering firewall."""
+        """Declared DDR protection windows need a planned ciphering firewall."""
         for slave in self.topology.slaves_of_kind("ddr"):
             protected = [w for w in slave.windows if w.protection != "plain"]
-            if not protected or slave.firewall:
+            if not protected or slave.name in self.guards:
                 continue
             witness: Optional[Witness] = None
             for master in self.topology.masters:
@@ -399,68 +361,37 @@ class _Analysis:
                 witness,
             )
 
-    # -- (c) dead/shadowed rules --------------------------------------------------
-
-    def _masters_crossing(self, bridge_name: str, base: int, size: int) -> bool:
-        """Whether any master's route to [base, base+size) crosses the bridge."""
-        for slave in self.topology.slaves:
-            if slave.base >= base + size or base >= slave.end:
-                continue
-            for master in self.topology.masters:
-                if bridge_name in self._route(master, slave):
-                    return True
-        return False
+    # -- (c) dead rules -----------------------------------------------------------
 
     def check_dead_rules(self) -> None:
-        from repro.scenarios.builder import ScenarioBuilder
-
-        plan = ScenarioBuilder(self.spec).build_plan()
-        spans = [(slave.base, slave.end) for slave in self.topology.slaves]
-
-        def mapped(base: int, size: int) -> bool:
-            return any(base < end and start < base + size for start, end in spans)
-
-        for master_plan in plan.masters:
-            for rule in master_plan.rules:
-                if not mapped(rule.base, rule.size):
-                    self._finding(
-                        "dead-rule",
-                        "warning",
-                        f"lf_{master_plan.master}:{rule.label or hex(rule.base)}",
-                        f"rule [{rule.base:#x}, {rule.base + rule.size:#x}) covers "
-                        "no mapped region — no transaction can ever match it",
-                    )
-        for slave_plan in plan.slaves:
-            slave = self.topology.slave(slave_plan.slave)
-            for rule in slave_plan.rules:
-                if rule.base + rule.size <= slave.base or slave.end <= rule.base:
-                    self._finding(
-                        "dead-rule",
-                        "warning",
-                        f"lf_{slave_plan.slave}:{rule.label or hex(rule.base)}",
-                        f"rule [{rule.base:#x}, {rule.base + rule.size:#x}) lies "
-                        f"outside {slave.name}'s region — traffic arriving at its "
-                        "interface can never match it",
-                    )
-        for bridge_plan in plan.bridges:
-            for rule in bridge_plan.rules:
-                if not mapped(rule.base, rule.size):
-                    self._finding(
-                        "dead-rule",
-                        "warning",
-                        f"lf_{bridge_plan.bridge}:{rule.label or hex(rule.base)}",
-                        f"rule [{rule.base:#x}, {rule.base + rule.size:#x}) covers "
-                        "no mapped region",
-                    )
-                elif not self._masters_crossing(bridge_plan.bridge, rule.base, rule.size):
-                    self._finding(
-                        "dead-rule",
-                        "warning",
-                        f"lf_{bridge_plan.bridge}:{rule.label or hex(rule.base)}",
-                        f"no master's route to {rule.label or 'the region'} crosses "
-                        f"bridge {bridge_plan.bridge} — the rule occupies "
-                        "configuration-memory capacity but can never match",
-                    )
+        """A rule is dead when no master's route to a region it overlaps meets
+        its firewall: it occupies configuration-memory capacity for nothing."""
+        met = {
+            (hop.firewall, slave.name)
+            for master in self.topology.masters
+            for slave in self.topology.slaves
+            for hop in self._hops(master, slave)
+        }
+        for guarded, entry in self.guards.items():
+            for rule in entry.rules:
+                if any(
+                    (entry.firewall, slave.name) in met
+                    for slave in self.topology.slaves
+                    if slave.base < rule.base + rule.size and rule.base < slave.end
+                ):
+                    continue
+                where = (
+                    f"bridge {guarded}" if isinstance(entry, BridgeFirewallPlan)
+                    else entry.firewall
+                )
+                self._finding(
+                    "dead-rule",
+                    "warning",
+                    f"{entry.firewall}:{rule.label or hex(rule.base)}",
+                    f"no master's route to {rule.label or 'the region'} crosses "
+                    f"{where} — the rule occupies configuration-memory capacity "
+                    "but can never match",
+                )
 
     # -- (d) bridge-graph hazards -------------------------------------------------
 
@@ -493,20 +424,14 @@ class _Analysis:
             else:
                 parent[root_a] = root_b
 
-    def _declared_flows(self) -> List[Tuple[MasterSpec, SlaveSpec, Tuple[str, ...]]]:
-        """(master, slave, bridge path) for every declared-accessible pair."""
-        flows = []
-        for master in self.topology.masters:
-            for slave in self.topology.slaves:
-                if not master.can_access(slave.name):
-                    continue
-                bridges = self._route(master, slave)
-                if bridges:
-                    flows.append((master, slave, bridges))
-        return flows
-
     def _check_posted_buffers(self) -> None:
-        flows = self._declared_flows()
+        # (master, slave, bridge path) of every declared-accessible pair.
+        flows = [
+            (master, slave, self._route(master, slave))
+            for master in self.topology.masters
+            for slave in self.topology.slaves
+            if master.can_access(slave.name)
+        ]
         for bridge in self.topology.bridges:
             if not bridge.posted_writes:
                 continue
@@ -523,8 +448,10 @@ class _Analysis:
                 # the bridge acks the posted write before that hop judges it.
                 if slave.name in master.readonly:
                     continue
-                downstream = self._downstream_hop(slave, bridges[index + 1:])
-                if downstream is not None and slave.name not in ack_targets:
+                downstream = (*bridges[index + 1:], slave.name)
+                if any(name in self.guards for name in downstream) and (
+                    slave.name not in ack_targets
+                ):
                     ack_targets.append(slave.name)
             if len(directions) > 1:
                 self._finding(
@@ -546,34 +473,15 @@ class _Analysis:
                     "silently (posted_write_failures), invisible to the issuer",
                 )
 
-    def _downstream_hop(
-        self, slave: SlaveSpec, later_bridges: Sequence[str]
-    ) -> Optional[str]:
-        """An enforcement hop strictly after a given bridge on the route."""
-        if self.bridge_fw:
-            for name in later_bridges:
-                if slave.name not in self.bridges_by_name[name].deny:
-                    return f"lf_{name}"
-            for name in later_bridges:
-                return f"lf_{name}"
-        if slave.firewall and slave.kind == "ddr":
-            return f"lcf_{slave.name}"
-        if self.leaf and slave.firewall:
-            return f"lf_{slave.name}"
-        return None
-
     # -- entry point --------------------------------------------------------------
 
-    def run(self) -> VerificationReport:
-        if not self.check_address_map():
-            self.report.sort()
-            return self.report
+    def _analyzable(self) -> bool:
+        """Whether the spec validates and declares the distributed plan."""
         try:
             self.spec.validate()
         except ValueError as exc:
             self._finding("invalid-spec", "error", self.spec.name, str(exc))
-            self.report.sort()
-            return self.report
+            return False
         if self.spec.enforcement == "centralized":
             self._finding(
                 "centralized-enforcement",
@@ -582,13 +490,23 @@ class _Analysis:
                 "static coverage analysis models the distributed plan; the "
                 "centralized baseline is compared dynamically instead",
             )
-            self.report.sort()
-            return self.report
-        self.paths = segment_paths(self.topology)
-        self.check_proxy_regions()
-        self.check_routes()
-        self.check_dead_rules()
-        self.check_bridge_hazards()
+            return False
+        return True
+
+    def run(self) -> VerificationReport:
+        if self.check_address_map() and self._analyzable():
+            self.paths = segment_paths(self.topology)
+            plan = build_plan(self.spec)
+            self.guards = {
+                **{entry.master: entry for entry in plan.masters},
+                **{entry.slave: entry for entry in plan.slaves},
+                **{entry.bridge: entry for entry in plan.bridges},
+                **{entry.slave: entry for entry in plan.ciphering},
+            }
+            self.check_proxy_regions()
+            self.check_routes()
+            self.check_dead_rules()
+            self.check_bridge_hazards()
         self.report.sort()
         return self.report
 

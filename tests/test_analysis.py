@@ -13,6 +13,7 @@ from repro.core.secure import attach_security
 from repro.metrics.area import generate_table1
 from repro.metrics.latency import Table2Row
 from repro.scenarios import ScenarioBuilder
+from repro.scenarios.plan import build_plan
 
 from tests.conftest import figure1_spec
 
@@ -85,7 +86,7 @@ class TestArchitectureReport:
         assert unprotected.firewall_count() == 0
         assert "(no firewall)" in unprotected.render()
 
-        attach_security(system, builder.build_plan())
+        attach_security(system, build_plan(builder.spec))
         protected = ArchitectureReport(system.describe_topology())
         assert protected.firewall_count() == len(system.master_ports) + len(system.slave_ports)
         rendered = protected.render()

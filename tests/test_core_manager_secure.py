@@ -8,19 +8,24 @@ import pytest
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
 from repro.core.ciphering_firewall import LocalCipheringFirewall
 from repro.core.local_firewall import LocalFirewall
-from repro.core.manager import ReactionPolicy, SecurityPolicyManager
-from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
-from repro.core.secure import (
+from repro.core.manager import SecurityPolicyManager
+from repro.core.policy import (
+    ConfigurationMemory,
+    ReactionPolicy,
+    ReadWriteAccess,
+    SecurityPolicy,
+    default_policies,
+)
+from repro.core.secure import attach_security
+from repro.crypto.keys import KeyStore
+from repro.scenarios import ScenarioBuilder, get_scenario
+from repro.scenarios.plan import (
     BridgeFirewallPlan,
     CipheringFirewallPlan,
     MasterFirewallPlan,
     SecurityPlan,
     SlaveFirewallPlan,
-    attach_security,
-    default_policies,
 )
-from repro.crypto.keys import KeyStore
-from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.soc.kernel import Simulator
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 from repro.soc.transaction import TransactionStatus

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.policy import ConfigurationMemory
 from repro.core.local_firewall import LocalFirewall
-from repro.core.secure import BridgeFirewallPlan, SecurityPlan
 from repro.metrics.latency import aggregate_hop_latency, per_hop_latency, placement_split
 from repro.scenarios import (
     BridgeSpec,
@@ -21,6 +20,7 @@ from repro.scenarios import (
     TopologySpec,
     get_scenario,
 )
+from repro.scenarios.plan import BridgeFirewallPlan, SecurityPlan
 from repro.soc.fabric import InterconnectFabric, RoutingError
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM

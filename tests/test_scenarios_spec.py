@@ -8,6 +8,8 @@ hands out fresh specs.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.secure import SecuredPlatform
@@ -111,6 +113,18 @@ class TestSpecValidation:
         spec = _tiny_topology(enforcement="centralized")
         with pytest.raises(ValueError, match="centralized"):
             spec.validate()
+
+    def test_centralized_spec_rejects_reconfigurations(self):
+        from repro.scenarios import ReconfigSpec
+        from repro.staticcheck import verify_spec
+
+        spec = dataclasses.replace(
+            get_scenario("centralized_baseline_mirror"),
+            reconfigs=(ReconfigSpec(50, "lf_cpu0", 0x0),),
+        )
+        with pytest.raises(ValueError, match="centralized_baseline_mirror"):
+            spec.validate()
+        assert [f.code for f in verify_spec(spec).findings] == ["invalid-spec"]
 
     def test_master_accessibility(self):
         narrow = MasterSpec("cpu0", accessible=("bram",))
@@ -241,3 +255,27 @@ class TestRegistry:
     def test_every_registered_spec_validates(self):
         for name in list_scenarios():
             get_scenario(name).validate()
+
+
+def test_plan_and_spec_import_no_simulator_module():
+    """The plan is simulator-free data: from ``repro``, ``plan.py`` imports
+    only the policy data and the spec, and ``spec.py`` nothing but the plan
+    (inside ``validate``)."""
+    import ast
+    import pathlib
+
+    import repro.scenarios.plan as plan
+    import repro.scenarios.spec as spec
+
+    def repro_imports(module):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        return {
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"
+        } | {
+            alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if alias.name.split(".")[0] == "repro"
+        }
+
+    assert repro_imports(plan) == {"repro.core.policy", "repro.scenarios.spec"}
+    assert repro_imports(spec) == {"repro.scenarios.plan"}

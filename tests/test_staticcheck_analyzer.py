@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.registry import get_scenario, list_scenarios
 from repro.scenarios.spec import (
     BridgeSpec,
@@ -15,7 +16,7 @@ from repro.scenarios.spec import (
     WindowSpec,
     WorkloadSpec,
 )
-from repro.staticcheck import SEVERITIES, verify_scenario, verify_spec
+from repro.staticcheck import SEVERITIES, confirm_report, verify_scenario, verify_spec
 from repro.staticcheck.analyzer import segment_paths
 
 
@@ -148,6 +149,46 @@ class TestBypassScenario:
         assert any(
             w.master == "rogue" and w.enforced_by == "lf_br" for w in report.coverage
         )
+
+    def test_readonly_behind_a_denying_bridge_is_enforced_by_the_bridge(self):
+        spec = bypass_spec(placement="both", topology=TopologySpec(
+            masters=(
+                MasterSpec("cpu0", kind="cpu", segment="seg_a"),
+                MasterSpec("rogue", kind="dma", firewall=False, segment="seg_a",
+                           readonly=("secret",)),
+            ),
+            slaves=(
+                SlaveSpec("bram", "bram", base=0x0, size=0x2000, segment="seg_a"),
+                SlaveSpec("secret", "bram", base=0x1000_0000, size=0x2000,
+                          segment="seg_b"),
+            ),
+            segments=(SegmentSpec("seg_a"), SegmentSpec("seg_b")),
+            bridges=(BridgeSpec("br", "seg_a", "seg_b", deny=("secret",)),),
+        ))
+        report = verify_spec(spec)
+        assert not report.has_errors, [f.to_dict() for f in report.errors]
+        assert [
+            (w.target, w.op, w.enforced_by) for w in report.coverage if w.master == "rogue"
+        ] == [("secret", "write", "lf_br")]
+        ScenarioBuilder(spec, verify=True)
+        assert all(r.confirmed for r in confirm_report(spec))
+
+    def test_register_file_behind_a_denying_bridge_has_its_format_checked(self):
+        spec = bypass_spec(placement="bridge", topology=TopologySpec(
+            masters=(MasterSpec("cpu0", kind="cpu", segment="seg_a"),),
+            slaves=(
+                SlaveSpec("bram", "bram", base=0x0, size=0x2000, segment="seg_a"),
+                SlaveSpec("regs", "ip", base=0x4000_0000, segment="seg_b"),
+            ),
+            segments=(SegmentSpec("seg_a"), SegmentSpec("seg_b")),
+            bridges=(BridgeSpec("br", "seg_a", "seg_b", deny=("regs",)),),
+        ))
+        report = verify_spec(spec)
+        assert "unchecked-format" not in [f.code for f in report.findings]
+        assert [
+            (w.target, w.op, w.width, w.enforced_by) for w in report.coverage
+        ] == [("regs", "write", 1, "lf_br")]
+        assert all(r.confirmed for r in confirm_report(spec))
 
     def test_readonly_without_leaf_firewall_is_unguarded(self):
         spec = bypass_spec(topology=TopologySpec(

@@ -55,6 +55,16 @@ class TestBypassConfirmation:
         assert outcome.confirmed
 
 
+def blocking_status(witness):
+    """The status a coverage witness must end in: the hop it names blocks it."""
+    if witness.enforced_by == f"lf_{witness.master}":
+        return "blocked_at_master"
+    if witness.enforced_by in {f"lf_{bridge}" for bridge in witness.route_bridges}:
+        return "blocked_at_bridge"
+    assert witness.enforced_by in (f"lf_{witness.target}", f"lcf_{witness.target}")
+    return "blocked_at_slave"
+
+
 class TestRegisteredScenarioConfirmation:
     @pytest.mark.parametrize("scenario", list_scenarios())
     def test_all_witnesses_confirm(self, scenario):
@@ -63,6 +73,12 @@ class TestRegisteredScenarioConfirmation:
             assert results, "scenario should carry at least one witness"
         failed = [r for r in results if not r.confirmed]
         assert not failed, [r.to_dict() for r in failed]
+        misplaced = [
+            r.to_dict() for r in results
+            if r.witness.expectation == "blocked_or_alerted"
+            and r.status != blocking_status(r.witness)
+        ]
+        assert not misplaced, misplaced
 
     def test_confirm_report_accepts_precomputed_report(self):
         report = verify_scenario("sparse_protection")

@@ -1,7 +1,14 @@
-"""Golden expected findings, CLI surface, and ``ScenarioBuilder(verify=True)``."""
+"""Golden expected findings and coverage, CLI surface, and
+``ScenarioBuilder(verify=True)``.
+
+After an intentional change to the verifier, regenerate both goldens with::
+
+    PYTHONPATH=src python -m tests.test_staticcheck_golden --write
+"""
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -11,20 +18,51 @@ from repro.scenarios.registry import get_scenario, list_scenarios
 from repro.staticcheck import StaticCheckError, verify_scenario
 from tests.test_staticcheck_analyzer import bypass_spec
 
-GOLDEN_PATH = pathlib.Path(__file__).parent / "golden" / "verify_findings.json"
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN_PATH = GOLDEN_DIR / "verify_findings.json"
+COVERAGE_PATH = GOLDEN_DIR / "verify_coverage.json"
+
+
+def _findings(name):
+    return [
+        {"code": f.code, "severity": f.severity, "subject": f.subject}
+        for f in verify_scenario(name).findings
+    ]
+
+
+def _coverage(name):
+    """``[master, target, op, width, enforced_by]`` per coverage witness."""
+    return [
+        [w.master, w.target, w.op, w.width, w.enforced_by]
+        for w in verify_scenario(name).coverage
+    ]
+
+
+def _dump_coverage(table):
+    """One witness per line, so a moved enforcing hop is a one-line diff."""
+    entries = []
+    for name, rows in table.items():
+        body = "".join(f"\n    {json.dumps(row)}," for row in rows).rstrip(",")
+        entries.append(f"  {json.dumps(name)}: [{body}\n  ]" if rows else f"  {json.dumps(name)}: []")
+    return "{\n" + ",\n".join(entries) + "\n}\n"
 
 
 def test_findings_match_golden_file():
     golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(list_scenarios())
     for name in list_scenarios():
-        report = verify_scenario(name)
-        got = [
-            {"code": f.code, "severity": f.severity, "subject": f.subject}
-            for f in report.findings
-        ]
-        assert got == golden[name], (
+        assert _findings(name) == golden[name], (
             f"{name}: findings drifted from tests/golden/verify_findings.json; "
+            "regenerate it if the change is intentional"
+        )
+
+
+def test_coverage_matches_golden_file():
+    golden = json.loads(COVERAGE_PATH.read_text(encoding="utf-8"))
+    assert list(golden) == list_scenarios()
+    for name in list_scenarios():
+        assert _coverage(name) == golden[name], (
+            f"{name}: coverage witnesses drifted from tests/golden/verify_coverage.json; "
             "regenerate it if the change is intentional"
         )
 
@@ -85,3 +123,17 @@ def test_catalog_verified_column_matches_analyzer():
 
 def test_catalog_page_in_sync(capsys):
     assert main(["catalog", "--check"]) == 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_staticcheck_golden --write")
+    names = list_scenarios()
+    GOLDEN_PATH.write_text(
+        json.dumps({name: _findings(name) for name in names}, indent=2) + "\n",
+        encoding="utf-8",
+    )
+    COVERAGE_PATH.write_text(
+        _dump_coverage({name: _coverage(name) for name in names}), encoding="utf-8"
+    )
+    print(f"wrote {GOLDEN_PATH} and {COVERAGE_PATH}")
