@@ -397,7 +397,7 @@ def default_policies() -> Dict[str, SecurityPolicy]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReactionPolicy:
     """Thresholds controlling automatic reactions.
 

@@ -2,14 +2,15 @@
 
 This is the data structure behind the paper's Integrity Core ("this module is
 based on hash-trees", section IV-B2).  The tree covers a fixed number of
-equally-sized memory blocks; leaf ``i`` is the hash of block ``i`` (optionally
-keyed and bound to the block address and a timestamp, which is what defeats
-spoofing, relocation and replay), interior nodes hash the concatenation of
-their children, and the root is kept in trusted on-chip storage.
+equally-sized memory blocks; leaf ``i`` is the hash of block ``i`` bound to
+the block address and a timestamp (which is what defeats spoofing,
+relocation and replay), interior nodes hash the concatenation of their
+children, and the root is kept in trusted on-chip storage.
 
 The implementation supports:
 
-* building the tree over an initial memory image,
+* starting from an all-zero memory image, whose levels are hashed once per
+  tree size and copied into each new tree,
 * verifying a block read against the trusted root (returning the authentication
   path that a hardware walker would fetch),
 * updating a block on writes, recomputing the path up to the root,
@@ -19,7 +20,8 @@ The implementation supports:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.sha256 import sha256
 
@@ -58,7 +60,7 @@ class AuthPathEntry:
     is_left_sibling: bool
 
 
-def _default_leaf_hash(index: int, data: bytes, version: int) -> bytes:
+def _leaf_hash(index: int, data: bytes, version: int) -> bytes:
     """Hash a leaf, binding block contents to its index and version.
 
     Binding the index defeats relocation (moving a valid ciphertext to a
@@ -70,8 +72,21 @@ def _default_leaf_hash(index: int, data: bytes, version: int) -> bytes:
     return sha256(b"leaf" + header + data)
 
 
-def _default_node_hash(left: bytes, right: bytes) -> bytes:
+def _node_hash(left: bytes, right: bytes) -> bytes:
     return sha256(b"node" + left + right)
+
+
+@lru_cache(maxsize=32)
+def _zero_levels(n_leaves: int, block_size: int) -> Tuple[Tuple[bytes, ...], ...]:
+    """Every level of a tree over ``n_leaves`` all-zero blocks at version 0,
+    leaves first and the root last."""
+    zero_block = bytes(block_size)
+    level = tuple(_leaf_hash(i, zero_block, 0) for i in range(n_leaves))
+    levels = [level]
+    while len(level) > 1:
+        level = tuple(_node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2))
+        levels.append(level)
+    return tuple(levels)
 
 
 class MerkleTree:
@@ -84,26 +99,15 @@ class MerkleTree:
         power of two; phantom blocks hash an all-zero block.
     block_size:
         Size in bytes of each protected block.
-    leaf_hash / node_hash:
-        Override points for the hash functions (used by tests and by the
-        keyed-MAC variant of the Integrity Core).
     """
 
-    def __init__(
-        self,
-        n_blocks: int,
-        block_size: int = 32,
-        leaf_hash: Optional[Callable[[int, bytes, int], bytes]] = None,
-        node_hash: Optional[Callable[[bytes, bytes], bytes]] = None,
-    ) -> None:
+    def __init__(self, n_blocks: int, block_size: int = 32) -> None:
         if n_blocks <= 0:
             raise ValueError("n_blocks must be positive")
         if block_size <= 0:
             raise ValueError("block_size must be positive")
         self.n_blocks = n_blocks
         self.block_size = block_size
-        self._leaf_hash = leaf_hash or _default_leaf_hash
-        self._node_hash = node_hash or _default_node_hash
 
         self._n_leaves = 1
         while self._n_leaves < n_blocks:
@@ -112,40 +116,11 @@ class MerkleTree:
 
         self._versions: List[int] = [0] * self._n_leaves
         # levels[0] = leaves, levels[-1] = [root]
-        zero_block = bytes(block_size)
-        leaves = [
-            self._leaf_hash(i, zero_block, 0) for i in range(self._n_leaves)
+        self._levels: List[List[bytes]] = [
+            list(level) for level in _zero_levels(self._n_leaves, block_size)
         ]
-        self._levels: List[List[bytes]] = [leaves]
-        self._build_upper_levels()
         self.update_count = 0
         self.verify_count = 0
-
-    # -- construction --------------------------------------------------------
-
-    def _build_upper_levels(self) -> None:
-        self._levels = self._levels[:1]
-        current = self._levels[0]
-        while len(current) > 1:
-            parent = [
-                self._node_hash(current[2 * i], current[2 * i + 1])
-                for i in range(len(current) // 2)
-            ]
-            self._levels.append(parent)
-            current = parent
-
-    @classmethod
-    def from_memory(
-        cls,
-        blocks: Sequence[bytes],
-        block_size: int = 32,
-        **kwargs,
-    ) -> "MerkleTree":
-        """Build a tree over an initial memory image given as a block list."""
-        tree = cls(len(blocks), block_size=block_size, **kwargs)
-        for index, data in enumerate(blocks):
-            tree.update(index, data)
-        return tree
 
     # -- properties -----------------------------------------------------------
 
@@ -176,7 +151,7 @@ class MerkleTree:
         self._check_index(block_index)
         self._check_data(data)
         self._versions[block_index] += 1
-        new_leaf = self._leaf_hash(block_index, data, self._versions[block_index])
+        new_leaf = _leaf_hash(block_index, data, self._versions[block_index])
         self._set_leaf(block_index, new_leaf)
         self.update_count += 1
         return self.root
@@ -188,7 +163,7 @@ class MerkleTree:
             parent = node // 2
             left = self._levels[level - 1][2 * parent]
             right = self._levels[level - 1][2 * parent + 1]
-            self._levels[level][parent] = self._node_hash(left, right)
+            self._levels[level][parent] = _node_hash(left, right)
             node = parent
 
     # -- verification ---------------------------------------------------------
@@ -219,12 +194,12 @@ class MerkleTree:
         path: Sequence[AuthPathEntry],
     ) -> bytes:
         """Recompute the root from a block value and an authentication path."""
-        digest = self._leaf_hash(block_index, data, version)
+        digest = _leaf_hash(block_index, data, version)
         for entry in path:
             if entry.is_left_sibling:
-                digest = self._node_hash(entry.digest, digest)
+                digest = _node_hash(entry.digest, digest)
             else:
-                digest = self._node_hash(digest, entry.digest)
+                digest = _node_hash(digest, entry.digest)
         return digest
 
     def verify(self, block_index: int, data: bytes, version: Optional[int] = None) -> bool:
@@ -239,8 +214,8 @@ class MerkleTree:
         if version is None:
             version = self._versions[block_index]
         # compute_root_from_path over auth_path, without the path objects.
-        node_hash = self._node_hash
-        digest = self._leaf_hash(block_index, data, version)
+        node_hash = _node_hash
+        digest = _leaf_hash(block_index, data, version)
         node = block_index
         for level in self._levels[:-1]:
             sibling = level[node ^ 1]

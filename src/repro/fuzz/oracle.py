@@ -97,7 +97,8 @@ class BypassOracle:
     """Judge fuzz cases for one scenario spec."""
 
     def __init__(self, spec: ScenarioSpec) -> None:
-        spec.validate()
+        #: Validates the spec once and builds the platform of every case.
+        self.builder = ScenarioBuilder(spec)
         self.spec = spec
         self.masters: Dict[str, MasterSpec] = {m.name: m for m in spec.topology.masters}
         self._slaves = sorted(spec.topology.slaves, key=lambda s: s.base)
@@ -142,7 +143,7 @@ class BypassOracle:
 
     def run(self, case: FuzzCase) -> OracleResult:
         """Replay one case on a fresh protected platform and judge it."""
-        built = ScenarioBuilder(self.spec).build()
+        built = self.builder.build()
         system, security = built.system, built.security
         monitor = built.monitor
         guards = {

@@ -39,10 +39,10 @@ from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.system import SoCConfig, SoCSystem
 from repro.workloads.generators import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
-from repro.scenarios.plan import build_plan
-from repro.scenarios.spec import ScenarioSpec, SegmentSpec
+from repro.scenarios.plan import SecurityPlan, build_plan
+from repro.scenarios.spec import ScenarioSpec, SegmentSpec, TopologySpec
 
-__all__ = ["ATTACK_KINDS", "ScenarioBuilder", "BuiltScenario", "instantiate_attacks"]
+__all__ = ["ATTACK_KINDS", "ScenarioBuilder", "BuiltScenario", "build_interconnect", "instantiate_attacks"]
 
 
 #: Attack classes instantiable from an :class:`AttackSpec`.
@@ -74,6 +74,43 @@ def instantiate_attacks(spec: ScenarioSpec) -> List[object]:
             ) from exc
         attacks.append(cls(**attack_spec.params))
     return attacks
+
+
+def build_interconnect(topology: TopologySpec, sim: Simulator) -> InterconnectFabric:
+    """The topology's finalized fabric, without devices or security.
+
+    A flat topology is one round-robin segment named ``system_bus`` in a
+    fabric of the same name.
+    """
+    name = "fabric" if topology.hierarchical else "system_bus"
+    fabric = InterconnectFabric(sim, name)
+    for segment in topology.segments or (SegmentSpec(name),):
+        arbiter = (
+            FixedPriorityArbiter()
+            if segment.arbiter == "fixed_priority"
+            else RoundRobinArbiter()
+        )
+        fabric.add_segment(segment.name, arbiter=arbiter)
+    for bridge in topology.bridges:
+        fabric.add_bridge(
+            bridge.name,
+            bridge.a,
+            bridge.b,
+            forward_latency=bridge.forward_latency,
+            posted_writes=bridge.posted_writes,
+            buffer_depth=bridge.buffer_depth,
+        )
+    for slave in topology.slaves:
+        fabric.add_region(
+            slave.region_name,
+            slave.base,
+            slave.size,
+            slave=slave.name,
+            external=(slave.kind == "ddr"),
+            segment=topology.segment_of(slave),
+        )
+    fabric.finalize()
+    return fabric
 
 
 @dataclass
@@ -181,6 +218,13 @@ class BuiltScenario:
 class ScenarioBuilder:
     """Build :class:`BuiltScenario` instances from a :class:`ScenarioSpec`.
 
+    The spec is validated once, here.  The security plan is derived on the
+    first protected distributed build and every later build attaches that
+    same plan.  Attaching only reads it, each platform builds its own
+    Configuration Memories, firewalls and hash trees, and the plan objects a
+    platform keeps (each rule's ``SecurityPolicy``, the ``ReactionPolicy``)
+    are frozen.
+
     ``verify=True`` runs the static verifier first and raises
     :class:`~repro.staticcheck.findings.StaticCheckError` when the spec has
     error findings.
@@ -189,7 +233,8 @@ class ScenarioBuilder:
     def __init__(self, spec: ScenarioSpec, *, verify: bool = False) -> None:
         spec.validate()
         self.spec = spec
-        # Imported lazily: the analyzer itself builds through this class.
+        self._plan: Optional[SecurityPlan] = None
+        # Imported lazily: the analyzer itself imports this module.
         if verify:
             from repro.staticcheck.analyzer import verify_spec
             from repro.staticcheck.findings import StaticCheckError
@@ -224,48 +269,11 @@ class ScenarioBuilder:
             config.ddr_size = ddr.size
         return config
 
-    def build_interconnect(self, sim: Simulator) -> InterconnectFabric:
-        """The spec's finalized fabric, without devices or security.
-
-        A flat topology is one round-robin segment named ``system_bus`` in a
-        fabric of the same name.
-        """
-        topology = self.spec.topology
-        name = "fabric" if topology.hierarchical else "system_bus"
-        fabric = InterconnectFabric(sim, name)
-        for segment in topology.segments or (SegmentSpec(name),):
-            arbiter = (
-                FixedPriorityArbiter()
-                if segment.arbiter == "fixed_priority"
-                else RoundRobinArbiter()
-            )
-            fabric.add_segment(segment.name, arbiter=arbiter)
-        for bridge in topology.bridges:
-            fabric.add_bridge(
-                bridge.name,
-                bridge.a,
-                bridge.b,
-                forward_latency=bridge.forward_latency,
-                posted_writes=bridge.posted_writes,
-                buffer_depth=bridge.buffer_depth,
-            )
-        for slave in topology.slaves:
-            fabric.add_region(
-                slave.region_name,
-                slave.base,
-                slave.size,
-                slave=slave.name,
-                external=(slave.kind == "ddr"),
-                segment=topology.segment_of(slave),
-            )
-        fabric.finalize()
-        return fabric
-
     def build_system(self) -> SoCSystem:
         """Instantiate kernel, interconnect, devices and masters."""
         topology = self.spec.topology
         sim = Simulator()
-        system = SoCSystem(sim, self.build_interconnect(sim), self._mirror_config())
+        system = SoCSystem(sim, build_interconnect(topology, sim), self._mirror_config())
 
         for slave in topology.slaves:
             segment = topology.segment_of(slave)
@@ -336,5 +344,7 @@ class ScenarioBuilder:
         if self.spec.enforcement == "centralized":
             security = secure_platform_centralized(system, self.spec.config_memory_capacity)
         else:
-            security = attach_security(system, build_plan(self.spec))
+            if self._plan is None:
+                self._plan = build_plan(self.spec)
+            security = attach_security(system, self._plan)
         return BuiltScenario(self.spec, system, security)

@@ -29,6 +29,9 @@ Checks
 * **dead rules** — configuration-memory rules whose firewall no master's
   route to a region they overlap meets, e.g. a bridge rule for a region
   whose home segment no master's route crosses that bridge to reach.
+* **capacity overflow** — a firewall planned with more rules than
+  ``config_memory_capacity``: its Configuration Memory cannot hold them
+  (``error``).
 * **bridge hazards** — bridges closing a cycle in the segment graph
   (``warning``: BFS tie-breaking hides one path), posted-write buffers that
   acknowledge a write before a downstream firewall has judged it (``info``),
@@ -252,11 +255,11 @@ class _Analysis:
         divergence means the datapath and the control plane would route the
         same address differently.
         """
-        from repro.scenarios.builder import ScenarioBuilder
+        from repro.scenarios.builder import build_interconnect
         from repro.soc.kernel import Simulator
 
         # Building the interconnect alone is cheap (no devices, no security).
-        fabric = ScenarioBuilder(self.spec).build_interconnect(Simulator())
+        fabric = build_interconnect(self.topology, Simulator())
         slaves_by_region = {slave.region_name: slave for slave in self.topology.slaves}
         for segment_name, segment in fabric.segments.items():
             for region in segment.address_map:
@@ -473,6 +476,21 @@ class _Analysis:
                     "silently (posted_write_failures), invisible to the issuer",
                 )
 
+    def check_capacity(self) -> None:
+        """A firewall planned with more rules than its Configuration Memory
+        holds: attaching the plan would fail before any platform runs."""
+        capacity = self.spec.config_memory_capacity
+        for entry in self.guards.values():
+            if len(entry.rules) > capacity:
+                self._finding(
+                    "capacity-overflow",
+                    "error",
+                    entry.firewall,
+                    f"{entry.firewall} is planned with {len(entry.rules)} rules but "
+                    f"config_memory_capacity is {capacity}: its Configuration Memory "
+                    "cannot hold them",
+                )
+
     # -- entry point --------------------------------------------------------------
 
     def _analyzable(self) -> bool:
@@ -503,6 +521,7 @@ class _Analysis:
                 **{entry.bridge: entry for entry in plan.bridges},
                 **{entry.slave: entry for entry in plan.ciphering},
             }
+            self.check_capacity()
             self.check_proxy_regions()
             self.check_routes()
             self.check_dead_rules()

@@ -1,5 +1,7 @@
 """Tests for the Merkle hash tree (the Integrity Core's data structure)."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,16 +40,48 @@ class TestConstruction:
         for index in range(tree.n_blocks):
             assert tree.verify(index, bytes(BLOCK))
 
-    def test_from_memory_builds_consistent_tree(self):
-        blocks = [bytes([i]) * BLOCK for i in range(6)]
-        tree = MerkleTree.from_memory(blocks, block_size=BLOCK)
-        for index, data in enumerate(blocks):
-            assert tree.verify(index, data)
-
     def test_node_count(self):
         tree = make_tree(8)
         # 8 leaves + 4 + 2 + 1 = 15 nodes.
         assert tree.node_count() == 15
+
+
+def folded_zero_root(n_leaves, block_size):
+    """The root of an all-zero image, folded from the leaf and node hash
+    definitions (version 0 everywhere)."""
+    level = [
+        hashlib.sha256(b"leaf" + i.to_bytes(8, "big") + bytes(8) + bytes(block_size)).digest()
+        for i in range(n_leaves)
+    ]
+    while len(level) > 1:
+        level = [
+            hashlib.sha256(b"node" + level[i] + level[i + 1]).digest()
+            for i in range(0, len(level), 2)
+        ]
+    return level[0]
+
+
+class TestZeroImage:
+    @pytest.mark.parametrize("n_blocks, block_size", [(1, 16), (5, 16), (64, 24), (256, 32)])
+    def test_root_matches_the_hash_definitions(self, n_blocks, block_size):
+        tree = MerkleTree(n_blocks, block_size=block_size)
+        assert tree.root == folded_zero_root(tree.n_leaves, block_size)
+
+    def test_second_tree_of_a_size_makes_no_hash_call(self, monkeypatch):
+        import repro.crypto.merkle as merkle
+
+        calls = []
+        sha256 = merkle.sha256
+        monkeypatch.setattr(merkle, "sha256", lambda data: calls.append(1) or sha256(data))
+        first = MerkleTree(48, block_size=24)
+        first.update(3, b"W" * 24)
+        calls.clear()
+        second = MerkleTree(48, block_size=24)
+        assert calls == []
+        # The first tree's write stays in the first tree.
+        assert second.root == folded_zero_root(64, 24) != first.root
+        assert all(second.verify(index, bytes(24)) for index in range(48))
+        assert first.verify(3, b"W" * 24)
 
 
 class TestUpdateAndVerify:

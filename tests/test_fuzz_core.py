@@ -62,6 +62,52 @@ def test_steps_validate_op_and_write_data():
         FuzzStep("cpu0", "write", 0x0)  # no data
 
 
+def test_steps_validate_width_burst_and_data_length():
+    with pytest.raises(ValueError, match="width"):
+        FuzzStep("cpu0", "read", 0x0, width=3)
+    with pytest.raises(ValueError, match="burst_length"):
+        FuzzStep("cpu0", "read", 0x0, burst_length=0)
+    with pytest.raises(ValueError, match="data is for writes only"):
+        FuzzStep("cpu0", "read", 0x0, data=bytes(4))
+    with pytest.raises(ValueError, match="data must be width x burst_length = 4 bytes, got 3"):
+        FuzzStep("cpu0", "write", 0x0, data=bytes(3))
+    with pytest.raises(ValueError, match="data must be"):
+        FuzzStep("cpu0", "write", 0x0, width=2, burst_length=2, data=bytes(2))
+    assert FuzzStep("cpu0", "write", 0x0, width=2, burst_length=2, data=bytes(4)).to_transaction()
+
+
+# In the edits below, a None value drops the field from the payload.
+@pytest.mark.parametrize("edit, field", [
+    ({"widht": 2}, "widht"),
+    ({"width": None}, "width"),
+    ({"width": "16"}, "width"),
+    ({"address": 1.9}, "address"),
+    ({"burst_length": True}, "burst_length"),
+    ({"master": 0}, "master"),
+    ({"data": "zz"}, "data"),
+    ({"data": "00000000"}, "data"),  # data on a read
+])
+def test_step_from_dict_rejects_malformed_fields(edit, field):
+    payload = {**FuzzStep("cpu0", "read", 0x10).to_dict(), **edit}
+    payload = {key: value for key, value in payload.items() if value is not None}
+    with pytest.raises(ValueError, match=field):
+        FuzzStep.from_dict(payload)
+
+
+@pytest.mark.parametrize("edit, field", [
+    ({"seeed": 1}, "seeed"),
+    ({"steps": None}, "steps"),
+    ({"seed": "3"}, "seed"),
+    ({"scenario": None}, "scenario"),
+    ({"steps": {}}, "steps"),
+])
+def test_case_from_dict_rejects_malformed_fields(edit, field):
+    payload = {**_case().to_dict(), **edit}
+    payload = {key: value for key, value in payload.items() if value is not None}
+    with pytest.raises(ValueError, match=field):
+        FuzzCase.from_dict(payload)
+
+
 # -- generator --------------------------------------------------------------------
 
 
@@ -201,6 +247,22 @@ def test_fuzz_scenario_is_bit_reproducible():
     )
     assert first.cases_run == 8
     assert first.clean
+
+
+def test_fuzz_scenario_constructs_one_builder(monkeypatch):
+    from repro.scenarios.builder import ScenarioBuilder
+
+    specs = []
+    init = ScenarioBuilder.__init__
+
+    def counting_init(self, spec, **kwargs):
+        specs.append(spec.name)
+        init(self, spec, **kwargs)
+
+    monkeypatch.setattr(ScenarioBuilder, "__init__", counting_init)
+    report = fuzz_scenario(get_scenario("paper_baseline"), seed=0, budget=6, n_steps=6)
+    assert report.clean and report.cases_run == 6
+    assert specs == ["paper_baseline"]
 
 
 def test_fuzz_scenario_accepts_only_the_object_engine():

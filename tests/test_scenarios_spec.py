@@ -231,6 +231,56 @@ class TestBuilder:
         assert all(not p.filters for p in built.system.master_ports.values())
         assert all(not p.filters for p in built.system.slave_ports.values())
 
+    def test_protected_builds_derive_the_plan_once(self, monkeypatch):
+        import repro.scenarios.builder as builder_module
+
+        calls = []
+        build_plan = builder_module.build_plan
+        monkeypatch.setattr(
+            builder_module, "build_plan", lambda spec: calls.append(spec.name) or build_plan(spec)
+        )
+        builder = ScenarioBuilder(get_scenario("paper_baseline"))
+        builder.build(protected=False)
+        assert calls == []
+        for _ in range(3):
+            builder.build()
+        assert calls == ["paper_baseline"]
+
+    def test_builds_from_one_builder_share_no_mutable_state(self):
+        from repro.core.policy import ReadWriteAccess
+        from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+
+        builder = ScenarioBuilder(get_scenario("paper_baseline"))
+        first, second = builder.build(), builder.build()
+
+        def snapshot(built):
+            lcf = built.security.ciphering_firewall
+            roots = [region.tree.root for region in lcf.protected_regions if region.tree]
+            memories = {
+                firewall.name: [(r.base, r.size, r.policy) for r in firewall.config_memory.rules]
+                for firewall in built.security.all_firewalls
+            }
+            return roots, memories
+
+        before = snapshot(second)
+        assert snapshot(first) == before
+        # A protected write updates the first platform's hash tree, and a
+        # policy rewrite changes one of its Configuration Memories.
+        region = next(r for r in first.security.ciphering_firewall.protected_regions if r.tree)
+        txn = BusTransaction(master="cpu0", operation=BusOperation.WRITE,
+                             address=region.rule.base, width=4, data=b"\x5a" * 4)
+        first.issue("cpu0", txn)
+        assert txn.status is TransactionStatus.COMPLETED
+        rule = first.security.master_firewalls["cpu0"].config_memory.rules[0]
+        first.security.manager.reconfigure_policy(
+            "lf_cpu0", rule.base, rule.policy.with_updates(rwa=ReadWriteAccess.READ_ONLY)
+        )
+        first_roots, first_memories = snapshot(first)
+        assert first_roots != before[0] and first_memories != before[1]
+        assert snapshot(second) == before
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            second.security.manager.reaction.quarantine_after = 1
+
     def test_workload_only_scenario_runs_to_completion(self):
         spec = _tiny_topology(
             workload=WorkloadSpec(n_operations=30, external_share=0.0,

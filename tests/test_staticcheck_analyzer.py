@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.policy import ConfigurationMemoryFull
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.registry import get_scenario, list_scenarios
 from repro.scenarios.spec import (
@@ -18,6 +19,7 @@ from repro.scenarios.spec import (
 )
 from repro.staticcheck import SEVERITIES, confirm_report, verify_scenario, verify_spec
 from repro.staticcheck.analyzer import segment_paths
+from repro.staticcheck.findings import StaticCheckError
 
 
 def bypass_spec(**overrides) -> ScenarioSpec:
@@ -241,6 +243,25 @@ class TestMapAndRuleChecks:
             f.code == "unenforced-window" and f.severity == "error"
             for f in report.findings
         )
+
+    def test_capacity_overflow_is_an_error_that_refuses_the_build(self):
+        spec = dataclasses.replace(get_scenario("paper_baseline"), config_memory_capacity=2)
+        # Unverified, the build fails inside attach_security.
+        with pytest.raises(ConfigurationMemoryFull, match="capacity 2 reached"):
+            ScenarioBuilder(spec).build()
+        overflows = {
+            f.subject: f for f in verify_spec(spec).findings if f.code == "capacity-overflow"
+        }
+        assert sorted(overflows) == ["lcf_ddr", "lf_cpu0", "lf_cpu1"]
+        assert all(f.severity == "error" for f in overflows.values())
+        assert "lf_cpu0 is planned with 3 rules" in overflows["lf_cpu0"].message
+        assert "config_memory_capacity is 2" in overflows["lf_cpu0"].message
+        with pytest.raises(StaticCheckError, match="capacity-overflow"):
+            ScenarioBuilder(spec, verify=True)
+        # At a capacity the largest rule set fits, nothing is reported.
+        fits = dataclasses.replace(spec, config_memory_capacity=3)
+        assert not any(f.code == "capacity-overflow" for f in verify_spec(fits).findings)
+        ScenarioBuilder(fits, verify=True).build()
 
     def test_dead_bridge_rules_flagged_on_deep_hierarchy(self):
         report = verify_scenario("deep_hierarchy_3seg")

@@ -24,8 +24,11 @@ piece the index of the chunk before the piece (-1 before the first).
 Run from anywhere; it edits nothing and leaves ``git status`` clean::
 
     python tools/gc_probe.py --workload sweep_cold --seed 0
+    python tools/gc_probe.py --workload all --seed 0    # every workload in turn
 
-Exits non-zero only if the repetition fails.
+``--workload all`` probes each workload in turn, each in a fresh
+interpreter, as ``perfbench/run.py --workload all`` runs them.  Exits
+non-zero only if a repetition fails.
 """
 
 # The repetition runs this file as its main module: import no more than
@@ -122,22 +125,14 @@ def report(workload: str, seed: int, result: dict) -> None:
               f"workload {work_n} ({work_ms:.2f} ms)")
 
 
-def main(argv=None) -> int:
-    import argparse
+def probe(workload: str, seed: int) -> int:
+    """Run and report one repetition of ``workload`` in a fresh interpreter."""
     import shutil
     import subprocess
     import tempfile
 
-    sys.path.insert(0, PERFBENCH)
-    import suite
-
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=suite.WORKLOADS)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args(argv)
-
     tmp = tempfile.mkdtemp(prefix="gc_probe-")
-    config = {"workload": args.workload, "seed": args.seed, "mode": "plain",
+    config = {"workload": workload, "seed": seed, "mode": "plain",
               "tmp": os.path.join(tmp, "rep")}
     # The environment perfbench/run.py gives its workers.
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
@@ -152,8 +147,23 @@ def main(argv=None) -> int:
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return proc.returncode
-    report(args.workload, args.seed, json.loads(proc.stdout.splitlines()[-1]))
+    report(workload, seed, json.loads(proc.stdout.splitlines()[-1]))
     return 0
+
+
+def main(argv=None) -> int:
+    import argparse
+
+    sys.path.insert(0, PERFBENCH)
+    import suite
+
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=suite.WORKLOADS + ("all",))
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    names = suite.WORKLOADS if args.workload == "all" else (args.workload,)
+    codes = [probe(name, args.seed) for name in names]
+    return next((code for code in codes if code), 0)
 
 
 if __name__ == "__main__":
