@@ -263,33 +263,26 @@ class JsonlTraceSink(EventSink):
     Each line follows :meth:`InstrumentationEvent.to_dict`:
     ``{"kind": ..., "cycle": ..., "source": ..., "data": {...}}``.
 
-    Path-opened sinks flush after every line by default (``line_flush``),
-    so a crashed or killed run leaves a trace complete up to its last event
-    and a live ``tail -f``/subscriber sees events as they happen rather
-    than only at close.  Caller-owned streams default to buffered writes —
-    pass ``line_flush=True`` to stream through e.g. a pipe.
+    Path-opened sinks flush after every line, so a crashed or killed run
+    leaves a trace complete up to its last event and a live
+    ``tail -f``/subscriber sees events as they happen rather than only at
+    close.  Caller-owned streams get buffered writes, flushed by
+    :meth:`flush` and :meth:`close`.
     """
 
-    def __init__(
-        self,
-        target: Union[str, IO[str]],
-        *,
-        line_flush: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, target: Union[str, IO[str]]) -> None:
         if isinstance(target, str):
             self._stream: IO[str] = open(target, "w", encoding="utf-8")
             self._owns_stream = True
-            self._line_flush = True if line_flush is None else line_flush
         else:
             self._stream = target
             self._owns_stream = False
-            self._line_flush = False if line_flush is None else line_flush
         self.events_written = 0
 
     def handle(self, event: InstrumentationEvent) -> None:
         self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
         self.events_written += 1
-        if self._line_flush:
+        if self._owns_stream:
             self._stream.flush()
 
     def flush(self) -> None:

@@ -3,6 +3,9 @@
 The threat model (paper, section III) considers logical attacks mounted
 through the external bus and the external memory, with three attacker goals:
 processor hijacking, extraction of secret information and denial of service.
+Every attack is a master issuing :class:`~repro.soc.transaction.Step` s
+through :meth:`~repro.soc.system.SoCSystem.issue` (around an off-chip tamper
+for the memory attacks), and :meth:`Attack.run` scores the alerts it raised.
 The concrete attack classes here exercise each of the vectors the paper
 enumerates:
 
@@ -22,7 +25,6 @@ experiment and the ``attack_campaign`` example.
 """
 
 from repro.attacks.base import Attack, AttackOutcome, AttackResult
-from repro.attacks.injector import AttackerMaster
 from repro.attacks.memory_attacks import RelocationAttack, ReplayAttack, SpoofingAttack
 from repro.attacks.hijack import ExfiltrationAttack, HijackedIPAttack, SensitiveRegisterProbe
 from repro.attacks.cross_segment import CrossSegmentProbe, CrossSegmentWriteStorm
@@ -34,7 +36,6 @@ __all__ = [
     "Attack",
     "AttackResult",
     "AttackOutcome",
-    "AttackerMaster",
     "SpoofingAttack",
     "ReplayAttack",
     "RelocationAttack",

@@ -1,38 +1,50 @@
 """Common attack infrastructure: outcomes, results and the attack interface.
 
 Every attack runs against a *target*: an (optionally) secured platform.  The
-attack drives the simulator itself (injecting transactions, tampering with
-the external memory, hijacking IPs) and then reports an
-:class:`AttackResult` stating whether the attack achieved its goal and
-whether/where the security enhancements caught it.  Detection scoring is
-intentionally conservative: an attack only counts as *detected* if at least
-one firewall raised an alert attributable to it, and only counts as
-*contained* if the malicious transaction never reached the bus.
+attack drives the simulator itself, issuing
+:class:`~repro.soc.transaction.Step` s through
+:meth:`~repro.soc.system.SoCSystem.issue`, tampering with the external memory
+or hijacking IPs, and :meth:`Attack.run` reports an :class:`AttackResult`
+stating whether the attack achieved its goal and whether/where the security
+enhancements caught it.  Detection scoring is intentionally conservative: an
+attack only counts as *detected* if at least one firewall raised an alert
+while it ran, and only counts as *contained* if the malicious transaction
+never reached the bus.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.secure import SecuredPlatform
 from repro.soc.system import SoCSystem
+from repro.soc.transaction import BusTransaction, Step
 
-__all__ = ["AttackOutcome", "AttackResult", "Attack", "issue_sync"]
+__all__ = ["AttackOutcome", "AttackResult", "Attack", "Attempt", "issue_train"]
+
+#: What :meth:`Attack.attempt` reports: goal achieved, contained at the
+#: interface, the one-line detail and the attack-specific extra record.
+Attempt = Tuple[bool, bool, str, Dict[str, object]]
 
 
-def issue_sync(system: SoCSystem, master: str, txn) -> None:
-    """Issue a transaction on a master's port and run the simulator until it
-    (and everything it triggered) completes.
+def issue_train(system: SoCSystem, steps: Sequence[Step], interval: int) -> List[BusTransaction]:
+    """Issue ``steps[i]`` at cycle ``now + i * interval``, run the simulator
+    until every one completes and return their transactions in issue order.
 
-    This is the workhorse of the attack scenarios: it lets an attack drive the
-    victim platform one access at a time and inspect the transaction's final
-    status, exactly like firmware single-stepping through an exploit.
+    Each step is one scheduled event, and its transaction is built when that
+    event fires.
     """
-    port = system.master_ports[master]
-    port.issue(txn, lambda _t: None)
+    issued: List[BusTransaction] = []
+
+    def fire(step: Step) -> None:
+        issued.append(system.issue(step, drain=False))
+
+    for index, step in enumerate(steps):
+        system.sim.schedule(index * interval, fire, step)
     system.run()
+    return issued
 
 
 class AttackOutcome(enum.Enum):
@@ -82,7 +94,7 @@ class AttackResult:
 class Attack:
     """Base class for attacks.
 
-    Subclasses implement :meth:`run` against a plain or secured platform.
+    Subclasses implement :meth:`attempt` against a plain or secured platform.
     ``security`` is None when attacking the unprotected baseline — every
     attack must still run (that is how the "without firewalls" column of the
     detection matrix is produced).
@@ -91,22 +103,24 @@ class Attack:
     name = "attack"
     goal = ""
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:  # pragma: no cover - interface
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:  # pragma: no cover - interface
         raise NotImplementedError
 
-    # -- helpers shared by concrete attacks -------------------------------------------
-
-    @staticmethod
-    def _alerts_since(security: Optional[SecuredPlatform], baseline: int) -> int:
-        if security is None:
-            return 0
-        return max(0, len(security.monitor.alerts) - baseline)
-
-    @staticmethod
-    def _detection_cycle_since(security: Optional[SecuredPlatform], baseline: int) -> Optional[int]:
-        if security is None:
-            return None
-        new_alerts = security.monitor.alerts[baseline:]
-        if not new_alerts:
-            return None
-        return min(alert.cycle for alert in new_alerts)
+    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
+        """Mount the attack and score it: every alert raised while
+        :meth:`attempt` runs counts towards it, and the earliest one dates
+        the detection."""
+        before = len(security.monitor.alerts) if security is not None else 0
+        achieved, contained, detail, extra = self.attempt(system, security)
+        alerts = security.monitor.alerts[before:] if security is not None else []
+        return AttackResult(
+            attack=self.name,
+            goal=self.goal,
+            achieved_goal=achieved,
+            detected=bool(alerts),
+            contained_at_interface=contained,
+            detection_cycle=min((alert.cycle for alert in alerts), default=None),
+            alerts=len(alerts),
+            detail=detail,
+            extra=extra,
+        )

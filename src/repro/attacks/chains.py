@@ -13,17 +13,15 @@ evidence the campaign reports need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.attacks.base import Attack, AttackResult, issue_sync
+from repro.attacks.base import Attack, Attempt
 from repro.core.secure import SecuredPlatform
 from repro.soc.devices import DmaDescriptorRing, FirmwareUpdateIP, SecureBootSequencer
 from repro.soc.system import SoCSystem
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+from repro.soc.transaction import Step, TransactionStatus
 
 __all__ = [
-    "ChainStep",
     "AttackChain",
     "FirmwareSabotageChain",
     "DescriptorHijackChain",
@@ -31,34 +29,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChainStep:
-    """One transaction of an attack chain."""
-
-    label: str
-    master: str
-    op: str  # "read" | "write"
-    address: int
-    width: int = 4
-    burst_length: int = 1
-    data: Optional[bytes] = None
-
-    def to_transaction(self) -> BusTransaction:
-        return BusTransaction(
-            master=self.master,
-            operation=BusOperation.WRITE if self.op == "write" else BusOperation.READ,
-            address=self.address,
-            width=self.width,
-            burst_length=self.burst_length,
-            data=self.data,
-        )
-
-
-def word_step(label: str, master: str, address: int, value: int) -> ChainStep:
+def word_step(label: str, master: str, address: int, value: int) -> Step:
     """A single-word write step (the common protocol-register case)."""
-    return ChainStep(
-        label, master, "write", address,
-        data=(value & 0xFFFFFFFF).to_bytes(4, "little"),
+    return Step(
+        master, "write", address,
+        data=(value & 0xFFFFFFFF).to_bytes(4, "little"), label=label,
     )
 
 
@@ -72,7 +47,7 @@ class AttackChain(Attack):
     per-step records show exactly which interface broke the chain.
     """
 
-    def plan(self, system: SoCSystem) -> List[ChainStep]:  # pragma: no cover - interface
+    def plan(self, system: SoCSystem) -> List[Step]:  # pragma: no cover - interface
         raise NotImplementedError
 
     def achieved(
@@ -83,17 +58,16 @@ class AttackChain(Attack):
     def prepare(self, system: SoCSystem) -> None:
         """Hook: snapshot device state before the first step runs."""
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
-        baseline = len(security.monitor.alerts) if security else 0
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         self.prepare(system)
         steps = self.plan(system)
+        alerts = security.monitor.alerts if security is not None else []
         records: List[Dict[str, object]] = []
         first_blocked: Optional[int] = None
         for index, step in enumerate(steps):
-            step_baseline = baseline + sum(int(r["alerts"]) for r in records)
-            txn = step.to_transaction()
-            issue_sync(system, step.master, txn)
-            alerts = self._alerts_since(security, step_baseline)
+            before = len(alerts)
+            txn = system.issue(step)
+            raised = alerts[before:]
             records.append({
                 "step": index,
                 "label": step.label,
@@ -102,15 +76,13 @@ class AttackChain(Attack):
                 "address": step.address,
                 "status": txn.status.value,
                 "block_reason": txn.annotations.get("block_reason"),
-                "alerts": alerts,
-                "detection_cycle": self._detection_cycle_since(security, step_baseline),
+                "alerts": len(raised),
+                "detection_cycle": min((alert.cycle for alert in raised), default=None),
             })
             if txn.status.is_blocked:
                 first_blocked = index
                 break
 
-        achieved = self.achieved(system, records)
-        alerts = self._alerts_since(security, baseline)
         contained = bool(records) and records[-1]["status"] == (
             TransactionStatus.BLOCKED_AT_MASTER.value
         )
@@ -120,16 +92,11 @@ class AttackChain(Attack):
             if first_blocked is not None
             else f"all {len(steps)} steps completed"
         )
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=achieved,
-            detected=alerts > 0,
-            contained_at_interface=contained,
-            detection_cycle=self._detection_cycle_since(security, baseline),
-            alerts=alerts,
-            detail=blocked_detail,
-            extra={
+        return (
+            self.achieved(system, records),
+            contained,
+            blocked_detail,
+            {
                 "chain_steps": records,
                 "chain": {
                     "steps_planned": len(steps),
@@ -167,7 +134,7 @@ class FirmwareSabotageChain(AttackChain):
     def prepare(self, system: SoCSystem) -> None:
         self._commits_before = self._device(system).commits
 
-    def plan(self, system: SoCSystem) -> List[ChainStep]:
+    def plan(self, system: SoCSystem) -> List[Step]:
         device = self._device(system)
         ctrl = device.base + 4 * FirmwareUpdateIP.REG_CTRL
         staging = device.base + 4 * FirmwareUpdateIP.STAGING_BASE
@@ -213,7 +180,7 @@ class DescriptorHijackChain(AttackChain):
     def prepare(self, system: SoCSystem) -> None:
         self._latched_before = len(self._ring(system).latched)
 
-    def plan(self, system: SoCSystem) -> List[ChainStep]:
+    def plan(self, system: SoCSystem) -> List[Step]:
         ring = self._ring(system)
         master = self.hijacked_master
         desc = ring.base + 4 * DmaDescriptorRing.DESC_BASE
@@ -226,8 +193,8 @@ class DescriptorHijackChain(AttackChain):
             word_step("rewrite_desc_flags", master, desc + 12, 1),
             word_step("select_head", master, ring.base + 4 * DmaDescriptorRing.REG_HEAD, 0),
             word_step("ring_doorbell", master, ring.base + 4 * DmaDescriptorRing.REG_DOORBELL, 1),
-            ChainStep("exfiltrate", master, "read", self.target_address,
-                      burst_length=max(1, self.length // 4)),
+            Step(master, "read", self.target_address,
+                 burst_length=max(1, self.length // 4), label="exfiltrate"),
         ]
 
     def achieved(self, system: SoCSystem, records: List[Dict[str, object]]) -> bool:
@@ -265,7 +232,7 @@ class BootRollbackChain(AttackChain):
     def prepare(self, system: SoCSystem) -> None:
         self._leaks_before = len(self._device(system).leaks)
 
-    def plan(self, system: SoCSystem) -> List[ChainStep]:
+    def plan(self, system: SoCSystem) -> List[Step]:
         device = self._device(system)
         master = self.hijacked_master
         return [
@@ -274,8 +241,8 @@ class BootRollbackChain(AttackChain):
                       SecureBootSequencer.DEBUG_MAGIC),
             word_step("rollback_stage", master,
                       device.base + 4 * SecureBootSequencer.REG_STAGE, 0),
-            ChainStep("read_keys", master, "read",
-                      device.base + 4 * SecureBootSequencer.KEY_BASE),
+            Step(master, "read", device.base + 4 * SecureBootSequencer.KEY_BASE,
+                 label="read_keys"),
         ]
 
     def achieved(self, system: SoCSystem, records: List[Dict[str, object]]) -> bool:

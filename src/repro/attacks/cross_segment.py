@@ -19,15 +19,16 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.base import Attack, AttackResult, issue_sync
+from repro.attacks.base import Attack, Attempt, issue_train
+from repro.attacks.hijack import SensitiveRegisterProbe
 from repro.core.secure import SecuredPlatform
 from repro.soc.system import SoCSystem
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+from repro.soc.transaction import Step, TransactionStatus
 
 __all__ = ["CrossSegmentProbe", "CrossSegmentWriteStorm"]
 
 
-class CrossSegmentProbe(Attack):
+class CrossSegmentProbe(SensitiveRegisterProbe):
     """A hijacked master on one segment reads a remote IP's secret register.
 
     With leaf placement the probe dies at the hijacked master's own Local
@@ -48,46 +49,7 @@ class CrossSegmentProbe(Attack):
         register_index: int = 0,
         secret_value: int = 0x5EC2_E755,
     ) -> None:
-        self.hijacked_master = hijacked_master
-        self.register_index = register_index
-        self.secret_value = secret_value & 0xFFFFFFFF
-
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
-        baseline_alerts = len(security.monitor.alerts) if security else 0
-        system.register_ip.write_register(self.register_index, self.secret_value)
-        address = system.config.ip_regs_base + 4 * self.register_index
-
-        txn = BusTransaction(
-            master=self.hijacked_master,
-            operation=BusOperation.READ,
-            address=address,
-            width=4,
-        )
-        issue_sync(system, self.hijacked_master, txn)
-
-        leaked = (
-            txn.status is TransactionStatus.COMPLETED
-            and txn.data is not None
-            and int.from_bytes(txn.data, "little") == self.secret_value
-        )
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=leaked,
-            detected=alerts > 0,
-            contained_at_interface=txn.status is TransactionStatus.BLOCKED_AT_MASTER,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=f"probe status {txn.status.value}",
-            extra={
-                "probe_status": txn.status.value,
-                "blocked_at_bridge": txn.status is TransactionStatus.BLOCKED_AT_BRIDGE,
-                "bridges_crossed": [
-                    stage for stage in txn.latency_breakdown if stage.startswith("bridge:")
-                ],
-            },
-        )
+        super().__init__(hijacked_master, register_index, secret_value)
 
 
 class CrossSegmentWriteStorm(Attack):
@@ -121,47 +83,27 @@ class CrossSegmentWriteStorm(Attack):
         self.n_requests = n_requests
         self.interval = interval
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
-        baseline_alerts = len(security.monitor.alerts) if security else 0
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         original = system.register_ip.read_register(self.register_index)
         address = system.config.ip_regs_base + 4 * self.register_index
-        port = system.master_ports[self.hijacked_master]
+        storm = [
+            Step(self.hijacked_master, "write", address, width=1, data=bytes([index & 0xFF]))
+            for index in range(self.n_requests)
+        ]
+        statuses = [txn.status for txn in issue_train(system, storm, self.interval)]
 
-        results = []
-        def fire(payload: bytes) -> None:
-            txn = BusTransaction(
-                master=self.hijacked_master,
-                operation=BusOperation.WRITE,
-                address=address,
-                width=1,
-                burst_length=1,
-                data=payload,
-            )
-            port.issue(txn, results.append)
-
-        for index in range(self.n_requests):
-            system.sim.schedule(index * self.interval, fire, bytes([index & 0xFF]))
-        system.run()
-
-        statuses = [txn.status for txn in results]
         corrupted = system.register_ip.read_register(self.register_index) != original
-        alerts = self._alerts_since(security, baseline_alerts)
         blocked_at_master = sum(1 for s in statuses if s is TransactionStatus.BLOCKED_AT_MASTER)
         blocked_at_bridge = sum(1 for s in statuses if s is TransactionStatus.BLOCKED_AT_BRIDGE)
         landed = sum(1 for s in statuses if s is TransactionStatus.COMPLETED)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=corrupted,
-            detected=alerts > 0,
-            contained_at_interface=blocked_at_master == len(statuses),
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=(
+        return (
+            corrupted,
+            blocked_at_master == len(statuses),
+            (
                 f"{landed}/{len(statuses)} writes landed "
                 f"({blocked_at_master} blocked at master, {blocked_at_bridge} at bridge)"
             ),
-            extra={
+            {
                 "landed": landed,
                 "blocked_at_master": blocked_at_master,
                 "blocked_at_bridge": blocked_at_bridge,

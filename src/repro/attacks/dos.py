@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.base import Attack, AttackResult
-from repro.attacks.injector import AttackerMaster
+from repro.attacks.base import Attack, Attempt, issue_train
 from repro.core.secure import SecuredPlatform
 from repro.soc.system import SoCSystem
+from repro.soc.transaction import Step, TransactionStatus
 
 __all__ = ["DoSFloodAttack"]
 
@@ -38,6 +38,8 @@ class DoSFloodAttack(Attack):
     ) -> None:
         if n_requests <= 0:
             raise ValueError("n_requests must be positive")
+        if interval < 0:
+            raise ValueError("interval must be non-negative")
         if not 0.0 < success_fraction <= 1.0:
             raise ValueError("success_fraction must be in (0, 1]")
         self.hijacked_master = hijacked_master
@@ -46,40 +48,26 @@ class DoSFloodAttack(Attack):
         self.target_offset = target_offset
         self.success_fraction = success_fraction
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
-        baseline_alerts = len(security.monitor.alerts) if security else 0
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         # Count distinct transactions, not raw monitor observations: on a
         # hierarchical fabric the monitor records one observation per segment
         # crossed, which would inflate a cross-segment flood by its hop count.
         baseline_ids = {t.txn_id for t in system.bus.monitor.history}
-        target = system.config.bram_base + self.target_offset
-
         # The flood is issued through the hijacked master's own (possibly
         # firewalled) port, under the hijacked master's identity.
-        port = system.master_ports[self.hijacked_master]
-        attacker = AttackerMaster(system.sim, self.hijacked_master, port)
-        attacker.flood(target, count=self.n_requests, interval=self.interval)
-        system.run()
+        probe = Step(self.hijacked_master, "read", system.config.bram_base + self.target_offset)
+        flood = issue_train(system, [probe] * self.n_requests, self.interval)
 
         reached_bus = len(
             {t.txn_id for t in system.bus.monitor.history} - baseline_ids
         )
-        flood_effective = reached_bus >= self.success_fraction * self.n_requests
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=flood_effective,
-            detected=alerts > 0,
-            contained_at_interface=attacker.blocked_count() > 0,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=(
+        dropped = sum(1 for txn in flood if txn.status is not TransactionStatus.COMPLETED)
+        return (
+            reached_bus >= self.success_fraction * self.n_requests,
+            dropped > 0,
+            (
                 f"{reached_bus}/{self.n_requests} flood requests reached the bus, "
-                f"{attacker.blocked_count()} dropped at the interface"
+                f"{dropped} dropped at the interface"
             ),
-            extra={
-                "reached_bus": reached_bus,
-                "dropped_at_interface": attacker.blocked_count(),
-            },
+            {"reached_bus": reached_bus, "dropped_at_interface": dropped},
         )

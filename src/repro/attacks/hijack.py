@@ -14,16 +14,21 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.base import Attack, AttackResult, issue_sync
+from repro.attacks.base import Attack, Attempt
 from repro.core.secure import SecuredPlatform
 from repro.soc.system import SoCSystem
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+from repro.soc.transaction import Step, TransactionStatus
 
 __all__ = ["SensitiveRegisterProbe", "HijackedIPAttack", "ExfiltrationAttack"]
 
 
 class SensitiveRegisterProbe(Attack):
-    """A hijacked processor reads the dedicated IP's sensitive (key) registers."""
+    """A hijacked master reads the dedicated IP's sensitive (key) registers.
+
+    Containment is scored where the probe died: at the hijacked master's own
+    Local Firewall (``BLOCKED_AT_MASTER``), or, on a bridged fabric, at a
+    bridge (``extra["blocked_at_bridge"]``, with the bridges it crossed).
+    """
 
     name = "sensitive_register_probe"
     goal = "read secret material out of the dedicated IP's registers"
@@ -34,37 +39,28 @@ class SensitiveRegisterProbe(Attack):
         self.register_index = register_index
         self.secret_value = secret_value & 0xFFFFFFFF
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
-        baseline_alerts = len(security.monitor.alerts) if security else 0
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         # Plant the secret in the sensitive register.
         system.register_ip.write_register(self.register_index, self.secret_value)
         address = system.config.ip_regs_base + 4 * self.register_index
-
-        txn = BusTransaction(
-            master=self.hijacked_master,
-            operation=BusOperation.READ,
-            address=address,
-            width=4,
-        )
-        issue_sync(system, self.hijacked_master, txn)
+        txn = system.issue(Step(self.hijacked_master, "read", address))
 
         leaked = (
             txn.status is TransactionStatus.COMPLETED
             and txn.data is not None
             and int.from_bytes(txn.data, "little") == self.secret_value
         )
-        contained = txn.status is TransactionStatus.BLOCKED_AT_MASTER
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=leaked,
-            detected=alerts > 0,
-            contained_at_interface=contained,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=f"probe status {txn.status.value}",
-            extra={"probe_status": txn.status.value},
+        return (
+            leaked,
+            txn.status is TransactionStatus.BLOCKED_AT_MASTER,
+            f"probe status {txn.status.value}",
+            {
+                "probe_status": txn.status.value,
+                "blocked_at_bridge": txn.status is TransactionStatus.BLOCKED_AT_BRIDGE,
+                "bridges_crossed": [
+                    stage for stage in txn.latency_breakdown if stage.startswith("bridge:")
+                ],
+            },
         )
 
 
@@ -83,34 +79,17 @@ class HijackedIPAttack(Attack):
         self.hijacked_master = hijacked_master
         self.register_index = register_index
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
-        baseline_alerts = len(security.monitor.alerts) if security else 0
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         original = system.register_ip.read_register(self.register_index)
         address = system.config.ip_regs_base + 4 * self.register_index
-
-        txn = BusTransaction(
-            master=self.hijacked_master,
-            operation=BusOperation.WRITE,
-            address=address,
-            width=1,
-            burst_length=1,
-            data=b"\xff",
-        )
-        issue_sync(system, self.hijacked_master, txn)
+        txn = system.issue(Step(self.hijacked_master, "write", address, width=1, data=b"\xff"))
 
         corrupted = system.register_ip.read_register(self.register_index) != original
-        contained = txn.status is TransactionStatus.BLOCKED_AT_MASTER
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=corrupted,
-            detected=alerts > 0,
-            contained_at_interface=contained,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=f"write status {txn.status.value}",
-            extra={"write_status": txn.status.value},
+        return (
+            corrupted,
+            txn.status is TransactionStatus.BLOCKED_AT_MASTER,
+            f"write status {txn.status.value}",
+            {"write_status": txn.status.value},
         )
 
 
@@ -133,10 +112,9 @@ class ExfiltrationAttack(Attack):
         self.secret_word = secret_word & 0xFFFFFFFF
         self.destination_offset = destination_offset
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         if system.dma is None:
             raise RuntimeError("platform has no DMA engine to hijack")
-        baseline_alerts = len(security.monitor.alerts) if security else 0
 
         # Plant secrets in the sensitive registers.
         for index in range(self.secret_registers):
@@ -157,17 +135,10 @@ class ExfiltrationAttack(Attack):
         expected = b"".join(
             (self.secret_word + index).to_bytes(4, "little") for index in range(self.secret_registers)
         )
-        exfiltrated = dumped == expected
         contained = system.dma.blocked
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=exfiltrated,
-            detected=alerts > 0,
-            contained_at_interface=contained,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail="DMA transfer " + ("aborted at its interface" if contained else "ran to completion"),
-            extra={"dma_blocked": system.dma.blocked, "bytes_copied": system.dma.bytes_copied},
+        return (
+            dumped == expected,
+            contained,
+            "DMA transfer " + ("aborted at its interface" if contained else "ran to completion"),
+            {"dma_blocked": system.dma.blocked, "bytes_copied": system.dma.bytes_copied},
         )

@@ -21,37 +21,23 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.attacks.base import Attack, AttackResult, issue_sync
+from repro.attacks.base import Attack, Attempt
 from repro.core.secure import SecuredPlatform
 from repro.soc.system import SoCSystem
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+from repro.soc.transaction import BusTransaction, Step, TransactionStatus
 
 __all__ = ["SpoofingAttack", "ReplayAttack", "RelocationAttack"]
 
 
-def _victim_write(system: SoCSystem, victim: str, address: int, data: bytes) -> BusTransaction:
-    txn = BusTransaction(
-        master=victim,
-        operation=BusOperation.WRITE,
-        address=address,
-        width=4,
-        burst_length=max(1, len(data) // 4),
-        data=data,
+def _victim_read_result(read: BusTransaction, accepted: bytes) -> Attempt:
+    """Score the victim's final read: the attack wins if it completed and
+    returned the bytes the attacker planted."""
+    return (
+        read.status is TransactionStatus.COMPLETED and read.data == accepted,
+        False,
+        f"victim read returned status {read.status.value}",
+        {"victim_read_status": read.status.value},
     )
-    issue_sync(system, victim, txn)
-    return txn
-
-
-def _victim_read(system: SoCSystem, victim: str, address: int, size: int) -> BusTransaction:
-    txn = BusTransaction(
-        master=victim,
-        operation=BusOperation.READ,
-        address=address,
-        width=4,
-        burst_length=max(1, size // 4),
-    )
-    issue_sync(system, victim, txn)
-    return txn
 
 
 class SpoofingAttack(Attack):
@@ -72,35 +58,20 @@ class SpoofingAttack(Attack):
         self.payload = payload
         self.victim = victim
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         address = system.config.ddr_base + self.target_offset
-        baseline_alerts = len(security.monitor.alerts) if security else 0
+        words = len(self.payload) // 4
 
         # The victim legitimately stores data first (so the location is live).
         original = bytes(range(len(self.payload)))
-        _victim_write(system, self.victim, address, original)
+        system.issue(Step(self.victim, "write", address, burst_length=words, data=original))
 
         # Attacker tampers with the external memory directly.
         system.ddr.poke(address, self.payload)
 
         # Victim reads the location back.
-        read_txn = _victim_read(system, self.victim, address, len(self.payload))
-
-        consumed_payload = (
-            read_txn.status is TransactionStatus.COMPLETED
-            and read_txn.data == self.payload
-        )
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=consumed_payload,
-            detected=alerts > 0,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=f"victim read returned status {read_txn.status.value}",
-            extra={"victim_read_status": read_txn.status.value},
-        )
+        read = system.issue(Step(self.victim, "read", address, burst_length=words))
+        return _victim_read_result(read, self.payload)
 
 
 class ReplayAttack(Attack):
@@ -114,38 +85,25 @@ class ReplayAttack(Attack):
         self.victim = victim
         self.block_size = block_size
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         address = system.config.ddr_base + self.target_offset
         block_base = address - (address % self.block_size)
-        baseline_alerts = len(security.monitor.alerts) if security else 0
 
         old_value = b"OLDBALANCE=0100!"
         new_value = b"NEWBALANCE=0001!"
+        words = len(old_value) // 4
 
         # Victim writes the old value; attacker snapshots the raw external
         # memory (ciphertext on the protected platform, plaintext otherwise).
-        _victim_write(system, self.victim, address, old_value)
+        system.issue(Step(self.victim, "write", address, burst_length=words, data=old_value))
         snapshot = system.ddr.peek(block_base, self.block_size)
 
         # Victim updates the value; attacker replays the stale snapshot.
-        _victim_write(system, self.victim, address, new_value)
+        system.issue(Step(self.victim, "write", address, burst_length=words, data=new_value))
         system.ddr.poke(block_base, snapshot)
 
-        read_txn = _victim_read(system, self.victim, address, len(old_value))
-        accepted_stale = (
-            read_txn.status is TransactionStatus.COMPLETED and read_txn.data == old_value
-        )
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=accepted_stale,
-            detected=alerts > 0,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=f"victim read returned status {read_txn.status.value}",
-            extra={"victim_read_status": read_txn.status.value},
-        )
+        read = system.issue(Step(self.victim, "read", address, burst_length=words))
+        return _victim_read_result(read, old_value)
 
 
 class RelocationAttack(Attack):
@@ -168,35 +126,22 @@ class RelocationAttack(Attack):
         self.victim = victim
         self.block_size = block_size
 
-    def run(self, system: SoCSystem, security: Optional[SecuredPlatform] = None) -> AttackResult:
+    def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:
         source = system.config.ddr_base + self.source_offset
         destination = system.config.ddr_base + self.destination_offset
-        baseline_alerts = len(security.monitor.alerts) if security else 0
+        words = self.block_size // 4
 
         secret_block = b"JUMP_TO_SECURE_BOOT_VECTOR_0000!"[: self.block_size].ljust(self.block_size, b"!")
         victim_block = b"JUMP_TO_NORMAL_APP_ENTRYPOINT_0!"[: self.block_size].ljust(self.block_size, b"!")
 
         # Victim writes two distinct blocks.
-        _victim_write(system, self.victim, source, secret_block)
-        _victim_write(system, self.victim, destination, victim_block)
+        system.issue(Step(self.victim, "write", source, burst_length=words, data=secret_block))
+        system.issue(Step(self.victim, "write", destination, burst_length=words, data=victim_block))
 
         # Attacker copies the raw external-memory image of the source block
         # over the destination block (ciphertext relocation).
         raw = system.ddr.peek(source, self.block_size)
         system.ddr.poke(destination, raw)
 
-        read_txn = _victim_read(system, self.victim, destination, self.block_size)
-        accepted_relocated = (
-            read_txn.status is TransactionStatus.COMPLETED and read_txn.data == secret_block
-        )
-        alerts = self._alerts_since(security, baseline_alerts)
-        return AttackResult(
-            attack=self.name,
-            goal=self.goal,
-            achieved_goal=accepted_relocated,
-            detected=alerts > 0,
-            detection_cycle=self._detection_cycle_since(security, baseline_alerts),
-            alerts=alerts,
-            detail=f"victim read returned status {read_txn.status.value}",
-            extra={"victim_read_status": read_txn.status.value},
-        )
+        read = system.issue(Step(self.victim, "read", destination, burst_length=words))
+        return _victim_read_result(read, secret_block)

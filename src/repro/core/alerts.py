@@ -173,23 +173,11 @@ class SecurityMonitor:
             counts[alert.violation] = counts.get(alert.violation, 0) + 1
         return counts
 
-    def critical_alerts(self) -> List[SecurityAlert]:
-        """All alerts with CRITICAL severity."""
-        return [a for a in self.alerts if a.severity is Severity.CRITICAL]
-
     def first_detection_cycle(self) -> Optional[int]:
         """Cycle of the earliest alert (the reaction-time metric), or None."""
         if not self.alerts:
             return None
         return min(alert.cycle for alert in self.alerts)
-
-    def masters_with_alerts(self, min_count: int = 1) -> List[str]:
-        """Masters that triggered at least ``min_count`` alerts."""
-        return [
-            master
-            for master, count in self.alerts_by_master().items()
-            if count >= min_count
-        ]
 
     def clear(self) -> None:
         """Drop all recorded alerts (between experiment repetitions)."""

@@ -259,32 +259,6 @@ class LocalCipheringFirewall(LocalFirewall):
                 rule=rule, key=key, tree=tree, block_size=self.block_size
             )
 
-    def protect_existing_contents(self) -> int:
-        """Encrypt and authenticate whatever the protected regions currently
-        hold in external memory (the provisioning step a secure boot flow
-        performs before handing the memory to the application).
-
-        Returns the number of blocks initialised.
-        """
-        initialised = 0
-        for region in self._regions.values():
-            policy = region.rule.policy
-            for index in range(region.n_blocks):
-                base = region.block_base(index)
-                usable = min(self.block_size, region.rule.end - base)
-                plaintext = self.device.peek(base, usable).ljust(self.block_size, b"\x00")
-                new_version = region.next_version(index)
-                if policy.needs_ciphering:
-                    nonce = region.nonce(index, new_version)
-                    ciphertext, _ = self.confidentiality_core.encipher(region.key, nonce, plaintext)
-                    self.device.poke(base, ciphertext[:usable])
-                if region.tree is not None:
-                    region.tree.update(index, plaintext)
-                else:
-                    region.bump_version(index)
-                initialised += 1
-        return initialised
-
     def region_for(self, address: int, size: int = 1) -> Optional[ProtectedRegion]:
         """The protected region covering an address range, if any (memoised)."""
         if self.config_memory.generation != self._region_cache_generation:

@@ -151,10 +151,6 @@ class SecurityPolicyManager:
 
     # -- analysis -----------------------------------------------------------------------
 
-    def violations_of(self, master: str) -> int:
-        """Number of alerts attributed to one master so far."""
-        return self._violations_by_master.get(master, 0)
-
     def reaction_latency(self) -> Optional[int]:
         """Cycles between the first alert and the first countermeasure."""
         first_alert = self.monitor.first_detection_cycle()

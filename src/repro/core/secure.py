@@ -77,14 +77,6 @@ class SecuredPlatform:
         firewalls.extend(self.ciphering_firewalls.values())
         return firewalls
 
-    def local_firewall_count(self) -> int:
-        """Number of plain Local Firewalls (excludes the LCF)."""
-        return (
-            len(self.master_firewalls)
-            + len(self.slave_firewalls)
-            + len(self.bridge_firewalls)
-        )
-
     def summary(self) -> Dict[str, object]:
         """Aggregate view used by reports and the detection experiments.
 

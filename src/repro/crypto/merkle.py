@@ -13,8 +13,7 @@ The implementation supports:
   tree size and copied into each new tree,
 * verifying a block read against the trusted root (returning the authentication
   path that a hardware walker would fetch),
-* updating a block on writes, recomputing the path up to the root,
-* detecting and reporting tampering via :class:`IntegrityViolation`.
+* updating a block on writes, recomputing the path up to the root.
 """
 
 from __future__ import annotations
@@ -25,17 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.crypto.sha256 import sha256
 
-__all__ = ["MerkleTree", "IntegrityViolation", "AuthPathEntry"]
-
-
-class IntegrityViolation(Exception):
-    """Raised when a block fails verification against the trusted root."""
-
-    def __init__(self, block_index: int, message: str = "") -> None:
-        self.block_index = block_index
-        super().__init__(
-            message or f"integrity violation detected on block {block_index}"
-        )
+__all__ = ["MerkleTree", "AuthPathEntry"]
 
 
 @dataclass(frozen=True)
@@ -223,11 +212,6 @@ class MerkleTree:
             node >>= 1
         return digest == self.root
 
-    def verify_or_raise(self, block_index: int, data: bytes, version: Optional[int] = None) -> None:
-        """Like :meth:`verify` but raises :class:`IntegrityViolation` on failure."""
-        if not self.verify(block_index, data, version):
-            raise IntegrityViolation(block_index)
-
     # -- invariants / helpers -------------------------------------------------
 
     def _check_index(self, block_index: int) -> None:
@@ -241,10 +225,6 @@ class MerkleTree:
             raise ValueError(
                 f"block data must be {self.block_size} bytes, got {len(data)}"
             )
-
-    def node_count(self) -> int:
-        """Total number of nodes in the tree (used by the area model)."""
-        return sum(len(level) for level in self._levels)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

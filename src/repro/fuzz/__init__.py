@@ -7,7 +7,8 @@ core property dynamically — "no silent reach of protected memory": every
 access a master's policy forbids must end blocked or alerted, and no device
 guard (e.g. the secure-boot key bank) may leak without an alert.
 
-* :mod:`repro.fuzz.case` — the immutable, JSON-serialisable test case,
+* :mod:`repro.fuzz.case` — the immutable, JSON-serialisable test case (a
+  sequence of :class:`~repro.soc.transaction.Step`),
 * :mod:`repro.fuzz.generator` — seeded sequence generation and mutation,
 * :mod:`repro.fuzz.oracle` — replays a case, judges it with
   :mod:`repro.staticcheck` Witness semantics,
@@ -23,7 +24,7 @@ randomness source is one ``random.Random(seed)``, and reports carry no wall
 clock — the same invocation is bit-reproducible.
 """
 
-from repro.fuzz.case import FuzzCase, FuzzStep
+from repro.fuzz.case import FuzzCase
 from repro.fuzz.corpus import Corpus, export_cases, load_cases
 from repro.fuzz.generator import SequenceGenerator
 from repro.fuzz.oracle import BypassOracle, OracleResult, Violation
@@ -33,7 +34,6 @@ from repro.fuzz.shrink import shrink_case
 
 __all__ = [
     "FuzzCase",
-    "FuzzStep",
     "SequenceGenerator",
     "BypassOracle",
     "OracleResult",

@@ -20,13 +20,14 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.fuzz.case import FuzzCase, FuzzStep
+from repro.fuzz.case import FuzzCase
 from repro.scenarios.spec import ScenarioSpec, SlaveSpec
 from repro.soc.devices import (
     DmaDescriptorRing,
     FirmwareUpdateIP,
     SecureBootSequencer,
 )
+from repro.soc.transaction import Step
 
 __all__ = ["SequenceGenerator"]
 
@@ -63,19 +64,19 @@ class SequenceGenerator:
             self.target_addresses.append(slave.base)
             if slave.size >= 8:
                 self.target_addresses.append(slave.base + (slave.size // 8) * 4)
-        self.templates: List[FuzzStep] = self._build_templates()
+        self.templates: List[Step] = self._build_templates()
 
     # -- template vocabulary ---------------------------------------------------------
 
-    def _build_templates(self) -> List[FuzzStep]:
+    def _build_templates(self) -> List[Step]:
         """Protocol-aware steps, master left as a placeholder (``""``)."""
-        steps: List[FuzzStep] = []
+        steps: List[Step] = []
 
         def write(address: int, value: int) -> None:
-            steps.append(FuzzStep("", "write", address, data=_word(value)))
+            steps.append(Step("", "write", address, data=_word(value)))
 
         def read(address: int) -> None:
-            steps.append(FuzzStep("", "read", address))
+            steps.append(Step("", "read", address))
 
         for slave in self.slaves:
             base = slave.base
@@ -118,9 +119,9 @@ class SequenceGenerator:
     def _random_master(self) -> str:
         return self.rng.choice(self.masters)
 
-    def _template_step(self) -> FuzzStep:
+    def _template_step(self) -> Step:
         template = self.rng.choice(self.templates)
-        return FuzzStep(
+        return Step(
             master=self._random_master(),
             op=template.op,
             address=template.address,
@@ -129,7 +130,7 @@ class SequenceGenerator:
             data=template.data,
         )
 
-    def _random_step(self) -> FuzzStep:
+    def _random_step(self) -> Step:
         slave = self.rng.choice(self.slaves)
         max_word = max(1, slave.size // 4)
         address = slave.base + 4 * self.rng.randrange(max_word)
@@ -138,9 +139,9 @@ class SequenceGenerator:
         data: Optional[bytes] = None
         if op == "write":
             data = _word(self.rng.choice(_MAGIC_WORDS))[:width]
-        return FuzzStep(self._random_master(), op, address, width=width, data=data)
+        return Step(self._random_master(), op, address, width=width, data=data)
 
-    def _draw_step(self) -> FuzzStep:
+    def _draw_step(self) -> Step:
         if self.templates and self.rng.random() < 0.7:
             return self._template_step()
         return self._random_step()
@@ -170,7 +171,7 @@ class SequenceGenerator:
             else:  # retarget: same access, different master
                 index = self.rng.randrange(len(steps))
                 old = steps[index]
-                steps[index] = FuzzStep(
+                steps[index] = Step(
                     self._random_master(), old.op, old.address,
                     width=old.width, burst_length=old.burst_length, data=old.data,
                 )

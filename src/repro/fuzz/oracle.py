@@ -34,10 +34,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.fuzz.case import FuzzCase, FuzzStep
+from repro.fuzz.case import FuzzCase
 from repro.scenarios.builder import ScenarioBuilder
 from repro.scenarios.spec import MasterSpec, ScenarioSpec, SlaveSpec
-from repro.soc.transaction import TransactionStatus
+from repro.soc.transaction import Step, TransactionStatus
 from repro.staticcheck.analyzer import route_witness, segment_paths, verify_spec
 from repro.staticcheck.findings import Witness
 
@@ -133,7 +133,7 @@ class BypassOracle:
             return True
         return op == "write" and slave.name in master.readonly
 
-    def _witness(self, master: str, slave: SlaveSpec, step: FuzzStep) -> Witness:
+    def _witness(self, master: str, slave: SlaveSpec, step: Step) -> Witness:
         return route_witness(
             self.spec.topology, self._paths, self.masters[master], slave, step.op,
             "reaches_silently", address=step.address, width=step.width,
@@ -160,8 +160,7 @@ class BypassOracle:
             if step.master not in self.masters:
                 continue
             leaks_before = {name: len(g.leaks) for name, g in guards.items()}
-            txn = step.to_transaction()
-            new_alerts = built.issue(step.master, txn)
+            txn, new_alerts = built.issue(step)
             result.steps_run += 1
             if txn.status.is_blocked:
                 result.blocked_steps += 1

@@ -39,8 +39,7 @@ def replay_case(spec: ScenarioSpec, case: FuzzCase) -> List[Dict[str, object]]:
         if step.master not in built.system.master_ports:
             steps.append({"status": "skipped", "alerts": 0})
             continue
-        txn = step.to_transaction()
-        alerts = built.issue(step.master, txn)
+        txn, alerts = built.issue(step)
         steps.append({"status": txn.status.value, "alerts": alerts})
     return steps
 

@@ -13,15 +13,16 @@ from __future__ import annotations
 
 from typing import Callable, Sequence, Tuple
 
-from repro.fuzz.case import FuzzCase, FuzzStep
+from repro.fuzz.case import FuzzCase
 from repro.fuzz.oracle import BypassOracle, Violation
+from repro.soc.transaction import Step
 
 __all__ = ["shrink_case"]
 
-Predicate = Callable[[Tuple[FuzzStep, ...]], bool]
+Predicate = Callable[[Tuple[Step, ...]], bool]
 
 
-def _ddmin(steps: Sequence[FuzzStep], predicate: Predicate) -> Tuple[FuzzStep, ...]:
+def _ddmin(steps: Sequence[Step], predicate: Predicate) -> Tuple[Step, ...]:
     current = tuple(steps)
     chunk = max(1, len(current) // 2)
     while len(current) > 1:
@@ -51,7 +52,7 @@ def shrink_case(
     """Minimize ``case`` while it still reproduces ``violation``'s identity."""
     identity = violation.identity
 
-    def predicate(steps: Tuple[FuzzStep, ...]) -> bool:
+    def predicate(steps: Tuple[Step, ...]) -> bool:
         replay = oracle.run(case.with_steps(steps))
         return any(v.identity == identity for v in replay.violations)
 

@@ -86,10 +86,6 @@ class LatencyModel:
             raise ValueError("clock frequency must be positive")
         self.clock_hz = clock_hz
 
-    def cycles_to_us(self, cycles: float) -> float:
-        """Convert cycles to microseconds at the bus clock."""
-        return cycles / self.clock_hz * 1e6
-
     def pipeline_throughput_mbps(self, bits_per_operation: int, cycles_per_operation: float) -> float:
         """Ideal streaming throughput of a module, in Mb/s.
 
@@ -160,11 +156,6 @@ class PlacementRow:
     firewalls: int
     evaluations: int
     cycles: int
-
-    @property
-    def mean_cycles(self) -> float:
-        """Average SB cycles charged per evaluation (12 when plumbed right)."""
-        return _safe_ratio(self.cycles, self.evaluations)
 
 
 def placement_split(security) -> List[PlacementRow]:

@@ -39,12 +39,6 @@ class WorkloadRunResult:
     communication_cycles: int
     computation_cycles: int
 
-    @property
-    def communication_share(self) -> float:
-        """Fraction of CPU time spent waiting on the bus."""
-        total = self.communication_cycles + self.computation_cycles
-        return self.communication_cycles / total if total else 0.0
-
 
 @dataclass
 class OverheadResult:

@@ -80,10 +80,6 @@ class ResourceVector:
     def as_dict(self) -> Dict[str, float]:
         return {name: getattr(self, name) for name in self.FIELDS}
 
-    def is_nonnegative(self) -> bool:
-        """All columns >= 0 (sanity invariant of the area model)."""
-        return all(getattr(self, name) >= 0 for name in self.FIELDS)
-
     @classmethod
     def total(cls, vectors: Iterable["ResourceVector"]) -> "ResourceVector":
         """Sum a collection of vectors."""

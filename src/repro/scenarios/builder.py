@@ -16,9 +16,8 @@ reconfigurations and instantiate the attack mix.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
-from repro.attacks.base import issue_sync
 from repro.attacks.chains import (
     BootRollbackChain,
     DescriptorHijackChain,
@@ -37,6 +36,7 @@ from repro.soc.ip import RegisterFileIP
 from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.system import SoCConfig, SoCSystem
+from repro.soc.transaction import BusTransaction, Step
 from repro.workloads.generators import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 from repro.scenarios.plan import SecurityPlan, build_plan
@@ -129,13 +129,13 @@ class BuiltScenario:
     def monitor(self):
         return self.security.monitor if self.security is not None else None
 
-    def issue(self, master: str, txn) -> int:
-        """Issue one transaction on ``master``'s port, run the simulator until
-        it completes and return how many alerts it raised."""
+    def issue(self, step: Step) -> Tuple[BusTransaction, int]:
+        """Issue ``step`` through :meth:`SoCSystem.issue`; returns its
+        transaction and how many alerts it raised."""
         monitor = self.monitor
         before = len(monitor.alerts) if monitor is not None else 0
-        issue_sync(self.system, master, txn)
-        return len(monitor.alerts) - before if monitor is not None else 0
+        txn = self.system.issue(step)
+        return txn, len(monitor.alerts) - before if monitor is not None else 0
 
     # -- workload ------------------------------------------------------------------
 
@@ -257,14 +257,17 @@ class ScenarioBuilder:
         config = SoCConfig()
         bram = topology.primary("bram")
         if bram is not None:
+            config.bram_name = bram.name
             config.bram_base = bram.base
             config.bram_size = bram.size
         ip = topology.primary("ip")
         if ip is not None:
+            config.ip_name = ip.name
             config.ip_regs_base = ip.base
             config.ip_n_registers = ip.n_registers
         ddr = topology.primary("ddr")
         if ddr is not None:
+            config.ddr_name = ddr.name
             config.ddr_base = ddr.base
             config.ddr_size = ddr.size
         return config

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 __all__ = ["AddressRegion", "AddressMap", "DecodeError"]
 
@@ -68,14 +68,6 @@ class AddressRegion:
         """Whether two regions share at least one byte."""
         return self.base < other.end and other.base < self.end
 
-    def offset_of(self, address: int) -> int:
-        """Offset of ``address`` from the region base."""
-        if not self.contains(address):
-            raise ValueError(
-                f"address {address:#010x} not inside region {self.name}"
-            )
-        return address - self.base
-
 
 class AddressMap:
     """Ordered collection of non-overlapping address regions."""
@@ -122,20 +114,6 @@ class AddressMap:
         """Convenience wrapper building and adding an :class:`AddressRegion`."""
         return self.add(AddressRegion(name=name, base=base, size=size, slave=slave, external=external))
 
-    def remove_region(self, name: str) -> AddressRegion:
-        """Unregister a region by name (e.g. before remapping it elsewhere).
-
-        Invalidates the decode memo so no stale answer can survive the
-        remapping.  Returns the removed region.
-        """
-        try:
-            region = self._by_name.pop(name)
-        except KeyError as exc:
-            raise KeyError(f"no region named {name!r}") from exc
-        self._regions.remove(region)
-        self._decode_cache.clear()
-        return region
-
     # -- lookup ---------------------------------------------------------------
 
     def decode(self, address: int, size: int = 1) -> AddressRegion:
@@ -158,27 +136,12 @@ class AddressMap:
                 return region
         raise DecodeError(address)
 
-    def try_decode(self, address: int, size: int = 1) -> Optional[AddressRegion]:
-        """Like :meth:`decode` but returns None instead of raising."""
-        try:
-            return self.decode(address, size)
-        except DecodeError:
-            return None
-
     def region(self, name: str) -> AddressRegion:
         """Look a region up by name."""
         try:
             return self._by_name[name]
         except KeyError as exc:
             raise KeyError(f"no region named {name!r}") from exc
-
-    def regions_of_slave(self, slave: str) -> List[AddressRegion]:
-        """All regions served by a given slave device."""
-        return [r for r in self._regions if r.slave == slave]
-
-    def external_regions(self) -> List[AddressRegion]:
-        """Regions marked as living outside the FPGA."""
-        return [r for r in self._regions if r.external]
 
     def __iter__(self) -> Iterator[AddressRegion]:
         return iter(self._regions)

@@ -261,10 +261,6 @@ class BusBridge(Component):
 
     # -- reporting ----------------------------------------------------------------------
 
-    def buffered_count(self) -> int:
-        """Entries (posted writes + ordered followers) awaiting forwarding."""
-        return len(self._buffer)
-
     def summary(self) -> dict:
         return {
             "name": self.name,

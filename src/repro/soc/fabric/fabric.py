@@ -77,9 +77,6 @@ class FabricMonitor:
     def count(self) -> int:
         return sum(monitor.count() for monitor in self._monitors())
 
-    def transactions_of(self, master: str) -> List[BusTransaction]:
-        return [t for t in self.history if t.master == master]
-
 
 class InterconnectFabric(Component):
     """Bus segments joined by bridges behind one wiring and monitoring API."""

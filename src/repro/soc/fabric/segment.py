@@ -60,9 +60,6 @@ class BusMonitor:
     def count(self) -> int:
         return len(self.history)
 
-    def transactions_of(self, master: str) -> List[BusTransaction]:
-        return [t for t in self.history if t.master == master]
-
 
 class BusSegment(Component):
     """A single shared bus connecting its master ports to its slave ports."""
@@ -142,8 +139,7 @@ class BusSegment(Component):
     def submit(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
         """Queue a transaction for arbitration (called by a master port)."""
         if txn.master not in self._waiting:
-            # An unregistered master (e.g. a raw attacker injector) still gets
-            # a queue so DoS experiments can flood the bus.
+            # Queues are created on a master's first submission.
             self._waiting[txn.master] = deque()
             self.arbiter.add_master(txn.master)
         self._waiting[txn.master].append((txn, reply))

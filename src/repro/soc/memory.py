@@ -150,10 +150,3 @@ class ExternalDDR(MemoryDevice):
             self._open_rows[bank] = row
             self.bump("row_misses")
         return latency + self.cycles_per_beat * max(0, txn.burst_length - 1)
-
-    def row_hit_rate(self) -> float:
-        """Fraction of accesses that hit an open row so far."""
-        hits = self.stats.get("row_hits", 0)
-        misses = self.stats.get("row_misses", 0)
-        total = hits + misses
-        return hits / total if total else 0.0

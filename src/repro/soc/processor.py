@@ -117,17 +117,6 @@ class ProcessorProgram:
     def __len__(self) -> int:
         return len(self.operations)
 
-    def memory_operation_count(self) -> int:
-        return sum(1 for op in self.operations if op.is_memory_access)
-
-    def compute_cycle_count(self) -> int:
-        return sum(op.compute_cycles for op in self.operations if not op.is_memory_access)
-
-    def bytes_transferred(self) -> int:
-        return sum(
-            op.width * op.burst_length for op in self.operations if op.is_memory_access
-        )
-
 
 class Processor(Component):
     """A bus master that executes a :class:`ProcessorProgram` sequentially.

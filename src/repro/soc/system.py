@@ -8,9 +8,9 @@ scenario spec onto a :class:`SoCSystem`.  The security layer of
 :mod:`repro.core` attaches firewalls to its ports afterwards, so the same
 build produces both the "w/o firewalls" baseline and the protected system.
 
-:class:`SoCConfig` mirrors the address geometry of the primary BRAM,
-dedicated IP and DDR, which attacks, workload generators and the
-centralized baseline address.  Its defaults, used for a topology without
+:class:`SoCConfig` mirrors the slave names and address geometry of the
+primary BRAM, dedicated IP and DDR, which attacks, workload generators and
+the centralized baseline address.  Its defaults, used for a topology without
 one of those slaves, are the paper's reference memory map:
 
 ========== ============ =========== ==========================
@@ -34,13 +34,14 @@ from repro.soc.kernel import Simulator
 from repro.soc.memory import BlockRAM, ExternalDDR
 from repro.soc.ports import MasterPort, SlavePort
 from repro.soc.processor import Processor, ProcessorProgram
+from repro.soc.transaction import BusOperation, BusTransaction, Step
 
 __all__ = ["SoCConfig", "SoCSystem"]
 
 
 @dataclass
 class SoCConfig:
-    """Address geometry of the primary BRAM, dedicated IP and DDR."""
+    """Slave names and address geometry of the primary BRAM, dedicated IP and DDR."""
 
     bram_base: int = 0x0000_0000
     bram_size: int = 128 * 1024
@@ -48,6 +49,9 @@ class SoCConfig:
     ip_n_registers: int = 64
     ddr_base: int = 0x9000_0000
     ddr_size: int = 16 * 1024 * 1024
+    bram_name: str = "bram"
+    ip_name: str = "ip0"
+    ddr_name: str = "ddr"
 
 
 class SoCSystem:
@@ -81,15 +85,18 @@ class SoCSystem:
 
     @property
     def bram(self) -> BlockRAM:
-        return self.memories["bram"]  # type: ignore[return-value]
+        """The primary BRAM (:attr:`SoCConfig.bram_name`)."""
+        return self.memories[self.config.bram_name]  # type: ignore[return-value]
 
     @property
     def ddr(self) -> ExternalDDR:
-        return self.memories["ddr"]  # type: ignore[return-value]
+        """The primary DDR (:attr:`SoCConfig.ddr_name`)."""
+        return self.memories[self.config.ddr_name]  # type: ignore[return-value]
 
     @property
     def register_ip(self) -> RegisterFileIP:
-        return self.ips["ip0"]  # type: ignore[return-value]
+        """The dedicated IP (:attr:`SoCConfig.ip_name`)."""
+        return self.ips[self.config.ip_name]  # type: ignore[return-value]
 
     def processor(self, index: int) -> Processor:
         """Processor ``cpu<index>``."""
@@ -148,6 +155,27 @@ class SoCSystem:
         """Start every processor, optionally staggering their start cycles."""
         for index, processor in enumerate(self.processors.values()):
             processor.start(delay=index * stagger)
+
+    def issue(self, step: Step, *, drain: bool = True) -> BusTransaction:
+        """Issue ``step`` as a fresh transaction on its master's port.
+
+        This is where every attack, chain step, fuzz step and verifier witness
+        meets the bus.  The simulator then runs until the transaction, and
+        everything it triggered, completes; ``drain=False`` leaves that to a
+        caller already inside the simulation (:func:`repro.attacks.base.issue_train`).
+        """
+        txn = BusTransaction(
+            step.master,
+            BusOperation.WRITE if step.op == "write" else BusOperation.READ,
+            step.address,
+            step.width,
+            step.burst_length,
+            step.data,
+        )
+        self.master_ports[step.master].issue(txn, lambda _t: None)
+        if drain:
+            self.sim.run()
+        return txn
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run the simulation; returns the final cycle count."""

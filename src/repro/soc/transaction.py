@@ -10,6 +10,11 @@ width (the paper's "Allowed Data Format" check), the burst length and the data
 payload.  It also accumulates a timing trace (issue, grant, completion cycle
 and per-stage latency contributions) that the metrics layer turns into the
 latency/overhead numbers of Table II and the communication-ratio ablation.
+
+A :class:`Step` is the same access as plain, immutable data: which master
+issues what.  Attacks, attack chains, fuzz cases and the verifier's witnesses
+are all step sequences, and :meth:`repro.soc.system.SoCSystem.issue` is the
+one place a step becomes a transaction on the bus.
 """
 
 from __future__ import annotations
@@ -17,9 +22,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
-__all__ = ["BusOperation", "TransactionStatus", "BusTransaction"]
+__all__ = ["BusOperation", "TransactionStatus", "BusTransaction", "Step"]
 
 _txn_ids = itertools.count()
 
@@ -209,4 +214,107 @@ class BusTransaction:
             f"txn#{self.txn_id} {self.master} {self.operation.value.upper()} "
             f"@{self.address:#010x} width={self.width} burst={self.burst_length} "
             f"status={self.status.value}"
+        )
+
+
+_OPS = ("read", "write")
+_WIDTHS = (1, 2, 4)
+#: Every field :meth:`Step.to_dict` writes, except the optional ``data`` and ``label``.
+_STEP_FIELDS = ("master", "op", "address", "width", "burst_length")
+
+
+def check_fields(
+    payload: object, what: str, required: Tuple[str, ...], optional: Tuple[str, ...] = ()
+) -> None:
+    """Refuse a payload that is not a JSON object of exactly these fields."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    unknown = sorted(set(payload) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"{what} has unknown field(s) {unknown}")
+    missing = [key for key in required if key not in payload]
+    if missing:
+        raise ValueError(f"{what} is missing field(s) {missing}")
+
+
+def typed_field(payload: Dict[str, Any], key: str, kind: type, what: str) -> Any:
+    """``payload[key]``, which must be exactly of ``kind`` (so neither a bool
+    nor a float nor a numeric string passes for an int)."""
+    value = payload[key]
+    if type(value) is not kind:
+        raise ValueError(f"{what} field {key!r} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+@dataclass(frozen=True)
+class Step:
+    """One access a master issues, as data: ``master`` reads or writes
+    ``width * burst_length`` bytes at ``address``.
+
+    ``label`` names the step in an attack chain's per-step records; an empty
+    label is left out of :meth:`to_dict`, so an unlabelled step serialises
+    as a fuzz-corpus step always has.
+    """
+
+    master: str
+    op: str  # "read" | "write"
+    address: int
+    width: int = 4
+    burst_length: int = 1
+    data: Optional[bytes] = None  # writes only
+    label: str = ""
+
+    def __post_init__(self) -> None:
+        if self.op not in _OPS:
+            raise ValueError(f"step op must be one of {_OPS}, got {self.op!r}")
+        if self.address < 0:
+            raise ValueError(f"step address must be non-negative, got {self.address!r}")
+        if self.width not in _WIDTHS:
+            raise ValueError(f"step width must be one of {_WIDTHS}, got {self.width!r}")
+        if self.burst_length < 1:
+            raise ValueError(f"step burst_length must be at least 1, got {self.burst_length!r}")
+        if self.op == "read":
+            if self.data is not None:
+                raise ValueError("step data is for writes only; a read carries none")
+        elif self.data is None:
+            raise ValueError("step data is required on a write")
+        elif len(self.data) != self.width * self.burst_length:
+            raise ValueError(
+                f"step data must be width x burst_length = {self.width * self.burst_length} "
+                f"bytes, got {len(self.data)}"
+            )
+
+    def to_dict(self) -> Dict[str, object]:
+        payload: Dict[str, object] = {
+            "master": self.master,
+            "op": self.op,
+            "address": self.address,
+            "width": self.width,
+            "burst_length": self.burst_length,
+        }
+        if self.data is not None:
+            payload["data"] = self.data.hex()
+        if self.label:
+            payload["label"] = self.label
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, Any]) -> "Step":
+        """The step :meth:`to_dict` wrote; any other payload raises."""
+        check_fields(payload, "step", _STEP_FIELDS, ("data", "label"))
+        data = None
+        if "data" in payload:
+            raw = typed_field(payload, "data", str, "step")
+            try:
+                data = bytes.fromhex(raw)
+            except ValueError:
+                raise ValueError(f"step field 'data' must be hex, got {raw!r}") from None
+        return cls(
+            master=typed_field(payload, "master", str, "step"),
+            op=typed_field(payload, "op", str, "step"),
+            address=typed_field(payload, "address", int, "step"),
+            width=typed_field(payload, "width", int, "step"),
+            burst_length=typed_field(payload, "burst_length", int, "step"),
+            data=data,
+            label=typed_field(payload, "label", str, "step") if "label" in payload else "",
         )

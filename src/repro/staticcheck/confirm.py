@@ -2,8 +2,10 @@
 
 The verifier is only trustworthy if the simulator agrees with it.  This
 module closes that loop: every
-:class:`~repro.staticcheck.findings.Witness` is one bus transaction, issued
-by its master on a freshly built protected platform, and
+:class:`~repro.staticcheck.findings.Witness` is one
+:class:`~repro.soc.transaction.Step` (a write carries the first ``width``
+bytes of ``PROBE_PAYLOAD``), issued by its master on a freshly built
+protected platform, and
 
 * a witness with ``expectation="reaches_silently"`` (an unguarded path)
   must **complete** against the protected platform with **zero** new
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
 from repro.scenarios.spec import ScenarioSpec
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+from repro.soc.transaction import Step, TransactionStatus
 from repro.staticcheck.analyzer import PROBE_PAYLOAD, verify_spec
 from repro.staticcheck.findings import VerificationReport, Witness
 
@@ -65,15 +67,13 @@ def confirm_witness(
     built = ScenarioBuilder(spec).build()
     if run_workload:
         built.run_workload()
-    write = witness.op == "write"
-    txn = BusTransaction(
-        master=witness.master,
-        operation=BusOperation.WRITE if write else BusOperation.READ,
-        address=witness.address,
+    txn, alerts = built.issue(Step(
+        witness.master,
+        witness.op,
+        witness.address,
         width=witness.width,
-        data=PROBE_PAYLOAD[: witness.width] if write else None,
-    )
-    alerts = built.issue(witness.master, txn)
+        data=PROBE_PAYLOAD[: witness.width] if witness.op == "write" else None,
+    ))
     reached = txn.status is TransactionStatus.COMPLETED
     if witness.expectation == "reaches_silently":
         confirmed = reached and alerts == 0

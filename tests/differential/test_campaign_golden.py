@@ -12,7 +12,7 @@ metadata fails here with the scenario named.
 
 After an intentional behaviour change, regenerate the file with::
 
-    PYTHONPATH=src python tests/differential/test_campaign_golden.py --write
+    PYTHONPATH=src python -m tests.golden --write campaign
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -68,6 +67,10 @@ def _golden_table() -> dict:
     }
 
 
+def golden_text() -> str:
+    return json.dumps(_golden_table(), indent=2, sort_keys=True) + "\n"
+
+
 def _load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
@@ -94,12 +97,3 @@ def test_golden_file_covers_the_registry():
     # The pins only guard the loop if most scenarios actually run a campaign.
     pinned = [name for name, by_seed in golden.items() if by_seed["0"]["plain"] is not None]
     assert len(pinned) >= len(ALL_SCENARIOS) - 2
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_campaign_golden.py --write")
-    GOLDEN_PATH.write_text(
-        json.dumps(_golden_table(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {GOLDEN_PATH}")

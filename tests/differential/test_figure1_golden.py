@@ -16,7 +16,7 @@ what that platform is and does, for 8 KiB/8 KiB and 1 KiB/1 KiB windows:
 
 After an intentional behaviour change, regenerate the file with::
 
-    PYTHONPATH=src python tests/differential/test_figure1_golden.py --write
+    PYTHONPATH=src python -m tests.golden --write figure1
 """
 
 from __future__ import annotations
@@ -24,12 +24,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import sys
 
 import pytest
-
-if __name__ == "__main__":  # run as a script: make ``tests.conftest`` importable
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
 from repro.attacks.runner import CampaignRunner
 from repro.baselines.centralized import CentralizedPlatform
@@ -152,6 +148,10 @@ def _golden_table() -> dict:
     return {str(window): _fingerprint(window) for window in WINDOWS}
 
 
+def golden_text() -> str:
+    return json.dumps(_golden_table(), indent=2, sort_keys=True) + "\n"
+
+
 def _load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
@@ -170,12 +170,3 @@ def test_figure1_platform_matches_golden(window):
 
 def test_golden_file_covers_both_windows():
     assert sorted(_load_golden()) == sorted(str(window) for window in WINDOWS)
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_figure1_golden.py --write")
-    GOLDEN_PATH.write_text(
-        json.dumps(_golden_table(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {GOLDEN_PATH}")

@@ -9,7 +9,7 @@ finding fails here with the scenario named.
 
 After an intentional behaviour change, regenerate the file with::
 
-    PYTHONPATH=src python tests/differential/test_fuzz_golden.py --write
+    PYTHONPATH=src python -m tests.golden --write fuzz
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -45,6 +44,11 @@ def _golden_entry(name: str) -> dict:
     }
 
 
+def golden_text() -> str:
+    table = {name: _golden_entry(name) for name in ALL_SCENARIOS}
+    return json.dumps(table, indent=2, sort_keys=True) + "\n"
+
+
 def _load_golden() -> dict:
     return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
 
@@ -61,11 +65,3 @@ def test_fuzz_report_matches_golden(name):
 
 def test_golden_file_covers_the_registry():
     assert sorted(_load_golden()) == sorted(ALL_SCENARIOS)
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_fuzz_golden.py --write")
-    table = {name: _golden_entry(name) for name in ALL_SCENARIOS}
-    GOLDEN_PATH.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {GOLDEN_PATH}")

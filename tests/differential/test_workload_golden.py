@@ -15,7 +15,7 @@ bus name (Figure 1's ``shared bus:`` line) and the sources of the
 
 After an intentional behaviour change, regenerate the file with::
 
-    PYTHONPATH=src python tests/differential/test_workload_golden.py --write
+    PYTHONPATH=src python -m tests.golden --write workload
 
 The rest of the file holds the other half of the old engine contract that
 still applies to the one engine: instrumentation observes a run without
@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -88,6 +87,10 @@ def _golden_table() -> dict:
         name: {label: _golden_entry(name, protected) for label, protected in VARIANTS}
         for name in ALL_SCENARIOS
     }
+
+
+def golden_text() -> str:
+    return json.dumps(_golden_table(), indent=2, sort_keys=True) + "\n"
 
 
 def _load_golden() -> dict:
@@ -199,12 +202,3 @@ def test_completion_hook_fires_once_without_perturbing_the_run():
     fingerprint, proc, calls = run(True)
     assert calls == [(proc.name, proc.finished_at)]
     assert not diff_fingerprints(plain, fingerprint)
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: test_workload_golden.py --write")
-    GOLDEN_PATH.write_text(
-        json.dumps(_golden_table(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"wrote {GOLDEN_PATH}")

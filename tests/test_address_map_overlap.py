@@ -3,13 +3,12 @@
 The verifier's ``overlapping-regions`` check assumes the runtime map itself
 refuses to register overlapping regions (so decode order can never silently
 decide which device serves shared bytes).  These tests pin that contract:
-overlap, full containment, duplicate names, and the remove + re-add
-remapping path the fabric uses.
+overlap, full containment and duplicate names.
 """
 
 import pytest
 
-from repro.soc.address_map import AddressMap, AddressRegion, DecodeError
+from repro.soc.address_map import AddressMap, AddressRegion
 
 
 @pytest.fixture
@@ -57,33 +56,6 @@ class TestOverlapRejection:
         amap.add_region("next", base=0x2000, size=0x100, slave="x")
         assert amap.decode(0x2000).name == "next"
         assert amap.decode(0x1FFF).name == "bram"
-
-
-class TestRemoveAndReAdd:
-    def test_remove_then_re_add_elsewhere(self, amap):
-        removed = amap.remove_region("bram")
-        assert removed.base == 0x0
-        # The freed range is decodable by a new tenant...
-        amap.add_region("claimed", base=0x0, size=0x2000, slave="y")
-        # ...and the old name can come back at a new base.
-        amap.add_region("bram", base=0x1000_0000, size=0x2000, slave="bram")
-        assert amap.decode(0x0).name == "claimed"
-        assert amap.decode(0x1000_0000).name == "bram"
-
-    def test_remove_invalidates_decode_cache(self, amap):
-        assert amap.decode(0x100).name == "bram"  # warm the memo
-        amap.remove_region("bram")
-        with pytest.raises(DecodeError):
-            amap.decode(0x100)
-
-    def test_remove_unknown_name_raises(self, amap):
-        with pytest.raises(KeyError, match="no region named"):
-            amap.remove_region("ghost")
-
-    def test_span_tracks_membership(self, amap):
-        assert amap.span() == (0x0, 0x9000_4000)
-        amap.remove_region("ddr")
-        assert amap.span() == (0x0, 0x2000)
 
 
 def test_region_overlap_predicate_is_symmetric():

@@ -1,4 +1,8 @@
-"""Cross-scenario comparison tables: golden rendering + real-result smoke."""
+"""Cross-scenario comparison tables: golden rendering + real-result smoke.
+
+``tests/golden/comparison_report.txt`` pins the report over :data:`ENTRIES`;
+regenerate it with ``PYTHONPATH=src python -m tests.golden --write comparison_report``.
+"""
 
 from __future__ import annotations
 
@@ -93,10 +97,14 @@ class TestRows:
         assert "(no data)" in render_detection([])
 
 
+def golden_text() -> str:
+    return comparison_report(ENTRIES) + "\n"
+
+
 class TestGolden:
     def test_comparison_report_matches_golden_file(self):
         golden = (GOLDEN_DIR / "comparison_report.txt").read_text(encoding="utf-8")
-        assert comparison_report(ENTRIES) + "\n" == golden
+        assert golden_text() == golden
 
 
 class TestRealResults:

@@ -103,7 +103,7 @@ class TestJsonlRoundTrip:
         # Same run, same event count (txn ids come from a process-wide counter).
         assert len(path.read_text().splitlines()) == len(before) == reopened.events_written
 
-    def test_stream_sink_line_flush_opt_in(self):
+    def test_stream_sink_flushes_only_when_asked(self):
         import io
 
         class CountingFlush(io.StringIO):
@@ -114,9 +114,12 @@ class TestJsonlRoundTrip:
                 return super().flush()
 
         stream = CountingFlush()
-        sink = JsonlTraceSink(stream, line_flush=True)
+        sink = JsonlTraceSink(stream)
         Experiment.from_scenario("minimal_1x1").with_sink(sink).no_attacks().run()
-        assert CountingFlush.flushes >= sink.events_written > 0
+        assert CountingFlush.flushes < sink.events_written  # not once per line
+        flushes = CountingFlush.flushes
+        sink.close()
+        assert CountingFlush.flushes == flushes + 1 and not stream.closed
 
     def test_trace_to_existing_stream(self):
         import io

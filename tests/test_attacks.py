@@ -3,10 +3,11 @@
 import pytest
 
 from repro.attacks import (
+    Attack,
     AttackOutcome,
     AttackResult,
-    AttackerMaster,
     CampaignRunner,
+    CrossSegmentProbe,
     DoSFloodAttack,
     ExfiltrationAttack,
     HijackedIPAttack,
@@ -15,7 +16,9 @@ from repro.attacks import (
     SensitiveRegisterProbe,
     SpoofingAttack,
 )
-from repro.scenarios import platform_factory_for
+from repro.attacks.base import issue_train
+from repro.scenarios import AttackSpec, instantiate_attacks, platform_factory_for
+from repro.soc.transaction import Step, TransactionStatus
 
 from tests.conftest import build_figure1, figure1_spec
 
@@ -41,30 +44,54 @@ class TestAttackResult:
         assert "spoofing" in text and "blocked" in text and "99" in text
 
 
-class TestAttackerMaster:
-    def test_injector_with_new_port(self, plain_platform):
+class TestIssue:
+    def test_issue_runs_one_step_to_completion(self, plain_platform):
         system = plain_platform
-        attacker = AttackerMaster.with_new_port(system.sim, system.bus, "attacker")
         system.bram.poke(0x40, b"\x01\x02\x03\x04")
-        attacker.inject_read(0x40)
-        system.run()
-        assert attacker.success_count() == 1
-        assert attacker.leaked_data() == [b"\x01\x02\x03\x04"]
-
-    def test_injector_write(self, plain_platform):
-        system = plain_platform
-        attacker = AttackerMaster.with_new_port(system.sim, system.bus)
-        attacker.inject_write(0x80, b"\xde\xad\xbe\xef")
-        system.run()
+        txn = system.issue(Step("cpu0", "read", 0x40))
+        assert txn.status is TransactionStatus.COMPLETED
+        assert txn.data == b"\x01\x02\x03\x04"
+        system.issue(Step("cpu1", "write", 0x80, data=b"\xde\xad\xbe\xef"))
         assert system.bram.peek(0x80, 4) == b"\xde\xad\xbe\xef"
 
-    def test_flood_schedules_requests(self, plain_platform):
+    def test_issue_train_fires_one_step_per_interval(self, plain_platform):
         system = plain_platform
-        attacker = AttackerMaster.with_new_port(system.sim, system.bus)
-        attacker.flood(0x0, count=20, interval=2)
-        system.run()
-        assert attacker.stats["injected"] == 20
-        assert attacker.success_count() == 20
+        events_before = system.sim.events_processed
+        txns = issue_train(system, [Step("cpu0", "read", 0x0)] * 20, interval=2)
+        assert [txn.issued_at for txn in txns] == [2 * index for index in range(20)]
+        assert all(txn.status is TransactionStatus.COMPLETED for txn in txns)
+        assert len({txn.txn_id for txn in txns}) == 20
+        assert system.sim.events_processed > events_before
+
+
+class _ProbeTwice(Attack):
+    """Two reads cpu2 may not make: both are blocked and alerted."""
+
+    name = "probe_twice"
+    goal = "read the dedicated IP twice"
+
+    def attempt(self, system, security):
+        base = system.config.ip_regs_base
+        first = system.issue(Step("cpu2", "read", base))
+        second = system.issue(Step("cpu2", "read", base + 4))
+        return False, True, f"{first.status.value}/{second.status.value}", {"n": 2}
+
+
+class TestAttackScoring:
+    def test_run_counts_every_alert_raised_during_the_attempt(self, platform_factory):
+        system, security = platform_factory(protected=True)
+        system.issue(Step("cpu2", "read", system.config.ip_regs_base + 8))  # not the attack's
+        before = len(security.monitor.alerts)
+        result = _ProbeTwice().run(system, security)
+        raised = security.monitor.alerts[before:]
+        assert result.alerts == len(raised) >= 2 and result.detected
+        assert result.detection_cycle == min(alert.cycle for alert in raised)
+        assert result.detail == "blocked_at_master/blocked_at_master"
+        assert result.extra == {"n": 2} and result.contained_at_interface
+
+    def test_run_without_security_reports_no_alerts(self, plain_platform):
+        result = _ProbeTwice().run(plain_platform, None)
+        assert result.alerts == 0 and not result.detected and result.detection_cycle is None
 
 
 class TestMemoryAttacks:
@@ -114,6 +141,18 @@ class TestHijackAttacks:
         result = SensitiveRegisterProbe().run(system, None)
         assert result.achieved_goal and not result.detected
 
+    def test_cross_segment_probe_is_a_renamed_register_probe(self, platform_factory):
+        probe = CrossSegmentProbe()
+        assert isinstance(probe, SensitiveRegisterProbe)
+        assert probe.name == "cross_segment_probe" != SensitiveRegisterProbe.name
+        assert (probe.hijacked_master, probe.register_index, probe.secret_value) == (
+            "dma", 0, 0x5EC2_E755
+        )
+        system, security = platform_factory(protected=True)
+        result = probe.run(system, security)
+        assert result.detail == "probe status blocked_at_master"
+        assert result.extra["blocked_at_bridge"] is False
+
     def test_malformed_write_blocked(self, platform_factory):
         system, security = platform_factory(protected=True)
         result = HijackedIPAttack().run(system, security)
@@ -155,6 +194,13 @@ class TestDoSAttack:
             DoSFloodAttack(n_requests=0)
         with pytest.raises(ValueError):
             DoSFloodAttack(success_fraction=0.0)
+
+    def test_negative_interval_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="interval"):
+            DoSFloodAttack(interval=-1)
+        spec = figure1_spec(attacks=(AttackSpec("dos_flood", {"interval": -1}),))
+        with pytest.raises(ValueError, match="interval"):
+            instantiate_attacks(spec)
 
 
 class TestCampaign:

@@ -80,12 +80,42 @@ class TestCampaignRunner:
             CampaignRunner.from_spec(spec)
 
 
+def _renamed_primaries(spec, names):
+    """``spec`` with its slaves renamed per ``names`` (old -> new), and every
+    master's access lists following them."""
+
+    def rename(slaves):
+        return None if slaves is None else tuple(names.get(name, name) for name in slaves)
+
+    topology = replace(
+        spec.topology,
+        masters=tuple(
+            replace(m, accessible=rename(m.accessible), readonly=rename(m.readonly))
+            for m in spec.topology.masters
+        ),
+        slaves=tuple(replace(s, name=names.get(s.name, s.name)) for s in spec.topology.slaves),
+    )
+    return replace(spec, name=f"{spec.name}_renamed", topology=topology)
+
+
 class TestScenarioCampaigns:
     def test_from_spec_runs_the_scenario_mix(self):
         report = CampaignRunner.from_spec(get_scenario("paper_baseline")).run()
         assert report.metrics["scenario"] == "paper_baseline"
         assert report.n_attacks == 7
         assert report.n_detected == 7
+
+    def test_campaign_does_not_depend_on_the_primary_devices_names(self):
+        """Attacks find the dedicated IP and the DDR through ``system.config``,
+        whatever the scenario calls them."""
+        spec = get_scenario("paper_baseline")
+        renamed = _renamed_primaries(spec, {"ip0": "regs", "ddr": "ext"})
+        assert {s.name for s in renamed.topology.slaves} == {"bram", "regs", "ext"}
+        want = CampaignRunner.from_spec(spec).run()
+        got = CampaignRunner.from_spec(renamed).run()
+        assert got.summary() == want.summary()
+        assert got.as_table_rows() == want.as_table_rows()
+        assert got.monitor_totals == want.monitor_totals
 
 
 def test_shard_seeds_are_deterministic_and_distinct():

@@ -287,19 +287,6 @@ class TestIntegrity:
         assert response.allowed
         assert txn.data == bytes(16)
 
-    def test_provisioning_existing_contents(self):
-        _, ddr, lcf = build_lcf()
-        ddr.poke(DDR_BASE, b"preloaded-image!" * 2)
-        initialised = lcf.protect_existing_contents()
-        assert initialised == len(lcf.protected_regions[0].versions) + len(
-            lcf.protected_regions[1].versions
-        )
-        # After provisioning the raw memory is ciphertext but reads still work.
-        assert ddr.peek(DDR_BASE, 16) != b"preloaded-image!"
-        txn, response = do_read(ddr, lcf, DDR_BASE, 16)
-        assert response.allowed
-        assert txn.data == b"preloaded-image!"
-
 
 class TestLatencyAccounting:
     def test_write_charges_sb_cc_and_ic(self):

@@ -59,7 +59,7 @@ class TestSecurityPolicyManager:
         assert not firewall.quarantined
         monitor.raise_alert(alert(cycle=3))
         assert firewall.quarantined
-        assert manager.violations_of("cpu0") == 3
+        assert manager.summary()["violations_by_master"] == {"cpu0": 3}
         assert any(event.kind == "quarantine" for event in manager.reactions)
 
     def test_release_quarantine(self):
@@ -150,7 +150,6 @@ class TestSecurePlatform:
         assert set(security.master_firewalls) == {"cpu0", "cpu1", "cpu2", "dma"}
         assert set(security.slave_firewalls) == {"bram", "ip0"}
         assert isinstance(security.ciphering_firewall, LocalCipheringFirewall)
-        assert security.local_firewall_count() == 6
         assert len(security.all_firewalls) == 7
 
     def test_ports_carry_the_filters(self, secured):

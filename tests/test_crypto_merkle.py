@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.merkle import IntegrityViolation, MerkleTree
+from repro.crypto.merkle import MerkleTree
 
 
 BLOCK = 16
@@ -39,11 +39,6 @@ class TestConstruction:
         tree = make_tree()
         for index in range(tree.n_blocks):
             assert tree.verify(index, bytes(BLOCK))
-
-    def test_node_count(self):
-        tree = make_tree(8)
-        # 8 leaves + 4 + 2 + 1 = 15 nodes.
-        assert tree.node_count() == 15
 
 
 def folded_zero_root(n_leaves, block_size):
@@ -117,14 +112,6 @@ class TestUpdateAndVerify:
         tree.update(4, b"stay" + bytes(BLOCK - 4))
         # The content of block 0 presented as block 4 must not verify.
         assert not tree.verify(4, payload)
-
-    def test_verify_or_raise(self):
-        tree = make_tree()
-        tree.update(0, b"D" * BLOCK)
-        tree.verify_or_raise(0, b"D" * BLOCK)
-        with pytest.raises(IntegrityViolation) as excinfo:
-            tree.verify_or_raise(0, b"E" * BLOCK)
-        assert excinfo.value.block_index == 0
 
     def test_versions_increment_per_block(self):
         tree = make_tree()

@@ -155,7 +155,7 @@ class TestPostedWrites:
         bridge = fabric.bridges["br0"]
         assert bridge.stats["posted_writes"] == 1
         assert bridge.stats["posted_completed"] == 1
-        assert bridge.buffered_count() == 0
+        assert not bridge._buffer
 
     def test_full_buffer_falls_back_to_non_posted(self):
         # A slow bridge (forward_latency=10) with a 1-deep buffer: the head
@@ -357,8 +357,8 @@ class TestFabricScenarios:
         assert rows["bridge"].evaluations > 0
         # Cross-segment traffic exists, so bridge SBs charged the 12-cycle
         # Table-II latency per evaluation, same as the leaves.
-        assert rows["bridge"].mean_cycles == pytest.approx(12.0)
-        assert rows["leaf_master"].mean_cycles == pytest.approx(12.0)
+        for placement in ("bridge", "leaf_master"):
+            assert rows[placement].cycles == 12 * rows[placement].evaluations
 
     def test_aggregate_hop_latency_splits_segments_and_bridges(self):
         built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(False)
@@ -432,13 +432,11 @@ class TestFabricIntrospection:
         with pytest.raises(RuntimeError, match="no segments"):
             empty.segment()
 
-    def test_fabric_monitor_transactions_of(self):
+    def test_fabric_monitor_observes_every_hop(self):
         sim, fabric, _, port = build_chain_fabric(n_segments=2)
         read = BusTransaction(master="cpu0", operation=BusOperation.READ, address=0x1000)
         issue_and_run(sim, port, read)
-        observed = fabric.monitor.transactions_of("cpu0")
-        assert len(observed) == 2  # one hop observation per segment
-        assert fabric.monitor.transactions_of("ghost") == []
+        assert fabric.monitor.history == [read, read]  # one hop observation per segment
         assert fabric.monitor.per_master == {"cpu0": 2}
 
     def test_bridge_parameter_validation(self):
@@ -469,14 +467,14 @@ class TestFabricIntrospection:
 
 
 class TestCrossSegmentAttackSurface:
-    def test_attacker_master_can_inject_on_a_chosen_segment(self):
-        from repro.attacks.injector import AttackerMaster
-
+    def test_a_master_port_can_inject_on_a_chosen_segment(self):
         sim, fabric, memories, _ = build_chain_fabric(n_segments=2)
-        attacker = AttackerMaster.with_new_port(sim, fabric, segment="seg1")
-        attacker.inject_read(0x1000)
+        port = MasterPort(sim, "attacker_port")
+        fabric.connect_master(port, segment="seg1")
+        done = []
+        port.issue(BusTransaction("attacker", BusOperation.READ, 0x1000), done.append)
         sim.run()
-        assert attacker.success_count() == 1
+        assert [txn.status for txn in done] == [TransactionStatus.COMPLETED]
         # The injection point lives on seg1: its local access never touches seg0.
         assert fabric.segments["seg1"].monitor.per_master.get("attacker") == 1
         assert "attacker" not in fabric.segments["seg0"].monitor.per_master

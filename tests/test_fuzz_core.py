@@ -12,7 +12,6 @@ from repro.fuzz import (
     BypassOracle,
     Corpus,
     FuzzCase,
-    FuzzStep,
     SequenceGenerator,
     export_cases,
     fuzz_scenario,
@@ -22,6 +21,7 @@ from repro.fuzz import (
     shrink_case,
 )
 from repro.scenarios import get_scenario
+from repro.soc.transaction import Step
 from repro.sweep.store import ResultStore
 
 SPEC = planted_backdoor_spec()
@@ -35,8 +35,8 @@ def _case() -> FuzzCase:
         scenario="planted_backdoor",
         seed=3,
         steps=(
-            FuzzStep("cpu0", "write", 0x4200_0008, data=b"\x01\x00\xb6\xde"),
-            FuzzStep("cpu0", "read", 0x4200_0010),
+            Step("cpu0", "write", 0x4200_0008, data=b"\x01\x00\xb6\xde"),
+            Step("cpu0", "read", 0x4200_0010),
         ),
     )
 
@@ -48,6 +48,15 @@ def test_case_round_trips_through_dict():
     assert clone.digest() == case.digest()
 
 
+def test_step_label_is_optional_in_the_payload():
+    plain = Step("cpu0", "read", 0x10)
+    assert "label" not in plain.to_dict()
+    labelled = Step("cpu0", "read", 0x10, label="probe")
+    assert labelled.to_dict() == {**plain.to_dict(), "label": "probe"}
+    assert Step.from_dict(labelled.to_dict()) == labelled
+    assert Step.from_dict(plain.to_dict()) == plain
+
+
 def test_case_digest_tracks_steps_not_seed():
     case = _case()
     assert FuzzCase.from_dict({**case.to_dict(), "seed": 99}).digest() == case.digest()
@@ -57,23 +66,28 @@ def test_case_digest_tracks_steps_not_seed():
 
 def test_steps_validate_op_and_write_data():
     with pytest.raises(ValueError):
-        FuzzStep("cpu0", "erase", 0x0)
+        Step("cpu0", "erase", 0x0)
     with pytest.raises(ValueError):
-        FuzzStep("cpu0", "write", 0x0)  # no data
+        Step("cpu0", "write", 0x0)  # no data
 
 
 def test_steps_validate_width_burst_and_data_length():
     with pytest.raises(ValueError, match="width"):
-        FuzzStep("cpu0", "read", 0x0, width=3)
+        Step("cpu0", "read", 0x0, width=3)
     with pytest.raises(ValueError, match="burst_length"):
-        FuzzStep("cpu0", "read", 0x0, burst_length=0)
+        Step("cpu0", "read", 0x0, burst_length=0)
     with pytest.raises(ValueError, match="data is for writes only"):
-        FuzzStep("cpu0", "read", 0x0, data=bytes(4))
+        Step("cpu0", "read", 0x0, data=bytes(4))
     with pytest.raises(ValueError, match="data must be width x burst_length = 4 bytes, got 3"):
-        FuzzStep("cpu0", "write", 0x0, data=bytes(3))
+        Step("cpu0", "write", 0x0, data=bytes(3))
     with pytest.raises(ValueError, match="data must be"):
-        FuzzStep("cpu0", "write", 0x0, width=2, burst_length=2, data=bytes(2))
-    assert FuzzStep("cpu0", "write", 0x0, width=2, burst_length=2, data=bytes(4)).to_transaction()
+        Step("cpu0", "write", 0x0, width=2, burst_length=2, data=bytes(2))
+    assert Step("cpu0", "write", 0x0, width=2, burst_length=2, data=bytes(4)).data == bytes(4)
+
+
+def test_steps_refuse_a_negative_address():
+    with pytest.raises(ValueError, match="address must be non-negative, got -4"):
+        Step("cpu0", "read", -4)
 
 
 # In the edits below, a None value drops the field from the payload.
@@ -86,12 +100,14 @@ def test_steps_validate_width_burst_and_data_length():
     ({"master": 0}, "master"),
     ({"data": "zz"}, "data"),
     ({"data": "00000000"}, "data"),  # data on a read
+    ({"address": -4}, "address"),
+    ({"label": 7}, "label"),
 ])
 def test_step_from_dict_rejects_malformed_fields(edit, field):
-    payload = {**FuzzStep("cpu0", "read", 0x10).to_dict(), **edit}
+    payload = {**Step("cpu0", "read", 0x10).to_dict(), **edit}
     payload = {key: value for key, value in payload.items() if value is not None}
     with pytest.raises(ValueError, match=field):
-        FuzzStep.from_dict(payload)
+        Step.from_dict(payload)
 
 
 @pytest.mark.parametrize("edit, field", [
@@ -147,17 +163,17 @@ def test_generated_steps_stay_inside_the_address_map():
 def leak_violation():
     oracle = BypassOracle(SPEC)
     boot = SPEC.topology.slave("boot0")
-    noise = FuzzStep("cpu1", "read", 0x0)
+    noise = Step("cpu1", "read", 0x0)
     case = FuzzCase(
         scenario=SPEC.name,
         seed=0,
         steps=(
             noise,
-            FuzzStep("cpu0", "write", boot.base + 0x8, data=b"\x01\x00\xb6\xde"),
+            Step("cpu0", "write", boot.base + 0x8, data=b"\x01\x00\xb6\xde"),
             noise,
-            FuzzStep("cpu0", "write", boot.base + 0x0, data=b"\x00" * 4),
+            Step("cpu0", "write", boot.base + 0x0, data=b"\x00" * 4),
             noise,
-            FuzzStep("cpu0", "read", boot.base + 0x10),
+            Step("cpu0", "read", boot.base + 0x10),
             noise,
         ),
     )
@@ -181,8 +197,8 @@ def test_oracle_is_clean_on_the_honest_protocol():
         scenario=SPEC.name,
         seed=0,
         steps=(
-            FuzzStep("cpu0", "write", boot.base, data=b"\x03\x00\x00\x00"),  # advance
-            FuzzStep("cpu0", "read", boot.base + 0x10),  # keys are wiped: no leak
+            Step("cpu0", "write", boot.base, data=b"\x03\x00\x00\x00"),  # advance
+            Step("cpu0", "read", boot.base + 0x10),  # keys are wiped: no leak
         ),
     ))
     assert result.clean

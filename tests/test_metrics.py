@@ -52,10 +52,6 @@ class TestResourceVector:
         total = ResourceVector.total([ResourceVector(1, 1, 1, 1)] * 3)
         assert total.slice_registers == 3
 
-    def test_is_nonnegative(self):
-        assert ResourceVector(0, 0, 0, 0).is_nonnegative()
-        assert not ResourceVector(-1, 0, 0, 0).is_nonnegative()
-
 
 class TestAreaModel:
     def test_reference_configuration_reproduces_paper_totals_exactly(self):
@@ -101,7 +97,8 @@ class TestAreaModel:
         assert without_ic.slice_registers < with_ic.slice_registers
 
     def test_integration_overhead_is_nonnegative(self):
-        assert AreaModel().integration_overhead_per_firewall.is_nonnegative()
+        overhead = AreaModel().integration_overhead_per_firewall
+        assert all(value >= 0 for value in overhead.as_dict().values())
 
     def test_platform_area_from_secured(self, secured):
         _, security = secured
@@ -127,7 +124,7 @@ class TestAreaModel:
         area = model.platform_with_firewalls(
             n_local_firewalls=n_firewalls, rules_per_local_firewall=n_rules
         )
-        assert area.is_nonnegative()
+        assert all(value >= 0 for value in area.as_dict().values())
         more = model.platform_with_firewalls(
             n_local_firewalls=n_firewalls + 1, rules_per_local_firewall=n_rules
         )
@@ -135,10 +132,6 @@ class TestAreaModel:
 
 
 class TestLatencyModel:
-    def test_cycles_to_us(self):
-        model = LatencyModel(clock_hz=100e6)
-        assert model.cycles_to_us(100) == pytest.approx(1.0)
-
     def test_pipeline_throughput(self):
         model = LatencyModel(clock_hz=100e6)
         # 128 bits every 11 cycles at 100 MHz.
@@ -201,7 +194,7 @@ class TestExecutionOverhead:
         assert result.makespan_cycles > 0
         assert result.total_transactions > 0
         assert result.blocked_transactions == 0
-        assert 0.0 < result.communication_share < 1.0
+        assert result.communication_cycles > 0 and result.computation_cycles > 0
 
     def test_protection_adds_overhead(self):
         programs = self.make_programs(external_share=0.3)

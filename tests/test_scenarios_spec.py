@@ -248,7 +248,7 @@ class TestBuilder:
 
     def test_builds_from_one_builder_share_no_mutable_state(self):
         from repro.core.policy import ReadWriteAccess
-        from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+        from repro.soc.transaction import Step, TransactionStatus
 
         builder = ScenarioBuilder(get_scenario("paper_baseline"))
         first, second = builder.build(), builder.build()
@@ -267,9 +267,7 @@ class TestBuilder:
         # A protected write updates the first platform's hash tree, and a
         # policy rewrite changes one of its Configuration Memories.
         region = next(r for r in first.security.ciphering_firewall.protected_regions if r.tree)
-        txn = BusTransaction(master="cpu0", operation=BusOperation.WRITE,
-                             address=region.rule.base, width=4, data=b"\x5a" * 4)
-        first.issue("cpu0", txn)
+        txn, _ = first.issue(Step("cpu0", "write", region.rule.base, data=b"\x5a" * 4))
         assert txn.status is TransactionStatus.COMPLETED
         rule = first.security.master_firewalls["cpu0"].config_memory.rules[0]
         first.security.manager.reconfigure_policy(

@@ -165,7 +165,7 @@ class TestBusRouting:
         issue_and_run(sim, port, BusTransaction(master="cpu", operation=BusOperation.READ, address=0x0))
         assert bus.monitor.per_master == {"cpu": 1}
         assert bus.monitor.per_slave == {"mem": 1}
-        assert len(bus.monitor.transactions_of("cpu")) == 1
+        assert [txn.master for txn in bus.monitor.history] == ["cpu"]
 
     def test_burst_transfer_cycles(self):
         sim, _, _, port, _ = build_single_master_platform()
@@ -263,30 +263,6 @@ class TestDecodeCacheLRU:
         assert amap.decode(0x1010).slave == "new"
         # The memo was dropped on add; the old answer is recomputed, not stale.
         assert amap.decode(0x10).slave == "old"
-
-    def test_remapping_a_region_invalidates_stale_answers(self):
-        amap = AddressMap()
-        amap.add_region("window", 0x0, 0x1000, slave="first_owner")
-        assert amap.decode(0x20).slave == "first_owner"  # memoised
-        removed = amap.remove_region("window")
-        assert removed.slave == "first_owner"
-        amap.add_region("window", 0x0, 0x1000, slave="second_owner")
-        # A stale memo would still answer "first_owner" here.
-        assert amap.decode(0x20).slave == "second_owner"
-        assert "window" in amap and len(amap) == 1
-
-    def test_remove_unknown_region_raises(self):
-        amap = self._map_with_regions()
-        with pytest.raises(KeyError, match="ghost"):
-            amap.remove_region("ghost")
-
-    def test_removed_region_no_longer_decodes(self):
-        amap = self._map_with_regions(2)
-        amap.decode(0x1000)
-        amap.remove_region("r1")
-        from repro.soc.address_map import DecodeError
-        with pytest.raises(DecodeError):
-            amap.decode(0x1000)
 
     def test_eviction_is_lru_not_wholesale(self, monkeypatch):
         amap = self._map_with_regions(1)

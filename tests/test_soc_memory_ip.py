@@ -68,7 +68,6 @@ class TestExternalDDR:
         assert first == 30  # cold row
         assert second == 10  # open-row hit
         assert ddr.stats["row_misses"] == 1 and ddr.stats["row_hits"] == 1
-        assert 0 < ddr.row_hit_rate() < 1
 
     def test_different_rows_same_bank_miss(self):
         ddr = self.make()
@@ -81,9 +80,6 @@ class TestExternalDDR:
         ddr.access(write_txn(0x9000_0100, b"\xde\xad\xbe\xef"))
         _, data = ddr.access(read_txn(0x9000_0100))
         assert data == b"\xde\xad\xbe\xef"
-
-    def test_row_hit_rate_empty(self):
-        assert self.make().row_hit_rate() == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -45,9 +45,9 @@ class TestProcessorProgram:
     def test_counts(self):
         program = self.build()
         assert len(program) == 4
-        assert program.memory_operation_count() == 2
-        assert program.compute_cycle_count() == 15
-        assert program.bytes_transferred() == 8
+        memory = [op for op in program.operations if op.is_memory_access]
+        assert len(memory) == 2
+        assert sum(op.width * op.burst_length for op in memory) == 8
 
     def test_append_extend_chaining(self):
         program = ProcessorProgram()

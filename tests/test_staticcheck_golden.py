@@ -3,12 +3,11 @@
 
 After an intentional change to the verifier, regenerate both goldens with::
 
-    PYTHONPATH=src python -m tests.test_staticcheck_golden --write
+    PYTHONPATH=src python -m tests.golden --write verify_findings verify_coverage
 """
 
 import json
 import pathlib
-import sys
 
 import pytest
 
@@ -45,6 +44,14 @@ def _dump_coverage(table):
         body = "".join(f"\n    {json.dumps(row)}," for row in rows).rstrip(",")
         entries.append(f"  {json.dumps(name)}: [{body}\n  ]" if rows else f"  {json.dumps(name)}: []")
     return "{\n" + ",\n".join(entries) + "\n}\n"
+
+
+def findings_text():
+    return json.dumps({name: _findings(name) for name in list_scenarios()}, indent=2) + "\n"
+
+
+def coverage_text():
+    return _dump_coverage({name: _coverage(name) for name in list_scenarios()})
 
 
 def test_findings_match_golden_file():
@@ -123,17 +130,3 @@ def test_catalog_verified_column_matches_analyzer():
 
 def test_catalog_page_in_sync(capsys):
     assert main(["catalog", "--check"]) == 0
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python -m tests.test_staticcheck_golden --write")
-    names = list_scenarios()
-    GOLDEN_PATH.write_text(
-        json.dumps({name: _findings(name) for name in names}, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    COVERAGE_PATH.write_text(
-        _dump_coverage({name: _coverage(name) for name in names}), encoding="utf-8"
-    )
-    print(f"wrote {GOLDEN_PATH} and {COVERAGE_PATH}")

@@ -19,6 +19,10 @@ from repro.workloads.patterns import (
 )
 
 
+def _memory_operations(program) -> int:
+    return sum(1 for op in program.operations if op.is_memory_access)
+
+
 class TestSyntheticGenerator:
     def test_determinism(self):
         generator = SyntheticWorkloadGenerator()
@@ -32,7 +36,7 @@ class TestSyntheticGenerator:
         generator = SyntheticWorkloadGenerator()
         cfg = SyntheticWorkloadConfig(n_operations=2000, communication_ratio=0.3, seed=2)
         program = generator.generate(cfg)
-        ratio = program.memory_operation_count() / len(program)
+        ratio = _memory_operations(program) / len(program)
         assert 0.25 < ratio < 0.35
 
     def test_extreme_ratios(self):
@@ -40,11 +44,11 @@ class TestSyntheticGenerator:
         all_compute = generator.generate(
             SyntheticWorkloadConfig(n_operations=50, communication_ratio=0.0)
         )
-        assert all_compute.memory_operation_count() == 0
+        assert _memory_operations(all_compute) == 0
         all_memory = generator.generate(
             SyntheticWorkloadConfig(n_operations=50, communication_ratio=1.0)
         )
-        assert all_memory.memory_operation_count() == 50
+        assert _memory_operations(all_memory) == 50
 
     def test_external_share_respected(self):
         soc = SoCConfig()
@@ -57,7 +61,7 @@ class TestSyntheticGenerator:
             1 for op in program.operations
             if op.is_memory_access and op.address >= soc.ddr_base
         )
-        share = external / program.memory_operation_count()
+        share = external / _memory_operations(program)
         assert 0.63 < share < 0.77
 
     def test_addresses_stay_inside_regions(self):
@@ -165,4 +169,3 @@ class TestPatterns:
     def test_dma_offload_validation(self, plain_platform):
         with pytest.raises(ValueError):
             dma_offload_scenario(plain_platform, buffer_size=10)
-
