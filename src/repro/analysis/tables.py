@@ -7,20 +7,20 @@ pandas) keeps the repository runnable in the offline evaluation environment.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 __all__ = ["format_table", "format_resource_table"]
 
 Cell = Union[str, int, float, None]
 
 
-def _to_text(value: Cell, float_format: str = "{:.2f}") -> str:
+def _to_text(value: Cell) -> str:
     if value is None:
         return "-"
     if isinstance(value, float):
         if value == int(value) and abs(value) < 1e12:
             return f"{int(value):,}"
-        return float_format.format(value)
+        return f"{value:.2f}"
     if isinstance(value, int):
         return f"{value:,}"
     return str(value)
@@ -30,10 +30,9 @@ def format_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[Cell]],
     title: Optional[str] = None,
-    float_format: str = "{:.2f}",
 ) -> str:
     """Render a list of rows as an aligned ASCII table."""
-    text_rows: List[List[str]] = [[_to_text(cell, float_format) for cell in row] for row in rows]
+    text_rows: List[List[str]] = [[_to_text(cell) for cell in row] for row in rows]
     widths = [len(str(header)) for header in headers]
     for row in text_rows:
         if len(row) != len(headers):
@@ -62,16 +61,13 @@ def format_resource_table(
     title: Optional[str] = None,
 ) -> str:
     """Render :class:`~repro.metrics.area.Table1Row` objects in Table I layout."""
-    headers = ["component", "Slice Regs", "Slice LUTs", "LUT-FF pairs", "BRAMs", "overhead"]
+    headers = [
+        "component", "Slice Regs", "Slice LUTs", "LUT-FF pairs", "BRAMs",
+        "overhead computed from the rows", "overhead printed in the paper",
+    ]
     body: List[List[Cell]] = []
     for row in rows:
         vector = row.resources
-        overhead = ""
-        if row.overhead_percent:
-            overhead = ", ".join(
-                f"{name.replace('_', ' ')}: +{value:.2f}%"
-                for name, value in row.overhead_percent.items()
-            )
         body.append(
             [
                 row.label,
@@ -79,7 +75,14 @@ def format_resource_table(
                 int(vector.slice_luts),
                 int(vector.lut_ff_pairs),
                 int(vector.brams),
-                overhead,
+                _overheads(row.overhead_percent),
+                _overheads(row.paper_overhead_percent),
             ]
         )
     return format_table(headers, body, title=title)
+
+
+def _overheads(percent: Optional[Dict[str, float]]) -> str:
+    if not percent:
+        return ""
+    return ", ".join(f"{name.replace('_', ' ')}: +{value:.2f}%" for name, value in percent.items())

@@ -60,6 +60,17 @@ DEFAULT_PAPER_OUT = "paper-artifacts"
 DEFAULT_CATALOG_PATH = "docs/scenario-catalog.md"
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count: anything but an integer >= 1 is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -106,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="add the attack-free mode to the attack axis")
     sweep_run.add_argument("--exclude", action="append", default=None, metavar="PATTERN",
                            help="exclude scenarios/point ids matching this pattern")
-    sweep_run.add_argument("--sweep-workers", type=int, default=1, metavar="N",
+    sweep_run.add_argument("--sweep-workers", type=_positive_int, default=1, metavar="N",
                            help="processes running the sweep's points (default: 1)")
     sweep_run.add_argument("--store", default=DEFAULT_STORE_DIR, metavar="DIR",
                            help=f"result store directory (default: {DEFAULT_STORE_DIR})")
     sweep_run.add_argument("--json", action="store_true", help="machine-readable report")
 
     sweep_gc = sweep_sub.add_parser("gc", help="garbage-collect old code-fingerprint results")
-    sweep_gc.add_argument("--keep-latest", type=int, required=True, metavar="N",
+    sweep_gc.add_argument("--keep-latest", type=_positive_int, required=True, metavar="N",
                           help="number of most recent code fingerprints to keep")
     sweep_gc.add_argument("--apply", action="store_true",
                           help="actually delete (default is a dry run)")
@@ -130,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"result store directory (default: {DEFAULT_STORE_DIR})")
     paper_cmd.add_argument("--out", default=DEFAULT_PAPER_OUT, metavar="DIR",
                            help=f"artifact output directory (default: {DEFAULT_PAPER_OUT})")
-    paper_cmd.add_argument("--sweep-workers", type=int, default=1, metavar="N",
+    paper_cmd.add_argument("--sweep-workers", type=_positive_int, default=1, metavar="N",
                            help="processes running the sweep's points (default: 1)")
     paper_cmd.add_argument("--json", action="store_true", help="machine-readable report")
 
@@ -155,9 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_cmd.add_argument("--seed", type=int, default=0,
                           help="generator seed; the whole run is a pure function "
                                "of (scenario, seed, budget, steps)")
-    fuzz_cmd.add_argument("--budget", type=int, default=200, metavar="N",
+    fuzz_cmd.add_argument("--budget", type=_positive_int, default=200, metavar="N",
                           help="number of generated cases to try (default: 200)")
-    fuzz_cmd.add_argument("--steps", type=int, default=12, metavar="N",
+    fuzz_cmd.add_argument("--steps", type=_positive_int, default=12, metavar="N",
                           help="steps per generated case (default: 12)")
     fuzz_cmd.add_argument("--store", default=None, metavar="DIR",
                           help="persist minimized finds into this result store "
@@ -190,7 +201,17 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _known_scenario(command: str, name: str) -> bool:
+    """Whether ``name`` is registered; if not, say so in one line on stderr."""
+    if name in list_scenarios():
+        return True
+    print(f"repro {command}: no scenario named {name!r}", file=sys.stderr)
+    return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    if not _known_scenario("run", args.scenario):
+        return 1
     experiment = (
         Experiment.from_scenario(args.scenario)
         .protected(not args.unprotected)
@@ -219,6 +240,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
+    if not _known_scenario("campaign", args.scenario):
+        return 1
     result = (
         Experiment.from_scenario(args.scenario)
         .with_seed(args.seed)
@@ -352,12 +375,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     names = list(args.scenarios)
     if args.all_scenarios or not names:
         names = list_scenarios()
-    else:
-        known = set(list_scenarios())
-        for name in names:
-            if name not in known:
-                print(f"repro verify: no scenario named {name!r}", file=sys.stderr)
-                return 1
+    elif not all(_known_scenario("verify", name) for name in names):
+        return 1
 
     reports = [verify_scenario(name) for name in names]
     confirmations = {}

@@ -32,12 +32,8 @@ from repro.scenarios.spec import (
 __all__ = ["planted_backdoor_spec"]
 
 
-def planted_backdoor_spec(*, n_steps_hint: int = 3) -> ScenarioSpec:
-    """A statically-clean spec with a known 3-step dynamic key leak.
-
-    ``n_steps_hint`` documents the minimal chain length; it does not change
-    the topology.
-    """
+def planted_backdoor_spec() -> ScenarioSpec:
+    """A statically-clean spec with a known 3-step dynamic key leak."""
     return ScenarioSpec(
         name="planted_backdoor",
         description=(

@@ -131,11 +131,17 @@ def fuzz_scenario(
 ) -> FuzzReport:
     """Search ``budget`` cases for silent reaches of protected memory.
 
-    ``engines`` accepts only ``("object",)``, the one execution engine; it is
-    kept so callers that pin the engine keep working.
+    ``budget`` and ``n_steps`` must each be at least 1: a run that tries
+    nothing must not report clean.  ``engines`` accepts only ``("object",)``,
+    the one execution engine; it is kept so callers that pin the engine keep
+    working.
     """
     if tuple(engines) != ("object",):
         raise ValueError(f"unknown engines {engines!r}; the only engine is 'object'")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     generator = SequenceGenerator(spec, seed)
     oracle = BypassOracle(spec)
     report = FuzzReport(scenario=spec.name, seed=seed, budget=budget, n_steps=n_steps)

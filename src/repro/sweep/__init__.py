@@ -16,9 +16,8 @@ infrastructure on top of the :class:`repro.api.Experiment` façade:
   stale results are invalidated when the code or a scenario definition
   changes,
 * :mod:`repro.sweep.engine` — :class:`SweepRunner`, which executes only the
-  missing points (serially, or across processes with
-  :func:`repro.sweep.engine.parallel_map`) and reports computed/cached/skipped
-  point sets,
+  missing points (serially, or in one process pool per run), stores each
+  result as it arrives, and reports computed/cached/skipped point sets,
 * :mod:`repro.sweep.paper` — one-command regeneration of every paper
   table/figure from the store (``python -m repro paper``), rendered through
   :mod:`repro.analysis.report` and :mod:`repro.analysis.compare`.

@@ -8,12 +8,10 @@ stopped, and a second invocation over a warm store computes nothing at all
 (the :class:`SweepReport` says which was which).
 
 Execution is serial and in-process by default.  ``sweep_workers > 1``
-instead runs the *points* in worker processes with :func:`parallel_map`, the
-only process pool in the package; a point, campaign included, runs whole in
-one worker.  Durability granularity differs by mode: the
-serial path stores each point as it completes (a kill loses at most the
-point in flight), while the sharded path stores one *batch* of
-``sweep_workers`` points at a time (a kill loses at most the current batch).
+instead runs the *points* in one process pool per :meth:`SweepRunner.run`,
+the only process pool in the package; a point, campaign included, runs whole
+in one worker.  Either way each result is stored as soon as it arrives, in
+job order, so a kill loses at most the points in flight.
 
 Two ``repro sweep run`` processes may share one store: the store's writer
 lock keeps their appends whole, and a point both compute is stored twice
@@ -24,38 +22,18 @@ run's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api.experiment import Experiment
 from repro.scenarios.spec import ScenarioSpec
 from repro.sweep.spec import SweepPoint, SweepSpec, point_key
 from repro.sweep.store import ResultStore, code_fingerprint
 
-__all__ = ["SweepRunner", "SweepReport", "SweepJob", "parallel_map"]
+__all__ = ["SweepRunner", "SweepReport", "SweepJob"]
 
 #: One store-missing grid cell ready to execute: ``(point, resolved scenario
 #: spec, store key)``, as :meth:`SweepRunner.classify` returns them.
 SweepJob = Tuple[SweepPoint, ScenarioSpec, str]
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], n_workers: int) -> List[R]:
-    """Apply ``fn`` to every item in up to ``n_workers`` processes.
-
-    Results come back in input order.  ``fn`` and the items must pickle when
-    more than one worker runs; one worker (or one item) runs in-process.
-    """
-    items = list(items)
-    workers = max(1, min(n_workers, len(items)))
-    if workers == 1:
-        return [fn(item) for item in items]
-    # Imported here so that importing the package never loads it.
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=workers) as pool:
-        return pool.map(fn, items)
 
 
 def _execute_point(job: Tuple[SweepPoint, ScenarioSpec]) -> Dict[str, object]:
@@ -114,11 +92,11 @@ class SweepRunner:
         :func:`repro.sweep.store.code_fingerprint`.
     sweep_workers:
         ``1`` (default) runs points serially in-process; ``>1`` runs the
-        missing points in that many worker processes.
+        missing points in one pool of up to that many worker processes.
     point_hook:
-        Called with each :class:`SweepPoint` immediately before it executes;
-        exceptions propagate after everything already computed was stored —
-        which is how the tests simulate a mid-sweep kill.
+        Called with each :class:`SweepPoint` just before its result is
+        stored; an exception propagates with every earlier result already
+        stored, which is how the tests simulate a mid-sweep kill.
     """
 
     def __init__(
@@ -166,44 +144,33 @@ class SweepRunner:
         return report, jobs
 
     def run(self) -> SweepReport:
+        """Execute the missing points, storing each result as it arrives, in job order."""
         report, jobs = self.classify()
+        workers = min(self.sweep_workers, len(jobs))
+        args = ((point, resolved) for point, resolved, _ in jobs)
+        pool = None
         try:
-            if self.sweep_workers > 1:
-                self._run_sharded(jobs, report)
+            if workers > 1:
+                # Imported here so that importing the package never loads it.
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = ProcessPoolExecutor(workers)
+                results = pool.map(_execute_point, args)
             else:
-                self._run_serial(jobs, report)
+                results = map(_execute_point, args)
+            for (point, _, key), result in zip(jobs, results):
+                if self.point_hook is not None:
+                    self.point_hook(point)
+                self.store.put(key, point.point_id, point.scenario, self.fingerprint, result)
+                report.computed.append(point.point_id)
         finally:
+            if pool is not None:
+                # Waits for the points in flight, cancels the rest: a worker
+                # killed while sending its result can leave the pool hung.
+                pool.shutdown(cancel_futures=True)
             # results.jsonl is the source of truth; the manifest is a derived
             # index rewritten once per sweep (even an interrupted one).
             self.store.flush_manifest()
 
         report.store_digest = self.store.digest()
         return report
-
-    # -- execution paths -----------------------------------------------------------
-
-    def _run_serial(self, jobs, report: SweepReport) -> None:
-        for point, resolved, key in jobs:
-            if self.point_hook is not None:
-                self.point_hook(point)
-            result = _execute_point((point, resolved))
-            self.store.put(key, point.point_id, point.scenario, self.fingerprint, result)
-            report.computed.append(point.point_id)
-
-    def _run_sharded(self, jobs, report: SweepReport) -> None:
-        # One batch of sweep_workers points at a time, stored after each
-        # batch: a kill loses at most the batch in flight, so long sweeps
-        # stay resumable (results are unaffected — points are independent).
-        for start in range(0, len(jobs), self.sweep_workers):
-            batch = jobs[start:start + self.sweep_workers]
-            for point, _, _ in batch:
-                if self.point_hook is not None:
-                    self.point_hook(point)
-            results = parallel_map(
-                _execute_point,
-                [(point, resolved) for point, resolved, _ in batch],
-                n_workers=len(batch),
-            )
-            for (point, _, key), result in zip(batch, results):
-                self.store.put(key, point.point_id, point.scenario, self.fingerprint, result)
-                report.computed.append(point.point_id)

@@ -125,13 +125,13 @@ class SyntheticWorkloadGenerator:
         self,
         base_config: SyntheticWorkloadConfig,
         cpu_names: Sequence[str],
-        name_prefix: str = "synthetic",
     ) -> Dict[str, ProcessorProgram]:
-        """One program per CPU, with decorrelated seeds but identical ratios."""
+        """One program per CPU, named ``synthetic_<cpu>``, with decorrelated
+        seeds but identical ratios."""
         programs: Dict[str, ProcessorProgram] = {}
         for index, cpu in enumerate(cpu_names):
             cfg = SyntheticWorkloadConfig(**{**base_config.__dict__, "seed": base_config.seed + 1000 * (index + 1)})
-            programs[cpu] = self.generate(cfg, name=f"{name_prefix}_{cpu}")
+            programs[cpu] = self.generate(cfg, name=f"synthetic_{cpu}")
         return programs
 
 

@@ -7,8 +7,9 @@ process through :func:`repro.api.cli.main`:
   (``tests/golden/verify_confirm.json``): every finding, every coverage
   witness and the simulator's confirmation of each;
 * the six ``repro paper --fast`` tables, verbatim
-  (``tests/golden/paper_fast/*.txt``); ``index.json`` is left out because it
-  carries the code fingerprint and the store keys;
+  (``tests/golden/paper_fast/*.txt``), from a serial run and from a run with
+  ``--sweep-workers 2``; ``index.json`` is left out because it carries the
+  code fingerprint and the store keys;
 * ``repro run paper_baseline --trace``, as per-kind event counts plus a
   digest (``tests/golden/trace_paper_baseline.json``).  Transaction ids come
   from a process-global counter, so each ``txn_id`` is replaced with itself
@@ -56,12 +57,13 @@ def verify_confirm_text() -> str:
     return _cli(["verify", "--all", "--confirm", "--json"])
 
 
-@functools.lru_cache(maxsize=1)
-def paper_tables() -> Dict[str, str]:
+@functools.lru_cache(maxsize=2)
+def paper_tables(sweep_workers: int = 1) -> Dict[str, str]:
     """Every ``.txt`` file of one cold ``repro paper --fast`` run, by name."""
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "out"
-        _cli(["paper", "--fast", "--store", str(pathlib.Path(tmp) / "store"), "--out", str(out)])
+        _cli(["paper", "--fast", "--store", str(pathlib.Path(tmp) / "store"), "--out", str(out),
+              "--sweep-workers", str(sweep_workers)])
         return {path.name: path.read_text(encoding="utf-8") for path in sorted(out.glob("*.txt"))}
 
 
@@ -112,6 +114,13 @@ def test_paper_table_matches_golden(table):
     assert paper_tables()[table] == (PAPER_DIR / table).read_text(encoding="utf-8"), (
         f"repro paper --fast {table} drifted from tests/golden/paper_fast/{table}; "
         "regenerate it if the change is intentional"
+    )
+
+
+def test_paper_with_two_sweep_workers_writes_the_pinned_tables():
+    want = {table: (PAPER_DIR / table).read_text(encoding="utf-8") for table in PAPER_TABLES}
+    assert paper_tables(2) == want, (
+        "repro paper --fast --sweep-workers 2 wrote tables that differ from tests/golden/paper_fast/"
     )
 
 

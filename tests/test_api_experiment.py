@@ -257,6 +257,25 @@ class TestCli:
             cli_main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["run", "campaign", "verify"])
+    def test_unknown_scenario_is_one_line_and_exit_one(self, command, capsys):
+        assert cli_main([command, "nosuch"]) == 1
+        assert capsys.readouterr().err == f"repro {command}: no scenario named 'nosuch'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "run", "--sweep-workers", "0"],
+        ["paper", "--sweep-workers", "-1"],
+        ["fuzz", "minimal_1x1", "--budget", "0"],
+        ["fuzz", "minimal_1x1", "--steps", "0"],
+        ["fuzz", "minimal_1x1", "--budget", "two"],
+        ["sweep", "gc", "--keep-latest", "0"],
+    ])
+    def test_counts_below_one_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(argv)
+        assert excinfo.value.code == 2
+        assert "expected a positive integer" in capsys.readouterr().err
+
 
 def test_importing_the_api_leaves_multiprocessing_unloaded():
     """Only a sweep with ``sweep_workers > 1`` starts processes, so no

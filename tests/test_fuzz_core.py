@@ -289,6 +289,16 @@ def test_fuzz_scenario_accepts_only_the_object_engine():
         fuzz_scenario(spec, budget=1, engines=("object", "vector"))
 
 
+@pytest.mark.parametrize("argument, kwargs", [
+    ("budget", {"budget": 0}),
+    ("budget", {"budget": -5}),
+    ("n_steps", {"n_steps": 0}),
+])
+def test_fuzz_scenario_refuses_a_run_that_tries_nothing(argument, kwargs):
+    with pytest.raises(ValueError, match=argument):
+        fuzz_scenario(get_scenario("minimal_1x1"), **kwargs)
+
+
 def test_replay_case_reports_each_step(leak_violation):
     _, case, _ = leak_violation
     replay = replay_case(SPEC, case)

@@ -1,5 +1,5 @@
 """Sweep engine semantics: caching, resume after a kill, invalidation,
-process sharding and two sweep processes sharing one store."""
+the process pool and two sweep processes sharing one store."""
 
 from __future__ import annotations
 
@@ -15,10 +15,11 @@ import pytest
 import repro
 from repro.scenarios import get_scenario
 from repro.sweep import ResultStore, SweepRunner, SweepSpec
-from repro.sweep.engine import parallel_map
 
 #: Cheap two-point grid used throughout (minimal scenario, two seeds).
 GRID = SweepSpec(scenarios=("minimal_1x1",), seeds=(0, 1))
+#: Four points, so two or three workers each take more than one.
+GRID4 = SweepSpec(scenarios=("minimal_1x1",), seeds=(0, 1, 2, 3))
 
 
 class TestCaching:
@@ -93,47 +94,60 @@ class TestInvalidation:
         assert len(edited.computed) == 2 and not edited.cached
 
 
-class TestSharding:
-    def test_sharded_sweep_matches_serial_digest(self, tmp_path):
-        serial = ResultStore(tmp_path / "serial")
-        SweepRunner(GRID, serial).run()
-        sharded = ResultStore(tmp_path / "sharded")
-        report = SweepRunner(GRID, sharded, sweep_workers=2).run()
-        assert len(report.computed) == 2
-        assert sharded.digest() == serial.digest()
+class TestPool:
+    def test_stores_at_one_two_and_three_workers_share_one_digest(self, tmp_path):
+        digests = set()
+        for workers in (1, 2, 3):
+            store = ResultStore(tmp_path / f"workers{workers}")
+            report = SweepRunner(GRID4, store, sweep_workers=workers).run()
+            assert len(report.computed) == 4
+            digests.add(store.digest())
+        assert len(digests) == 1
 
-    def test_sharded_sweep_persists_per_batch_and_resumes(self, tmp_path):
-        grid = SweepSpec(scenarios=("minimal_1x1",), seeds=(0, 1, 2, 3))
+    def test_one_run_starts_one_pool(self, tmp_path, monkeypatch):
+        import concurrent.futures
+        import multiprocessing
+
+        started = []
+        executor, pool = concurrent.futures.ProcessPoolExecutor, multiprocessing.Pool
+
+        def counting(make):
+            def start(*args, **kwargs):
+                started.append(make)
+                return make(*args, **kwargs)
+            return start
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting(executor))
+        monkeypatch.setattr(multiprocessing, "Pool", counting(pool))
+        report = SweepRunner(GRID4, ResultStore(tmp_path / "store"), sweep_workers=2).run()
+        assert len(report.computed) == 4
+        assert len(started) == 1
+
+    def test_killed_pooled_sweep_keeps_stored_points_and_resumes(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        seen = []
+        stored = []
 
-        def kill_on_second_batch(point):
-            seen.append(point.point_id)
-            if len(seen) == 3:  # first point of the second 2-wide batch
+        def kill_before_third(point):
+            if len(stored) == 2:
                 raise KeyboardInterrupt("simulated kill")
+            stored.append(point.point_id)
 
         with pytest.raises(KeyboardInterrupt):
-            SweepRunner(grid, store, sweep_workers=2,
-                        point_hook=kill_on_second_batch).run()
-        assert len(store) == 2  # the completed first batch survived
+            SweepRunner(GRID4, store, sweep_workers=2, point_hook=kill_before_third).run()
+        # Every result stored before the kill survived it, in job order.
+        report, _ = SweepRunner(GRID4, ResultStore(tmp_path / "store")).classify()
+        assert report.cached == stored
 
-        resumed = SweepRunner(grid, ResultStore(tmp_path / "store"),
-                              sweep_workers=2).run()
-        assert len(resumed.computed) == 2 and len(resumed.cached) == 2
+        resumed = SweepRunner(GRID4, ResultStore(tmp_path / "store"), sweep_workers=2).run()
+        assert len(resumed.computed) == 2 and resumed.cached == stored
 
         reference = ResultStore(tmp_path / "reference")
-        SweepRunner(grid, reference).run()
+        SweepRunner(GRID4, reference).run()
         assert ResultStore(tmp_path / "store").digest() == reference.digest()
 
     def test_invalid_sweep_workers_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="sweep_workers"):
             SweepRunner(GRID, ResultStore(tmp_path / "store"), sweep_workers=0)
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(23))
-        assert parallel_map(_square, items, n_workers=4) == [i * i for i in items]
-        assert parallel_map(_square, items, n_workers=1) == [i * i for i in items]
-        assert parallel_map(_square, [], n_workers=4) == []
 
 
 #: ``repro sweep run`` arguments of the shared-store grid (2 x 3 x 2 points).
@@ -187,7 +201,3 @@ class TestSkips:
         report = SweepRunner(grid, ResultStore(tmp_path / "store")).run()
         assert not report.computed and not report.cached
         assert len(report.skipped) == 1
-
-
-def _square(x: int) -> int:
-    return x * x
