@@ -5,9 +5,9 @@ Runs every registered scenario (or a chosen one) through the unified
 ``Experiment`` pipeline: builds the topology, attaches the firewalls, drives
 the workload mix, runs the attack mix on protected and unprotected builds,
 and prints one summary row per scenario.  With ``--differential`` each
-scenario additionally runs twice — fast paths enabled vs. reference
-implementations forced — and the structural fingerprints (alerts, cycle
-counts, ciphertexts) are compared.
+scenario additionally runs twice — memos on vs. every platform built with
+its decision, region and keystream memos off — and the structural
+fingerprints (alerts, cycle counts, ciphertexts) are compared.
 
 Run with:
     python examples/scenario_matrix.py                 # full registry

@@ -11,8 +11,9 @@ spec, where cpu0 runs two threads:
 * thread 7 — the trusted key-management thread (clearance 2),
 * thread 8 — an untrusted application thread (clearance 0),
 
-and a thread-aware Local Firewall that requires clearance 2 for the key
-vault region of the BRAM.  The same address-based policy covers both threads;
+and a Local Firewall whose checking modules include a thread-clearance check
+requiring clearance 2 for the key vault region of the BRAM.  The same
+address-based policy covers both threads;
 only the clearance differs — and only the trusted thread's accesses go
 through.  At the end the directory demotes the trusted thread (e.g. after a
 detected compromise) and its next access is blocked too.
@@ -22,8 +23,10 @@ Run with:  python examples/thread_level_security.py
 
 from repro.api import EventBus, InMemorySink, attach_instrumentation
 from repro.core.alerts import SecurityMonitor
+from repro.core.checks import default_check_suite
+from repro.core.local_firewall import LocalFirewall
 from repro.core.policy import ConfigurationMemory, SecurityPolicy
-from repro.core.thread_policy import ThreadAwareLocalFirewall, ThreadSecurityDirectory
+from repro.core.thread_policy import ThreadClearanceCheck, ThreadSecurityDirectory
 from repro.scenarios import MasterSpec, ScenarioBuilder, ScenarioSpec, SlaveSpec, TopologySpec
 from repro.soc.processor import MemoryOperation, ProcessorProgram
 
@@ -43,7 +46,7 @@ SPEC = ScenarioSpec(
 
 
 def main() -> None:
-    # Built unprotected: the thread-aware firewall below is the only one.
+    # Built unprotected: the firewall below is the only one.
     built = ScenarioBuilder(SPEC).build(protected=False)
     sim = built.system.sim
     # Attach an event bus and every component publishes through it.
@@ -60,10 +63,10 @@ def main() -> None:
     directory.set_clearance(7, 2)   # key-management thread
     directory.set_clearance(8, 0)   # application thread
 
-    firewall = ThreadAwareLocalFirewall(
-        sim, "tlf_cpu0", rules, directory,
-        clearance_requirements={KEY_VAULT_BASE: 2},
-        monitor=monitor,
+    clearance = ThreadClearanceCheck(rules, directory, {KEY_VAULT_BASE: 2})
+    firewall = LocalFirewall(
+        sim, "lf_cpu0", rules, monitor=monitor,
+        checks=[*default_check_suite(), clearance],
     )
     port = built.system.master_ports["cpu0"]
     port.attach_filter(firewall)
@@ -101,6 +104,7 @@ def main() -> None:
     print("demoted thread reads vault  :", txn.status.value)
     print("total alerts                :", monitor.count())
     print("firewall summary            :", firewall.summary())
+    print("clearance denials           :", clearance.denials)
     blocked = events.of_kind("txn.blocked")
     print("event-bus view              :", dict(sorted(events.counts.items())))
     print("blocked at interface        :",

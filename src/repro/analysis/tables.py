@@ -31,7 +31,8 @@ def format_table(
     rows: Iterable[Sequence[Cell]],
     title: Optional[str] = None,
 ) -> str:
-    """Render a list of rows as an aligned ASCII table."""
+    """Render a list of rows as an aligned ASCII table (no line ends in a
+    blank)."""
     text_rows: List[List[str]] = [[_to_text(cell) for cell in row] for row in rows]
     widths = [len(str(header)) for header in headers]
     for row in text_rows:
@@ -53,19 +54,19 @@ def format_table(
     lines.append(render_row([str(h) for h in headers]))
     lines.append(separator)
     lines.extend(render_row(row) for row in text_rows)
-    return "\n".join(lines)
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def format_resource_table(
     rows: Iterable,
     title: Optional[str] = None,
 ) -> str:
-    """Render :class:`~repro.metrics.area.Table1Row` objects in Table I layout."""
-    headers = [
-        "component", "Slice Regs", "Slice LUTs", "LUT-FF pairs", "BRAMs",
-        "overhead computed from the rows", "overhead printed in the paper",
-    ]
+    """Render :class:`~repro.metrics.area.Table1Row` objects in Table I layout:
+    the five resource columns, then each row's overhead sets on their own
+    labelled lines."""
+    headers = ["component", "Slice Regs", "Slice LUTs", "LUT-FF pairs", "BRAMs"]
     body: List[List[Cell]] = []
+    notes: List[str] = []
     for row in rows:
         vector = row.resources
         body.append(
@@ -75,14 +76,17 @@ def format_resource_table(
                 int(vector.slice_luts),
                 int(vector.lut_ff_pairs),
                 int(vector.brams),
-                _overheads(row.overhead_percent),
-                _overheads(row.paper_overhead_percent),
             ]
         )
-    return format_table(headers, body, title=title)
+        for kind, percent in (
+            ("computed from the rows", row.overhead_percent),
+            ("printed in the paper", row.paper_overhead_percent),
+        ):
+            if percent:
+                notes.append(f"{row.label} overhead {kind}: {_overheads(percent)}")
+    table = format_table(headers, body, title=title)
+    return "\n".join([table, "", *notes]) if notes else table
 
 
-def _overheads(percent: Optional[Dict[str, float]]) -> str:
-    if not percent:
-        return ""
+def _overheads(percent: Dict[str, float]) -> str:
     return ", ".join(f"{name.replace('_', ' ')}: +{value:.2f}%" for name, value in percent.items())

@@ -89,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--unprotected", action="store_true",
                          help="drive the workload on the unprotected build")
     run_cmd.add_argument("--reference", action="store_true",
-                         help="force the reference implementations (differential mode)")
+                         help="build with the decision, region and keystream memos "
+                              "off (differential mode)")
     run_cmd.add_argument("--no-attacks", action="store_true",
                          help="skip the scenario's attack campaign")
     run_cmd.add_argument("--seed", type=int, default=0, help="campaign base seed")
@@ -201,6 +202,13 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+def _path_error(command: str, path: str, exc: Exception) -> int:
+    """Say in one line on stderr why ``path`` is unusable; returns exit code 1."""
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    print(f"repro {command}: {path}: {reason}", file=sys.stderr)
+    return 1
+
+
 def _known_scenario(command: str, name: str) -> bool:
     """Whether ``name`` is registered; if not, say so in one line on stderr."""
     if name in list_scenarios():
@@ -222,7 +230,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         experiment.no_attacks()
     trace_sink = None
     if args.trace:
-        trace_sink = JsonlTraceSink(args.trace)
+        try:
+            trace_sink = JsonlTraceSink(args.trace)
+        except OSError as exc:
+            return _path_error("run", args.trace, exc)
         experiment.with_sink(trace_sink)
         experiment.with_sink(StatsSink())
 
@@ -427,11 +438,14 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
     recorded violation identity and its recorded per-step outcomes."""
     from repro.fuzz import BypassOracle, FuzzCase, load_cases, replay_case
 
-    entries = load_cases(args.replay)
+    try:
+        entries = load_cases(args.replay)
+        cases = [FuzzCase.from_dict(entry["case"]) for entry in entries]
+    except (OSError, ValueError) as exc:
+        return _path_error("fuzz", args.replay, exc)
     results = []
     failures = 0
-    for entry in entries:
-        case = FuzzCase.from_dict(entry["case"])
+    for entry, case in zip(entries, cases):
         spec = _fuzz_spec(case.scenario)
         oracle = BypassOracle(spec)
         outcome = oracle.run(case)

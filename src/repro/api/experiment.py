@@ -28,9 +28,10 @@ benchmarks, the examples and the ``python -m repro`` CLI all consume.
 
 Instrumentation is opt-in: attach sinks (``with_sink``) or force a sink-less
 bus (``instrumented()``); either way the simulation itself is byte-identical
-to an uninstrumented run, which keeps the PR-2 differential guarantees
-intact — ``reference(True)`` runs the entire experiment under
-:func:`repro.scenarios.differential.reference_mode` for exactly that check.
+to an uninstrumented run, which keeps the differential guarantees intact —
+``reference(True)`` runs the entire experiment under
+:func:`repro.scenarios.differential.reference_mode` (every platform built
+with its decision, region and keystream memos off) for exactly that check.
 
 One :class:`ExperimentResult` is also one *cacheable unit*: the sweep layer
 (:mod:`repro.sweep`) keys serialized results by scenario definition and code
@@ -109,7 +110,9 @@ class ExperimentResult:
     :data:`RESULT_SCHEMA_VERSION`): consumers — ``analysis``, benchmarks,
     the CLI's ``--json`` mode, downstream tooling — can rely on the key set.
     Wall-clock timings live only under ``campaign.metrics``; every other
-    field is deterministic for a fixed scenario and seed.
+    field is deterministic for a fixed scenario and seed.  ``reference``
+    records whether the platforms were built with their decision, region and
+    keystream memos off (:meth:`Experiment.reference`).
     """
 
     scenario: str
@@ -196,8 +199,10 @@ class Experiment:
         return self
 
     def reference(self, enabled: bool = True) -> "Experiment":
-        """Run the whole pipeline under forced reference implementations
-        (FIPS AES, byte-wise SHA-256, uncached decisions/keystreams)."""
+        """Run the whole pipeline on platforms built with their memos off:
+        no Security Builder decision cache, no LCF region memo and no CTR
+        keystream cache.  The result differs from a default run's only in
+        ``reference``, the ``sb_cache_*`` counters and wall-clock timings."""
         self._reference = enabled
         return self
 

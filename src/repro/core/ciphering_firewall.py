@@ -231,7 +231,8 @@ class LocalCipheringFirewall(LocalFirewall):
         # Memoised region_for() answers; every protected transaction performs
         # this lookup on both the request and the response path, so the scan
         # over regions is worth caching.  Invalidated when the Configuration
-        # Memory's rule set changes.
+        # Memory's rule set changes; used only while the Security Builder
+        # memoises its verdicts.
         self._region_cache: Dict[Tuple[int, int], Optional[ProtectedRegion]] = {}
         self._region_cache_generation = config_memory.generation
         self._build_regions()
@@ -260,7 +261,10 @@ class LocalCipheringFirewall(LocalFirewall):
             )
 
     def region_for(self, address: int, size: int = 1) -> Optional[ProtectedRegion]:
-        """The protected region covering an address range, if any (memoised)."""
+        """The protected region covering an address range, if any (memoised
+        while the Security Builder's ``cache_enabled`` is true)."""
+        if not self.security_builder.cache_enabled:
+            return self._scan_regions(address, size)
         if self.config_memory.generation != self._region_cache_generation:
             self._region_cache.clear()
             self._region_cache_generation = self.config_memory.generation
@@ -269,15 +273,17 @@ class LocalCipheringFirewall(LocalFirewall):
             return self._region_cache[key]
         except KeyError:
             pass
-        found: Optional[ProtectedRegion] = None
-        for region in self._regions.values():
-            if region.rule.covers(address, size):
-                found = region
-                break
+        found = self._scan_regions(address, size)
         if len(self._region_cache) >= self.REGION_CACHE_LIMIT:
             self._region_cache.clear()
         self._region_cache[key] = found
         return found
+
+    def _scan_regions(self, address: int, size: int) -> Optional[ProtectedRegion]:
+        for region in self._regions.values():
+            if region.rule.covers(address, size):
+                return region
+        return None
 
     @property
     def protected_regions(self) -> List[ProtectedRegion]:

@@ -52,14 +52,14 @@ __all__ = [
     "decision_cache_enabled",
 ]
 
-# Default for SecurityBuilder instances built without an explicit
-# ``cache_decisions`` argument.  The differential harness flips this to force
-# newly built platforms onto the uncached per-transaction reference path.
+# Whether new Security Builders memoise verdicts.  The differential harness
+# turns it off to build platforms on the uncached per-transaction reference
+# path.
 _DECISION_CACHE_DEFAULT = True
 
 
 def use_decision_cache(enabled: bool = True) -> None:
-    """Set the default decision-caching behaviour of new Security Builders."""
+    """Set whether Security Builders built from now on memoise verdicts."""
     global _DECISION_CACHE_DEFAULT
     _DECISION_CACHE_DEFAULT = enabled
 
@@ -109,7 +109,8 @@ class SecurityBuilder:
     the uncached model.  All statistics (evaluations, violations, lookup and
     miss counts, cycles charged) are maintained identically on hits and
     misses.  Caching is automatically disabled when custom, potentially
-    stateful checking modules are installed.  The check suite is fixed at
+    stateful checking modules are installed, and for a builder built after
+    ``use_decision_cache(False)``.  The check suite is fixed at
     construction: the caching decision and the address-range module whose
     windows enter every key are both taken from it once.
     """
@@ -124,10 +125,7 @@ class SecurityBuilder:
         config_memory: ConfigurationMemory,
         checks: Optional[Sequence[SecurityCheck]] = None,
         latency_cycles: int = SECURITY_BUILDER_CYCLES,
-        cache_decisions: Optional[bool] = None,
     ) -> None:
-        if cache_decisions is None:
-            cache_decisions = _DECISION_CACHE_DEFAULT
         self.name = name
         self.config_memory = config_memory
         self.checks: List[SecurityCheck] = list(checks) if checks is not None else default_check_suite()
@@ -137,7 +135,7 @@ class SecurityBuilder:
         self.cycles_charged = 0
         ranges = [check for check in self.checks if isinstance(check, AddressRangeCheck)]
         # A key snapshots one module's windows, so a suite with two is not cached.
-        self.cache_enabled = cache_decisions and len(ranges) <= 1 and all(
+        self.cache_enabled = _DECISION_CACHE_DEFAULT and len(ranges) <= 1 and all(
             type(check) in _STATELESS_CHECKS for check in self.checks
         )
         self.cache_hits = 0

@@ -8,14 +8,17 @@ policies:
 * a :class:`ThreadSecurityDirectory` assigns a *clearance level* to each
   software thread (threads are identified by the ``thread_id`` annotation the
   processor model attaches to its transactions),
-* a :class:`ThreadAwareLocalFirewall` is a Local Firewall whose rules can
-  additionally require a minimum clearance; an access whose issuing thread is
-  below the required level is discarded exactly like any other violation,
-  even if the address-based policy would have allowed it.
+* a :class:`ThreadClearanceCheck` is a checking module that can additionally
+  require a minimum clearance in a rule's window.  A Local Firewall runs it
+  in its ``checks`` suite next to the default modules, so an access whose
+  issuing thread is below the required level is discarded exactly like any
+  other violation, even if the address-based policy would have allowed it.
 
 The extension is purely additive: a firewall with no clearance requirements,
 or transactions without a ``thread_id``, behave exactly like the base design
-(unknown threads get the directory's default clearance).
+(unknown threads get the directory's default clearance).  A suite with a
+custom module turns the Security Builder's decision cache off, which a
+verdict that depends on the issuing thread needs.
 """
 
 from __future__ import annotations
@@ -23,13 +26,11 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.core.alerts import ViolationType
-from repro.core.local_firewall import LocalFirewall
-from repro.core.policy import ConfigurationMemory
-from repro.soc.kernel import Simulator
-from repro.soc.ports import FilterResult
+from repro.core.checks import CheckResult, SecurityCheck
+from repro.core.policy import ConfigurationMemory, SecurityPolicy
 from repro.soc.transaction import BusTransaction
 
-__all__ = ["ThreadSecurityDirectory", "ThreadAwareLocalFirewall", "THREAD_ID_ANNOTATION"]
+__all__ = ["ThreadSecurityDirectory", "ThreadClearanceCheck", "THREAD_ID_ANNOTATION"]
 
 #: Annotation key carrying the issuing thread on a transaction.
 THREAD_ID_ANNOTATION = "thread_id"
@@ -77,33 +78,35 @@ class ThreadSecurityDirectory:
         return len(self._levels)
 
 
-class ThreadAwareLocalFirewall(LocalFirewall):
-    """Local Firewall enforcing per-thread clearance on top of address rules.
+class ThreadClearanceCheck(SecurityCheck):
+    """Checking module enforcing per-thread clearance on top of address rules.
 
-    ``clearance_requirements`` maps a rule's base address to the minimum
-    clearance a thread needs for *any* access to that rule's window;
-    ``write_clearance_requirements`` optionally raises the bar for writes only
-    (a common pattern: many threads may read a shared table, only the manager
-    thread may update it).
+    ``clearance_requirements`` maps the base address of a rule of
+    ``config_memory`` (the Configuration Memory of the firewall running the
+    check) to the minimum clearance a thread needs for *any* access to that
+    rule's window; ``write_clearance_requirements`` optionally raises the bar
+    for writes only (a common pattern: many threads may read a shared table,
+    only the manager thread may update it)::
+
+        clearance = ThreadClearanceCheck(rules, directory, {VAULT_BASE: 2})
+        LocalFirewall(sim, "lf_cpu0", rules,
+                      checks=[*default_check_suite(), clearance])
     """
 
-    name = "thread_aware_local_firewall"
+    name = "thread_clearance"
 
     def __init__(
         self,
-        sim: Simulator,
-        name: str,
         config_memory: ConfigurationMemory,
         directory: ThreadSecurityDirectory,
         clearance_requirements: Optional[Dict[int, int]] = None,
         write_clearance_requirements: Optional[Dict[int, int]] = None,
-        **kwargs,
     ) -> None:
-        super().__init__(sim, name, config_memory, **kwargs)
+        self.config_memory = config_memory
         self.directory = directory
         self.clearance_requirements = dict(clearance_requirements or {})
         self.write_clearance_requirements = dict(write_clearance_requirements or {})
-        self.thread_denials = 0
+        self.denials = 0
 
     def require_clearance(self, rule_base: int, level: int, writes_only: bool = False) -> None:
         """Add or tighten a clearance requirement at runtime."""
@@ -121,44 +124,20 @@ class ThreadAwareLocalFirewall(LocalFirewall):
                 required = max(required or 0, write_required)
         return required
 
-    def filter_request(self, txn: BusTransaction) -> FilterResult:
-        base_result = super().filter_request(txn)
-        if not base_result.allowed:
-            return base_result
-
+    def check(self, policy: SecurityPolicy, txn: BusTransaction) -> CheckResult:
         required = self._required_level(txn)
         if required is None:
-            return base_result
-
+            return CheckResult.ok(self.name)
         thread_id = txn.annotations.get(THREAD_ID_ANNOTATION)
         clearance = self.directory.clearance(thread_id)
         if clearance >= required:
-            txn.annotations[f"{self.name}.clearance"] = clearance
-            return base_result
-
-        self.thread_denials += 1
+            return CheckResult.ok(self.name)
+        self.denials += 1
         violation = (
             ViolationType.UNAUTHORIZED_WRITE if txn.is_write else ViolationType.UNAUTHORIZED_READ
         )
-        self._raise(
-            txn,
+        return CheckResult.fail(
+            self.name,
             violation,
-            detail=(
-                f"thread {thread_id!r} clearance {clearance} below required "
-                f"level {required}"
-            ),
+            detail=f"thread {thread_id!r} clearance {clearance} below required level {required}",
         )
-        self.firewall_interface.gate(False)
-        return FilterResult.deny(
-            reason=f"{self.name}: insufficient thread clearance",
-            latency=base_result.latency,
-            stage="security_builder",
-        )
-
-    def summary(self) -> dict:
-        data = super().summary()
-        data["thread_denials"] = self.thread_denials
-        data["clearance_rules"] = len(self.clearance_requirements) + len(
-            self.write_clearance_requirements
-        )
-        return data

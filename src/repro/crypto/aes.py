@@ -10,15 +10,17 @@ inverse cipher is not needed.
 
 Two code paths share the same key schedule:
 
+* the *table-driven* path (:meth:`AES128.encrypt_block`), which the
+  simulator calls, folds SubBytes, ShiftRows and MixColumns of one round
+  into four 256-entry 32-bit T-table lookups per state column — the classic
+  software formulation of the cipher, and the same precompute-then-look-up
+  structure a hardware pipeline uses;
 * the *reference* path (:meth:`AES128.encrypt_block_reference`) applies the
   four round transformations exactly as FIPS-197 writes them, one byte at a
-  time, so every intermediate step stays inspectable;
-* the *table-driven* path (:meth:`AES128.encrypt_block`) folds SubBytes,
-  ShiftRows and MixColumns of one round into four 256-entry 32-bit T-table
-  lookups per state column — the classic software formulation of the
-  cipher, and the same precompute-then-look-up structure a hardware
-  pipeline uses.  Both paths produce identical ciphertext (asserted
-  byte-for-byte by the fast-path regression tests).
+  time, so every intermediate step stays inspectable.  It is the test
+  oracle: the tests compare the table-driven path against it on known
+  answers, random blocks and every counter block the Local Ciphering
+  Firewall enciphers.
 
 Throughput of the *hardware* core is modelled separately in
 :mod:`repro.metrics.latency`.
@@ -28,31 +30,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-__all__ = [
-    "AES128",
-    "SBOX",
-    "xtime",
-    "gmul",
-    "use_reference_backend",
-    "fast_backend_enabled",
-]
-
-# When True (the default), encrypt_block uses the T-table fast path; the
-# differential harness flips this to force the byte-wise FIPS-197 reference
-# rounds through the exact same call sites.
-_USE_FAST_BACKEND = True
-
-
-def use_reference_backend(enabled: bool = True) -> None:
-    """Force (or release) the FIPS-197 reference rounds for block calls."""
-    global _USE_FAST_BACKEND
-    _USE_FAST_BACKEND = not enabled
-
-
-def fast_backend_enabled() -> bool:
-    """Whether block calls currently use the T-table fast path."""
-    return _USE_FAST_BACKEND
-
+__all__ = ["AES128", "SBOX", "xtime", "gmul"]
 
 # ---------------------------------------------------------------------------
 # GF(2^8) arithmetic
@@ -264,8 +242,6 @@ class AES128:
 
     def encrypt_block(self, block: bytes) -> bytes:
         """Encrypt exactly one 16-byte block (table-driven fast path)."""
-        if not _USE_FAST_BACKEND:
-            return self.encrypt_block_reference(block)
         if len(block) != self.BLOCK_SIZE:
             raise ValueError(
                 f"AES block must be {self.BLOCK_SIZE} bytes, got {len(block)}"

@@ -13,7 +13,7 @@ runs the block cipher forward, so any object exposing ``encrypt_block`` and
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Protocol
+from typing import Protocol
 
 __all__ = [
     "BlockCipher",
@@ -23,14 +23,14 @@ __all__ = [
     "keystream_cache_enabled",
 ]
 
-# Default for CTRMode instances built without an explicit ``cache_blocks``
-# argument.  The differential harness flips this to force every new CTR mode
-# onto the uncached reference path.
+# Whether new CTRMode instances memoise keystream blocks.  The differential
+# harness turns it off to build platforms on the uncached reference path.
 _KEYSTREAM_CACHE_DEFAULT = True
 
 
 def use_keystream_cache(enabled: bool = True) -> None:
-    """Set the default keystream-caching behaviour of new :class:`CTRMode`."""
+    """Set whether :class:`CTRMode` instances built from now on cache keystream
+    blocks."""
     global _KEYSTREAM_CACHE_DEFAULT
     _KEYSTREAM_CACHE_DEFAULT = enabled
 
@@ -72,16 +72,17 @@ class CTRMode:
     The LCF re-reads protected blocks far more often than it rewrites them
     (every read and every read-modify-write re-derives the same nonce until
     the version tag bumps), so the AES core is only exercised on genuinely new
-    counter blocks.  Pass ``cache_blocks=False`` to disable the cache.
+    counter blocks.  A mode built after ``use_keystream_cache(False)`` has no
+    cache.
     """
 
     #: Upper bound on memoised keystream blocks (16 bytes each).
     CACHE_LIMIT = 4096
 
-    def __init__(self, cipher: BlockCipher, cache_blocks: Optional[bool] = None) -> None:
+    def __init__(self, cipher: BlockCipher) -> None:
         self._cipher = cipher
         self._block = cipher.BLOCK_SIZE
-        self._cache_blocks = _KEYSTREAM_CACHE_DEFAULT if cache_blocks is None else cache_blocks
+        self._use_cache = _KEYSTREAM_CACHE_DEFAULT
         self._keystream_cache: "OrderedDict[bytes, bytes]" = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
@@ -99,7 +100,7 @@ class CTRMode:
 
     def _keystream_block(self, counter_block: bytes) -> bytes:
         """One keystream block, served from the LRU cache when possible."""
-        if not self._cache_blocks:
+        if not self._use_cache:
             return self._cipher.encrypt_block(counter_block)
         cache = self._keystream_cache
         cached = cache.get(counter_block)

@@ -1,17 +1,16 @@
-"""SHA-256 (FIPS 180-4): reference implementation plus a fast backend.
+"""SHA-256 (FIPS 180-4): the simulator's one-shot hash and its test oracle.
 
 The Integrity Core of the Local Ciphering Firewall is "based on hash-trees"
 (paper, section IV-B2).  The hash function at the leaves and interior nodes of
-that tree is provided here.  :class:`SHA256` follows the standard
-Merkle–Damgård construction with the SHA-256 compression function, implemented
-from first principles so the compression-function internals can be
-instrumented by the latency model and audited against the spec.
+that tree is provided here.  The one-shot :func:`sha256` helper is the
+simulator's hot path (every hash-tree leaf and node goes through it), so it
+calls :mod:`hashlib`'s C implementation.
 
-The one-shot :func:`sha256` helper is the simulator's hot path (every
-hash-tree leaf and node goes through it), so by default it dispatches to
-:mod:`hashlib`'s C implementation, which computes the exact same digest.  Call
-:func:`use_reference_backend` to force the pure-Python path (used by the
-fast-path regression tests to prove both backends agree byte-for-byte).
+:class:`SHA256` follows the standard Merkle–Damgård construction with the
+SHA-256 compression function, implemented from first principles so it can be
+audited against the spec.  It is the test oracle: the tests compare
+:func:`sha256` against it across every padding boundary and on every leaf
+and node input the hash tree produces.
 """
 
 from __future__ import annotations
@@ -19,22 +18,7 @@ from __future__ import annotations
 import hashlib as _hashlib
 from typing import List
 
-__all__ = ["SHA256", "sha256", "use_reference_backend", "fast_backend_enabled"]
-
-# When True, sha256() uses hashlib's C core; the digests are identical to the
-# reference implementation (asserted by tests/test_perf_fastpath.py).
-_USE_FAST_BACKEND = True
-
-
-def use_reference_backend(enabled: bool = True) -> None:
-    """Force (or release) the pure-Python reference path for :func:`sha256`."""
-    global _USE_FAST_BACKEND
-    _USE_FAST_BACKEND = not enabled
-
-
-def fast_backend_enabled() -> bool:
-    """Whether :func:`sha256` currently dispatches to :mod:`hashlib`."""
-    return _USE_FAST_BACKEND
+__all__ = ["SHA256", "sha256"]
 
 
 def _rotr(value: int, amount: int) -> int:
@@ -178,11 +162,6 @@ class SHA256:
 
 
 def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256 digest of ``data``.
-
-    Uses the :mod:`hashlib` fast backend unless :func:`use_reference_backend`
-    selected the pure-Python implementation; both produce identical digests.
-    """
-    if _USE_FAST_BACKEND:
-        return _hashlib.sha256(data).digest()
-    return SHA256(data).digest()
+    """One-shot SHA-256 digest of ``data`` (:mod:`hashlib`; :class:`SHA256`
+    computes the same digest)."""
+    return _hashlib.sha256(data).digest()

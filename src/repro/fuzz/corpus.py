@@ -90,11 +90,21 @@ def export_cases(
 
 
 def load_cases(path: Union[str, pathlib.Path]) -> List[Dict[str, object]]:
-    """Read a JSON corpus document back into entry dicts."""
+    """Read a JSON corpus document back into entry dicts.
+
+    A file that cannot be read raises :class:`OSError`.  A file that is not
+    JSON, not a schema-2 document or not a list of objects each holding a
+    ``case`` object raises :class:`ValueError` (a bad entry is named by its
+    index); :meth:`FuzzCase.from_dict` checks each case itself.
+    """
     payload = json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
-    if payload.get("schema") != _SCHEMA:
-        raise ValueError(f"unsupported corpus schema {payload.get('schema')!r}")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != _SCHEMA:
+        raise ValueError(f"unsupported corpus schema {schema!r}")
     cases = payload.get("cases", [])
     if not isinstance(cases, list):
         raise ValueError("corpus document must carry a list of cases")
+    for index, entry in enumerate(cases):
+        if not isinstance(entry, dict) or not isinstance(entry.get("case"), dict):
+            raise ValueError(f"corpus entry {index} is not an object holding a 'case' object")
     return cases

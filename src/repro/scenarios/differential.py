@@ -1,13 +1,16 @@
-"""Golden-model differential harness: fast paths vs. forced reference paths.
+"""Golden-model differential harness: memoised builds vs. plain builds.
 
-PR 1 introduced four dual implementations: table-driven vs. FIPS-197
-reference AES, hashlib vs. byte-wise SHA-256, memoised vs. per-transaction
-policy decisions, and the CTR keystream LRU.  Their contract is *observable
-equivalence*: same ciphertexts, same alerts, same cycle counts, same
-statistics.  This module locks that contract down systematically: it runs a
-whole scenario twice — once with every fast path enabled (the default) and
-once inside :func:`reference_mode`, which forces every reference
-implementation — and compares structural fingerprints of the two runs.
+A platform memoises three per-transaction answers: each Security Builder's
+policy decisions, each Local Ciphering Firewall's protected-region lookups
+(kept while its Security Builder memoises) and each CTR mode's keystream
+blocks.  Their contract is *observable equivalence*: same ciphertexts, same
+alerts, same cycle counts, same statistics.  This module locks that contract
+down systematically: it runs a whole scenario twice — once with the memos on
+(the default) and once inside :func:`reference_mode`, which builds every
+platform with them off — and compares structural fingerprints of the two
+runs.  The ciphers have no switch: the tests compare the table-driven AES
+and the :mod:`hashlib` SHA-256 directly against their from-scratch
+references.
 
 A fingerprint deliberately excludes cache statistics (hits/misses differ by
 construction) and wall-clock time; everything else — simulated cycles, event
@@ -24,12 +27,8 @@ from typing import Dict, List, Optional, Union
 from repro.baselines.centralized import CentralizedPlatform
 from repro.core.local_firewall import decision_cache_enabled, use_decision_cache
 from repro.core.secure import SecuredPlatform
-from repro.crypto.aes import fast_backend_enabled as aes_fast_enabled
-from repro.crypto.aes import use_reference_backend as aes_use_reference
 from repro.crypto.modes import keystream_cache_enabled, use_keystream_cache
-from repro.crypto.sha256 import fast_backend_enabled as sha_fast_enabled
 from repro.crypto.sha256 import sha256
-from repro.crypto.sha256 import use_reference_backend as sha_use_reference
 from repro.soc.system import SoCSystem
 
 from repro.scenarios.builder import BuiltScenario, ScenarioBuilder, instantiate_attacks
@@ -46,34 +45,26 @@ __all__ = [
 
 @contextlib.contextmanager
 def reference_mode():
-    """Force every reference implementation for the duration of the block.
+    """Build platforms with their per-transaction memos off inside the block.
 
-    * AES block calls use the byte-wise FIPS-197 rounds,
-    * :func:`repro.crypto.sha256.sha256` uses the from-scratch compression
-      function instead of :mod:`hashlib`,
-    * new CTR modes skip the keystream LRU,
-    * new Security Builders skip the decision cache.
+    * new Security Builders skip the decision cache, and so the Local
+      Ciphering Firewalls they belong to skip the region memo,
+    * new CTR modes skip the keystream LRU.
 
-    Platforms must be *built inside* the block for the cache defaults to take
-    effect (the crypto backends switch globally either way).
+    Platforms must be *built inside* the block: only the defaults a build
+    reads change.  Two memos stay on.  The address-decode memo of
+    :mod:`repro.soc.address_map` answers from a map that is fixed once the
+    fabric is finalized, and :mod:`repro.crypto.merkle`'s all-zero tree
+    levels are a pure function of the tree size.
     """
-    saved = (
-        aes_fast_enabled(),
-        sha_fast_enabled(),
-        keystream_cache_enabled(),
-        decision_cache_enabled(),
-    )
-    aes_use_reference(True)
-    sha_use_reference(True)
+    saved = (keystream_cache_enabled(), decision_cache_enabled())
     use_keystream_cache(False)
     use_decision_cache(False)
     try:
         yield
     finally:
-        aes_use_reference(not saved[0])
-        sha_use_reference(not saved[1])
-        use_keystream_cache(saved[2])
-        use_decision_cache(saved[3])
+        use_keystream_cache(saved[0])
+        use_decision_cache(saved[1])
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +184,7 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, object]:
 
 
 def differential_pair(spec_factory) -> tuple:
-    """Fingerprints of the same scenario under fast and reference paths.
+    """Fingerprints of the same scenario with the memos on and off.
 
     ``spec_factory`` is called once per run (specs are cheap; a fresh one per
     run rules out accidental state sharing).

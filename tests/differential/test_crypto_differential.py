@@ -1,11 +1,14 @@
 """Seeded randomized differential tests for the dual crypto implementations.
 
-Complements the scenario-level harness with direct, randomized checks:
+Complements the scenario-level harness, which leaves the ciphers alone, with
+direct, randomized checks:
 
 * AES-128: the T-table fast path vs. the byte-wise FIPS-197 reference, over
-  random keys and blocks, plus the global backend switch;
-* SHA-256: the hashlib backend vs. the from-scratch implementation, over
-  random lengths straddling every Merkle–Damgård padding boundary;
+  random keys and blocks and over every counter block a Local Ciphering
+  Firewall enciphers while it serves seeded traffic;
+* SHA-256: :mod:`hashlib` vs. the from-scratch implementation, over random
+  lengths straddling every Merkle–Damgård padding boundary and over every
+  leaf and node input the hash tree hashes;
 * CTR mode: LRU-cached vs. uncached keystreams at and around the cache-limit
   boundary, where eviction starts.
 """
@@ -14,12 +17,15 @@ from __future__ import annotations
 
 import random
 
+from repro.core.constants import INTEGRITY_BLOCK_BYTES
+from repro.crypto import merkle
 from repro.crypto.aes import AES128
-from repro.crypto.aes import fast_backend_enabled as aes_fast_enabled
-from repro.crypto.aes import use_reference_backend as aes_use_reference
 from repro.crypto.modes import CTRMode
 from repro.crypto.sha256 import SHA256, sha256
-from repro.crypto.sha256 import use_reference_backend as sha_use_reference
+from repro.scenarios.differential import reference_mode
+from repro.soc.transaction import Step, TransactionStatus
+
+from tests.conftest import build_figure1
 
 
 class TestAESDifferential:
@@ -31,20 +37,35 @@ class TestAESDifferential:
             cipher = AES128(key)
             assert cipher.encrypt_block(block) == cipher.encrypt_block_reference(block)
 
-    def test_backend_switch_routes_block_calls_to_the_reference(self):
+    def test_every_counter_block_the_lcf_enciphers(self, monkeypatch):
+        """Seeded writes and reads of the ``secure`` window: each nonce ‖
+        counter block the Confidentiality Core enciphers matches the
+        FIPS-197 reference rounds."""
+        seen = []
+        table = AES128.encrypt_block
+
+        def recording_encrypt_block(cipher, block):
+            out = table(cipher, block)
+            seen.append((cipher, block, out))
+            return out
+
+        monkeypatch.setattr(AES128, "encrypt_block", recording_encrypt_block)
+        system, security = build_figure1()
+        (secure,) = [r for r in security.ciphering_firewall.protected_regions
+                     if r.rule.label == "ddr_secure"]
         rng = random.Random(0xAE5_0002)
-        cipher = AES128(rng.randbytes(16))
-        block = rng.randbytes(16)
-        fast = cipher.encrypt_block(block)
-        aes_use_reference(True)
-        try:
-            assert not aes_fast_enabled()
-            # Same call site, reference rounds, identical bytes.
-            assert cipher.encrypt_block(block) == fast
-        finally:
-            aes_use_reference(False)
-        assert aes_fast_enabled()
-        assert cipher.encrypt_block(block) == fast
+        written = {}
+        for _ in range(24):
+            address = secure.rule.base + 4 * rng.randrange(secure.rule.size // 4)
+            written[address] = rng.randbytes(4)
+            txn = system.issue(Step("cpu0", "write", address, data=written[address]))
+            assert txn.status is TransactionStatus.COMPLETED
+        for address, data in written.items():
+            assert system.issue(Step("cpu1", "read", address)).data == data
+
+        assert {len(block) for _, block, _ in seen} == {16}
+        for cipher, block, out in seen:
+            assert cipher.encrypt_block_reference(block) == out
 
 
 class TestSha256Differential:
@@ -57,13 +78,35 @@ class TestSha256Differential:
         lengths = list(self.BOUNDARY_LENGTHS) + [rng.randrange(1, 4096) for _ in range(30)]
         for length in lengths:
             data = rng.randbytes(length)
-            fast = sha256(data)
-            sha_use_reference(True)
-            try:
-                assert sha256(data) == fast
-            finally:
-                sha_use_reference(False)
-            assert SHA256(data).digest() == fast
+            assert SHA256(data).digest() == sha256(data)
+
+    def test_every_hash_tree_input(self, monkeypatch):
+        """Seeded updates and verifications of a tree over Integrity-Core
+        blocks: each 52-byte leaf input and 68-byte node input hashes to the
+        from-scratch digest."""
+        seen = []
+
+        def recording_sha256(data):
+            digest = sha256(data)
+            seen.append((data, digest))
+            return digest
+
+        monkeypatch.setattr(merkle, "sha256", recording_sha256)
+        rng = random.Random(0x5AA7)
+        tree = merkle.MerkleTree(16, block_size=INTEGRITY_BLOCK_BYTES)
+        blocks = {}
+        for _ in range(40):
+            index = rng.randrange(16)
+            blocks[index] = rng.randbytes(INTEGRITY_BLOCK_BYTES)
+            tree.update(index, blocks[index])
+        for index, data in blocks.items():
+            assert tree.verify(index, data)
+        tampered = next(iter(blocks))
+        assert not tree.verify(tampered, bytes(INTEGRITY_BLOCK_BYTES))
+
+        assert {len(data) for data, _ in seen} == {52, 68}
+        for data, digest in seen:
+            assert SHA256(data).digest() == digest
 
     def test_incremental_updates_match_one_shot(self):
         rng = random.Random(0x5AA6)
@@ -80,8 +123,9 @@ class TestCTRKeystreamDifferential:
     def test_random_payloads_cached_vs_uncached(self):
         rng = random.Random(0xC7C7)
         key = rng.randbytes(16)
-        cached = CTRMode(AES128(key), cache_blocks=True)
-        uncached = CTRMode(AES128(key), cache_blocks=False)
+        cached = CTRMode(AES128(key))
+        with reference_mode():
+            uncached = CTRMode(AES128(key))
         for _ in range(50):
             nonce = rng.randbytes(8)
             payload = rng.randbytes(rng.randrange(1, 300))
@@ -97,8 +141,9 @@ class TestCTRKeystreamDifferential:
         revisit early counters (already evicted) — bytes must still match the
         uncached reference on both sides of the boundary."""
         key = bytes(range(16))
-        cached = CTRMode(AES128(key), cache_blocks=True)
-        uncached = CTRMode(AES128(key), cache_blocks=False)
+        cached = CTRMode(AES128(key))
+        with reference_mode():
+            uncached = CTRMode(AES128(key))
         nonce = b"\xa5" * 8
         limit = CTRMode.CACHE_LIMIT
 
@@ -118,7 +163,8 @@ class TestCTRKeystreamDifferential:
     def test_boundary_payload_sizes_around_block_edges(self):
         key = b"\x42" * 16
         cached = CTRMode(AES128(key))
-        uncached = CTRMode(AES128(key), cache_blocks=False)
+        with reference_mode():
+            uncached = CTRMode(AES128(key))
         nonce = b"\x00" * 8
         rng = random.Random(7)
         for size in (1, 15, 16, 17, 31, 32, 33, 255, 256, 257):

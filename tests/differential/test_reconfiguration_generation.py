@@ -90,11 +90,11 @@ class TestGenerationCounterInvalidation:
         """End-to-end: the same traffic + mid-stream reconfiguration produces
         identical statuses and alert streams with decision caches on and off."""
         outcomes = []
-        for cache_decisions in (True, False):
+        for decisions_cached in (True, False):
             system, security = build_figure1()
             for firewall in security.all_firewalls:
                 firewall.security_builder.cache_enabled = (
-                    cache_decisions and firewall.security_builder.cache_enabled
+                    decisions_cached and firewall.security_builder.cache_enabled
                 )
             bram_base = system.config.bram_base
             statuses = [

@@ -1,7 +1,8 @@
 """Golden-model differential harness over the whole scenario registry.
 
-Every registered scenario runs twice — fast paths enabled (the default) and
-reference paths forced (:func:`repro.scenarios.reference_mode`) — and the two
+Every registered scenario runs twice — memos on (the default) and every
+platform built with its decision, region and keystream memos off
+(:func:`repro.scenarios.reference_mode`) — and the two
 structural fingerprints must match exactly: same alert streams, same cycle
 counts, same raw memory images (i.e. same ciphertexts in the protected
 external memory), same firewall verdict counters and same per-attack
@@ -12,8 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crypto.aes import fast_backend_enabled as aes_fast_enabled
-from repro.crypto.sha256 import fast_backend_enabled as sha_fast_enabled
+from repro.core.local_firewall import decision_cache_enabled
+from repro.crypto.modes import keystream_cache_enabled
 from repro.scenarios import (
     assert_equivalent,
     differential_pair,
@@ -22,6 +23,9 @@ from repro.scenarios import (
     reference_mode,
     run_scenario,
 )
+from repro.soc.transaction import Step, TransactionStatus
+
+from tests.conftest import build_figure1
 
 ALL_SCENARIOS = list_scenarios()
 
@@ -48,11 +52,27 @@ def test_fast_and_reference_runs_are_identical(name):
     assert_equivalent(fast, reference)
 
 
-def test_reference_mode_restores_fast_paths():
-    assert aes_fast_enabled() and sha_fast_enabled()
+def test_reference_mode_restores_the_memo_defaults():
+    assert keystream_cache_enabled() and decision_cache_enabled()
+    with pytest.raises(RuntimeError):
+        with reference_mode():
+            assert not keystream_cache_enabled() and not decision_cache_enabled()
+            raise RuntimeError("restored on the way out")
+    assert keystream_cache_enabled() and decision_cache_enabled()
+
+
+def test_reference_build_serves_the_secure_window_without_its_region_memo():
     with reference_mode():
-        assert not aes_fast_enabled() and not sha_fast_enabled()
-    assert aes_fast_enabled() and sha_fast_enabled()
+        system, security = build_figure1()
+    lcf = security.ciphering_firewall
+    assert not lcf.security_builder.cache_enabled
+    base = next(r.rule.base for r in lcf.protected_regions if r.rule.label == "ddr_secure")
+    for offset, data in ((0x0, b"\x01\x02\x03\x04"), (0x24, b"\xa5" * 4)):
+        write = system.issue(Step("cpu0", "write", base + offset, data=data))
+        assert write.status is TransactionStatus.COMPLETED
+        assert system.issue(Step("cpu0", "read", base + offset)).data == data
+    assert lcf.integrity_core.blocks_updated == 2
+    assert lcf._region_cache == {}
 
 
 def test_fingerprint_covers_the_interesting_observables():

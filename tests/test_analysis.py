@@ -48,7 +48,18 @@ class TestFormatTable:
         text = format_resource_table(generate_table1(), title="Table I")
         assert "Generic w/o firewalls" in text
         assert "12,895" in text
-        assert "overhead" in text.splitlines()[2]
+        header = [cell.strip() for cell in text.splitlines()[2].split("|")]
+        assert header == ["component", "Slice Regs", "Slice LUTs", "LUT-FF pairs", "BRAMs"]
+        assert text.splitlines()[-2:] == [
+            "Generic w/ firewalls overhead computed from the rows: slice registers: +22.78%, "
+            "slice luts: +70.42%, lut ff pairs: +39.15%, brams: +18.87%",
+            "Generic w/ firewalls overhead printed in the paper: slice registers: +13.43%, "
+            "slice luts: +34.40%, lut ff pairs: +26.50%, brams: +18.87%",
+        ]
+
+    def test_no_line_ends_in_a_blank(self):
+        text = format_table(["name"], [["a"], ["a longer name"]], title="t")
+        assert text.splitlines()[2:] == ["name", "-------------", "a", "a longer name"]
 
 
 class TestRenderers:

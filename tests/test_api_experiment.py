@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import pathlib
@@ -234,6 +235,35 @@ class TestCli:
         lines = trace.read_text().splitlines()
         assert lines
         json.loads(lines[0])
+
+    @pytest.mark.parametrize("target", ["a_directory", "in_a_missing_directory"])
+    def test_unwritable_trace_path_is_one_line_and_exit_one(self, target, tmp_path, capsys):
+        path = tmp_path if target == "a_directory" else tmp_path / "missing" / "trace.jsonl"
+        reason = os.strerror(errno.EISDIR if target == "a_directory" else errno.ENOENT)
+        assert cli_main(["run", "minimal_1x1", "--trace", str(path)]) == 1
+        assert capsys.readouterr().err == f"repro run: {path}: {reason}\n"
+
+    def test_reference_json_differs_only_in_the_flag_cache_counters_and_wall_time(self, capsys):
+        def flatten(value, path=""):
+            if isinstance(value, dict):
+                items = value.items()
+            elif isinstance(value, list):
+                items = enumerate(value)
+            else:
+                return {path: value}
+            return {k: v for key, item in items for k, v in flatten(item, f"{path}/{key}").items()}
+
+        runs = []
+        for argv in (["run", "paper_baseline", "--json"],
+                     ["run", "paper_baseline", "--reference", "--json"]):
+            assert cli_main(argv) == 0
+            runs.append(flatten(json.loads(capsys.readouterr().out)))
+        default, reference = runs
+        assert set(default) == set(reference)
+        differing = {path for path in default if default[path] != reference[path]}
+        counters = {path for path in differing if path.endswith(("/sb_cache_hits", "/sb_cache_misses"))}
+        assert differing - counters == {"/reference", "/campaign/metrics/wall_seconds"}
+        assert counters and all(reference[path] == 0 for path in counters)
 
     def test_campaign(self, capsys):
         assert cli_main(["campaign", "minimal_1x1"]) == 0

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.api.events import EventBus, InMemorySink, attach_instrumentation
 from repro.core.alerts import SecurityMonitor, ViolationType
+from repro.core.checks import default_check_suite
+from repro.core.local_firewall import LocalFirewall
 from repro.core.policy import ConfigurationMemory, SecurityPolicy
 from repro.core.thread_policy import (
     THREAD_ID_ANNOTATION,
-    ThreadAwareLocalFirewall,
+    ThreadClearanceCheck,
     ThreadSecurityDirectory,
 )
 from repro.scenarios import MasterSpec, ScenarioBuilder, ScenarioSpec, SlaveSpec, TopologySpec
@@ -20,19 +23,26 @@ SECRET_BASE = 0x1000
 REGION_SIZE = 0x1000
 
 
+def clearance_firewall(sim, memory, directory, name="lf", monitor=None, **requirements):
+    """A Local Firewall running the default suite plus a clearance check."""
+    clearance = ThreadClearanceCheck(memory, directory, **requirements)
+    firewall = LocalFirewall(
+        sim, name, memory, monitor=monitor, checks=[*default_check_suite(), clearance]
+    )
+    return firewall, clearance
+
+
 def make_firewall(monitor=None, default_clearance=0):
-    sim = Simulator()
     memory = ConfigurationMemory("cfg", capacity=8)
     memory.add(PUBLIC_BASE, REGION_SIZE, SecurityPolicy(spi=1), label="public")
     memory.add(SECRET_BASE, REGION_SIZE, SecurityPolicy(spi=2), label="secret")
     directory = ThreadSecurityDirectory(default_clearance=default_clearance)
-    firewall = ThreadAwareLocalFirewall(
-        sim, "tlf", memory, directory,
+    firewall, clearance = clearance_firewall(
+        Simulator(), memory, directory, monitor=monitor,
         clearance_requirements={SECRET_BASE: 2},
         write_clearance_requirements={PUBLIC_BASE: 1},
-        monitor=monitor,
     )
-    return sim, directory, firewall
+    return clearance, directory, firewall
 
 
 def read(address, thread_id=None):
@@ -73,22 +83,23 @@ class TestThreadSecurityDirectory:
             ThreadSecurityDirectory().set_clearance(1, -2)
 
 
-class TestThreadAwareFirewall:
+class TestThreadClearanceCheck:
     def test_low_clearance_thread_blocked_from_secret_window(self):
         monitor = SecurityMonitor()
-        _, directory, firewall = make_firewall(monitor)
+        clearance, directory, firewall = make_firewall(monitor)
         directory.set_clearance(1, 1)   # thread 1: clearance 1 < required 2
         result = firewall.filter_request(read(SECRET_BASE + 0x10, thread_id=1))
         assert not result.allowed
-        assert firewall.thread_denials == 1
+        assert clearance.denials == 1
         assert monitor.count(ViolationType.UNAUTHORIZED_READ) == 1
 
     def test_high_clearance_thread_allowed(self):
-        _, directory, firewall = make_firewall()
+        clearance, directory, firewall = make_firewall()
         directory.set_clearance(2, 3)
-        txn = read(SECRET_BASE + 0x10, thread_id=2)
-        assert firewall.filter_request(txn).allowed
-        assert txn.annotations["tlf.clearance"] == 3
+        assert firewall.filter_request(read(SECRET_BASE + 0x10, thread_id=2)).allowed
+        assert clearance.denials == 0
+        # A verdict that depends on the thread is never memoised by shape.
+        assert not firewall.security_builder.cache_enabled
 
     def test_unknown_thread_gets_default_clearance(self):
         _, _, firewall = make_firewall(default_clearance=0)
@@ -119,40 +130,43 @@ class TestThreadAwareFirewall:
         assert not firewall.filter_request(read(0x9000, thread_id=1)).allowed
 
     def test_runtime_tightening(self):
-        _, directory, firewall = make_firewall()
+        clearance, directory, firewall = make_firewall()
         directory.set_clearance(4, 2)
         assert firewall.filter_request(read(SECRET_BASE, thread_id=4)).allowed
-        firewall.require_clearance(SECRET_BASE, 5)
+        clearance.require_clearance(SECRET_BASE, 5)
         assert not firewall.filter_request(read(SECRET_BASE, thread_id=4)).allowed
 
-    def test_summary_includes_thread_counters(self):
-        _, directory, firewall = make_firewall()
+    def test_summary_counts_a_denial_as_a_violation(self):
+        clearance, directory, firewall = make_firewall()
         directory.set_clearance(1, 0)
         firewall.filter_request(read(SECRET_BASE, thread_id=1))
         summary = firewall.summary()
-        assert summary["thread_denials"] == 1
-        assert summary["clearance_rules"] == 2
+        assert clearance.denials == summary["violations"] == summary["discarded"] == 1
+        assert summary["passed"] == 0
+
+
+def _thread_platform():
+    spec = ScenarioSpec(
+        name="thread_tags",
+        description="one CPU and one BRAM on a flat bus",
+        topology=TopologySpec(
+            masters=(MasterSpec("cpu0"),),
+            slaves=(SlaveSpec("bram", "bram", base=0x0, size=0x4000),),
+        ),
+    )
+    return ScenarioBuilder(spec).build(protected=False).system
 
 
 class TestThreadTagsOnTheBus:
     def test_processor_propagates_thread_ids_through_the_platform(self):
-        spec = ScenarioSpec(
-            name="thread_tags",
-            description="one CPU and one BRAM on a flat bus",
-            topology=TopologySpec(
-                masters=(MasterSpec("cpu0"),),
-                slaves=(SlaveSpec("bram", "bram", base=0x0, size=0x4000),),
-            ),
-        )
-        system = ScenarioBuilder(spec).build(protected=False).system
-
+        system = _thread_platform()
         cfg_memory = ConfigurationMemory("cfg", capacity=4)
         cfg_memory.add(PUBLIC_BASE, REGION_SIZE, SecurityPolicy(spi=1))
         cfg_memory.add(SECRET_BASE, REGION_SIZE, SecurityPolicy(spi=2))
         directory = ThreadSecurityDirectory()
         directory.set_clearance(7, 2)
-        firewall = ThreadAwareLocalFirewall(
-            system.sim, "tlf_cpu0", cfg_memory, directory,
+        firewall, _ = clearance_firewall(
+            system.sim, cfg_memory, directory, name="lf_cpu0",
             clearance_requirements={SECRET_BASE: 2},
         )
         system.master_ports["cpu0"].attach_filter(firewall)
@@ -174,3 +188,26 @@ class TestThreadTagsOnTheBus:
         assert cpu.transactions[1].data == b"\x01\x02\x03\x04"
         assert statuses[2] is TransactionStatus.BLOCKED_AT_MASTER
         assert statuses[3] is TransactionStatus.COMPLETED
+
+    def test_denied_read_is_discarded_once_and_traced_as_denied(self):
+        system = _thread_platform()
+        events = InMemorySink()
+        attach_instrumentation(system, bus=EventBus([events]))
+        cfg_memory = ConfigurationMemory("cfg", capacity=4)
+        cfg_memory.add(SECRET_BASE, REGION_SIZE, SecurityPolicy(spi=2))
+        firewall, _ = clearance_firewall(
+            system.sim, cfg_memory, ThreadSecurityDirectory(), name="lf_cpu0",
+            clearance_requirements={SECRET_BASE: 2},
+        )
+        system.master_ports["cpu0"].attach_filter(firewall)
+
+        txn = BusTransaction(master="cpu0", operation=BusOperation.READ,
+                             address=SECRET_BASE, width=4)
+        txn.annotations[THREAD_ID_ANNOTATION] = 8
+        system.master_ports["cpu0"].issue(txn, lambda _t: None)
+        system.run()
+
+        assert txn.status is TransactionStatus.BLOCKED_AT_MASTER
+        interface = firewall.firewall_interface
+        assert (interface.passed, interface.discarded) == (0, 1)
+        assert [e.data["allowed"] for e in events.of_kind("firewall.decision")] == [False]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, SBOX, gmul, use_reference_backend, xtime
+from repro.crypto.aes import AES128, SBOX, gmul, xtime
 from repro.crypto.modes import xor_bytes
 
 
@@ -49,20 +49,11 @@ KNOWN_ANSWERS = {
 }
 
 
-def _encrypt_under_reference_backend(cipher: AES128, block: bytes) -> bytes:
-    use_reference_backend(True)
-    try:
-        return cipher.encrypt_block(block)
-    finally:
-        use_reference_backend(False)
-
-
-#: Every way to run the forward cipher: the T-table fast path, the FIPS-197
-#: reference rounds, and the fast entry point with the backend switch flipped.
+#: Both ways to run the forward cipher: the T-table fast path and the
+#: FIPS-197 reference rounds.
 FORWARD_PATHS = {
     "table": AES128.encrypt_block,
     "reference": AES128.encrypt_block_reference,
-    "reference_backend": _encrypt_under_reference_backend,
 }
 
 

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES128, use_reference_backend
-from repro.crypto.modes import CTRMode, xor_bytes
+from repro.crypto.aes import AES128
+from repro.crypto.modes import CTRMode, keystream_cache_enabled, use_keystream_cache, xor_bytes
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 
@@ -17,6 +17,21 @@ NIST_CTR_INITIAL_COUNTER = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff")
 NIST_CTR_CIPHERTEXT = bytes.fromhex(
     "874d6191b620e3261bef6864990db6ce9806f66b7970fdff8617187bb9fffdff"
 )
+
+
+class _ReferenceAES(AES128):
+    """AES-128 whose block calls run the FIPS-197 reference rounds."""
+
+    encrypt_block = AES128.encrypt_block_reference
+
+
+def _ctr(cipher, cached: bool) -> CTRMode:
+    saved = keystream_cache_enabled()
+    use_keystream_cache(cached)
+    try:
+        return CTRMode(cipher)
+    finally:
+        use_keystream_cache(saved)
 
 
 class TestXorBytes:
@@ -35,22 +50,18 @@ class TestXorBytes:
 
 
 class TestCTR:
-    @pytest.mark.parametrize("reference_aes", [False, True], ids=["table_aes", "reference_aes"])
-    @pytest.mark.parametrize("cache_blocks", [True, False], ids=["cached", "uncached"])
-    def test_nist_vector(self, cache_blocks, reference_aes):
+    @pytest.mark.parametrize("cipher", [AES128, _ReferenceAES], ids=["table_aes", "reference_aes"])
+    @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
+    def test_nist_vector(self, cached, cipher):
         # The NIST CTR vector uses the full 16-byte counter block as the
         # initial counter; reproduce it by splitting into nonce and counter.
         nonce = NIST_CTR_INITIAL_COUNTER[:8]
         initial = int.from_bytes(NIST_CTR_INITIAL_COUNTER[8:], "big")
-        mode = CTRMode(AES128(KEY), cache_blocks=cache_blocks)
-        use_reference_backend(reference_aes)
-        try:
-            # The second pass is served from the keystream cache when it is on.
-            for _ in range(2):
-                assert mode.encrypt(NIST_PLAINTEXT, nonce, initial) == NIST_CTR_CIPHERTEXT
-        finally:
-            use_reference_backend(False)
-        assert mode.cache_hits == (2 if cache_blocks else 0)
+        mode = _ctr(cipher(KEY), cached)
+        # The second pass is served from the keystream cache when it is on.
+        for _ in range(2):
+            assert mode.encrypt(NIST_PLAINTEXT, nonce, initial) == NIST_CTR_CIPHERTEXT
+        assert mode.cache_hits == (2 if cached else 0)
 
     def test_arbitrary_length_no_padding(self):
         mode = CTRMode(AES128(KEY))

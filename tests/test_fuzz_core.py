@@ -3,7 +3,9 @@ report reproducibility and the ``repro fuzz`` CLI."""
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -330,6 +332,29 @@ def test_cli_fuzz_planted_backdoor_exits_one_with_json(capsys):
 def test_cli_fuzz_unknown_scenario_fails(capsys):
     with pytest.raises(SystemExit):
         main(["fuzz", "no_such_scenario", "--budget", "1"])
+
+
+_JUMP_STEP = {"master": "cpu0", "op": "jump", "address": 0, "width": 4, "burst_length": 1}
+
+
+@pytest.mark.parametrize("document, reason", [
+    (None, os.strerror(errno.ENOENT)),
+    ("not json", "Expecting value: line 1 column 1 (char 0)"),
+    ({"schema": 1, "cases": []}, "unsupported corpus schema 1"),
+    ({"schema": 2, "cases": [{"case": {"scenario": "minimal_1x1", "seed": 0,
+                                        "steps": [_JUMP_STEP]}}]},
+     "step op must be one of ('read', 'write'), got 'jump'"),
+    ({"schema": 2, "cases": [{"violation": {}}]},
+     "corpus entry 0 is not an object holding a 'case' object"),
+    ({"schema": 2, "cases": ["minimal_1x1"]},
+     "corpus entry 0 is not an object holding a 'case' object"),
+], ids=["missing", "not_json", "schema_1", "jump_step", "no_case", "string_entry"])
+def test_cli_fuzz_bad_replay_file_is_one_line_and_exit_one(document, reason, tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    if document is not None:
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+    assert main(["fuzz", "minimal_1x1", "--replay", str(path)]) == 1
+    assert capsys.readouterr().err == f"repro fuzz: {path}: {reason}\n"
 
 
 def test_cli_fuzz_replay_checks_the_committed_corpus(capsys):

@@ -1,11 +1,11 @@
 """Regression tests for the simulation fast path.
 
 The fast path trades per-transaction recomputation for precomputation and
-memoisation in four places: table-driven AES, the hashlib SHA-256 backend,
-the CTR keystream cache, and the firewalls' policy-decision caches.  All of
-them must be *observably identical* to the reference implementations — same
-bytes, same verdicts, same statistics — and the decision caches must be
-invalidated by policy reconfiguration.  These tests pin each equivalence.
+memoisation in four places: table-driven AES, hashlib's SHA-256, the CTR
+keystream cache, and the firewalls' policy-decision caches.  All of them must
+be *observably identical* to the reference implementations — same bytes,
+same verdicts, same statistics — and the decision caches must be invalidated
+by policy reconfiguration.  These tests pin each equivalence.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ from repro.core.local_firewall import LocalFirewall, SecurityBuilder
 from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPolicy
 from repro.crypto.aes import AES128
 from repro.crypto.modes import CTRMode
-from repro.crypto.sha256 import (
-    SHA256,
-    fast_backend_enabled,
-    sha256,
-    use_reference_backend,
-)
+from repro.crypto.sha256 import SHA256, sha256
+from repro.scenarios.differential import reference_mode
 from repro.soc.address_map import AddressMap, DecodeError
 from repro.soc.kernel import Simulator
 from repro.soc.transaction import BusOperation, BusTransaction
@@ -52,26 +48,16 @@ class TestAESTablePath:
 
 
 # ---------------------------------------------------------------------------
-# SHA-256: hashlib backend must agree with the from-scratch implementation
+# SHA-256: hashlib must agree with the from-scratch implementation
 # ---------------------------------------------------------------------------
 
 
 class TestSha256Backends:
-    def test_fast_backend_is_default(self):
-        assert fast_backend_enabled()
-
     def test_backends_agree_across_lengths(self):
         rng = random.Random(0x5A)
-        try:
-            for length in (0, 1, 55, 56, 63, 64, 65, 200, 1000):
-                data = bytes(rng.randrange(256) for _ in range(length))
-                fast = sha256(data)
-                use_reference_backend(True)
-                assert not fast_backend_enabled()
-                assert sha256(data) == fast == SHA256(data).digest()
-                use_reference_backend(False)
-        finally:
-            use_reference_backend(False)
+        for length in (0, 1, 55, 56, 63, 64, 65, 200, 1000):
+            data = bytes(rng.randrange(256) for _ in range(length))
+            assert sha256(data) == SHA256(data).digest()
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +69,8 @@ class TestCTRKeystreamCache:
     def test_cached_and_uncached_streams_agree(self):
         key = bytes(range(16))
         cached = CTRMode(AES128(key))
-        uncached = CTRMode(AES128(key), cache_blocks=False)
+        with reference_mode():
+            uncached = CTRMode(AES128(key))
         nonce = b"\x01" * 8
         payload = bytes(range(64))
         assert cached.encrypt(payload, nonce) == uncached.encrypt(payload, nonce)
@@ -131,7 +118,8 @@ class TestSecurityBuilderCache:
 
     def test_statistics_identical_to_uncached_run(self):
         cached = SecurityBuilder("sb_cached", _memory_with_rw_rule())
-        uncached = SecurityBuilder("sb_plain", _memory_with_rw_rule(), cache_decisions=False)
+        with reference_mode():
+            uncached = SecurityBuilder("sb_plain", _memory_with_rw_rule())
         assert not uncached.cache_enabled
         for _ in range(5):
             cached.evaluate(_write_txn())
