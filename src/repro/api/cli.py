@@ -24,10 +24,11 @@ Subcommands:
   replays every witness's transaction under the simulator (exit 1 on
   any ERROR finding or failed confirmation),
 * ``repro fuzz SCENARIO [--seed N] [--budget N] [--steps N]
-  [--store DIR] [--replay FILE] [--json]`` — the seeded property-based
+  [--corpus FILE | --replay FILE] [--json]`` — the seeded property-based
   bypass fuzzer: search for transaction sequences that silently reach
   protected state, minimize each find and replay it after the workload
-  (exit 1 on any finding; ``--replay`` re-checks a committed corpus file),
+  (exit 1 on any finding; ``--corpus`` merges the finds into a corpus file,
+  ``--replay`` re-checks one),
 * ``repro catalog [--write PATH] [--check]`` — render the scenario catalog
   markdown page from the registry.
 """
@@ -38,7 +39,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.api.events import JsonlTraceSink, StatsSink
 from repro.api.experiment import Experiment
@@ -171,12 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="number of generated cases to try (default: 200)")
     fuzz_cmd.add_argument("--steps", type=_positive_int, default=12, metavar="N",
                           help="steps per generated case (default: 12)")
-    fuzz_cmd.add_argument("--store", default=None, metavar="DIR",
-                          help="persist minimized finds into this result store "
-                               f"(e.g. {DEFAULT_STORE_DIR}; default: no store)")
-    fuzz_cmd.add_argument("--replay", metavar="FILE", default=None,
-                          help="skip the search; replay the corpus file's cases "
-                               "and re-check each verdict")
+    corpus_io = fuzz_cmd.add_mutually_exclusive_group()
+    corpus_io.add_argument("--corpus", metavar="FILE", default=None,
+                           help="merge the minimized finds into this corpus file "
+                                "(the format --replay reads)")
+    corpus_io.add_argument("--replay", metavar="FILE", default=None,
+                           help="skip the search; replay the corpus file's cases "
+                                "and re-check each verdict")
     fuzz_cmd.add_argument("--json", action="store_true", help="machine-readable report")
 
     catalog_cmd = sub.add_parser(
@@ -207,6 +209,18 @@ def _path_error(command: str, path: str, exc: Exception) -> int:
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     print(f"repro {command}: {path}: {reason}", file=sys.stderr)
     return 1
+
+
+def _usable_dirs(command: str, *paths: str) -> bool:
+    """Create each directory up front, before any sweep point runs; if one
+    cannot be (a regular file is in the way), say why in one line on stderr."""
+    for path in paths:
+        try:
+            pathlib.Path(path).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _path_error(command, path, exc)
+            return False
+    return True
 
 
 def _known_scenario(command: str, name: str) -> bool:
@@ -321,6 +335,8 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
     from repro.sweep import ResultStore, SweepRunner
 
     spec = _sweep_spec_from_args(args)
+    if not _usable_dirs("sweep run", args.store):
+        return 1
     store = ResultStore(args.store)
     report = SweepRunner(spec, store, sweep_workers=args.sweep_workers).run()
     if args.json:
@@ -363,6 +379,8 @@ def _cmd_sweep_gc(args: argparse.Namespace) -> int:
 def _cmd_paper(args: argparse.Namespace) -> int:
     from repro.sweep import regenerate_paper
 
+    if not _usable_dirs("paper", args.out, args.store):
+        return 1
     report = regenerate_paper(
         args.store, args.out, fast=args.fast, sweep_workers=args.sweep_workers
     )
@@ -434,25 +452,26 @@ def _fuzz_spec(name: str):
 
 
 def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    """Re-check a committed corpus file: every case must still reproduce its
-    recorded violation identity and its recorded per-step outcomes."""
+    """Re-check a corpus file: every case must still reproduce its recorded
+    violation identity and its recorded per-step outcomes."""
     from repro.fuzz import BypassOracle, FuzzCase, load_cases, replay_case
 
     try:
         entries = load_cases(args.replay)
-        cases = [FuzzCase.from_dict(entry["case"]) for entry in entries]
     except (OSError, ValueError) as exc:
         return _path_error("fuzz", args.replay, exc)
+    oracles: Dict[str, BypassOracle] = {}
     results = []
     failures = 0
-    for entry, case in zip(entries, cases):
-        spec = _fuzz_spec(case.scenario)
-        oracle = BypassOracle(spec)
-        outcome = oracle.run(case)
-        want = entry.get("violation", {})
-        identity = (want.get("kind"), want.get("master"), want.get("target"), want.get("op"))
-        reproduced = any(v.identity == identity for v in outcome.violations)
-        replay_matches = replay_case(spec, case) == entry.get("replay")
+    for entry in entries:
+        case = FuzzCase.from_dict(entry["case"])
+        if case.scenario not in oracles:
+            oracles[case.scenario] = BypassOracle(_fuzz_spec(case.scenario))
+        oracle = oracles[case.scenario]
+        want = entry["violation"]
+        identity = (want["kind"], want["master"], want["target"], want["op"])
+        reproduced = any(v.identity == identity for v in oracle.run(case).violations)
+        replay_matches = replay_case(oracle.builder, case) == entry["replay"]
         failures += 0 if (reproduced and replay_matches) else 1
         results.append({
             "scenario": case.scenario,
@@ -476,21 +495,23 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import Corpus, fuzz_scenario
-    from repro.sweep import ResultStore
+    from repro.fuzz import export_cases, fuzz_scenario
 
     if args.replay:
         return _cmd_fuzz_replay(args)
 
     spec = _fuzz_spec(args.scenario)
-    corpus = Corpus(ResultStore(args.store)) if args.store else None
     report = fuzz_scenario(
         spec,
         seed=args.seed,
         budget=args.budget,
         n_steps=args.steps,
-        corpus=corpus,
     )
+    if args.corpus:
+        try:
+            report.corpus_keys = export_cases(args.corpus, report.findings)
+        except (OSError, ValueError) as exc:
+            return _path_error("fuzz", args.corpus, exc)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.clean else 1
@@ -512,7 +533,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"      step {index}: {step['master']} {step['op']} "
                   f"0x{step['address']:08x}")
     if report.corpus_keys:
-        print(f"  corpus   : {len(report.corpus_keys)} case(s) -> {args.store}")
+        print(f"  corpus   : {len(report.corpus_keys)} case(s) -> {args.corpus}")
     print(f"  verdict  : {len(report.findings)} silent bypass(es) found")
     return 1
 

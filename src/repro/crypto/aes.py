@@ -58,44 +58,31 @@ def gmul(a: int, b: int) -> int:
     return result & 0xFF
 
 
-def _ginv(a: int) -> int:
-    """Multiplicative inverse in GF(2^8); inverse of 0 is defined as 0."""
-    if a == 0:
-        return 0
-    # a^(2^8 - 2) == a^254 is the inverse in GF(2^8).
-    result = 1
-    base = a
-    exponent = 254
-    while exponent:
-        if exponent & 1:
-            result = gmul(result, base)
-        base = gmul(base, base)
-        exponent >>= 1
-    return result
-
-
 def _build_sbox() -> Tuple[int, ...]:
     """Construct the AES S-box from first principles.
 
-    The S-box maps ``a`` to an affine transformation of the multiplicative
-    inverse of ``a``:  b_i = inv_i XOR inv_{i+4} XOR inv_{i+5} XOR inv_{i+6}
-    XOR inv_{i+7} XOR c_i with c = 0x63.
+    The S-box maps ``a`` to an affine transformation of its multiplicative
+    inverse in GF(2^8) (0 maps to 0).  The inverses come from the log and
+    antilog tables of the generator 3: ``exp[k]`` is 3^k, so the inverse of
+    ``a`` is ``exp[(255 - log[a]) % 255]``.  The FIPS-197 affine map is
+    b_i = inv_i XOR inv_{i+4} XOR inv_{i+5} XOR inv_{i+6} XOR inv_{i+7} XOR
+    c_i with c = 0x63, which is ``inv`` XOR its left rotations by 1 to 4
+    bits XOR 0x63.
     """
-    sbox = [0] * 256
-    for value in range(256):
-        inv = _ginv(value)
-        transformed = 0
-        for bit in range(8):
-            b = (
-                (inv >> bit)
-                ^ (inv >> ((bit + 4) % 8))
-                ^ (inv >> ((bit + 5) % 8))
-                ^ (inv >> ((bit + 6) % 8))
-                ^ (inv >> ((bit + 7) % 8))
-                ^ (0x63 >> bit)
-            ) & 1
-            transformed |= b << bit
-        sbox[value] = transformed
+    exp = [0] * 255
+    log = [0] * 256
+    value = 1
+    for power in range(255):
+        exp[power] = value
+        log[value] = power
+        value ^= xtime(value)  # value * 3
+    sbox = [0x63]  # the inverse of 0 is taken as 0, whose affine image is c
+    for a in range(1, 256):
+        inv = exp[(255 - log[a]) % 255]
+        # With inv in both bytes, a right shift by 8 - k rotates it left by k.
+        both = inv * 0x101
+        rotated = (both >> 7) ^ (both >> 6) ^ (both >> 5) ^ (both >> 4)
+        sbox.append((inv ^ rotated ^ 0x63) & 0xFF)
     return tuple(sbox)
 
 
@@ -109,8 +96,9 @@ for _ in range(9):
 # Precomputed GF(2^8) multiplication tables for the MixColumns coefficients.
 # They keep the per-block cost low enough for whole-memory-region experiments
 # while the reference gmul() implementation above stays available for tests.
-_MUL2 = tuple(gmul(x, 2) for x in range(256))
-_MUL3 = tuple(gmul(x, 3) for x in range(256))
+# 3 * x is 2 * x XOR x.
+_MUL2 = tuple(xtime(x) for x in range(256))
+_MUL3 = tuple(double ^ x for x, double in enumerate(_MUL2))
 
 # T-tables: one round's SubBytes + MixColumns contribution of a single state
 # byte, as a packed 32-bit column word.  T1..T3 are byte rotations of T0,

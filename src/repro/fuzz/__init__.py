@@ -13,8 +13,8 @@ guard (e.g. the secure-boot key bank) may leak without an alert.
 * :mod:`repro.fuzz.oracle` — replays a case, judges it with
   :mod:`repro.staticcheck` Witness semantics,
 * :mod:`repro.fuzz.shrink` — deterministic delta-debugging minimizer,
-* :mod:`repro.fuzz.corpus` — persists minimized cases through the sweep
-  :class:`~repro.sweep.store.ResultStore`,
+* :mod:`repro.fuzz.corpus` — the JSON corpus file that ``repro fuzz
+  --corpus`` merges minimized finds into and ``--replay`` re-checks,
 * :mod:`repro.fuzz.runner` — the fuzzing loop behind ``repro fuzz``,
 * :mod:`repro.fuzz.planted` — the known-hole spec the regression suite
   requires the fuzzer to rediscover.
@@ -25,7 +25,7 @@ clock — the same invocation is bit-reproducible.
 """
 
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.corpus import Corpus, export_cases, load_cases
+from repro.fuzz.corpus import export_cases, load_cases
 from repro.fuzz.generator import SequenceGenerator
 from repro.fuzz.oracle import BypassOracle, OracleResult, Violation
 from repro.fuzz.planted import planted_backdoor_spec
@@ -39,7 +39,6 @@ __all__ = [
     "OracleResult",
     "Violation",
     "shrink_case",
-    "Corpus",
     "export_cases",
     "load_cases",
     "FuzzReport",

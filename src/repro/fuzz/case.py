@@ -2,8 +2,8 @@
 
 A case is pure data — scenario name, the seed that produced it, and a tuple
 of :class:`~repro.soc.transaction.Step` — so it survives the JSON round-trip
-through the corpus store bit-identically, and hashes to a stable digest that
-keys deduplication and corpus storage.  Loading is strict: a malformed corpus
+through a corpus file bit-identically, and hashes to a stable digest that
+keys deduplication and the corpus entries.  Loading is strict: a malformed corpus
 entry raises a :class:`ValueError` naming the field instead of replaying as
 some other case.
 """

@@ -10,16 +10,15 @@ signature (which protocol transitions it exercised) joins the mutation pool,
 so sequences that got partway through a device protocol breed sequences that
 finish it.  Every found violation is minimized with the ddmin shrinker and
 then replayed after a workload run; the per-step outcomes of that replay go
-into the report and the corpus, so a committed case pins them.
+into the report's finding, so a corpus file written from it pins them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.corpus import Corpus
 from repro.fuzz.generator import SequenceGenerator
 from repro.fuzz.oracle import BypassOracle, Violation
 from repro.fuzz.shrink import shrink_case
@@ -29,10 +28,14 @@ from repro.scenarios.spec import ScenarioSpec
 __all__ = ["FuzzReport", "fuzz_scenario", "replay_case"]
 
 
-def replay_case(spec: ScenarioSpec, case: FuzzCase) -> List[Dict[str, object]]:
+def replay_case(
+    source: Union[ScenarioSpec, ScenarioBuilder], case: FuzzCase
+) -> List[Dict[str, object]]:
     """Replay one case after a workload run: each step's status and the
-    number of alerts it raised."""
-    built = ScenarioBuilder(spec).build()
+    number of alerts it raised.  ``source`` is the scenario's spec or a
+    builder of it (pass the oracle's to reuse it)."""
+    builder = source if isinstance(source, ScenarioBuilder) else ScenarioBuilder(source)
+    built = builder.build()
     built.run_workload()
     steps: List[Dict[str, object]] = []
     for step in case.steps:
@@ -59,7 +62,8 @@ class FuzzReport:
     #: One record per distinct violation identity:
     #: {"case", "violation", "replay"}.
     findings: List[Dict[str, object]] = field(default_factory=list)
-    #: Store keys of corpus entries written this run.
+    #: Keys of the corpus entries written from this run's findings
+    #: (``repro fuzz --corpus``; see :func:`repro.fuzz.corpus.export_cases`).
     corpus_keys: List[str] = field(default_factory=list)
 
     @property
@@ -93,29 +97,21 @@ class FuzzReport:
 
 
 def _judge_violation(
-    spec: ScenarioSpec,
-    oracle: BypassOracle,
-    case: FuzzCase,
-    violation: Violation,
-    do_shrink: bool,
-    corpus: Optional[Corpus],
-) -> Tuple[Dict[str, object], Optional[str]]:
-    """Minimize, replay and (optionally) persist one finding."""
+    oracle: BypassOracle, case: FuzzCase, violation: Violation, do_shrink: bool
+) -> Dict[str, object]:
+    """Minimize and replay one finding into its ``{case, violation, replay}``
+    record."""
     minimized = shrink_case(oracle, case, violation) if do_shrink else case
     replay = oracle.run(minimized)
     confirmed = next(
         (v for v in replay.violations if v.identity == violation.identity),
         violation,
     )
-    record: Dict[str, object] = {
+    return {
         "case": minimized.to_dict(),
         "violation": confirmed.to_dict(),
-        "replay": replay_case(spec, minimized),
+        "replay": replay_case(oracle.builder, minimized),
     }
-    key = None
-    if corpus is not None:
-        key = corpus.add(minimized, confirmed.to_dict(), record["replay"])
-    return record, key
 
 
 def fuzz_scenario(
@@ -125,7 +121,6 @@ def fuzz_scenario(
     budget: int = 200,
     n_steps: int = 12,
     shrink: bool = True,
-    corpus: Optional[Corpus] = None,
     stop_on_first: bool = False,
     engines: Sequence[str] = ("object",),
 ) -> FuzzReport:
@@ -165,10 +160,7 @@ def fuzz_scenario(
             if violation.identity in found:
                 continue
             found[violation.identity] = True
-            record, key = _judge_violation(spec, oracle, case, violation, shrink, corpus)
-            report.findings.append(record)
-            if key is not None:
-                report.corpus_keys.append(key)
+            report.findings.append(_judge_violation(oracle, case, violation, shrink))
         if report.findings and stop_on_first:
             break
 

@@ -20,12 +20,15 @@ A mismatch in either direction is a bug in the analyzer or the simulator —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.scenarios.spec import ScenarioSpec
 from repro.soc.transaction import Step, TransactionStatus
 from repro.staticcheck.analyzer import PROBE_PAYLOAD, verify_spec
 from repro.staticcheck.findings import VerificationReport, Witness
+
+if TYPE_CHECKING:
+    from repro.scenarios.builder import ScenarioBuilder
 
 __all__ = ["ConfirmationResult", "confirm_witness", "confirm_report"]
 
@@ -51,20 +54,23 @@ class ConfirmationResult:
 
 
 def confirm_witness(
-    spec: ScenarioSpec,
+    source: Union[ScenarioSpec, ScenarioBuilder],
     witness: Witness,
     *,
     run_workload: bool = False,
 ) -> ConfirmationResult:
     """Replay one witness against a freshly built protected platform.
 
-    ``run_workload=True`` drains the scenario's workload first, so the
-    witness's transaction meets the platform in its post-workload state.
+    ``source`` is the scenario's spec or a builder of it (pass one builder
+    to replay many witnesses of a spec).  ``run_workload=True`` drains the
+    scenario's workload first, so the witness's transaction meets the
+    platform in its post-workload state.
     """
     # Imported lazily: the builder loads every device and attack.
     from repro.scenarios.builder import ScenarioBuilder
 
-    built = ScenarioBuilder(spec).build()
+    builder = source if isinstance(source, ScenarioBuilder) else ScenarioBuilder(source)
+    built = builder.build()
     if run_workload:
         built.run_workload()
     txn, alerts = built.issue(Step(
@@ -121,4 +127,7 @@ def confirm_report(
     if max_coverage is not None:
         coverage = coverage[:max_coverage]
     witnesses.extend(coverage)
-    return [confirm_witness(spec, witness) for witness in witnesses]
+    from repro.scenarios.builder import ScenarioBuilder
+
+    builder = ScenarioBuilder(spec)  # one for every witness of the spec
+    return [confirm_witness(builder, witness) for witness in witnesses]

@@ -80,3 +80,18 @@ def secured():
 def platform_factory():
     """Factory building fresh (system, security-or-None) pairs per call."""
     return build_figure1
+
+
+@pytest.fixture
+def built_specs(monkeypatch):
+    """The spec name of every :class:`ScenarioBuilder` constructed in the
+    test, in order."""
+    names = []
+    init = ScenarioBuilder.__init__
+
+    def counting_init(self, spec, **kwargs):
+        names.append(spec.name)
+        init(self, spec, **kwargs)
+
+    monkeypatch.setattr(ScenarioBuilder, "__init__", counting_init)
+    return names

@@ -321,6 +321,21 @@ def test_importing_the_api_leaves_multiprocessing_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_importing_the_fuzzer_leaves_the_sweep_and_analysis_unloaded():
+    """A fuzz corpus is a JSON file, not a sweep store, so ``repro fuzz``
+    pays for neither the sweep engine nor the report renderers."""
+    code = (
+        "import sys, repro.fuzz\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['repro', 'sweep'], ['repro', 'analysis'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("module", ["repro", "repro.soc.kernel", "repro.core.policy", "repro.crypto.aes"])
 def test_importing_one_module_loads_only_its_packages(module):
     """The substrate packages re-export nothing, so importing a module loads

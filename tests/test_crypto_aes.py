@@ -92,6 +92,32 @@ class TestSBox:
     def test_sbox_has_no_fixed_points(self):
         assert all(SBOX[value] != value for value in range(256))
 
+    def test_sbox_matches_the_exponentiation_construction(self):
+        """The log/antilog S-box equals the textbook one: the inverse as
+        a^254 (0 for 0) by square-and-multiply, then the FIPS-197 affine map
+        bit by bit."""
+
+        def inverse(a):
+            result, base, exponent = 1, a, 254
+            while exponent:
+                if exponent & 1:
+                    result = gmul(result, base)
+                base = gmul(base, base)
+                exponent >>= 1
+            return result if a else 0
+
+        def affine(inv):
+            out = 0
+            for bit in range(8):
+                b = inv >> bit
+                for shift in (4, 5, 6, 7):
+                    b ^= inv >> ((bit + shift) % 8)
+                out |= ((b ^ (0x63 >> bit)) & 1) << bit
+            return out
+
+        assert SBOX == tuple(affine(inverse(a)) for a in range(256))
+        assert all(gmul(a, inverse(a)) == 1 for a in range(1, 256))
+
 
 class TestAES128Vectors:
     @pytest.mark.parametrize("path", sorted(FORWARD_PATHS))

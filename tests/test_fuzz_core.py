@@ -6,13 +6,13 @@ from __future__ import annotations
 import errno
 import json
 import os
+import pathlib
 
 import pytest
 
 from repro.api.cli import main
 from repro.fuzz import (
     BypassOracle,
-    Corpus,
     FuzzCase,
     SequenceGenerator,
     export_cases,
@@ -24,9 +24,9 @@ from repro.fuzz import (
 )
 from repro.scenarios import get_scenario
 from repro.soc.transaction import Step
-from repro.sweep.store import ResultStore
 
 SPEC = planted_backdoor_spec()
+COMMITTED_CORPUS = pathlib.Path(__file__).parent / "corpus" / "planted_backdoor.json"
 
 
 # -- cases ------------------------------------------------------------------------
@@ -226,23 +226,30 @@ def test_shrinker_refuses_a_non_reproducing_premise(leak_violation):
 # -- corpus -----------------------------------------------------------------------
 
 
-def test_corpus_round_trips_through_store_and_json(tmp_path, leak_violation):
+def test_corpus_round_trips_through_a_file(tmp_path, leak_violation):
     _, case, violation = leak_violation
-    corpus = Corpus(ResultStore(tmp_path / "store"))
     replay = [{"status": "completed", "alerts": 0}] * len(case)
-    key = corpus.add(case, violation.to_dict(), replay)
-    assert key == f"fuzz/{case.scenario}/{case.digest()}"
-    assert corpus.has(case)
-    assert corpus.cases("planted_backdoor") == [case]
-    assert corpus.cases("other") == []
-
+    finding = {"case": case.to_dict(), "violation": violation.to_dict(), "replay": replay}
     path = tmp_path / "corpus.json"
-    export_cases(path, [e["result"] for e in corpus.entries()])
+    assert export_cases(path, [finding]) == [f"fuzz/{case.scenario}/{case.digest()}"]
     loaded = load_cases(path)
-    assert len(loaded) == 1
+    assert loaded == [{"schema": 2, **json.loads(json.dumps(finding))}]
     assert FuzzCase.from_dict(loaded[0]["case"]) == case
-    assert loaded[0]["violation"]["kind"] == "guard_leak"
-    assert loaded[0]["replay"] == replay
+
+    # A second identical write changes nothing.
+    written = path.read_bytes()
+    export_cases(path, [finding])
+    assert path.read_bytes() == written
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json"]
+
+    # A merge keeps the existing entries first; a known key is rewritten in place.
+    shorter = case.with_steps(case.steps[1:])
+    other = {**finding, "case": shorter.to_dict(), "replay": replay[1:]}
+    keys = export_cases(path, [other, {**finding, "replay": replay[:1]}])
+    assert keys[0] == f"fuzz/{shorter.scenario}/{shorter.digest()}"
+    merged = load_cases(path)
+    assert [entry["case"] for entry in merged] == [case.to_dict(), shorter.to_dict()]
+    assert merged[0]["replay"] == replay[:1]
 
 
 def test_load_cases_rejects_unknown_schema(tmp_path):
@@ -267,20 +274,16 @@ def test_fuzz_scenario_is_bit_reproducible():
     assert first.clean
 
 
-def test_fuzz_scenario_constructs_one_builder(monkeypatch):
-    from repro.scenarios.builder import ScenarioBuilder
-
-    specs = []
-    init = ScenarioBuilder.__init__
-
-    def counting_init(self, spec, **kwargs):
-        specs.append(spec.name)
-        init(self, spec, **kwargs)
-
-    monkeypatch.setattr(ScenarioBuilder, "__init__", counting_init)
+def test_fuzz_scenario_constructs_one_builder(built_specs):
     report = fuzz_scenario(get_scenario("paper_baseline"), seed=0, budget=6, n_steps=6)
     assert report.clean and report.cases_run == 6
-    assert specs == ["paper_baseline"]
+    assert built_specs == ["paper_baseline"]
+
+
+def test_a_find_is_minimized_and_replayed_on_the_oracles_builder(built_specs):
+    report = fuzz_scenario(SPEC, seed=0, budget=60, n_steps=10, stop_on_first=True)
+    assert len(report.findings) == 1
+    assert built_specs == [SPEC.name]
 
 
 def test_fuzz_scenario_accepts_only_the_object_engine():
@@ -335,6 +338,7 @@ def test_cli_fuzz_unknown_scenario_fails(capsys):
 
 
 _JUMP_STEP = {"master": "cpu0", "op": "jump", "address": 0, "width": 4, "burst_length": 1}
+_ENTRY = json.loads(COMMITTED_CORPUS.read_text())["cases"][0]
 
 
 @pytest.mark.parametrize("document, reason", [
@@ -348,7 +352,13 @@ _JUMP_STEP = {"master": "cpu0", "op": "jump", "address": 0, "width": 4, "burst_l
      "corpus entry 0 is not an object holding a 'case' object"),
     ({"schema": 2, "cases": ["minimal_1x1"]},
      "corpus entry 0 is not an object holding a 'case' object"),
-], ids=["missing", "not_json", "schema_1", "jump_step", "no_case", "string_entry"])
+    ({"schema": 2, "cases": [{**_ENTRY, "violation": "x"}]},
+     "corpus entry 0: 'violation' must be an object whose 'kind', 'master', "
+     "'target' and 'op' are strings"),
+    ({"schema": 2, "cases": [_ENTRY, {**_ENTRY, "replay": [["completed", 0]]}]},
+     "corpus entry 1: 'replay' must be a list of objects"),
+], ids=["missing", "not_json", "schema_1", "jump_step", "no_case", "string_entry",
+        "string_violation", "replay_of_lists"])
 def test_cli_fuzz_bad_replay_file_is_one_line_and_exit_one(document, reason, tmp_path, capsys):
     path = tmp_path / "corpus.json"
     if document is not None:
@@ -362,3 +372,46 @@ def test_cli_fuzz_replay_checks_the_committed_corpus(capsys):
                  "--replay", "tests/corpus/planted_backdoor.json"]) == 0
     out = capsys.readouterr().out
     assert "0 failure(s)" in out
+
+
+def test_cli_fuzz_replay_builds_one_oracle_per_scenario(tmp_path, built_specs, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": 2, "cases": [_ENTRY, _ENTRY]}))
+    assert main(["fuzz", "planted_backdoor", "--replay", str(path)]) == 0
+    assert "replayed 2 corpus case(s), 0 failure(s)" in capsys.readouterr().out
+    assert built_specs == ["planted_backdoor"]
+
+
+def test_cli_fuzz_corpus_writes_the_committed_corpus(tmp_path, capsys):
+    """One command regenerates ``tests/corpus/planted_backdoor.json``; a
+    second run leaves the file as it is, and ``--replay`` accepts it."""
+    path = tmp_path / "corpus.json"
+    argv = ["fuzz", "planted_backdoor", "--seed", "0", "--budget", "60",
+            "--steps", "10", "--corpus", str(path)]
+    assert main([*argv, "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    digest = FuzzCase.from_dict(report["findings"][0]["case"]).digest()
+    assert report["corpus_keys"] == [f"fuzz/planted_backdoor/{digest}"]
+    assert path.read_bytes() == COMMITTED_CORPUS.read_bytes()
+
+    assert main(argv) == 1
+    assert f"corpus   : 1 case(s) -> {path}" in capsys.readouterr().out
+    assert path.read_bytes() == COMMITTED_CORPUS.read_bytes()
+    assert main(["fuzz", "planted_backdoor", "--replay", str(path)]) == 0
+
+
+def test_cli_fuzz_corpus_refuses_a_malformed_file_in_one_line(tmp_path, capsys):
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": 1, "cases": []}))
+    argv = ["fuzz", "minimal_1x1", "--budget", "1", "--steps", "1", "--corpus", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"repro fuzz: {path}: unsupported corpus schema 1\n"
+    assert json.loads(path.read_text()) == {"schema": 1, "cases": []}
+
+
+def test_cli_fuzz_corpus_and_replay_exclude_each_other(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fuzz", "planted_backdoor", "--corpus", str(tmp_path / "a.json"),
+              "--replay", str(COMMITTED_CORPUS)])
+    assert excinfo.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err

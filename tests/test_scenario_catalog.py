@@ -115,6 +115,14 @@ class TestCli:
         assert "no result store" in capsys.readouterr().err
         assert not (tmp_path / "no-such-store").exists()  # nothing was created
 
+    def test_sweep_run_refuses_a_regular_file_store_up_front(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.write_text("not a directory\n")
+        argv = ["sweep", "run", "--scenario", "minimal_1x1", "--store", str(store)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == f"repro sweep run: {store}: File exists\n"
+        assert store.read_text() == "not a directory\n"
+
     def test_sweep_run_rejects_unknown_scenario_pattern(self, tmp_path):
         import pytest
 

@@ -86,3 +86,7 @@ class TestRegisteredScenarioConfirmation:
         assert len(results) == 1
         assert results[0].confirmed
 
+    def test_confirm_report_builds_every_witness_from_one_builder(self, built_specs):
+        results = confirm_report("deep_hierarchy_3seg")
+        assert len(results) > 1 and all(r.confirmed for r in results)
+        assert built_specs == ["deep_hierarchy_3seg"]

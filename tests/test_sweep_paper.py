@@ -86,3 +86,10 @@ class TestPaperCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["sweep"]["computed"] == []
         assert len(payload["sweep"]["cached"]) == len(PAPER_FAST_SCENARIOS)
+
+    def test_cli_refuses_a_regular_file_out_before_any_point_runs(self, tmp_path, capsys):
+        store, out = tmp_path / "store", tmp_path / "out"
+        out.write_text("not a directory\n")
+        assert cli_main(["paper", "--fast", "--store", str(store), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"repro paper: {out}: File exists\n"
+        assert not store.exists()  # no sweep point was computed into the store
