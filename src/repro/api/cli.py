@@ -39,7 +39,7 @@ import argparse
 import json
 import pathlib
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.api.events import JsonlTraceSink, StatsSink
 from repro.api.experiment import Experiment
@@ -204,7 +204,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _path_error(command: str, path: str, exc: Exception) -> int:
+def _path_error(command: str, path: str, exc: object) -> int:
     """Say in one line on stderr why ``path`` is unusable; returns exit code 1."""
     reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
     print(f"repro {command}: {path}: {reason}", file=sys.stderr)
@@ -452,22 +452,24 @@ def _fuzz_spec(name: str):
 
 
 def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    """Re-check a corpus file: every case must still reproduce its recorded
-    violation identity and its recorded per-step outcomes."""
+    """Re-check the scenario's cases in a corpus file: every one must still
+    reproduce its recorded violation identity and its recorded per-step
+    outcomes."""
     from repro.fuzz import BypassOracle, FuzzCase, load_cases, replay_case
 
+    spec = _fuzz_spec(args.scenario)
     try:
         entries = load_cases(args.replay)
     except (OSError, ValueError) as exc:
         return _path_error("fuzz", args.replay, exc)
-    oracles: Dict[str, BypassOracle] = {}
+    cases = [(FuzzCase.from_dict(entry["case"]), entry) for entry in entries]
+    cases = [(case, entry) for case, entry in cases if case.scenario == args.scenario]
+    if not cases:
+        return _path_error("fuzz", args.replay, f"no corpus entry for scenario {args.scenario!r}")
+    oracle = BypassOracle(spec)
     results = []
     failures = 0
-    for entry in entries:
-        case = FuzzCase.from_dict(entry["case"])
-        if case.scenario not in oracles:
-            oracles[case.scenario] = BypassOracle(_fuzz_spec(case.scenario))
-        oracle = oracles[case.scenario]
+    for case, entry in cases:
         want = entry["violation"]
         identity = (want["kind"], want["master"], want["target"], want["op"])
         reproduced = any(v.identity == identity for v in oracle.run(case).violations)
@@ -495,12 +497,18 @@ def _cmd_fuzz_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.fuzz import export_cases, fuzz_scenario
+    from repro.fuzz import export_cases, fuzz_scenario, load_cases
 
     if args.replay:
         return _cmd_fuzz_replay(args)
 
     spec = _fuzz_spec(args.scenario)
+    if args.corpus and pathlib.Path(args.corpus).exists():
+        # Refuse a file the merge would refuse before fuzzing a single case.
+        try:
+            load_cases(args.corpus)
+        except (OSError, ValueError) as exc:
+            return _path_error("fuzz", args.corpus, exc)
     report = fuzz_scenario(
         spec,
         seed=args.seed,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import List, NamedTuple, Optional, Sequence
 
 from repro.core.alerts import ViolationType
-from repro.core.policy import SecurityPolicy
+from repro.core.policy import ReadWriteAccess, SecurityPolicy
 from repro.soc.transaction import BusTransaction
 
 __all__ = [
@@ -28,6 +28,11 @@ __all__ = [
     "AddressRangeCheck",
     "default_check_suite",
 ]
+
+# Looking a member up on an Enum class costs a __getattr__ hook per access.
+_READ_WRITE = ReadWriteAccess.READ_WRITE
+_READ_ONLY = ReadWriteAccess.READ_ONLY
+_WRITE_ONLY = ReadWriteAccess.WRITE_ONLY
 
 
 class CheckResult(NamedTuple):
@@ -67,7 +72,9 @@ class ReadWriteAccessCheck(SecurityCheck):
     name = "rwa"
 
     def check(self, policy: SecurityPolicy, txn: BusTransaction) -> CheckResult:
-        if policy.allows_operation(txn.is_write):
+        # SecurityPolicy.allows_operation, inline.
+        rwa = policy.rwa
+        if rwa is _READ_WRITE or rwa is (_WRITE_ONLY if txn.is_write else _READ_ONLY):
             return CheckResult.ok(self.name)
         violation = (
             ViolationType.UNAUTHORIZED_WRITE if txn.is_write else ViolationType.UNAUTHORIZED_READ
@@ -91,7 +98,7 @@ class DataFormatCheck(SecurityCheck):
     name = "adf"
 
     def check(self, policy: SecurityPolicy, txn: BusTransaction) -> CheckResult:
-        if policy.allows_format(txn.width):
+        if txn.width in policy.allowed_formats:
             return CheckResult.ok(self.name)
         allowed = sorted(policy.allowed_formats)
         return CheckResult.fail(
@@ -107,7 +114,7 @@ class BurstLengthCheck(SecurityCheck):
     name = "burst"
 
     def check(self, policy: SecurityPolicy, txn: BusTransaction) -> CheckResult:
-        if policy.allows_burst(txn.burst_length):
+        if 1 <= txn.burst_length <= policy.max_burst_length:
             return CheckResult.ok(self.name)
         return CheckResult.fail(
             self.name,

@@ -45,10 +45,12 @@ from repro.crypto.keys import KeyStore
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.modes import CTRMode
 from repro.soc.kernel import Simulator
-from repro.soc.ports import FilterResult
+from repro.soc.ports import FilterAction, FilterResult
 from repro.soc.transaction import BusTransaction, TransactionStatus
 
 __all__ = ["ConfidentialityCore", "IntegrityCore", "ProtectedRegion", "LocalCipheringFirewall"]
+
+_ALLOW = FilterAction.ALLOW
 
 
 class ConfidentialityCore:
@@ -165,9 +167,6 @@ class ProtectedRegion:
             return self.tree.version(index)
         assert self.versions is not None
         return self.versions[index]
-
-    def next_version(self, index: int) -> int:
-        return self.version_of(index) + 1
 
     def bump_version(self, index: int) -> None:
         """Advance the version counter for CM-only regions (the tree bumps its
@@ -294,10 +293,10 @@ class LocalCipheringFirewall(LocalFirewall):
     def filter_request(self, txn: BusTransaction) -> FilterResult:
         # First run the plain LF policy checks (RWA / ADF / burst / ranges).
         base_result = super().filter_request(txn)
-        if not base_result.allowed:
+        if base_result.action is not _ALLOW:
             return base_result
 
-        region = self.region_for(txn.address, txn.size)
+        region = self.region_for(txn.address, txn.width * txn.burst_length)
         if region is None or txn.is_read:
             # Unprotected region, or a read (handled on the response path once
             # the ciphertext has been fetched from the external memory).
@@ -307,11 +306,11 @@ class LocalCipheringFirewall(LocalFirewall):
 
     def filter_response(self, txn: BusTransaction) -> FilterResult:
         base_result = super().filter_response(txn)
-        if not base_result.allowed:
+        if base_result.action is not _ALLOW:
             return base_result
         if not txn.is_read or txn.data is None:
             return base_result
-        region = self.region_for(txn.address, txn.size)
+        region = self.region_for(txn.address, txn.width * txn.burst_length)
         if region is None:
             return base_result
         return self._handle_protected_read(txn, region, base_result)
@@ -321,31 +320,40 @@ class LocalCipheringFirewall(LocalFirewall):
     def _handle_protected_write(
         self, txn: BusTransaction, region: ProtectedRegion, base_result: FilterResult
     ) -> FilterResult:
-        assert txn.data is not None
-        policy = region.rule.policy
+        data = txn.data
+        assert data is not None
+        address = txn.address
+        size = txn.width * txn.burst_length
+        end_address = address + size
+        rule = region.rule
+        policy = rule.policy
+        ciphering = policy.needs_ciphering
+        tree = region.tree
+        block_size = region.block_size
+        rule_end = rule.base + rule.size
         cc_cycles = 0
         ic_cycles = 0
-        new_payload = bytearray(txn.data)
+        new_payload = bytearray(data)
 
-        for index in region.blocks_overlapping(txn.address, txn.size):
-            block_base = region.block_base(index)
-            block_end = block_base + region.block_size
-            usable = min(region.block_size, region.rule.end - block_base)
-            covers_whole_block = txn.address <= block_base and txn.end_address >= block_base + usable
+        for index in region.blocks_overlapping(address, size):
+            block_base = rule.base + index * block_size
+            block_end = block_base + block_size
+            usable = min(block_size, rule_end - block_base)
+            version = region.version_of(index)
 
             # Reconstruct the current plaintext of the block (read-modify-write).
-            if covers_whole_block:
-                old_plain = bytes(region.block_size)
+            if address <= block_base and end_address >= block_base + usable:
+                old_plain = bytes(block_size)
             else:
-                stored = self.device.peek(block_base, usable).ljust(region.block_size, b"\x00")
-                if policy.needs_ciphering and region.version_of(index) > 0:
-                    nonce = region.nonce(index, region.version_of(index))
+                stored = self.device.peek(block_base, usable).ljust(block_size, b"\x00")
+                if ciphering and version > 0:
+                    nonce = region.nonce(index, version)
                     old_plain, cycles = self.confidentiality_core.decipher(region.key, nonce, stored)
                     cc_cycles += cycles
                 else:
                     old_plain = stored
-                if region.tree is not None and region.version_of(index) > 0:
-                    ok, cycles = self.integrity_core.verify(region.tree, index, old_plain)
+                if tree is not None and version > 0:
+                    ok, cycles = self.integrity_core.verify(tree, index, old_plain)
                     ic_cycles += cycles
                     if not ok:
                         self._raise(txn, ViolationType.INTEGRITY_FAILURE,
@@ -360,17 +368,16 @@ class LocalCipheringFirewall(LocalFirewall):
 
             # Patch the written bytes into the plaintext block.
             new_plain = bytearray(old_plain)
-            overlap_start = max(txn.address, block_base)
-            overlap_end = min(txn.end_address, block_end)
-            src_offset = overlap_start - txn.address
+            overlap_start = max(address, block_base)
+            overlap_end = min(end_address, block_end)
+            src_offset = overlap_start - address
             dst_offset = overlap_start - block_base
             length = overlap_end - overlap_start
-            new_plain[dst_offset : dst_offset + length] = txn.data[src_offset : src_offset + length]
+            new_plain[dst_offset : dst_offset + length] = data[src_offset : src_offset + length]
 
             # Advance the timestamp tag and re-protect the block.
-            new_version = region.next_version(index)
-            if policy.needs_ciphering:
-                nonce = region.nonce(index, new_version)
+            if ciphering:
+                nonce = region.nonce(index, version + 1)
                 new_cipher, cycles = self.confidentiality_core.encipher(
                     region.key, nonce, bytes(new_plain)
                 )
@@ -378,8 +385,8 @@ class LocalCipheringFirewall(LocalFirewall):
             else:
                 new_cipher = bytes(new_plain)
 
-            if region.tree is not None:
-                ic_cycles += self.integrity_core.update(region.tree, index, bytes(new_plain))
+            if tree is not None:
+                ic_cycles += self.integrity_core.update(tree, index, bytes(new_plain))
             else:
                 region.bump_version(index)
 
@@ -391,7 +398,7 @@ class LocalCipheringFirewall(LocalFirewall):
                 dst_offset : dst_offset + length
             ]
 
-        txn.annotations[f"{self.name}.ciphered"] = policy.needs_ciphering
+        txn.annotations[f"{self.name}.ciphered"] = ciphering
         txn.annotations[f"{self.name}.authenticated"] = policy.needs_integrity
         breakdown = {"security_builder": base_result.latency}
         if cc_cycles:

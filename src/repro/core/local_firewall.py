@@ -52,6 +52,9 @@ __all__ = [
     "decision_cache_enabled",
 ]
 
+# Looking a member up on an Enum class costs a __getattr__ hook per access.
+_ALLOW = FilterAction.ALLOW
+
 # Whether new Security Builders memoise verdicts.  The differential harness
 # turns it off to build platforms on the uncached per-transaction reference
 # path.
@@ -71,16 +74,12 @@ def decision_cache_enabled() -> bool:
 
 class CommunicationBlock:
     """LF Communication Block: receives/transmits bus signals and triggers the
-    security-policy request (``secpol_req``)."""
+    security-policy request (``secpol_req``), which
+    :meth:`LocalFirewall.filter_request` counts here for every transaction."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.secpol_requests = 0
-
-    def trigger(self, txn: BusTransaction) -> None:
-        """Raise ``secpol_req`` for a transaction entering the firewall."""
-        self.secpol_requests += 1
-        txn.annotations.setdefault("secpol_req_by", self.name)
 
 
 # Checking modules whose verdict is a pure function of (policy, transaction
@@ -150,24 +149,6 @@ class SecurityBuilder:
         self._cache.clear()
         self._cache_generation = self.config_memory.generation
 
-    def decision_key(self, txn: BusTransaction) -> tuple:
-        """The memoisation key of one transaction's verdict.
-
-        A verdict is a pure function of this tuple (given a fixed rule set —
-        tracked separately via the configuration memory's ``generation``).
-        Its last item snapshots the address-range windows, empty when none
-        are set.
-        """
-        windows = self._address_range.windows if self._address_range is not None else None
-        return (
-            txn.address,
-            txn.size,
-            txn.is_write,
-            txn.width,
-            txn.burst_length,
-            tuple(tuple(window) for window in windows) if windows else (),
-        )
-
     def evaluate(
         self, txn: BusTransaction, charge_latency: bool = True
     ) -> Tuple[Optional[SecurityPolicy], List[CheckResult]]:
@@ -185,15 +166,33 @@ class SecurityBuilder:
         if not self.cache_enabled:
             return self._evaluate_uncached(txn)[:2]
 
-        if self.config_memory.generation != self._cache_generation:
+        memory = self.config_memory
+        if memory.generation != self._cache_generation:
             self.invalidate_cache()
 
-        key = self.decision_key(txn)
+        # The memoisation key: a verdict is a pure function of this tuple
+        # (given a fixed rule set, tracked by the memory's ``generation``).
+        # Its last item snapshots the address-range windows, empty when none
+        # are set.
+        windows = self._address_range.windows if self._address_range is not None else None
+        width = txn.width
+        burst_length = txn.burst_length
+        key = (
+            txn.address,
+            width * burst_length,
+            txn.is_write,
+            width,
+            burst_length,
+            tuple(tuple(window) for window in windows) if windows else (),
+        )
         hit = self._cache.get(key)
         if hit is not None:
             policy, results, failed, missed_rules = hit
             self.cache_hits += 1
-            self.config_memory.note_cached_lookup(missed_rules)
+            # The memory's lookup statistics, as an uncached lookup keeps them.
+            memory.lookup_count += 1
+            if missed_rules:
+                memory.miss_count += 1
             if failed:
                 self.violations += 1
             return policy, results
@@ -210,29 +209,22 @@ class SecurityBuilder:
     ) -> Tuple[Optional[SecurityPolicy], List[CheckResult], bool, bool]:
         """The original evaluation path; also reports (failed, missed_rules)
         so the cache can replay statistics faithfully."""
-        misses_before = self.config_memory.miss_count
+        memory = self.config_memory
+        misses_before = memory.miss_count
         try:
-            policy = self.config_memory.lookup(txn.address, txn.size)
+            policy = memory.lookup(txn.address, txn.width * txn.burst_length)
         except PolicyLookupError as exc:
             self.violations += 1
             results = [
                 CheckResult.fail("policy_lookup", ViolationType.POLICY_MISS, detail=str(exc))
             ]
             return None, results, True, True
-        missed_rules = self.config_memory.miss_count > misses_before
+        missed_rules = memory.miss_count > misses_before
         results = [check.check(policy, txn) for check in self.checks]
         failed = any(not result.passed for result in results)
         if failed:
             self.violations += 1
         return policy, results, failed, missed_rules
-
-
-def _first_failure(results: List[CheckResult]) -> Optional[CheckResult]:
-    """The first failed check of a Security Builder pass, if any."""
-    for result in results:
-        if not result.passed:
-            return result
-    return None
 
 
 class FirewallInterface:
@@ -369,7 +361,10 @@ class LocalFirewall(TransactionFilter):
     # -- TransactionFilter interface ----------------------------------------------------------
 
     def filter_request(self, txn: BusTransaction) -> FilterResult:
-        self.communication_block.trigger(txn)
+        # The LFCB raises ``secpol_req`` for the transaction entering the firewall.
+        block = self.communication_block
+        block.secpol_requests += 1
+        txn.annotations.setdefault("secpol_req_by", block.name)
 
         if self.quarantined:
             self._raise(txn, ViolationType.UNAUTHORIZED_WRITE if txn.is_write else ViolationType.UNAUTHORIZED_READ,
@@ -394,45 +389,49 @@ class LocalFirewall(TransactionFilter):
                     stage="security_builder",
                 )
 
-        policy, results = self.security_builder.evaluate(txn)
-        first = _first_failure(results)
-        if first is not None:
-            assert first.violation is not None
-            self._raise(txn, first.violation, first.detail)
-            self.firewall_interface.gate(False)
-            self._emit_decision(txn, False, reason=first.violation.value)
-            return FilterResult.deny(
-                reason=f"{self.name}: {first.violation.value} ({first.detail})",
-                latency=self.security_builder.latency_cycles,
-                stage="security_builder",
-            )
-
-        if policy is not None:
-            txn.annotations[self._spi_key] = policy.spi
-        self.firewall_interface.gate(True)
-        if self.sim.event_bus is not None:
-            self._emit_decision(txn, True)
-        return FilterResult(FilterAction.ALLOW, self.security_builder.latency_cycles, "security_builder")
+        builder = self.security_builder
+        policy, results = builder.evaluate(txn)
+        for first in results:
+            if not first.passed:
+                break
+        else:
+            if policy is not None:
+                txn.annotations[self._spi_key] = policy.spi
+            self.firewall_interface.passed += 1
+            if self.sim.event_bus is not None:
+                self._emit_decision(txn, True)
+            return FilterResult(_ALLOW, builder.latency_cycles, "security_builder")
+        assert first.violation is not None
+        self._raise(txn, first.violation, first.detail)
+        self.firewall_interface.gate(False)
+        self._emit_decision(txn, False, reason=first.violation.value)
+        return FilterResult.deny(
+            reason=f"{self.name}: {first.violation.value} ({first.detail})",
+            latency=builder.latency_cycles,
+            stage="security_builder",
+        )
 
     def filter_response(self, txn: BusTransaction) -> FilterResult:
         if not self.check_responses or not txn.is_read:
-            return FilterResult(FilterAction.ALLOW, 0, self.name)
+            return FilterResult(_ALLOW, 0, self.name)
         # Response-path re-validation: the policy may have been reconfigured
         # while the transaction was in flight, and read data must be checked
         # "before reaching the IP".  The hardware overlaps this with the data
         # transfer, so no extra cycles are charged.
         policy, results = self.security_builder.evaluate(txn, charge_latency=False)
-        first = _first_failure(results)
-        if first is not None:
-            assert first.violation is not None
-            self._raise(txn, first.violation, first.detail)
-            self.firewall_interface.gate(False)
-            return FilterResult.deny(
-                reason=f"{self.name}: response {first.violation.value}",
-                stage=self.name,
-            )
-        self.firewall_interface.gate(True)
-        return FilterResult(FilterAction.ALLOW, 0, self.name)
+        for first in results:
+            if not first.passed:
+                break
+        else:
+            self.firewall_interface.passed += 1
+            return FilterResult(_ALLOW, 0, self.name)
+        assert first.violation is not None
+        self._raise(txn, first.violation, first.detail)
+        self.firewall_interface.gate(False)
+        return FilterResult.deny(
+            reason=f"{self.name}: response {first.violation.value}",
+            stage=self.name,
+        )
 
     # -- reporting ----------------------------------------------------------------------------
 

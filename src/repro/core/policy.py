@@ -290,16 +290,6 @@ class ConfigurationMemory:
 
     # -- lookup -------------------------------------------------------------------
 
-    def note_cached_lookup(self, missed: bool = False) -> None:
-        """Account for a lookup served from a firewall's decision cache.
-
-        Keeps ``lookup_count``/``miss_count`` identical to an uncached run, so
-        reports and experiments see the same statistics regardless of caching.
-        """
-        self.lookup_count += 1
-        if missed:
-            self.miss_count += 1
-
     def lookup(self, address: int, size: int = 1) -> SecurityPolicy:
         """Find the policy governing ``[address, address+size)``.
 
@@ -307,12 +297,15 @@ class ConfigurationMemory:
         when there is none (default-deny).
         """
         self.lookup_count += 1
+        end = address + size
         for rule in self._rules:
-            if rule.covers(address, size):
+            # PolicyRule.covers, inline.
+            base = rule.base
+            if base <= address and end <= base + rule.size:
                 return rule.policy
         self.miss_count += 1
-        if self.default_policy is not None:
-            return self.default_policy
+        if self._default_policy is not None:
+            return self._default_policy
         raise PolicyLookupError(address, size)
 
     def rule_for(self, address: int, size: int = 1) -> Optional[PolicyRule]:

@@ -140,20 +140,16 @@ class MerkleTree:
         self._check_index(block_index)
         self._check_data(data)
         self._versions[block_index] += 1
-        new_leaf = _leaf_hash(block_index, data, self._versions[block_index])
-        self._set_leaf(block_index, new_leaf)
+        levels = self._levels
+        levels[0][block_index] = _leaf_hash(block_index, data, self._versions[block_index])
+        # Rehash the path up to the root (_node_hash, inline).
+        node = block_index
+        for level in range(1, len(levels)):
+            below = levels[level - 1]
+            node >>= 1
+            levels[level][node] = sha256(b"node" + below[2 * node] + below[2 * node + 1])
         self.update_count += 1
-        return self.root
-
-    def _set_leaf(self, index: int, digest: bytes) -> None:
-        self._levels[0][index] = digest
-        node = index
-        for level in range(1, len(self._levels)):
-            parent = node // 2
-            left = self._levels[level - 1][2 * parent]
-            right = self._levels[level - 1][2 * parent + 1]
-            self._levels[level][parent] = _node_hash(left, right)
-            node = parent
+        return levels[-1][0]
 
     # -- verification ---------------------------------------------------------
 
@@ -203,14 +199,13 @@ class MerkleTree:
         if version is None:
             version = self._versions[block_index]
         # compute_root_from_path over auth_path, without the path objects.
-        node_hash = _node_hash
         digest = _leaf_hash(block_index, data, version)
         node = block_index
         for level in self._levels[:-1]:
             sibling = level[node ^ 1]
-            digest = node_hash(sibling, digest) if node & 1 else node_hash(digest, sibling)
+            digest = sha256(b"node" + sibling + digest if node & 1 else b"node" + digest + sibling)
             node >>= 1
-        return digest == self.root
+        return digest == self._levels[-1][0]
 
     # -- invariants / helpers -------------------------------------------------
 

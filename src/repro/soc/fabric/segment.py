@@ -38,6 +38,8 @@ from repro.soc.transaction import BusTransaction, TransactionStatus
 
 __all__ = ["BusSegment", "BusMonitor"]
 
+_GRANTED = TransactionStatus.GRANTED
+
 
 @dataclass
 class BusMonitor:
@@ -128,22 +130,18 @@ class BusSegment(Component):
 
     # -- request path ---------------------------------------------------------------
 
-    def transfer_cycles(self, burst_length: int) -> int:
-        """Bus occupancy of one transaction: address phase plus one data phase
-        per beat."""
-        return (
-            self.address_phase_cycles
-            + self.data_phase_cycles_per_beat * burst_length
-        )
-
     def submit(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
         """Queue a transaction for arbitration (called by a master port)."""
-        if txn.master not in self._waiting:
+        master = txn.master
+        waiting = self._waiting
+        queue = waiting.get(master)
+        if queue is None:
             # Queues are created on a master's first submission.
-            self._waiting[txn.master] = deque()
-            self.arbiter.add_master(txn.master)
-        self._waiting[txn.master].append((txn, reply))
-        self.bump("submitted")
+            queue = waiting[master] = deque()
+            self.arbiter.add_master(master)
+        queue.append((txn, reply))
+        stats = self.stats
+        stats["submitted"] = stats.get("submitted", 0) + 1
         self._try_grant()
 
     def _try_grant(self) -> None:
@@ -157,14 +155,20 @@ class BusSegment(Component):
         # Not in _try_grant: the reply lambdas make self and reply cells.
         txn, reply = self._waiting[winner].popleft()
         self._busy = True
-        txn.mark_granted(self.sim.now)
-        self.bump("granted")
+        txn.granted_at = self.sim.now
+        txn.status = _GRANTED
+        stats = self.stats
+        stats["granted"] = stats.get("granted", 0) + 1
 
-        transfer_cycles = self.transfer_cycles(txn.burst_length)
-        txn.add_latency(self.latency_stage, transfer_cycles)
+        # Bus occupancy: address phase plus one data phase per beat.
+        burst_length = txn.burst_length
+        transfer_cycles = self.address_phase_cycles + self.data_phase_cycles_per_beat * burst_length
+        latencies = txn.latency_breakdown
+        stage = self.latency_stage
+        latencies[stage] = latencies.get(stage, 0) + transfer_cycles
 
         try:
-            region = self.address_map.decode(txn.address, txn.size)
+            region = self.address_map.decode(txn.address, txn.width * burst_length)
         except DecodeError:
             self.bump("decode_errors")
             self.sim.schedule(transfer_cycles, self._finish_decode_error, txn, reply)
@@ -188,7 +192,7 @@ class BusSegment(Component):
                     master=txn.master, slave=region.slave, address=txn.address,
                     txn_id=txn.txn_id,
                 )
-        if getattr(slave_port, "split_transactions", False):
+        if slave_port.split_transactions:
             # Split transaction (bridge endpoints): the segment is released as
             # soon as the request is handed off instead of being held until
             # the remote reply returns.  Without this, two segments forwarding
@@ -201,7 +205,7 @@ class BusSegment(Component):
             self.sim.schedule(transfer_cycles, self._release_after_handoff)
             return
         self.sim.schedule(
-            transfer_cycles, slave_port.deliver, txn, lambda t: self._on_slave_reply(t, reply)
+            transfer_cycles, slave_port.deliver, txn, lambda t: self._release_and_reply(t, reply)
         )
 
     def _finish_decode_error(self, txn: BusTransaction, reply: Callable) -> None:
@@ -209,9 +213,6 @@ class BusSegment(Component):
         self._release_and_reply(txn, reply)
 
     # -- response path ----------------------------------------------------------------
-
-    def _on_slave_reply(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
-        self._release_and_reply(txn, reply)
 
     def _release_after_handoff(self) -> None:
         """Free the segment once a split request is handed to its bridge."""
@@ -226,7 +227,8 @@ class BusSegment(Component):
 
     def _release_and_reply(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
         self._busy = False
-        self.bump("completed")
+        stats = self.stats
+        stats["completed"] = stats.get("completed", 0) + 1
         # Return path occupies the bus for one beat; folded into the response
         # delivery so a long slave access does not hold the bus (split
         # transactions, as PLBv46 and AXI do).

@@ -140,10 +140,19 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running")
         self._running = True
+        queue = self._queue
+        pop = heapq.heappop
+        processed = 0
         try:
-            queue = self._queue
-            pop = heapq.heappop
-            processed = 0
+            if until is None and max_events is None:
+                # A full drain has no horizon or budget to test per event.
+                while queue:
+                    event = pop(queue)[1]
+                    if not event.cancelled:
+                        self._now = event.time
+                        event.callback(*event.args)
+                        processed += 1
+                return self._now
             while queue:
                 head = queue[0][1]
                 if head.cancelled:
@@ -157,12 +166,13 @@ class Simulator:
                 pop(queue)
                 self._now = head.time
                 head.callback(*head.args)
-                self.events_processed += 1
                 processed += 1
             if until is not None and until > self._now:
                 self._now = until
             return self._now
         finally:
+            # Here, so a raising callback leaves the count of those that returned.
+            self.events_processed += processed
             self._running = False
             bus = self.event_bus
             if bus is not None and bus.active:

@@ -68,15 +68,17 @@ class MemoryDevice(Component):
     def access(self, txn: BusTransaction) -> Tuple[int, Optional[bytes]]:
         """Perform the access; returns (latency_cycles, read_data_or_None)."""
         latency = self.access_latency(txn)
+        size = txn.width * txn.burst_length
+        stats = self.stats
         if txn.is_write:
             assert txn.data is not None
             self.poke(txn.address, txn.data)
-            self.bump("writes")
-            self.bump("bytes_written", txn.size)
+            stats["writes"] = stats.get("writes", 0) + 1
+            stats["bytes_written"] = stats.get("bytes_written", 0) + size
             return latency, None
-        data = self.peek(txn.address, txn.size)
-        self.bump("reads")
-        self.bump("bytes_read", txn.size)
+        data = self.peek(txn.address, size)
+        stats["reads"] = stats.get("reads", 0) + 1
+        stats["bytes_read"] = stats.get("bytes_read", 0) + size
         return latency, data
 
 
@@ -142,11 +144,12 @@ class ExternalDDR(MemoryDevice):
 
     def access_latency(self, txn: BusTransaction) -> int:
         bank, row = self._bank_and_row(txn.address)
+        stats = self.stats
         if self._open_rows.get(bank) == row:
             latency = self.row_hit_latency
-            self.bump("row_hits")
+            stats["row_hits"] = stats.get("row_hits", 0) + 1
         else:
             latency = self.row_miss_latency
             self._open_rows[bank] = row
-            self.bump("row_misses")
+            stats["row_misses"] = stats.get("row_misses", 0) + 1
         return latency + self.cycles_per_beat * max(0, txn.burst_length - 1)

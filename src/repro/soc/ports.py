@@ -54,6 +54,8 @@ class FilterAction(enum.Enum):
 
 # Looking a member up on an Enum class costs a __getattr__ hook per access.
 _ALLOW = FilterAction.ALLOW
+_ISSUED = TransactionStatus.ISSUED
+_COMPLETED = TransactionStatus.COMPLETED
 
 
 @dataclass
@@ -170,17 +172,20 @@ def _apply_chain(
     """
     total_latency = 0
     request = direction == "request"
+    latencies = txn.latency_breakdown
     for filt in filters:
         result = filt.filter_request(txn) if request else filt.filter_response(txn)
+        latency = result.latency
         if result.breakdown:
             for stage, cycles in result.breakdown.items():
-                txn.add_latency(stage, cycles)
+                latencies[stage] = latencies.get(stage, 0) + cycles
         else:
-            txn.add_latency(result.stage, result.latency)
-        total_latency += result.latency
+            stage = result.stage
+            latencies[stage] = latencies.get(stage, 0) + latency
+        total_latency += latency
         if result.transformed_data is not None:
             txn.data = result.transformed_data
-        if not result.allowed:
+        if result.action is not _ALLOW:
             return FilterResult(
                 FilterAction.DENY,
                 latency=total_latency,
@@ -230,30 +235,33 @@ class MasterPort(Component):
         """
         if self.bus is None:
             raise RuntimeError(f"master port {self.name} is not connected to a bus")
-        txn.mark_issued(self.sim.now)
-        self.bump("issued")
+        sim = self.sim
+        txn.issued_at = sim.now
+        txn.status = _ISSUED
+        stats = self.stats
+        stats["issued"] = stats.get("issued", 0) + 1
         self._callbacks[txn.txn_id] = callback
-        event_bus = self.sim.event_bus
+        event_bus = sim.event_bus
         if event_bus is not None:
             # Hot path: counting-only buses take the payload-free lane.
             if event_bus.count_only:
                 event_bus.count("txn.issued")
             else:
                 event_bus.emit(
-                    "txn.issued", self.sim.now, self.name,
+                    "txn.issued", sim.now, self.name,
                     master=txn.master, address=txn.address,
                     write=txn.is_write, txn_id=txn.txn_id,
                 )
 
         verdict = _apply_chain(self.filters, txn, "request")
-        if not verdict.allowed:
+        if verdict.action is not _ALLOW:
             self.bump("blocked_requests")
             status = verdict.status or TransactionStatus.BLOCKED_AT_MASTER
             self.sim.schedule(
                 verdict.latency, self._finish_blocked, txn, status, verdict.reason
             )
             return
-        self.sim.schedule(verdict.latency, self.bus.submit, txn, self._on_response)
+        sim.schedule(verdict.latency, self.bus.submit, txn, self._on_response)
 
     def _finish_blocked(self, txn: BusTransaction, status: TransactionStatus, reason: str) -> None:
         txn.mark_blocked(self.sim.now, status, reason)
@@ -263,12 +271,12 @@ class MasterPort(Component):
 
     def _on_response(self, txn: BusTransaction) -> None:
         """Called by the bus when the slave response arrives at this port."""
-        if txn.status.is_terminal and txn.status is not TransactionStatus.COMPLETED:
+        if txn.status is not _COMPLETED and txn.status.is_terminal:
             # Bus or slave already terminated it (decode error, slave-side block).
             self._complete(txn)
             return
         verdict = _apply_chain(self.filters, txn, "response")
-        if not verdict.allowed:
+        if verdict.action is not _ALLOW:
             self.bump("blocked_responses")
             status = verdict.status or TransactionStatus.BLOCKED_AT_MASTER
             self.sim.schedule(
@@ -278,12 +286,15 @@ class MasterPort(Component):
         self.sim.schedule(verdict.latency, self._finish_completed, txn)
 
     def _finish_completed(self, txn: BusTransaction) -> None:
-        txn.mark_completed(self.sim.now, txn.data)
+        txn.completed_at = self.sim.now
+        txn.status = _COMPLETED
         self._complete(txn)
 
     def _complete(self, txn: BusTransaction) -> None:
-        completed = txn.status is TransactionStatus.COMPLETED
-        self.bump("completed" if completed else "terminated")
+        completed = txn.status is _COMPLETED
+        counter = "completed" if completed else "terminated"
+        stats = self.stats
+        stats[counter] = stats.get(counter, 0) + 1
         event_bus = self.sim.event_bus
         if event_bus is not None:
             kind = "txn.completed" if completed else "txn.blocked"
@@ -333,9 +344,10 @@ class SlavePort(Component):
 
     def deliver(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
         """Process a transaction arriving from the bus."""
-        self.bump("delivered")
+        stats = self.stats
+        stats["delivered"] = stats.get("delivered", 0) + 1
         verdict = _apply_chain(self.filters, txn, "request")
-        if not verdict.allowed:
+        if verdict.action is not _ALLOW:
             self.bump("blocked_requests")
             status = verdict.status or TransactionStatus.BLOCKED_AT_SLAVE
             self.sim.schedule(verdict.latency, self._reply_blocked, txn, reply, status, verdict.reason)
@@ -353,15 +365,17 @@ class SlavePort(Component):
         reply(txn)
 
     def _access_device(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
-        latency, data = self.device.access(txn)
-        txn.add_latency(self.device.name, latency)
+        device = self.device
+        latency, data = device.access(txn)
+        latencies = txn.latency_breakdown
+        latencies[device.name] = latencies.get(device.name, 0) + latency
         if txn.is_read and data is not None:
             txn.data = data
         self.sim.schedule(latency, self._run_response_filters, txn, reply)
 
     def _run_response_filters(self, txn: BusTransaction, reply: Callable[[BusTransaction], None]) -> None:
         verdict = _apply_chain(self.filters, txn, "response")
-        if not verdict.allowed:
+        if verdict.action is not _ALLOW:
             self.bump("blocked_responses")
             status = verdict.status or TransactionStatus.BLOCKED_AT_SLAVE
             self.sim.schedule(verdict.latency, self._reply_blocked, txn, reply, status, verdict.reason)

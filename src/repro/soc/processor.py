@@ -99,6 +99,14 @@ class MemoryOperation:
         return self.kind is not OperationKind.COMPUTE
 
 
+# Looking a member up on an Enum class costs a __getattr__ hook per access.
+_COMPUTE = OperationKind.COMPUTE
+_READ = OperationKind.READ
+_BUS_READ = BusOperation.READ
+_BUS_WRITE = BusOperation.WRITE
+_COMPLETED = TransactionStatus.COMPLETED
+
+
 @dataclass
 class ProcessorProgram:
     """An ordered list of operations plus bookkeeping helpers."""
@@ -174,43 +182,48 @@ class Processor(Component):
     # -- execution engine -----------------------------------------------------------
 
     def _execute_next(self) -> None:
-        if self._pc >= len(self.program.operations):
+        operations = self.program.operations
+        pc = self._pc
+        if pc >= len(operations):
             self._finish()
             return
-        op = self.program.operations[self._pc]
-        self._pc += 1
+        op = operations[pc]
+        self._pc = pc + 1
+        kind = op.kind
+        stats = self.stats
 
-        if op.kind is OperationKind.COMPUTE:
-            self.bump("compute_ops")
-            self.bump("compute_cycles", op.compute_cycles)
+        if kind is _COMPUTE:
+            stats["compute_ops"] = stats.get("compute_ops", 0) + 1
+            stats["compute_cycles"] = stats.get("compute_cycles", 0) + op.compute_cycles
             self.sim.schedule(op.compute_cycles, self._execute_next)
             return
 
-        operation = BusOperation.READ if op.kind is OperationKind.READ else BusOperation.WRITE
+        operation = _BUS_READ if kind is _READ else _BUS_WRITE
         txn = BusTransaction(
             master=self.name,
             operation=operation,
             address=op.address,
             width=op.width,
             burst_length=op.burst_length,
-            data=op.data if operation is BusOperation.WRITE else None,
+            data=op.data if operation is _BUS_WRITE else None,
         )
         if op.thread_id is not None:
             # Key kept as a literal so the substrate stays independent of the
             # security layer; repro.core.thread_policy.THREAD_ID_ANNOTATION
             # uses the same string.
             txn.annotations["thread_id"] = op.thread_id
-        self.bump("memory_ops")
+        stats["memory_ops"] = stats.get("memory_ops", 0) + 1
         self.transactions.append(txn)
         self.port.issue(txn, self._on_transaction_done)
 
     def _on_transaction_done(self, txn: BusTransaction) -> None:
-        if txn.status is TransactionStatus.COMPLETED:
-            self.bump("completed_accesses")
+        stats = self.stats
+        if txn.status is _COMPLETED:
+            stats["completed_accesses"] = stats.get("completed_accesses", 0) + 1
         else:
-            self.bump("blocked_accesses")
+            stats["blocked_accesses"] = stats.get("blocked_accesses", 0) + 1
             self.blocked_transactions.append(txn)
-        self.bump("access_cycles", max(0, txn.total_latency))
+        stats["access_cycles"] = stats.get("access_cycles", 0) + max(0, txn.total_latency)
         self._execute_next()
 
     def _finish(self) -> None:

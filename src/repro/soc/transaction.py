@@ -69,7 +69,15 @@ class TransactionStatus(enum.Enum):
 
     @property
     def is_terminal(self) -> bool:
-        return self is not TransactionStatus.CREATED and self is not TransactionStatus.ISSUED and self is not TransactionStatus.GRANTED
+        return self is not _CREATED and self is not _ISSUED and self is not _GRANTED
+
+
+# Looking a member up on an Enum class costs a __getattr__ hook per access.
+_READ = BusOperation.READ
+_WRITE = BusOperation.WRITE
+_CREATED = TransactionStatus.CREATED
+_ISSUED = TransactionStatus.ISSUED
+_GRANTED = TransactionStatus.GRANTED
 
 
 @dataclass
@@ -142,11 +150,11 @@ class BusTransaction:
 
     @property
     def is_read(self) -> bool:
-        return self.operation is BusOperation.READ
+        return self.operation is _READ
 
     @property
     def is_write(self) -> bool:
-        return self.operation is BusOperation.WRITE
+        return self.operation is _WRITE
 
     @property
     def total_latency(self) -> int:

@@ -382,6 +382,29 @@ def test_cli_fuzz_replay_builds_one_oracle_per_scenario(tmp_path, built_specs, c
     assert built_specs == ["planted_backdoor"]
 
 
+def test_cli_fuzz_replay_checks_only_the_named_scenarios_entries(tmp_path, built_specs, capsys):
+    """Another scenario's entries are skipped: they are neither replayed nor
+    counted, and no platform is built for them."""
+    other = {**_ENTRY, "case": {**_ENTRY["case"], "scenario": "minimal_1x1"},
+             "replay": [{"status": "bogus", "alerts": 0}]}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps({"schema": 2, "cases": [other, _ENTRY]}))
+    assert main(["fuzz", "planted_backdoor", "--replay", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "replayed 1 corpus case(s), 0 failure(s)" in out
+    assert "minimal_1x1/" not in out
+    assert built_specs == ["planted_backdoor"]
+
+
+def test_cli_fuzz_replay_without_an_entry_for_the_scenario_is_one_line(built_specs, capsys):
+    assert main(["fuzz", "minimal_1x1", "--replay", str(COMMITTED_CORPUS)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"repro fuzz: {COMMITTED_CORPUS}: "
+                            "no corpus entry for scenario 'minimal_1x1'\n")
+    assert captured.out == ""
+    assert built_specs == []
+
+
 def test_cli_fuzz_corpus_writes_the_committed_corpus(tmp_path, capsys):
     """One command regenerates ``tests/corpus/planted_backdoor.json``; a
     second run leaves the file as it is, and ``--replay`` accepts it."""
@@ -400,13 +423,15 @@ def test_cli_fuzz_corpus_writes_the_committed_corpus(tmp_path, capsys):
     assert main(["fuzz", "planted_backdoor", "--replay", str(path)]) == 0
 
 
-def test_cli_fuzz_corpus_refuses_a_malformed_file_in_one_line(tmp_path, capsys):
+def test_cli_fuzz_corpus_refuses_a_malformed_file_in_one_line(tmp_path, built_specs, capsys):
     path = tmp_path / "corpus.json"
     path.write_text(json.dumps({"schema": 1, "cases": []}))
     argv = ["fuzz", "minimal_1x1", "--budget", "1", "--steps", "1", "--corpus", str(path)]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"repro fuzz: {path}: unsupported corpus schema 1\n"
     assert json.loads(path.read_text()) == {"schema": 1, "cases": []}
+    # The file is refused before the search builds its first platform.
+    assert built_specs == []
 
 
 def test_cli_fuzz_corpus_and_replay_exclude_each_other(tmp_path, capsys):

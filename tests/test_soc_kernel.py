@@ -175,12 +175,39 @@ class TestHeapOrdering:
         stepped, stepped_order = build()
         while stepped.step():
             pass
-        ran, ran_order = build()
-        ran.run()
-        assert stepped_order == ran_order
-        assert stepped.now == ran.now
-        assert stepped.events_processed == ran.events_processed == len(ran_order)
-        assert ran_order == sorted(ran_order)
+        assert stepped_order == sorted(stepped_order)
+        assert stepped.events_processed == len(stepped_order)
+        # The full drain, a horizon at the last live event, and a budget of
+        # exactly the live events must all match the one-at-a-time kernel.
+        last = max((time for time, cancelled in draws if not cancelled), default=0)
+        for kwargs in ({}, {"until": last}, {"max_events": len(stepped_order)}):
+            ran, ran_order = build()
+            ran.run(**kwargs)
+            assert ran_order == stepped_order, kwargs
+            assert ran.now == stepped.now, kwargs
+            assert ran.events_processed == stepped.events_processed, kwargs
+            assert ran.pending_events == 0, kwargs
+
+    @pytest.mark.parametrize("kwargs", [{}, {"until": 100}, {"max_events": 10}])
+    def test_a_raising_callback_leaves_the_count_of_callbacks_that_returned(self, kwargs):
+        sim = Simulator()
+        returned = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        for time in (1, 2, 3):
+            sim.schedule_at(time, returned.append, time)
+        sim.schedule_at(4, boom)
+        sim.schedule_at(5, returned.append, 5)
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run(**kwargs)
+        assert returned == [1, 2, 3]
+        assert sim.events_processed == 3
+        assert sim.now == 4
+        # The kernel is not left running: the rest drains on the next call.
+        sim.run()
+        assert returned == [1, 2, 3, 5] and sim.events_processed == 4
 
 
 class TestTimeConversion:

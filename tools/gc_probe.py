@@ -25,10 +25,18 @@ Run from anywhere; it edits nothing and leaves ``git status`` clean::
 
     python tools/gc_probe.py --workload sweep_cold --seed 0
     python tools/gc_probe.py --workload all --seed 0    # every workload in turn
+    python tools/gc_probe.py --workload all --seed 0 --against ../parent
 
 ``--workload all`` probes each workload in turn, each in a fresh
-interpreter, as ``perfbench/run.py --workload all`` runs them.  Exits
-non-zero only if a repetition fails.
+interpreter, as ``perfbench/run.py --workload all`` runs them.  Every probed
+``src/`` tree is byte-compiled first, as ``perfbench/run.py`` does: a tree
+that compiles on import reads different landings.
+
+``--against DIR`` probes the same workloads and seed in a second checkout
+(say, the parent commit) with this file's hook, and prints ``same
+landings`` per workload, or both listings with the durations stripped.  It
+exits 1 when any generation-1/2 landing or any per-generation count
+differs.  Otherwise it exits non-zero only if a repetition fails.
 """
 
 # The repetition runs this file as its main module: import no more than
@@ -47,7 +55,7 @@ MAX_RECORDS = 256
 
 def repetition(config: dict) -> dict:
     """One plain repetition with the probe on its timed region."""
-    sys.path.insert(0, PERFBENCH)
+    sys.path.insert(0, os.path.join(config["root"], "perfbench"))
     import worker
 
     setup_s = worker.setup(config["workload"])
@@ -110,45 +118,85 @@ def repetition(config: dict) -> dict:
     }
 
 
-def report(workload: str, seed: int, result: dict) -> None:
-    print(f"# {workload} seed {seed}: {result['pieces']} pieces, "
-          f"{result['reference_chunks']} reference chunks "
-          f"({result['reference_ms']:.2f} ms), unscaled wall_s {result['wall_s']:.4f} s")
+def listing(workload: str, seed: int, result: dict, durations: bool = True) -> list:
+    """The report lines of one repetition; without ``durations`` they hold
+    only what a tree reads the same on every run."""
+    header = (f"# {workload} seed {seed}: {result['pieces']} pieces, "
+              f"{result['reference_chunks']} reference chunks")
+    if durations:
+        header += (f" ({result['reference_ms']:.2f} ms), "
+                   f"unscaled wall_s {result['wall_s']:.4f} s")
+    lines = [header]
     for generation, reference, chunk, ms in result["collections"]:
         where = "reference" if reference else "workload"
-        print(f"gen{generation} {ms:8.3f} ms  chunk {chunk:3d}  {where}")
+        took = f" {ms:8.3f} ms" if durations else ""
+        lines.append(f"gen{generation}{took}  chunk {chunk:3d}  {where}")
     unrecorded = sum(t[0] + t[2] for t in result["totals"][1:]) - len(result["collections"])
     if unrecorded:
-        print(f"({unrecorded} more generation-1/2 collections, counted in the totals only)")
+        lines.append(f"({unrecorded} more generation-1/2 collections, counted in the totals only)")
     for generation, (ref_n, ref_ms, work_n, work_ms) in enumerate(result["totals"]):
-        print(f"gen{generation} totals: reference {ref_n} ({ref_ms:.2f} ms), "
-              f"workload {work_n} ({work_ms:.2f} ms)")
+        if durations:
+            lines.append(f"gen{generation} totals: reference {ref_n} ({ref_ms:.2f} ms), "
+                         f"workload {work_n} ({work_ms:.2f} ms)")
+        else:
+            lines.append(f"gen{generation} totals: reference {ref_n}, workload {work_n}")
+    return lines
 
 
-def probe(workload: str, seed: int) -> int:
-    """Run and report one repetition of ``workload`` in a fresh interpreter."""
+def compile_tree(root: str) -> None:
+    """Byte-compile a checkout's ``src/``, as ``perfbench/run.py`` does."""
+    import compileall
+
+    compileall.compile_dir(os.path.join(root, "src"), quiet=1)
+
+
+def probe(workload: str, seed: int, root: str = ROOT):
+    """One repetition of ``workload`` on the checkout at ``root``, in a fresh
+    interpreter; returns ``(exit code, result or None)``."""
     import shutil
     import subprocess
     import tempfile
 
     tmp = tempfile.mkdtemp(prefix="gc_probe-")
     config = {"workload": workload, "seed": seed, "mode": "plain",
-              "tmp": os.path.join(tmp, "rep")}
+              "tmp": os.path.join(tmp, "rep"), "root": root}
     # The environment perfbench/run.py gives its workers.
     env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env["PYTHONPATH"] = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = os.path.join(root, "src")
     try:
         proc = subprocess.run(
             [sys.executable, os.path.abspath(__file__), "--repetition", json.dumps(config)],
-            env=env, cwd=ROOT, capture_output=True, text=True,
+            env=env, cwd=root, capture_output=True, text=True,
         )
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
-        return proc.returncode
-    report(workload, seed, json.loads(proc.stdout.splitlines()[-1]))
-    return 0
+        return proc.returncode, None
+    return 0, json.loads(proc.stdout.splitlines()[-1])
+
+
+def report(workload: str, seed: int) -> int:
+    """Run and report one repetition of ``workload`` in a fresh interpreter."""
+    code, result = probe(workload, seed)
+    if result is not None:
+        print("\n".join(listing(workload, seed, result)))
+    return code
+
+
+def compare(workload: str, seed: int, against: str) -> int:
+    """Probe ``workload`` here and in ``against``; 1 when the landings differ."""
+    code, here = probe(workload, seed)
+    other_code, there = probe(workload, seed, against)
+    if code or other_code:
+        return code or other_code
+    mine, theirs = listing(workload, seed, here, False), listing(workload, seed, there, False)
+    if mine == theirs:
+        print(f"# {workload} seed {seed}: same landings")
+        return 0
+    print(f"# {workload} seed {seed}: landings differ")
+    print("\n".join([f"## {ROOT}"] + mine + [f"## {against}"] + theirs))
+    return 1
 
 
 def main(argv=None) -> int:
@@ -160,9 +208,17 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=suite.WORKLOADS + ("all",))
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--against", metavar="DIR",
+                        help="a second checkout to probe the same way and compare with")
     args = parser.parse_args(argv)
     names = suite.WORKLOADS if args.workload == "all" else (args.workload,)
-    codes = [probe(name, args.seed) for name in names]
+    compile_tree(ROOT)
+    if args.against:
+        against = os.path.abspath(args.against)
+        compile_tree(against)
+        codes = [compare(name, args.seed, against) for name in names]
+    else:
+        codes = [report(name, args.seed) for name in names]
     return next((code for code in codes if code), 0)
 
 
