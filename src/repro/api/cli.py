@@ -223,6 +223,17 @@ def _usable_dirs(command: str, *paths: str) -> bool:
     return True
 
 
+def _open_store(command: str, path: str):
+    """The result store at ``path``, or None after a one-line refusal on stderr."""
+    from repro.sweep.store import ResultStore
+
+    try:
+        return ResultStore(path)
+    except ValueError as exc:
+        print(f"repro {command}: {exc}", file=sys.stderr)
+        return None
+
+
 def _known_scenario(command: str, name: str) -> bool:
     """Whether ``name`` is registered; if not, say so in one line on stderr."""
     if name in list_scenarios():
@@ -332,12 +343,14 @@ def _sweep_spec_from_args(args: argparse.Namespace):
 
 
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
-    from repro.sweep import ResultStore, SweepRunner
+    from repro.sweep import SweepRunner
 
     spec = _sweep_spec_from_args(args)
     if not _usable_dirs("sweep run", args.store):
         return 1
-    store = ResultStore(args.store)
+    store = _open_store("sweep run", args.store)
+    if store is None:
+        return 1
     report = SweepRunner(spec, store, sweep_workers=args.sweep_workers).run()
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -361,7 +374,9 @@ def _cmd_sweep_gc(args: argparse.Namespace) -> int:
     if not (pathlib.Path(args.store) / ResultStore.RESULTS_NAME).exists():
         print(f"repro sweep gc: no result store at {args.store!r}", file=sys.stderr)
         return 1
-    store = ResultStore(args.store)
+    store = _open_store("sweep gc", args.store)
+    if store is None:
+        return 1
     report = store.gc(keep_latest=args.keep_latest, apply=args.apply)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -380,6 +395,8 @@ def _cmd_paper(args: argparse.Namespace) -> int:
     from repro.sweep import regenerate_paper
 
     if not _usable_dirs("paper", args.out, args.store):
+        return 1
+    if _open_store("paper", args.store) is None:
         return 1
     report = regenerate_paper(
         args.store, args.out, fast=args.fast, sweep_workers=args.sweep_workers
@@ -550,10 +567,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     rendered = render_catalog()
     if args.check is not False:
         path = pathlib.Path(args.check)
-        if not path.exists():
-            print(f"repro catalog: {path} does not exist", file=sys.stderr)
-            return 1
-        if path.read_text(encoding="utf-8") != rendered:
+        try:
+            current = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            return _path_error("catalog", args.check, exc)
+        if current != rendered:
             print(
                 f"repro catalog: {path} is out of date; regenerate with "
                 f"`python -m repro catalog --write {path}`",
@@ -564,8 +582,11 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         return 0
     if args.write:
         path = pathlib.Path(args.write)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered, encoding="utf-8")
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            return _path_error("catalog", args.write, exc)
         print(f"wrote {path}")
         return 0
     print(rendered, end="")

@@ -20,10 +20,10 @@ distributed design so the comparison isolates *where* enforcement happens, not
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.alerts import SecurityAlert, SecurityMonitor, ViolationType
-from repro.core.checks import CheckResult, SecurityCheck, default_check_suite
+from repro.core.checks import CheckResult, default_check_suite
 from repro.core.constants import SECURITY_BUILDER_CYCLES
 from repro.core.policy import ConfigurationMemory, PolicyLookupError, default_policies
 from repro.metrics.resources import ResourceVector
@@ -43,10 +43,10 @@ __all__ = [
 class CentralizedSecurityModule(Component):
     """The global Security Enforcement Module.
 
-    A single-ported checker: every evaluation occupies it for
-    ``check_latency`` cycles, and evaluations that arrive while it is busy
-    queue up (FIFO), which is how centralisation turns into latency under
-    concurrent traffic.
+    A single-ported checker: every evaluation occupies it for the Security
+    Builder's 12 cycles (:data:`~repro.core.constants.SECURITY_BUILDER_CYCLES`),
+    and evaluations that arrive while it is busy queue up (FIFO), which is how
+    centralisation turns into latency under concurrent traffic.
     """
 
     def __init__(
@@ -55,14 +55,11 @@ class CentralizedSecurityModule(Component):
         name: str,
         config_memory: ConfigurationMemory,
         monitor: Optional[SecurityMonitor] = None,
-        checks: Optional[List[SecurityCheck]] = None,
-        check_latency: int = SECURITY_BUILDER_CYCLES,
     ) -> None:
         super().__init__(sim, name)
         self.config_memory = config_memory
         self.monitor = monitor
-        self.checks = checks if checks is not None else default_check_suite()
-        self.check_latency = check_latency
+        self.checks = default_check_suite()
         self._busy_until = 0
         self.evaluations = 0
         self.violations = 0
@@ -77,8 +74,8 @@ class CentralizedSecurityModule(Component):
         now = self.sim.now
         start = max(now, self._busy_until)
         queue_delay = start - now
-        self._busy_until = start + self.check_latency
-        total_latency = queue_delay + self.check_latency
+        self._busy_until = start + SECURITY_BUILDER_CYCLES
+        total_latency = queue_delay + SECURITY_BUILDER_CYCLES
 
         self.evaluations += 1
         self.total_queue_cycles += queue_delay

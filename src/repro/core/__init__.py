@@ -10,8 +10,6 @@ The package re-exports nothing; import each name from its module:
   (:mod:`repro.core.local_firewall`, :mod:`repro.core.ciphering_firewall`),
 * alerting (:mod:`repro.core.alerts`) and runtime reaction / reconfiguration
   (:mod:`repro.core.manager`),
-* thread-specific clearances, the paper's closing perspective
-  (:mod:`repro.core.thread_policy`),
 * :func:`repro.core.secure.attach_security`, which attaches all of the
   above to a platform according to a security plan
   (:mod:`repro.scenarios.plan` derives the plan from a scenario spec),

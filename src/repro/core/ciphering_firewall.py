@@ -36,7 +36,6 @@ from repro.core.constants import (
     CONFIDENTIALITY_CORE_CYCLES,
     INTEGRITY_BLOCK_BYTES,
     INTEGRITY_CORE_CYCLES,
-    SECURITY_BUILDER_CYCLES,
 )
 from repro.core.local_firewall import LocalFirewall
 from repro.core.policy import ConfigurationMemory, PolicyRule
@@ -62,9 +61,8 @@ class ConfidentialityCore:
 
     AES_BLOCK = 16
 
-    def __init__(self, name: str, cycles_per_block: int = CONFIDENTIALITY_CORE_CYCLES) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.cycles_per_block = cycles_per_block
         self._ciphers: Dict[bytes, CTRMode] = {}
         self.blocks_processed = 0
         self.bytes_processed = 0
@@ -77,7 +75,7 @@ class ConfidentialityCore:
 
     def _charge(self, n_bytes: int) -> int:
         n_blocks = max(1, (n_bytes + self.AES_BLOCK - 1) // self.AES_BLOCK)
-        cycles = n_blocks * self.cycles_per_block
+        cycles = n_blocks * CONFIDENTIALITY_CORE_CYCLES
         self.blocks_processed += n_blocks
         self.bytes_processed += n_bytes
         self.cycles_charged += cycles
@@ -101,9 +99,8 @@ class IntegrityCore:
     updated (Table II: 20 cycles).
     """
 
-    def __init__(self, name: str, cycles_per_block: int = INTEGRITY_CORE_CYCLES) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.cycles_per_block = cycles_per_block
         self.blocks_verified = 0
         self.blocks_updated = 0
         self.failures = 0
@@ -112,18 +109,18 @@ class IntegrityCore:
     def verify(self, tree: MerkleTree, block_index: int, plaintext: bytes) -> Tuple[bool, int]:
         """Verify a block against the trusted root; returns (ok, cycles)."""
         self.blocks_verified += 1
-        self.cycles_charged += self.cycles_per_block
+        self.cycles_charged += INTEGRITY_CORE_CYCLES
         ok = tree.verify(block_index, plaintext)
         if not ok:
             self.failures += 1
-        return ok, self.cycles_per_block
+        return ok, INTEGRITY_CORE_CYCLES
 
     def update(self, tree: MerkleTree, block_index: int, plaintext: bytes) -> int:
         """Record a block write in the tree; returns cycles charged."""
         self.blocks_updated += 1
-        self.cycles_charged += self.cycles_per_block
+        self.cycles_charged += INTEGRITY_CORE_CYCLES
         tree.update(block_index, plaintext)
-        return self.cycles_per_block
+        return INTEGRITY_CORE_CYCLES
 
 
 @dataclass
@@ -206,26 +203,16 @@ class LocalCipheringFirewall(LocalFirewall):
         key_store: KeyStore,
         monitor: Optional[SecurityMonitor] = None,
         protected_ip: str = "external_memory",
-        sb_latency: int = SECURITY_BUILDER_CYCLES,
-        cc_cycles_per_block: int = CONFIDENTIALITY_CORE_CYCLES,
-        ic_cycles_per_block: int = INTEGRITY_CORE_CYCLES,
         block_size: int = INTEGRITY_BLOCK_BYTES,
         **kwargs,
     ) -> None:
-        super().__init__(
-            sim,
-            name,
-            config_memory,
-            monitor=monitor,
-            protected_ip=protected_ip,
-            sb_latency=sb_latency,
-            **kwargs,
-        )
+        super().__init__(sim, name, config_memory, monitor=monitor, protected_ip=protected_ip,
+                         **kwargs)
         self.device = device
         self.key_store = key_store
         self.block_size = block_size
-        self.confidentiality_core = ConfidentialityCore(f"{name}.cc", cc_cycles_per_block)
-        self.integrity_core = IntegrityCore(f"{name}.ic", ic_cycles_per_block)
+        self.confidentiality_core = ConfidentialityCore(f"{name}.cc")
+        self.integrity_core = IntegrityCore(f"{name}.ic")
         self._regions: Dict[int, ProtectedRegion] = {}  # keyed by rule base
         # Memoised region_for() answers; every protected transaction performs
         # this lookup on both the request and the response path, so the scan

@@ -259,15 +259,10 @@ class LocalFirewall(TransactionFilter):
         The platform's :class:`SecurityMonitor`; may be None for standalone use.
     protected_ip:
         Name of the IP this firewall guards (reporting only).
-    check_responses:
-        Also re-validate the policy on the response path (the paper checks
-        read data "before reaching the IP"); the check is overlapped with the
-        data transfer in hardware, so it adds no extra latency here.
     flood_threshold / flood_window:
         Optional DoS heuristic: if more than ``flood_threshold`` requests are
         observed within ``flood_window`` cycles, a TRAFFIC_FLOOD alert is
-        raised (and the excess requests are dropped when ``flood_block`` is
-        True).
+        raised and the excess requests are dropped.
     """
 
     name = "local_firewall"
@@ -279,28 +274,20 @@ class LocalFirewall(TransactionFilter):
         config_memory: ConfigurationMemory,
         monitor: Optional[SecurityMonitor] = None,
         protected_ip: str = "",
-        checks: Optional[Sequence[SecurityCheck]] = None,
-        sb_latency: int = SECURITY_BUILDER_CYCLES,
-        check_responses: bool = True,
         flood_threshold: Optional[int] = None,
         flood_window: int = 100,
-        flood_block: bool = True,
     ) -> None:
         self.sim = sim
         self.name = name
         self.monitor = monitor
         self.protected_ip = protected_ip or name
-        self.check_responses = check_responses
 
         self.communication_block = CommunicationBlock(f"{name}.lfcb")
-        self.security_builder = SecurityBuilder(
-            f"{name}.sb", config_memory, checks=checks, latency_cycles=sb_latency
-        )
+        self.security_builder = SecurityBuilder(f"{name}.sb", config_memory)
         self.firewall_interface = FirewallInterface(f"{name}.fi")
 
         self.flood_threshold = flood_threshold
         self.flood_window = flood_window
-        self.flood_block = flood_block
         self._request_cycles: Deque[int] = deque()
 
         self.quarantined = False
@@ -380,14 +367,13 @@ class LocalFirewall(TransactionFilter):
         if self.flood_threshold is not None and self._flood_detected():
             self._raise(txn, ViolationType.TRAFFIC_FLOOD,
                         detail=f"more than {self.flood_threshold} requests in {self.flood_window} cycles")
-            if self.flood_block:
-                self.firewall_interface.gate(False)
-                self._emit_decision(txn, False, reason="traffic_flood")
-                return FilterResult.deny(
-                    reason=f"{self.name}: traffic flood",
-                    latency=self.security_builder.latency_cycles,
-                    stage="security_builder",
-                )
+            self.firewall_interface.gate(False)
+            self._emit_decision(txn, False, reason="traffic_flood")
+            return FilterResult.deny(
+                reason=f"{self.name}: traffic flood",
+                latency=self.security_builder.latency_cycles,
+                stage="security_builder",
+            )
 
         builder = self.security_builder
         policy, results = builder.evaluate(txn)
@@ -412,7 +398,7 @@ class LocalFirewall(TransactionFilter):
         )
 
     def filter_response(self, txn: BusTransaction) -> FilterResult:
-        if not self.check_responses or not txn.is_read:
+        if not txn.is_read:
             return FilterResult(_ALLOW, 0, self.name)
         # Response-path re-validation: the policy may have been reconfigured
         # while the transaction was in flight, and read data must be checked

@@ -39,13 +39,7 @@ class OperationKind(enum.Enum):
 
 @dataclass
 class MemoryOperation:
-    """One step of a processor program.
-
-    ``thread_id`` optionally identifies the software thread issuing the
-    operation; it is propagated as a transaction annotation so thread-aware
-    firewalls (:mod:`repro.core.thread_policy`) can apply per-thread
-    clearance levels.
-    """
+    """One step of a processor program."""
 
     kind: OperationKind
     address: int = 0
@@ -53,7 +47,6 @@ class MemoryOperation:
     burst_length: int = 1
     data: Optional[bytes] = None
     compute_cycles: int = 0
-    thread_id: Optional[int] = None
 
     @classmethod
     def compute(cls, cycles: int) -> "MemoryOperation":
@@ -62,37 +55,19 @@ class MemoryOperation:
         return cls(kind=OperationKind.COMPUTE, compute_cycles=cycles)
 
     @classmethod
-    def read(
-        cls,
-        address: int,
-        width: int = 4,
-        burst_length: int = 1,
-        thread_id: Optional[int] = None,
-    ) -> "MemoryOperation":
+    def read(cls, address: int, width: int = 4, burst_length: int = 1) -> "MemoryOperation":
         return cls(kind=OperationKind.READ, address=address, width=width,
-                   burst_length=burst_length, thread_id=thread_id)
+                   burst_length=burst_length)
 
     @classmethod
-    def write(
-        cls,
-        address: int,
-        data: bytes,
-        width: int = 4,
-        burst_length: Optional[int] = None,
-        thread_id: Optional[int] = None,
-    ) -> "MemoryOperation":
+    def write(cls, address: int, data: bytes, width: int = 4,
+              burst_length: Optional[int] = None) -> "MemoryOperation":
         if burst_length is None:
             if len(data) % width != 0:
                 raise ValueError("write data length must be a multiple of width")
             burst_length = max(1, len(data) // width)
-        return cls(
-            kind=OperationKind.WRITE,
-            address=address,
-            width=width,
-            burst_length=burst_length,
-            data=data,
-            thread_id=thread_id,
-        )
+        return cls(kind=OperationKind.WRITE, address=address, width=width,
+                   burst_length=burst_length, data=data)
 
     @property
     def is_memory_access(self) -> bool:
@@ -207,11 +182,6 @@ class Processor(Component):
             burst_length=op.burst_length,
             data=op.data if operation is _BUS_WRITE else None,
         )
-        if op.thread_id is not None:
-            # Key kept as a literal so the substrate stays independent of the
-            # security layer; repro.core.thread_policy.THREAD_ID_ANNOTATION
-            # uses the same string.
-            txn.annotations["thread_id"] = op.thread_id
         stats["memory_ops"] = stats.get("memory_ops", 0) + 1
         self.transactions.append(txn)
         self.port.issue(txn, self._on_transaction_done)

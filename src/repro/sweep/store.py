@@ -19,6 +19,8 @@ the resumed store *identical* to an uninterrupted run — the property
 canonicalizes entries by dropping the only nondeterministic field an
 :class:`~repro.api.experiment.ExperimentResult` carries (the campaign's
 wall-clock time), so two stores with the same digest hold the same results.
+A complete line that parses but is not an entry as :meth:`ResultStore.put`
+writes it raises a ``ValueError`` that names the file and the line.
 
 The store is safe under **concurrent writers** (parallel ``repro sweep run``
 processes on one store directory): every mutating operation — :meth:`ResultStore.put`,
@@ -84,6 +86,21 @@ def _package_root() -> pathlib.Path:
 def code_fingerprint() -> str:
     """Hash of every Python source file of the installed ``repro`` package."""
     return _tree_fingerprint(_package_root())
+
+
+#: The fields :meth:`ResultStore.put` writes in every entry, and their JSON types.
+_ENTRY_TYPES = {"key": str, "point_id": str, "fingerprint": str, "seq": int, "result": dict}
+_TYPE_NAMES = {str: "a string", int: "an integer", dict: "an object"}
+
+
+def _entry_error(entry: object) -> Optional[str]:
+    """Why a parsed ``results.jsonl`` line is not a result entry, or None."""
+    if type(entry) is not dict:
+        return "not a JSON object"
+    for name, kind in _ENTRY_TYPES.items():
+        if type(entry.get(name)) is not kind:
+            return f"{name!r} must be {_TYPE_NAMES[kind]}"
+    return None
 
 
 def canonical_result(result: Dict[str, object]) -> Dict[str, object]:
@@ -189,8 +206,9 @@ class ResultStore:
 
     # -- loading -------------------------------------------------------------------
 
-    def _consume_line(self, raw: bytes) -> None:
-        """Index one complete ``results.jsonl`` line (malformed lines skip)."""
+    def _consume_line(self, raw: bytes, offset: int) -> None:
+        """Index one complete ``results.jsonl`` line, which starts at byte
+        ``offset``; skip one that does not parse, refuse one that is no entry."""
         line = raw.strip()
         if not line:
             return
@@ -200,8 +218,12 @@ class ResultStore:
             # A writer killed mid-write leaves at most one partial trailing
             # line; the point it was storing simply reruns.
             return
-        if isinstance(entry, dict) and "key" in entry:
-            self._entries[entry["key"]] = entry
+        reason = _entry_error(entry)
+        if reason is not None:
+            with self.results_path.open("rb") as handle:
+                number = handle.read(offset).count(b"\n") + 1
+            raise ValueError(f"{self.results_path}: line {number}: {reason}")
+        self._entries[entry["key"]] = entry
 
     def _read_from(self, offset: int) -> None:
         """Consume complete lines from ``offset``; advance ``_tail_offset``.
@@ -215,8 +237,8 @@ class ResultStore:
             for raw in handle:
                 if not raw.endswith(b"\n"):
                     break
+                self._consume_line(raw, offset)
                 offset += len(raw)
-                self._consume_line(raw)
         self._tail_offset = offset
 
     def _load(self) -> None:
@@ -228,7 +250,7 @@ class ResultStore:
     def _bump_next_seq(self) -> None:
         self._next_seq = max(
             self._next_seq,
-            max((int(e.get("seq", -1)) for e in self._entries.values()), default=-1) + 1,
+            max((e["seq"] for e in self._entries.values()), default=-1) + 1,
         )
 
     def reload(self) -> None:
@@ -253,10 +275,10 @@ class ResultStore:
             "version": self.MANIFEST_VERSION,
             "entries": {
                 key: {
-                    "point_id": entry.get("point_id"),
+                    "point_id": entry["point_id"],
                     "scenario": entry.get("scenario"),
-                    "fingerprint": entry.get("fingerprint"),
-                    "seq": entry.get("seq"),
+                    "fingerprint": entry["fingerprint"],
+                    "seq": entry["seq"],
                 }
                 for key, entry in self._entries.items()
             },
@@ -292,7 +314,7 @@ class ResultStore:
 
     def entries(self) -> List[Dict[str, object]]:
         """All entries, ordered by write sequence."""
-        return sorted(self._entries.values(), key=lambda e: e.get("seq", 0))
+        return sorted(self._entries.values(), key=lambda e: e["seq"])
 
     def put(
         self,
@@ -343,9 +365,9 @@ class ResultStore:
             entry = self._entries[key]
             canonical = {
                 "key": key,
-                "point_id": entry.get("point_id"),
-                "fingerprint": entry.get("fingerprint"),
-                "result": canonical_result(entry.get("result") or {}),
+                "point_id": entry["point_id"],
+                "fingerprint": entry["fingerprint"],
+                "result": canonical_result(entry["result"]),
             }
             digest.update(json.dumps(canonical, sort_keys=True).encode())
             digest.update(b"\n")
@@ -374,10 +396,8 @@ class ResultStore:
     def _gc_inner(self, keep_latest: int, apply: bool) -> GcReport:
         latest_seq: Dict[str, int] = {}
         for entry in self._entries.values():
-            fingerprint = str(entry.get("fingerprint"))
-            latest_seq[fingerprint] = max(
-                latest_seq.get(fingerprint, -1), int(entry.get("seq", 0))
-            )
+            fingerprint = entry["fingerprint"]
+            latest_seq[fingerprint] = max(latest_seq.get(fingerprint, -1), entry["seq"])
         ordered = sorted(latest_seq, key=lambda f: latest_seq[f], reverse=True)
         kept = ordered[:keep_latest]
         dropped = ordered[keep_latest:]
@@ -387,9 +407,9 @@ class ResultStore:
             kept_fingerprints=kept,
             dropped_fingerprints=dropped,
             dropped_points=sorted(
-                str(entry.get("point_id"))
+                entry["point_id"]
                 for entry in self._entries.values()
-                if entry.get("fingerprint") in dropped
+                if entry["fingerprint"] in dropped
             ),
         )
         if not apply or not dropped:
@@ -397,7 +417,7 @@ class ResultStore:
         self._entries = {
             key: entry
             for key, entry in self._entries.items()
-            if entry.get("fingerprint") in kept
+            if entry["fingerprint"] in kept
         }
         # Atomic rewrite: a kill mid-gc must not truncate the kept entries.
         tmp_path = self.results_path.with_suffix(".jsonl.tmp")

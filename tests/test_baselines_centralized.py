@@ -67,6 +67,7 @@ class TestCentralizedModule:
         """Directly exercise the SEM's single-port serialisation (the bus
         serialises traffic in the Figure-1 platform, so this drives the
         module standalone as a pipelined interconnect would)."""
+        from repro.core.constants import SECURITY_BUILDER_CYCLES
         from repro.core.policy import ConfigurationMemory, SecurityPolicy
         from repro.soc.kernel import Simulator
 
@@ -78,10 +79,10 @@ class TestCentralizedModule:
         allowed_1, latency_1, _ = sem.evaluate(txn)
         allowed_2, latency_2, _ = sem.evaluate(txn)
         assert allowed_1 and allowed_2
-        assert latency_1 == sem.check_latency
+        assert latency_1 == SECURITY_BUILDER_CYCLES
         # The second evaluation arrives while the first still occupies the
         # module, so it pays the queueing delay on top of the check.
-        assert latency_2 == 2 * sem.check_latency
+        assert latency_2 == 2 * SECURITY_BUILDER_CYCLES
         assert sem.stats["queued_evaluations"] == 1
 
     def test_summary_and_area_estimate(self, plain_platform):

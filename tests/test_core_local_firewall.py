@@ -89,10 +89,20 @@ class TestRequestFiltering:
         firewall.filter_request(txn)
         assert txn.annotations["lf_test.spi"] == 42
 
-    def test_latency_override(self):
-        _, firewall = make_firewall(rules=[(0x0, 0x1000, full_access())], sb_latency=3)
-        result = firewall.filter_request(read(0x0))
-        assert result.latency == 3
+    def test_every_denial_charges_sb_latency(self):
+        _, firewall = make_firewall(rules=[(0x0, 0x100, full_access())], flood_threshold=1,
+                                    flood_window=1000)
+        assert firewall.filter_request(read(0x10)).allowed
+        flooded = firewall.filter_request(read(0x10))
+        firewall.flood_threshold = None
+        missed = firewall.filter_request(read(0x5000))
+        firewall.quarantined = True
+        quarantined = firewall.filter_request(read(0x10))
+        for result in (flooded, missed, quarantined):
+            assert not result.allowed
+            assert result.latency == SECURITY_BUILDER_CYCLES
+            assert result.stage == "security_builder"
+        assert firewall.firewall_interface.discarded == 3
 
 
 class TestResponseFiltering:
@@ -123,10 +133,16 @@ class TestResponseFiltering:
         firewall.filter_request(txn)
         assert firewall.filter_response(txn).allowed
 
-    def test_response_checking_can_be_disabled(self):
-        _, firewall = make_firewall(rules=[], check_responses=False)
-        txn = read(0x10)
-        assert firewall.filter_response(txn).allowed
+    def test_read_response_outside_every_rule_is_discarded(self):
+        monitor = SecurityMonitor()
+        _, firewall = make_firewall(rules=[], monitor=monitor)
+        response = firewall.filter_response(read(0x10))
+        assert not response.allowed
+        assert response.latency == 0
+        assert firewall.firewall_interface.discarded == 1
+        assert monitor.count(ViolationType.POLICY_MISS) == 1
+        # The response path re-validates without an SB evaluation of its own.
+        assert firewall.security_builder.evaluations == 0
 
 
 class TestQuarantine:
@@ -155,18 +171,18 @@ class TestFloodDetection:
         assert blocked > 0
         assert monitor.count(ViolationType.TRAFFIC_FLOOD) > 0
 
-    def test_flood_detection_without_blocking(self):
+    def test_every_request_above_the_threshold_is_dropped(self):
         monitor = SecurityMonitor()
         _, firewall = make_firewall(
             rules=[(0x0, 0x1000, full_access())],
             monitor=monitor,
             flood_threshold=3,
             flood_window=1000,
-            flood_block=False,
         )
-        for _ in range(6):
-            assert firewall.filter_request(read(0x0)).allowed
-        assert monitor.count(ViolationType.TRAFFIC_FLOOD) > 0
+        verdicts = [firewall.filter_request(read(0x0)).allowed for _ in range(6)]
+        assert verdicts == [True, True, True, False, False, False]
+        assert monitor.count(ViolationType.TRAFFIC_FLOOD) == 3
+        assert firewall.firewall_interface.discarded == 3
 
     def test_no_flood_detection_by_default(self):
         monitor = SecurityMonitor()

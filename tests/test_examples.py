@@ -19,7 +19,15 @@ EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
 
 
 def test_examples_are_collected():
-    assert len(EXAMPLES) >= 8
+    assert [path.name for path in EXAMPLES] == [
+        "area_report.py",
+        "attack_campaign.py",
+        "policy_reconfiguration.py",
+        "quickstart.py",
+        "scenario_matrix.py",
+        "secure_firmware_update.py",
+        "sweep_and_compare.py",
+    ]
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda path: path.name)

@@ -94,6 +94,27 @@ class TestCli:
         assert cli_main(["catalog", "--write", str(page)]) == 0
         assert cli_main(["catalog", "--check", str(page)]) == 0
 
+    def test_catalog_check_of_a_missing_page_is_one_line(self, tmp_path, capsys):
+        page = tmp_path / "catalog.md"
+        assert cli_main(["catalog", "--check", str(page)]) == 1
+        assert capsys.readouterr().err == f"repro catalog: {page}: No such file or directory\n"
+
+    def test_catalog_write_to_a_directory_is_one_line(self, tmp_path, capsys):
+        assert cli_main(["catalog", "--write", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"repro catalog: {tmp_path}: Is a directory\n"
+
+    def test_catalog_check_of_a_directory_is_one_line(self, tmp_path, capsys):
+        assert cli_main(["catalog", "--check", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"repro catalog: {tmp_path}: Is a directory\n"
+
+    def test_catalog_write_under_a_regular_file_is_one_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        page = blocker / "catalog.md"
+        assert cli_main(["catalog", "--write", str(page)]) == 1
+        assert capsys.readouterr().err == f"repro catalog: {page}: File exists\n"
+        assert blocker.read_text() == "not a directory\n"
+
     def test_sweep_run_and_gc_cli(self, tmp_path, capsys):
         store = str(tmp_path / "store")
         argv = ["sweep", "run", "--scenario", "minimal_1x1", "--store", store, "--json"]
@@ -122,6 +143,23 @@ class TestCli:
         assert cli_main(argv) == 1
         assert capsys.readouterr().err == f"repro sweep run: {store}: File exists\n"
         assert store.read_text() == "not a directory\n"
+
+    def test_store_line_that_is_not_an_entry_is_one_line(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "results.jsonl").write_text('{"key": "k", "seq": "x"}\n')
+        results = store / "results.jsonl"
+        for argv in (
+            ["sweep", "run", "--scenario", "minimal_1x1", "--store", str(store)],
+            ["sweep", "gc", "--keep-latest", "1", "--store", str(store)],
+            ["paper", "--fast", "--store", str(store), "--out", str(tmp_path / "out")],
+        ):
+            command = " ".join(argv[:2]) if argv[0] == "sweep" else argv[0]
+            assert cli_main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"repro {command}: {results}: line 1: 'point_id' must be a string\n"
+            )
+        assert results.read_text() == '{"key": "k", "seq": "x"}\n'
 
     def test_sweep_run_rejects_unknown_scenario_pattern(self, tmp_path):
         import pytest

@@ -50,6 +50,31 @@ class TestCoreApi:
         reopened = ResultStore(tmp_path / "store")
         assert reopened.has("k1") and not reopened.has("k2")
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"key": 1}', "'key' must be a string"),
+        ('{"key": "k", "seq": "x"}', "'point_id' must be a string"),
+        ('{"key": "k", "seq": 3, "result": 5}', "'point_id' must be a string"),
+        ('{"key": ["a"]}', "'key' must be a string"),
+        ("[1, 2]", "not a JSON object"),
+        ('{"key": "k", "point_id": "p", "fingerprint": "f", "seq": "x", "result": {}}',
+         "'seq' must be an integer"),
+        ('{"key": "k", "point_id": "p", "fingerprint": "f", "seq": true, "result": {}}',
+         "'seq' must be an integer"),
+        ('{"key": "k", "point_id": "p", "fingerprint": "f", "seq": 3, "result": 5}',
+         "'result' must be an object"),
+    ], ids=["int-key", "key-and-string-seq", "key-seq-and-int-result", "array-key", "array",
+            "string-seq", "bool-seq", "int-result"])
+    def test_a_line_that_parses_but_is_not_an_entry_is_refused(self, tmp_path, line, reason):
+        store = ResultStore(tmp_path / "store")
+        store.put("k1", "p1", "fake", "fp", _result())
+        with store.results_path.open("a", encoding="utf-8") as handle:
+            handle.write(line + "\n")
+        with pytest.raises(ValueError) as refused:
+            ResultStore(tmp_path / "store")
+        assert str(refused.value) == f"{store.results_path}: line 2: {reason}"
+        with pytest.raises(ValueError, match="line 2: "):
+            store.reload()  # an open handle refuses the appended line too
+
     def test_read_only_open_creates_nothing_on_disk(self, tmp_path):
         mistyped = tmp_path / "no-such-store"
         store = ResultStore(mistyped)  # e.g. report rendering over a typo'd path
