@@ -1,6 +1,6 @@
 """Plain-text table rendering.
 
-The benchmark harnesses print the regenerated tables in the same row/column
+``repro paper`` prints the regenerated tables in the same row/column
 layout the paper uses; keeping the renderer dependency-free (no tabulate, no
 pandas) keeps the repository runnable in the offline evaluation environment.
 """

@@ -1,7 +1,7 @@
 """Typed instrumentation event bus.
 
 Observability used to be wired by hand: examples poked
-``security.monitor.alerts``, benchmarks read firewall counters, the campaign
+``security.monitor.alerts``, tests read firewall counters, the campaign
 runner summarised monitors itself — every consumer re-implemented its own
 harvesting.  This module replaces that with one publish/subscribe surface:
 
@@ -13,7 +13,7 @@ harvesting.  This module replaces that with one publish/subscribe surface:
   of API-layer dependencies,
 * **sinks** subscribe to the bus: an in-memory aggregator for programmatic
   inspection, a JSONL trace writer for offline analysis, and a counting-only
-  stats sink cheap enough to leave on during benchmarks,
+  stats sink cheap enough to leave on,
 * the **zero-sink fast path**: with no bus attached (the default) publishers
   pay a single ``is None`` check; with a bus but no sinks, ``emit`` returns
   before building the event object.  Emission never schedules kernel events
@@ -134,7 +134,8 @@ class EventSink:
     counts can set ``counts_only = True`` and implement :meth:`record_kind`;
     when *every* sink on a bus is counting-only, ``emit`` skips constructing
     the event object entirely, which is what keeps an always-on stats sink
-    within noise on the benchmarks.
+    cheap (``test_count_fast_path_matches_full_sink`` in
+    ``tests/test_api_events.py`` counts the objects a run builds).
     """
 
     counts_only = False
@@ -167,9 +168,9 @@ class EventBus:
         self._sinks: List[EventSink] = []
         #: True while every attached sink is counting-only (or none is
         #: attached).  Hot publishers check this and call :meth:`count`
-        #: instead of :meth:`emit`, skipping payload construction entirely —
-        #: that is what keeps an always-on stats sink within the <5% budget
-        #: the benchmark suite asserts.
+        #: instead of :meth:`emit`, skipping payload construction entirely;
+        #: ``test_count_fast_path_matches_full_sink`` in
+        #: ``tests/test_api_events.py`` checks that a run builds no event.
         self.count_only = True
         for sink in sinks or []:
             self.subscribe(sink)

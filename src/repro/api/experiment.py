@@ -3,8 +3,8 @@
 Before this layer, reproducing one of the paper's claims meant hand-wiring
 four entry points — ``attach_security``, ``ScenarioBuilder.build``,
 ``CampaignRunner`` and the monitor/metrics harvesting — and every example,
-benchmark and analysis script re-implemented the plumbing.  ``Experiment`` composes the whole pipeline behind one fluent
-surface::
+test and analysis script re-implemented the plumbing.  ``Experiment``
+composes the whole pipeline behind one fluent surface::
 
     from repro.api import Experiment
 
@@ -23,8 +23,8 @@ surface::
 the workload (with mid-run reconfigurations), runs the attack campaign, and
 folds alerts, per-hop latency, the leaf-vs-bridge placement split, the area
 model, the campaign report and run metadata into one JSON-serializable
-:class:`ExperimentResult` — the uniform record the analysis layer, the
-benchmarks, the examples and the ``python -m repro`` CLI all consume.
+:class:`ExperimentResult` — the uniform record the analysis layer, the sweep
+store, the examples and the ``python -m repro`` CLI all consume.
 
 Instrumentation is opt-in: attach sinks (``with_sink``) or force a sink-less
 bus (``instrumented()``); either way the simulation itself is byte-identical
@@ -107,8 +107,8 @@ class ExperimentResult:
     """Everything one experiment produced, as plain serializable data.
 
     ``to_dict()`` / ``to_json()`` are schema-stable (see
-    :data:`RESULT_SCHEMA_VERSION`): consumers — ``analysis``, benchmarks,
-    the CLI's ``--json`` mode, downstream tooling — can rely on the key set.
+    :data:`RESULT_SCHEMA_VERSION`): consumers — ``analysis``, the sweep
+    store, the CLI's ``--json`` mode, downstream tooling — can rely on the key set.
     Wall-clock timings live only under ``campaign.metrics``; every other
     field is deterministic for a fixed scenario and seed.  ``reference``
     records whether the platforms were built with their decision, region and

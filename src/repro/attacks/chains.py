@@ -129,7 +129,12 @@ class FirmwareSabotageChain(AttackChain):
         self._commits_before = 0
 
     def _device(self, system: SoCSystem) -> FirmwareUpdateIP:
-        return system.ips[self.device]
+        try:
+            return system.ips[self.device]
+        except KeyError:
+            raise ValueError(
+                f"no IP named {self.device!r}; known: {sorted(system.ips)}"
+            ) from None
 
     def prepare(self, system: SoCSystem) -> None:
         self._commits_before = self._device(system).commits
@@ -175,7 +180,12 @@ class DescriptorHijackChain(AttackChain):
         self._latched_before = 0
 
     def _ring(self, system: SoCSystem) -> DmaDescriptorRing:
-        return system.ips[self.ring]
+        try:
+            return system.ips[self.ring]
+        except KeyError:
+            raise ValueError(
+                f"no IP named {self.ring!r}; known: {sorted(system.ips)}"
+            ) from None
 
     def prepare(self, system: SoCSystem) -> None:
         self._latched_before = len(self._ring(system).latched)
@@ -227,7 +237,12 @@ class BootRollbackChain(AttackChain):
         self._leaks_before = 0
 
     def _device(self, system: SoCSystem) -> SecureBootSequencer:
-        return system.ips[self.device]
+        try:
+            return system.ips[self.device]
+        except KeyError:
+            raise ValueError(
+                f"no IP named {self.device!r}; known: {sorted(system.ips)}"
+            ) from None
 
     def prepare(self, system: SoCSystem) -> None:
         self._leaks_before = len(self._device(system).leaks)

@@ -14,7 +14,7 @@ measurable, this package implements a centralised baseline:
   has crossed the shared bus,
 * because the module is a single shared resource, concurrent checks queue up.
 
-The ``bench_baseline_centralized`` benchmark quantifies the two consequences
-the paper's distributed design avoids: malicious traffic still consumes bus
+``tests/test_baselines_centralized.py`` pins the two consequences the
+paper's distributed design avoids: malicious traffic still consumes bus
 bandwidth before being rejected, and checking latency grows with contention.
 """

@@ -18,11 +18,10 @@ A Python reproduction cannot run synthesis, so this module provides a
 * the dependence of firewall cost on the *number of security rules* — which
   the paper only discusses qualitatively ("a more aggressive security policy
   will lead to a larger cost ... this point will be further analyzed in future
-  work") — is modelled as a documented linear increment per elementary rule,
-  used by the E4 ablation benchmark.
+  work") — is modelled as a documented linear increment per elementary rule.
 
-Because the model is calibrated on the reference configuration, the Table I
-benchmark reproduces the paper's totals exactly for that configuration and
+Because the model is calibrated on the reference configuration, it
+reproduces the paper's Table I totals exactly for that configuration and
 extrapolates for any other platform (more processors, more rules, no
 integrity core, ...).
 """

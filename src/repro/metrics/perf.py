@@ -9,8 +9,8 @@ communication."
 
 This module turns that discussion into a measurable experiment: run the same
 workload on the unprotected and on the protected build of one scenario spec
-and compare makespans.  The comm-ratio / external-share sweeps of the E5
-benchmark are thin wrappers around :func:`measure_execution_overhead`.
+and compare makespans, as the communication-ratio and external-share sweeps
+of ``tests/test_metrics.py`` do.
 """
 
 from __future__ import annotations
@@ -58,16 +58,6 @@ class OverheadResult:
     def overhead_percent(self) -> float:
         """Relative execution-time overhead in percent."""
         return (self.slowdown - 1.0) * 100.0
-
-    @property
-    def security_cycle_share(self) -> float:
-        """Fraction of the protected makespan attributable to security modules.
-
-        Computed against the sum of per-CPU busy time rather than the makespan
-        so overlapping processors do not distort the share.
-        """
-        busy = sum(self.protected.per_cpu_cycles.values())
-        return self.protected.security_cycles / busy if busy else 0.0
 
 
 def run_workload(

@@ -72,7 +72,10 @@ def instantiate_attacks(spec: ScenarioSpec) -> List[object]:
             raise ValueError(
                 f"unknown attack kind {attack_spec.kind!r}; known: {sorted(ATTACK_KINDS)}"
             ) from exc
-        attacks.append(cls(**attack_spec.params))
+        try:
+            attacks.append(cls(**attack_spec.params))
+        except TypeError as exc:
+            raise ValueError(f"attack {attack_spec.kind!r}: {exc}") from None
     return attacks
 
 
@@ -153,7 +156,7 @@ class BuiltScenario:
         for index, master in enumerate(self.spec.topology.cpu_masters()):
             # Same per-CPU seed decorrelation as
             # SyntheticWorkloadGenerator.generate_per_cpu, so scenario
-            # workloads stay comparable with the benchmark sweeps.
+            # workloads stay comparable with make_uniform_programs sweeps.
             cfg = replace(base_cfg, seed=workload.seed + 1000 * (index + 1))
             if primary_ddr is None or not master.can_access(primary_ddr.name):
                 cfg = replace(cfg, external_share=0.0)

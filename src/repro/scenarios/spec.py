@@ -9,7 +9,7 @@ optional runtime reconfiguration events.  :func:`repro.scenarios.plan.
 build_plan` derives a spec's security plan and :class:`repro.scenarios.builder.
 ScenarioBuilder` builds the live platform; the registry in
 :mod:`repro.scenarios.registry` holds the named scenarios the differential
-test harness and the benchmarks sweep over.
+test harness, ``repro paper`` and perfbench sweep over.
 
 Everything in a spec is plain data (ints, strings, tuples), so specs are
 picklable — which is what lets a sweep with ``sweep_workers > 1`` ship the

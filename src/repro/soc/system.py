@@ -164,6 +164,12 @@ class SoCSystem:
         everything it triggered, completes; ``drain=False`` leaves that to a
         caller already inside the simulation (:func:`repro.attacks.base.issue_train`).
         """
+        try:
+            port = self.master_ports[step.master]
+        except KeyError:
+            raise ValueError(
+                f"no master named {step.master!r}; known: {sorted(self.master_ports)}"
+            ) from None
         txn = BusTransaction(
             step.master,
             BusOperation.WRITE if step.op == "write" else BusOperation.READ,
@@ -172,7 +178,7 @@ class SoCSystem:
             step.burst_length,
             step.data,
         )
-        self.master_ports[step.master].issue(txn, lambda _t: None)
+        port.issue(txn, lambda _t: None)
         if drain:
             self.sim.run()
         return txn

@@ -2,7 +2,7 @@
 
 The paper is ultimately an evaluation artifact — latency and area tables,
 detection matrices — and regenerating those numbers should never mean
-hand-running individual benchmarks.  This package turns "run the grid" into
+hand-running individual experiments.  This package turns "run the grid" into
 infrastructure on top of the :class:`repro.api.Experiment` façade:
 
 * :mod:`repro.sweep.spec` — :class:`SweepSpec`, a declarative grid over

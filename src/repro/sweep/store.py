@@ -14,11 +14,12 @@ path creates nothing on disk.  Every :meth:`ResultStore.put` appends one
 line and flushes, so a killed sweep loses at most the line being written (a
 trailing partial line is tolerated and ignored on load); rerunning the sweep
 skips every completed key and appends only the missing points, which makes
-the resumed store *identical* to an uninterrupted run — the property
-:meth:`ResultStore.digest` exists to assert.  The digest
-canonicalizes entries by dropping the only nondeterministic field an
-:class:`~repro.api.experiment.ExperimentResult` carries (the campaign's
-wall-clock time), so two stores with the same digest hold the same results.
+the resumed store *digest-identical* to an uninterrupted run — the property
+:meth:`ResultStore.digest` exists to assert.  The raw ``results.jsonl``
+lines still differ, in ``campaign.metrics.wall_seconds``: the digest
+canonicalizes entries by dropping that field, the only nondeterministic one
+an :class:`~repro.api.experiment.ExperimentResult` carries, so two stores
+with the same digest hold the same results.
 A complete line that parses but is not an entry as :meth:`ResultStore.put`
 writes it raises a ``ValueError`` that names the file and the line.
 

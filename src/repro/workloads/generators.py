@@ -144,7 +144,7 @@ def make_uniform_programs(
     seed: int = 1,
     **kwargs,
 ) -> Dict[str, ProcessorProgram]:
-    """Convenience helper used by the benchmarks and ablation sweeps."""
+    """Per-CPU programs from one :class:`SyntheticWorkloadConfig`."""
     generator = SyntheticWorkloadGenerator(soc_config)
     cfg = SyntheticWorkloadConfig(
         n_operations=n_operations,

@@ -10,6 +10,14 @@ to the campaign loop, an attack, the monitor or the platform factory that
 moves a detection row, a monitor total, an event count or the campaign
 metadata fails here with the scenario named.
 
+The same runs must also keep the paper's detection claims, so a re-pin
+cannot hide a detection regression: every distributed scenario that guards
+its leaves (``leaf`` or ``both`` placement) detects every attack, bridge-only
+placement detects some attacks but not all, centralized enforcement blocks
+the hijacked-IP write only after it crossed the bus, and on
+``paper_baseline`` every attack succeeds unprotected and fails protected, and
+the three hijacked-IP attacks are stopped at the infected IP's own interface.
+
 After an intentional behaviour change, regenerate the file with::
 
     PYTHONPATH=src python -m tests.golden --write campaign
@@ -42,6 +50,32 @@ def _campaign(name: str, seed: int, mode: str):
         experiment.with_sink(StatsSink())
     section = experiment.run().to_dict()["campaign"]
     return canonical_result({"campaign": section})["campaign"]
+
+
+#: The hijacked-IP attacks of ``paper_baseline``: stopped at the interface
+#: of the infected master, before the shared bus.
+CONTAINED_AT_INTERFACE = {"sensitive_register_probe", "hijacked_ip_write", "exfiltration"}
+
+
+def _check_detection_claims(name: str, section) -> None:
+    spec = registry.get_scenario(name)
+    summary = section["summary"]
+    if spec.enforcement == "distributed" and spec.placement in ("leaf", "both"):
+        assert summary["detected"] == summary["attacks"], f"{name}: {summary}"
+    if spec.placement == "bridge":
+        assert 0 < summary["detected"] < summary["attacks"], f"{name}: {summary}"
+    if spec.enforcement == "centralized":
+        # One central module stops and flags the hijacked write only at the
+        # slave side, after it crossed the bus.
+        row = next(r for r in section["rows"] if r["attack"] == "hijacked_ip_write")
+        assert (row["protected"], row["contained_at_if"]) == ("blocked", "no"), row
+    if name == "paper_baseline":
+        assert summary["attacks"] == 7
+        for row in section["rows"]:
+            assert row["unprotected"] in ("succeeded", "detected_but_effective"), row
+            assert row["protected"] in ("blocked", "failed_silently"), row
+            if row["attack"] in CONTAINED_AT_INTERFACE:
+                assert row["contained_at_if"] == "yes", row
 
 
 def _golden_entry(section) -> object:
@@ -80,7 +114,10 @@ def _load_golden() -> dict:
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_campaign_matches_golden(name, seed, mode):
     want = _load_golden()[name][str(seed)][mode]
-    got = _golden_entry(_campaign(name, seed, mode))
+    section = _campaign(name, seed, mode)
+    if section is not None:
+        _check_detection_claims(name, section)
+    got = _golden_entry(section)
     assert got == want, (
         f"{name} (seed {seed}, {mode}) drifted from tests/golden/campaign_fingerprints.json: "
         f"got {got}, want {want}; regenerate the file if the change is intentional"
@@ -90,6 +127,7 @@ def test_campaign_matches_golden(name, seed, mode):
 def test_golden_file_covers_the_registry():
     golden = _load_golden()
     assert sorted(golden) == sorted(ALL_SCENARIOS)
+    assert len(ALL_SCENARIOS) >= 8
     for name, by_seed in golden.items():
         assert sorted(by_seed) == sorted(str(seed) for seed in SEEDS), name
         for by_mode in by_seed.values():

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.api import events
 from repro.api import (
     EVENT_KINDS,
     EventBus,
@@ -269,10 +270,24 @@ class TestDirectWiring:
         # The denied transaction never reached the bus: no grant observed.
         assert sink.of_kind("bus.granted") == []
 
-    def test_count_fast_path_matches_full_sink(self):
-        def counts_with(sink_factory):
+    @pytest.mark.parametrize("run", ["bram_write", "paper_baseline"])
+    def test_count_fast_path_matches_full_sink(self, run, monkeypatch):
+        """An always-on StatsSink stays cheap because no publisher builds an
+        :class:`InstrumentationEvent` for it, only a per-kind count."""
+        built = []
+
+        class CountedEvent(events.InstrumentationEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs["kind"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(events, "InstrumentationEvent", CountedEvent)
+
+        def run_with(sink):
+            if run == "paper_baseline":
+                Experiment.from_scenario("paper_baseline").with_sink(sink).run()
+                return sink
             system, security = build_figure1(window=8 * 1024)
-            sink = sink_factory()
             attach_instrumentation(system, security, EventBus([sink]))
             txn = BusTransaction(
                 master="cpu0", operation=BusOperation.WRITE,
@@ -280,8 +295,12 @@ class TestDirectWiring:
             )
             system.master_ports["cpu0"].issue(txn, lambda t: None)
             system.run()
-            return dict(sink.counts)
+            return sink
 
+        stats = run_with(StatsSink())
+        assert "firewall.decision" in stats.counts
+        assert built == []
         # The payload-free counting lane and the full-event lane must agree
-        # on what was emitted.
-        assert counts_with(StatsSink) == counts_with(InMemorySink)
+        # on what was emitted, and the full lane builds every event.
+        assert run_with(InMemorySink()).counts == stats.counts
+        assert len(built) == stats.total()

@@ -1,7 +1,11 @@
 """Tests for the attack injection framework and the campaign harness."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
+from repro.api import Experiment
 from repro.attacks import (
     Attack,
     AttackOutcome,
@@ -17,7 +21,14 @@ from repro.attacks import (
     SpoofingAttack,
 )
 from repro.attacks.base import issue_train
-from repro.scenarios import AttackSpec, instantiate_attacks, platform_factory_for
+from repro.attacks.chains import BootRollbackChain, DescriptorHijackChain, FirmwareSabotageChain
+from repro.scenarios import (
+    AttackSpec,
+    ScenarioBuilder,
+    get_scenario,
+    instantiate_attacks,
+    platform_factory_for,
+)
 from repro.soc.transaction import Step, TransactionStatus
 
 from tests.conftest import build_figure1, figure1_spec
@@ -200,6 +211,44 @@ class TestDoSAttack:
             DoSFloodAttack(interval=-1)
         spec = figure1_spec(attacks=(AttackSpec("dos_flood", {"interval": -1}),))
         with pytest.raises(ValueError, match="interval"):
+            instantiate_attacks(spec)
+
+
+class TestMissingEndpoints:
+    """An attack naming an endpoint or parameter the platform lacks fails
+    with one line that names it and what exists."""
+
+    def test_unknown_master(self):
+        spec = replace(
+            get_scenario("paper_baseline"),
+            attacks=(AttackSpec("hijacked_ip_write", {"hijacked_master": "ghost"}),),
+        )
+        message = "no master named 'ghost'; known: ['cpu0', 'cpu1', 'cpu2', 'dma']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Experiment.from_spec(spec).run()
+
+    @pytest.mark.parametrize(
+        "chain",
+        [
+            FirmwareSabotageChain(device="ghost"),
+            DescriptorHijackChain(ring="ghost"),
+            BootRollbackChain(device="ghost"),
+        ],
+        ids=lambda chain: chain.name,
+    )
+    def test_chain_naming_an_unknown_ip(self, chain):
+        built = ScenarioBuilder(get_scenario("paper_baseline")).build()
+        message = "no IP named 'ghost'; known: ['ip0']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            chain.run(built.system, built.security)
+
+    def test_unknown_constructor_param(self):
+        spec = figure1_spec(attacks=(AttackSpec("spoofing", {"bogus": 1}),))
+        message = (
+            "attack 'spoofing': SpoofingAttack.__init__() got an unexpected keyword "
+            "argument 'bogus'"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             instantiate_attacks(spec)
 
 

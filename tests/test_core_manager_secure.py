@@ -151,6 +151,15 @@ class TestSecurePlatform:
         assert set(security.slave_firewalls) == {"bram", "ip0"}
         assert isinstance(security.ciphering_firewall, LocalCipheringFirewall)
         assert len(security.all_firewalls) == 7
+        # Figure 1's firewall internals: every LF has its LFCB, Security
+        # Builder and Firewall Interface; only the LCF adds the CC and IC.
+        for firewall in security.all_firewalls:
+            assert firewall.communication_block is not None
+            assert firewall.security_builder is not None
+            assert firewall.firewall_interface is not None
+        assert all(type(fw) is LocalFirewall for fw in security.master_firewalls.values())
+        lcf = security.ciphering_firewall
+        assert lcf.confidentiality_core is not None and lcf.integrity_core is not None
 
     def test_ports_carry_the_filters(self, secured):
         system, security = secured

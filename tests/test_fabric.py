@@ -7,6 +7,7 @@ scenario specs/builder and the per-hop latency attribution.
 
 import pytest
 
+from repro.core.constants import SECURITY_BUILDER_CYCLES
 from repro.core.policy import ConfigurationMemory
 from repro.core.local_firewall import LocalFirewall
 from repro.metrics.latency import aggregate_hop_latency, per_hop_latency, placement_split
@@ -18,6 +19,8 @@ from repro.scenarios import (
     SegmentSpec,
     SlaveSpec,
     TopologySpec,
+    WindowSpec,
+    WorkloadSpec,
     get_scenario,
 )
 from repro.scenarios.plan import BridgeFirewallPlan, SecurityPlan
@@ -50,6 +53,46 @@ def build_chain_fabric(n_segments=3, posted=False, buffer_depth=4, forward_laten
     port = MasterPort(sim, "cpu0_port")
     fabric.connect_master(port, segment="seg0")
     return sim, fabric, memories, port
+
+
+def chain_spec(n_segments, cpus_per_segment):
+    """A chain of ``n_segments`` with ``cpus_per_segment`` CPUs on each.
+
+    seg0 holds the BRAM, the last segment the DDR, so external traffic
+    crosses every bridge; a multi-segment chain guards leaves and bridges
+    (``both`` placement).
+    """
+    hierarchical = n_segments > 1
+    masters = tuple(
+        MasterSpec(f"cpu{seg}_{idx}", accessible=("bram", "ddr"),
+                   segment=f"seg{seg}" if hierarchical else "")
+        for seg in range(n_segments)
+        for idx in range(cpus_per_segment)
+    )
+    slaves = (
+        SlaveSpec("bram", "bram", base=0x0, size=16 * 1024,
+                  segment="seg0" if hierarchical else ""),
+        SlaveSpec("ddr", "ddr", base=0x9000_0000, size=32 * 1024,
+                  segment=f"seg{n_segments - 1}" if hierarchical else "",
+                  windows=(WindowSpec("secure", 1024),)),
+    )
+    return ScenarioSpec(
+        name=f"chain_{n_segments}seg_{cpus_per_segment}cpu",
+        description="chain fabric",
+        topology=TopologySpec(
+            masters=masters,
+            slaves=slaves,
+            segments=tuple(SegmentSpec(f"seg{i}") for i in range(n_segments))
+            if hierarchical else (),
+            bridges=tuple(
+                BridgeSpec(f"br{i}", f"seg{i}", f"seg{i + 1}", forward_latency=2)
+                for i in range(n_segments - 1)
+            ),
+        ),
+        placement="both" if hierarchical else "leaf",
+        workload=WorkloadSpec(n_operations=40, external_share=0.4,
+                              ip_share_of_internal=0.0, compute_burst_cycles=5, seed=17),
+    )
 
 
 def issue_and_run(sim, port, txn):
@@ -349,16 +392,30 @@ class TestFabricScenarios:
         assert set(description["fabric"]["segments"]) == {"seg_cpu", "seg_io"}
         assert "br_io" in description["fabric"]["bridges"]
 
-    def test_placement_split_accounts_bridge_cycles(self):
-        built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(True)
+    @pytest.mark.parametrize(
+        "spec",
+        [get_scenario("deep_hierarchy_3seg")]
+        + [
+            chain_spec(n_segments, cpus_per_segment)
+            for n_segments, cpus_per_segment in (
+                (1, 1), (1, 2), (1, 4), (2, 1), (2, 2), (2, 4), (3, 2), (3, 4), (4, 2),
+            )
+        ],
+        ids=lambda spec: spec.name,
+    )
+    def test_placement_split_accounts_bridge_cycles(self, spec):
+        built = ScenarioBuilder(spec).build(True)
         built.run_workload()
+        assert built.system.all_done()
         rows = {row.placement: row for row in placement_split(built.security)}
         assert rows["leaf_master"].evaluations > 0
-        assert rows["bridge"].evaluations > 0
-        # Cross-segment traffic exists, so bridge SBs charged the 12-cycle
-        # Table-II latency per evaluation, same as the leaves.
+        if spec.topology.bridges:
+            hops = aggregate_hop_latency(built.system.bus.monitor.history)
+            assert sum(c for stage, c in hops.items() if stage.startswith("bridge:")) > 0
+            assert rows["bridge"].evaluations > 0
+        # Bridge SBs charge the Table-II latency per evaluation, as the leaves do.
         for placement in ("bridge", "leaf_master"):
-            assert rows[placement].cycles == 12 * rows[placement].evaluations
+            assert rows[placement].cycles == SECURITY_BUILDER_CYCLES * rows[placement].evaluations
 
     def test_aggregate_hop_latency_splits_segments_and_bridges(self):
         built = ScenarioBuilder(get_scenario("deep_hierarchy_3seg")).build(False)

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import repro
-from repro.scenarios import get_scenario
+from repro.scenarios import ScenarioBuilder, get_scenario
 from repro.sweep import ResultStore, SweepRunner, SweepSpec
 
 #: Cheap two-point grid used throughout (minimal scenario, two seeds).
@@ -23,12 +23,24 @@ GRID4 = SweepSpec(scenarios=("minimal_1x1",), seeds=(0, 1, 2, 3))
 
 
 class TestCaching:
-    def test_cold_run_computes_warm_run_serves_from_cache(self, tmp_path):
+    def test_cold_run_computes_warm_run_serves_from_cache(self, tmp_path, monkeypatch):
+        builds = []
+        build = ScenarioBuilder.build
+
+        def counting_build(self, *args, **kwargs):
+            builds.append(self.spec.name)
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ScenarioBuilder, "build", counting_build)
         store = ResultStore(tmp_path / "store")
         cold = SweepRunner(GRID, store).run()
         assert len(cold.computed) == 2 and not cold.cached
+        assert builds
 
+        # A warm run serves every point from the store: it builds no platform.
+        builds.clear()
         warm = SweepRunner(GRID, store).run()
+        assert builds == []
         assert not warm.computed
         assert sorted(warm.cached) == sorted(cold.computed)
         assert warm.store_digest == cold.store_digest
