@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="drive the workload on the unprotected build")
     run_cmd.add_argument("--reference", action="store_true",
                          help="build with the decision, region and keystream memos "
-                              "off (differential mode)")
+                              "off, the process-wide keystream memo included "
+                              "(differential mode)")
     run_cmd.add_argument("--no-attacks", action="store_true",
                          help="skip the scenario's attack campaign")
     run_cmd.add_argument("--seed", type=int, default=0, help="campaign base seed")

@@ -201,7 +201,8 @@ class Experiment:
     def reference(self, enabled: bool = True) -> "Experiment":
         """Run the whole pipeline on platforms built with their memos off:
         no Security Builder decision cache, no LCF region memo and no CTR
-        keystream cache.  The result differs from a default run's only in
+        keystream cache, neither a mode's own LRU nor the process-wide memo
+        behind it.  The result differs from a default run's only in
         ``reference``, the ``sb_cache_*`` counters and wall-clock timings."""
         self._reference = enabled
         return self

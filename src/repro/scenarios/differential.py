@@ -2,15 +2,15 @@
 
 A platform memoises three per-transaction answers: each Security Builder's
 policy decisions, each Local Ciphering Firewall's protected-region lookups
-(kept while its Security Builder memoises) and each CTR mode's keystream
-blocks.  Their contract is *observable equivalence*: same ciphertexts, same
-alerts, same cycle counts, same statistics.  This module locks that contract
-down systematically: it runs a whole scenario twice — once with the memos on
-(the default) and once inside :func:`reference_mode`, which builds every
-platform with them off — and compares structural fingerprints of the two
-runs.  The ciphers have no switch: the tests compare the table-driven AES
-and the :mod:`hashlib` SHA-256 directly against their from-scratch
-references.
+(kept while its Security Builder memoises) and keystream blocks, in each CTR
+mode's LRU and in the process-wide memo behind it.  Their contract is
+*observable equivalence*: same ciphertexts, same alerts, same cycle counts,
+same statistics.  This module locks that contract down systematically: it
+runs a whole scenario twice — once with the memos on (the default) and once
+inside :func:`reference_mode`, which builds every platform with them off —
+and compares structural fingerprints of the two runs.  The ciphers have no
+switch: the tests compare the table-driven AES and the :mod:`hashlib`
+SHA-256 directly against their from-scratch references.
 
 A fingerprint deliberately excludes cache statistics (hits/misses differ by
 construction) and wall-clock time; everything else — simulated cycles, event
@@ -49,7 +49,9 @@ def reference_mode():
 
     * new Security Builders skip the decision cache, and so the Local
       Ciphering Firewalls they belong to skip the region memo,
-    * new CTR modes skip the keystream LRU.
+    * new CTR modes skip both keystream levels: their own LRU and the
+      process-wide memo that every cached mode shares
+      (:mod:`repro.crypto.modes`).
 
     Platforms must be *built inside* the block: only the defaults a build
     reads change.  Two memos stay on.  The address-decode memo of

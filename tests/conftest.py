@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto import modes
 from repro.scenarios import (
     MasterSpec,
     ScenarioBuilder,
@@ -95,3 +96,13 @@ def built_specs(monkeypatch):
 
     monkeypatch.setattr(ScenarioBuilder, "__init__", counting_init)
     return names
+
+
+@pytest.fixture
+def cold_keystream_memo(monkeypatch):
+    """An empty process-wide keystream memo for the test (restored after it),
+    so every counter block the test enciphers reaches ``encrypt_block`` no
+    matter what earlier tests warmed.  Returns the memo."""
+    memo = {}
+    monkeypatch.setattr(modes, "_KEYSTREAM_MEMO", memo)
+    return memo

@@ -23,12 +23,14 @@ from repro.attacks import (
 from repro.attacks.base import issue_train
 from repro.attacks.chains import BootRollbackChain, DescriptorHijackChain, FirmwareSabotageChain
 from repro.scenarios import (
+    ATTACK_KINDS,
     AttackSpec,
     ScenarioBuilder,
     get_scenario,
     instantiate_attacks,
     platform_factory_for,
 )
+from repro.soc.kernel import Simulator
 from repro.soc.transaction import Step, TransactionStatus
 
 from tests.conftest import build_figure1, figure1_spec
@@ -250,6 +252,54 @@ class TestMissingEndpoints:
         )
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             instantiate_attacks(spec)
+
+    @pytest.mark.parametrize(
+        "attack,message",
+        [
+            (
+                AttackSpec("nope"),
+                f"unknown attack kind 'nope'; known: {sorted(ATTACK_KINDS)}",
+            ),
+            (
+                AttackSpec("spoofing", {"bogus": 1}),
+                "attack 'spoofing': SpoofingAttack.__init__() got an unexpected "
+                "keyword argument 'bogus'",
+            ),
+            (
+                AttackSpec("hijacked_ip_write", {"hijacked_master": "ghost"}),
+                "no master named 'ghost'; known: ['cpu0', 'cpu1', 'cpu2', 'dma']",
+            ),
+            (
+                AttackSpec("replay", {"victim": "ghost"}),
+                "no master named 'ghost'; known: ['cpu0', 'cpu1', 'cpu2', 'dma']",
+            ),
+            (
+                AttackSpec("firmware_update_chain", {"device": "ghost"}),
+                "no IP named 'ghost'; known: ['ip0']",
+            ),
+            (
+                AttackSpec("descriptor_hijack_chain", {"ring": "ghost"}),
+                "no IP named 'ghost'; known: ['ip0']",
+            ),
+        ],
+        ids=["kind", "param", "hijacked_master", "victim", "device", "ring"],
+    )
+    def test_refused_before_anything_is_built(self, monkeypatch, attack, message):
+        """The builder refuses the mix up front: no kernel is even created,
+        so no workload event runs before the one-line error."""
+        spec = replace(
+            get_scenario("paper_baseline"),
+            attacks=get_scenario("paper_baseline").attacks + (attack,),
+        )
+
+        def no_kernel(self, *args, **kwargs):
+            pytest.fail("a kernel was created before the attack mix was checked")
+
+        monkeypatch.setattr(Simulator, "__init__", no_kernel)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Experiment.from_spec(spec).run()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ScenarioBuilder(spec)
 
 
 class TestCampaign:

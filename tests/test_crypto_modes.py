@@ -52,9 +52,10 @@ class TestXorBytes:
 class TestCTR:
     @pytest.mark.parametrize("cipher", [AES128, _ReferenceAES], ids=["table_aes", "reference_aes"])
     @pytest.mark.parametrize("cached", [True, False], ids=["cached", "uncached"])
-    def test_nist_vector(self, cached, cipher):
+    def test_nist_vector(self, cached, cipher, cold_keystream_memo):
         # The NIST CTR vector uses the full 16-byte counter block as the
         # initial counter; reproduce it by splitting into nonce and counter.
+        # The keystream memo starts empty, so the cipher under test runs.
         nonce = NIST_CTR_INITIAL_COUNTER[:8]
         initial = int.from_bytes(NIST_CTR_INITIAL_COUNTER[8:], "big")
         mode = _ctr(cipher(KEY), cached)

@@ -2,10 +2,11 @@
 
 The fast path trades per-transaction recomputation for precomputation and
 memoisation in four places: table-driven AES, hashlib's SHA-256, the CTR
-keystream cache, and the firewalls' policy-decision caches.  All of them must
-be *observably identical* to the reference implementations — same bytes,
-same verdicts, same statistics — and the decision caches must be invalidated
-by policy reconfiguration.  These tests pin each equivalence.
+keystream cache (each mode's LRU and the process-wide memo behind it), and
+the firewalls' policy-decision caches.  All of them must be *observably
+identical* to the reference implementations — same bytes, same verdicts,
+same statistics — and the decision caches must be invalidated by policy
+reconfiguration.  These tests pin each equivalence.
 """
 
 from __future__ import annotations
@@ -20,10 +21,13 @@ from repro.core.policy import ConfigurationMemory, ReadWriteAccess, SecurityPoli
 from repro.crypto.aes import AES128
 from repro.crypto.modes import CTRMode
 from repro.crypto.sha256 import SHA256, sha256
-from repro.scenarios.differential import reference_mode
+from repro.scenarios import get_scenario
+from repro.scenarios.differential import assert_equivalent, reference_mode, run_scenario
 from repro.soc.address_map import AddressMap, DecodeError
 from repro.soc.kernel import Simulator
-from repro.soc.transaction import BusOperation, BusTransaction
+from repro.soc.transaction import BusOperation, BusTransaction, Step
+
+from tests.conftest import build_figure1
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +88,93 @@ class TestCTRKeystreamCache:
         for counter in range(mode.CACHE_LIMIT + 10):
             mode.keystream(b"\x00" * 8, 16, initial_counter=counter)
         assert len(mode._keystream_cache) <= mode.CACHE_LIMIT
+
+
+def _secure_window_traffic(system, security) -> bytes:
+    """Seeded writes then read-backs of the Figure-1 ``secure`` window;
+    returns the window's raw (ciphertext) bytes."""
+    (secure,) = [r for r in security.ciphering_firewall.protected_regions
+                 if r.rule.label == "ddr_secure"]
+    rng = random.Random(0x5EC_3E40)
+    written = {}
+    for _ in range(16):
+        address = secure.rule.base + 4 * rng.randrange(secure.rule.size // 4)
+        written[address] = rng.randbytes(4)
+        system.issue(Step("cpu0", "write", address, data=written[address]))
+    for address, data in written.items():
+        assert system.issue(Step("cpu1", "read", address)).data == data
+    return system.ddr.peek(secure.rule.base, secure.rule.size)
+
+
+class TestKeystreamMemo:
+    """The process-wide memo behind every CTR mode's LRU."""
+
+    @pytest.fixture
+    def aes_runs(self, monkeypatch):
+        """Every (key, block) ``AES128.encrypt_block`` receives, in order."""
+        runs = []
+        table = AES128.encrypt_block
+
+        def recording(cipher, block):
+            runs.append((cipher.key, block))
+            return table(cipher, block)
+
+        monkeypatch.setattr(AES128, "encrypt_block", recording)
+        return runs
+
+    def test_second_build_enciphers_nothing_the_first_did(self, cold_keystream_memo, aes_runs):
+        first = _secure_window_traffic(*build_figure1())
+        assert aes_runs and len(cold_keystream_memo) == len(set(aes_runs))
+        aes_runs.clear()
+
+        second = _secure_window_traffic(*build_figure1())
+        assert aes_runs == []
+        # Same keys, counter blocks and keystream: the same ciphertext.
+        assert second == first
+
+    def test_reference_mode_neither_reads_nor_fills_it(self, cold_keystream_memo):
+        cipher, nonce = AES128(bytes(range(16))), b"\x5a" * 8
+        blocks = [CTRMode.make_counter_block(nonce, counter) for counter in (0, 1)]
+        planted = {cipher.key + blocks[0]: b"\x00" * 16}  # a wrong block, never served
+        cold_keystream_memo.update(planted)
+        with reference_mode():
+            uncached = CTRMode(cipher)
+        assert uncached.keystream(nonce, 32) == b"".join(map(cipher.encrypt_block, blocks))
+        assert cold_keystream_memo == planted
+
+    def test_never_exceeds_its_bound(self, cold_keystream_memo):
+        limit = CTRMode.CACHE_LIMIT
+        n = limit // 2 + 8  # three keys' worth of blocks pass the bound once
+        keys = [bytes([k]) * 16 for k in range(3)]
+        modes = [CTRMode(AES128(key)) for key in keys]
+        for counter in range(n):
+            counter_block = CTRMode.make_counter_block(b"\x00" * 8, counter)
+            for key, mode in zip(keys, modes):
+                block = mode.keystream(b"\x00" * 8, 16, initial_counter=counter)
+                assert len(cold_keystream_memo) <= limit
+                assert cold_keystream_memo[key + counter_block] == block
+        # The insertion that found it full cleared it first.
+        assert len(cold_keystream_memo) == 3 * n - limit
+
+    def test_two_keys_one_counter_block_get_different_streams(self, cold_keystream_memo):
+        nonce = b"\x01" * 8
+        counter_block = CTRMode.make_counter_block(nonce, 0)
+        ciphers = [AES128(b"\xaa" * 16), AES128(b"\xbb" * 16)]
+        streams = [CTRMode(cipher).keystream(nonce, 16) for cipher in ciphers]
+        assert streams[0] != streams[1]
+        assert streams == [cipher.encrypt_block(counter_block) for cipher in ciphers]
+        assert len(cold_keystream_memo) == 2
+
+    def test_fast_build_on_a_warm_memo_equals_reference_mode(self, cold_keystream_memo, aes_runs):
+        spec = get_scenario("crypto_heavy")
+        run_scenario(spec)
+        assert cold_keystream_memo
+        aes_runs.clear()
+        fast = run_scenario(spec)
+        assert aes_runs == []  # every keystream block came from the memo
+        with reference_mode():
+            reference = run_scenario(spec)
+        assert_equivalent(fast, reference)
 
 
 # ---------------------------------------------------------------------------
