@@ -22,24 +22,7 @@ from dataclasses import replace
 from repro.api import InMemorySink, attach_instrumentation, EventBus
 from repro.core.policy import default_policies
 from repro.scenarios import ScenarioBuilder, get_scenario
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
-
-
-def issue(system, master, txn):
-    system.master_ports[master].issue(txn, lambda t: None)
-    system.run()
-    return txn
-
-
-def write(system, master, address, data):
-    return issue(system, master, BusTransaction(
-        master=master, operation=BusOperation.WRITE, address=address,
-        width=4, burst_length=len(data) // 4, data=data))
-
-
-def read(system, master, address):
-    return issue(system, master, BusTransaction(
-        master=master, operation=BusOperation.READ, address=address, width=4))
+from repro.soc.transaction import Step, TransactionStatus
 
 
 def main() -> None:
@@ -56,23 +39,21 @@ def main() -> None:
     mailbox = cfg.bram_base + 0x1000
 
     # 1. Normal operation: cpu1 writes the mailbox.
-    txn = write(system, "cpu1", mailbox, b"\x01\x02\x03\x04")
+    txn = system.issue(Step("cpu1", "write", mailbox, data=b"\x01\x02\x03\x04"))
     print("normal mailbox write by cpu1 :", txn.status.value)
 
     # 2. cpu1 is hijacked: it repeatedly probes the IP's key registers with
     #    byte accesses (format violation) -- three strikes and it is out.
     print("\n-- cpu1 starts misbehaving --")
     for attempt in range(3):
-        probe = BusTransaction(master="cpu1", operation=BusOperation.WRITE,
-                               address=cfg.ip_regs_base, width=1, data=b"\xff")
-        issue(system, "cpu1", probe)
+        probe = system.issue(Step("cpu1", "write", cfg.ip_regs_base, width=1, data=b"\xff"))
         print(f"  malicious access #{attempt + 1}: {probe.status.value}")
     firewall = security.master_firewalls["cpu1"]
     print("cpu1 quarantined            :", firewall.quarantined)
     print("reaction latency (cycles)   :", manager.reaction_latency())
 
     # Even formerly-legitimate traffic is now stopped at cpu1's interface.
-    txn = write(system, "cpu1", mailbox, b"\x05\x06\x07\x08")
+    txn = system.issue(Step("cpu1", "write", mailbox, data=b"\x05\x06\x07\x08"))
     print("mailbox write while quarantined:", txn.status.value)
     assert txn.status is TransactionStatus.BLOCKED_AT_MASTER
 
@@ -81,8 +62,8 @@ def main() -> None:
     manager.release("cpu1")
     readonly = default_policies()["internal_readonly"]
     manager.reconfigure_policy("lf_cpu1", cfg.bram_base, readonly)
-    txn_read = read(system, "cpu1", mailbox)
-    txn_write = write(system, "cpu1", mailbox, b"\x09\x0a\x0b\x0c")
+    txn_read = system.issue(Step("cpu1", "read", mailbox))
+    txn_write = system.issue(Step("cpu1", "write", mailbox, data=b"\x09\x0a\x0b\x0c"))
     print("mailbox read after release  :", txn_read.status.value)
     print("mailbox write after demotion:", txn_write.status.value)
     assert txn_read.status is TransactionStatus.COMPLETED

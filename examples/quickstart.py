@@ -20,7 +20,7 @@ Run with:  python examples/quickstart.py
 
 from repro.api import Experiment
 from repro.soc.processor import MemoryOperation, ProcessorProgram
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
+from repro.soc.transaction import Step, TransactionStatus
 
 
 def main() -> None:
@@ -63,11 +63,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------ 3
     # A hijacked DMA engine tries to read the dedicated IP's key registers.
-    probe = BusTransaction(
-        master="dma", operation=BusOperation.READ, address=cfg.ip_regs_base, width=4
-    )
-    system.master_ports["dma"].issue(probe, lambda txn: None)
-    system.run()
+    probe = system.issue(Step("dma", "read", cfg.ip_regs_base))
     print("hijacked DMA probe of the IP key registers:")
     print("  status             :", probe.status.value)
     print("  reached the bus?   :", "dma" in system.bus.monitor.per_master)

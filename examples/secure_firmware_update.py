@@ -19,24 +19,7 @@ Run with:  python examples/secure_firmware_update.py
 """
 
 from repro.api import Experiment
-from repro.soc.transaction import BusOperation, BusTransaction, TransactionStatus
-from repro.workloads.patterns import firmware_update_program
-
-
-def issue(system, master, txn):
-    """Issue one transaction and run the simulator until it completes."""
-    system.master_ports[master].issue(txn, lambda t: None)
-    system.run()
-    return txn
-
-
-def read_word(system, address, size=16):
-    return issue(
-        system,
-        "cpu0",
-        BusTransaction(master="cpu0", operation=BusOperation.READ, address=address,
-                       width=4, burst_length=size // 4),
-    )
+from repro.soc.transaction import Step, TransactionStatus
 
 
 def main() -> None:
@@ -44,14 +27,16 @@ def main() -> None:
     system, security = built.system, built.security
     cfg = system.config
 
-    # 1. Stream the image and read it back for verification.
-    program, image = firmware_update_program(cfg, image_size=1024, chunk_size=16)
-    system.processors["cpu0"].load_program(program)
-    system.processors["cpu0"].start()
-    system.run()
-
-    cpu0 = system.processors["cpu0"]
-    readback = b"".join(t.data for t in cpu0.transactions if t.is_read)
+    # 1. Stream the image in 16-byte bursts, then read it back the same way.
+    image = bytes(((917 + 17 * i) ^ (i >> 3)) & 0xFF for i in range(1024))
+    chunks = range(0, len(image), 16)
+    for offset in chunks:
+        system.issue(Step("cpu0", "write", cfg.ddr_base + offset, burst_length=4,
+                          data=image[offset:offset + 16]))
+    readback = b"".join(
+        system.issue(Step("cpu0", "read", cfg.ddr_base + offset, burst_length=4)).data
+        for offset in chunks
+    )
     stored = system.ddr.peek(cfg.ddr_base, len(image))
     print(f"firmware image size          : {len(image)} bytes")
     print(f"read-back matches image      : {readback == image}")
@@ -62,7 +47,7 @@ def main() -> None:
     # 2. Spoofing: the attacker patches the stored firmware directly.
     print("\n-- attacker patches 16 bytes of the stored firmware (spoofing) --")
     system.ddr.poke(cfg.ddr_base + 0x80, b"\xde\xad\xbe\xef" * 4)
-    txn = read_word(system, cfg.ddr_base + 0x80)
+    txn = system.issue(Step("cpu0", "read", cfg.ddr_base + 0x80, burst_length=4))
     print(f"victim read status           : {txn.status.value}")
     print(f"integrity alerts             : "
           f"{security.monitor.summary()['by_violation'].get('integrity_failure', 0)}")
@@ -72,12 +57,10 @@ def main() -> None:
     print("\n-- legitimate update of one block, then attacker replays the old one --")
     block_address = cfg.ddr_base + 0x100
     stale_ciphertext = system.ddr.peek(block_address, 32)
-    update = BusTransaction(master="cpu0", operation=BusOperation.WRITE,
-                            address=block_address, width=4, burst_length=8,
-                            data=b"PATCHED-FIRMWARE-BLOCK-v2.0.1!!!")
-    issue(system, "cpu0", update)
+    system.issue(Step("cpu0", "write", block_address, burst_length=8,
+                      data=b"PATCHED-FIRMWARE-BLOCK-v2.0.1!!!"))
     system.ddr.poke(block_address, stale_ciphertext)   # replay the old ciphertext
-    txn = read_word(system, block_address, 32)
+    txn = system.issue(Step("cpu0", "read", block_address, burst_length=8))
     print(f"victim read status           : {txn.status.value}")
     assert txn.status is TransactionStatus.INTEGRITY_ERROR
 

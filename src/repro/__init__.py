@@ -14,9 +14,8 @@ The package is organised bottom-up:
   attack injection and campaign scoring,
 * :mod:`repro.scenarios` -- declarative topologies (``ScenarioSpec``), the
   scenario builder/registry and the fast-vs-reference differential harness,
-* :mod:`repro.workloads` -- synthetic and application-shaped workloads,
+* :mod:`repro.workloads` -- synthetic workload generators,
 * :mod:`repro.metrics` -- area model (Table I), latency model (Table II),
-  execution-overhead analysis,
 * :mod:`repro.analysis` -- tables, architecture reports, paper comparison.
 
 * :mod:`repro.api` -- the unified experiment API: the ``Experiment`` façade

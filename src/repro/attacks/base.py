@@ -102,6 +102,9 @@ class Attack:
 
     name = "attack"
     goal = ""
+    #: Kinds of slave (``"ddr"``, ``"ip"``) or master (``"dma"``) the attack
+    #: drives directly; the scenario builder refuses a topology without one.
+    needs: Tuple[str, ...] = ()
 
     def attempt(self, system: SoCSystem, security: Optional[SecuredPlatform]) -> Attempt:  # pragma: no cover - interface
         raise NotImplementedError

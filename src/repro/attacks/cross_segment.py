@@ -66,6 +66,7 @@ class CrossSegmentWriteStorm(Attack):
 
     name = "cross_segment_write_storm"
     goal = "corrupt a remote IP's control register with a storm of malformed writes"
+    needs = ("ip",)
 
     def __init__(
         self,

@@ -32,6 +32,7 @@ class SensitiveRegisterProbe(Attack):
 
     name = "sensitive_register_probe"
     goal = "read secret material out of the dedicated IP's registers"
+    needs = ("ip",)
 
     def __init__(self, hijacked_master: str = "cpu2", register_index: int = 0,
                  secret_value: int = 0xC0DE_5EC5) -> None:
@@ -74,6 +75,7 @@ class HijackedIPAttack(Attack):
 
     name = "hijacked_ip_write"
     goal = "corrupt the dedicated IP's control registers with a malformed write"
+    needs = ("ip",)
 
     def __init__(self, hijacked_master: str = "cpu1", register_index: int = 4) -> None:
         self.hijacked_master = hijacked_master
@@ -105,6 +107,7 @@ class ExfiltrationAttack(Attack):
 
     name = "exfiltration"
     goal = "copy secret IP registers to attacker-readable external memory"
+    needs = ("ip", "ddr", "dma")
 
     def __init__(self, secret_registers: int = 4, secret_word: int = 0xFEED_BEEF,
                  destination_offset: Optional[int] = None) -> None:

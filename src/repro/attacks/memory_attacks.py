@@ -45,6 +45,7 @@ class SpoofingAttack(Attack):
 
     name = "spoofing"
     goal = "make the victim consume attacker-chosen data from external memory"
+    needs = ("ddr",)
 
     def __init__(
         self,
@@ -79,6 +80,7 @@ class ReplayAttack(Attack):
 
     name = "replay"
     goal = "make the victim accept stale data that was valid in the past"
+    needs = ("ddr",)
 
     def __init__(self, target_offset: int = 0x80, victim: str = "cpu0", block_size: int = 32) -> None:
         self.target_offset = target_offset
@@ -111,6 +113,7 @@ class RelocationAttack(Attack):
 
     name = "relocation"
     goal = "make valid data be accepted at a different address than it was written to"
+    needs = ("ddr",)
 
     def __init__(
         self,

@@ -97,11 +97,11 @@ class FuzzReport:
 
 
 def _judge_violation(
-    oracle: BypassOracle, case: FuzzCase, violation: Violation, do_shrink: bool
+    oracle: BypassOracle, case: FuzzCase, violation: Violation
 ) -> Dict[str, object]:
     """Minimize and replay one finding into its ``{case, violation, replay}``
     record."""
-    minimized = shrink_case(oracle, case, violation) if do_shrink else case
+    minimized = shrink_case(oracle, case, violation)
     replay = oracle.run(minimized)
     confirmed = next(
         (v for v in replay.violations if v.identity == violation.identity),
@@ -120,8 +120,6 @@ def fuzz_scenario(
     seed: int = 0,
     budget: int = 200,
     n_steps: int = 12,
-    shrink: bool = True,
-    stop_on_first: bool = False,
     engines: Sequence[str] = ("object",),
 ) -> FuzzReport:
     """Search ``budget`` cases for silent reaches of protected memory.
@@ -160,9 +158,7 @@ def fuzz_scenario(
             if violation.identity in found:
                 continue
             found[violation.identity] = True
-            report.findings.append(_judge_violation(oracle, case, violation, shrink))
-        if report.findings and stop_on_first:
-            break
+            report.findings.append(_judge_violation(oracle, case, violation))
 
     report.coverage_signatures = len(seen_signatures)
     return report

@@ -1,5 +1,8 @@
-"""Metrics: FPGA area model (Table I), latency/throughput model (Table II),
-and execution-time overhead analysis (section V discussion).
+"""Metrics: FPGA area model (Table I) and latency/throughput model (Table II).
+
+Section V's execution-time overhead needs no module of its own: it is the
+``workload["makespan"]`` of a protected :class:`repro.api.Experiment` run
+against that of the unprotected run of the same spec.
 
 The simulator cannot synthesise RTL, so Table I is regenerated by a resource
 *model* calibrated with the paper's own per-component breakdown (see

@@ -40,7 +40,7 @@ from repro.soc.transaction import BusTransaction, Step
 from repro.workloads.generators import SyntheticWorkloadConfig, SyntheticWorkloadGenerator
 
 from repro.scenarios.plan import SecurityPlan, build_plan
-from repro.scenarios.spec import ScenarioSpec, SegmentSpec, TopologySpec
+from repro.scenarios.spec import MASTER_KINDS, ScenarioSpec, SegmentSpec, TopologySpec
 
 __all__ = ["ATTACK_KINDS", "ScenarioBuilder", "BuiltScenario", "build_interconnect", "instantiate_attacks"]
 
@@ -81,15 +81,18 @@ def instantiate_attacks(spec: ScenarioSpec) -> List[object]:
 
 def _check_attacks(spec: ScenarioSpec) -> None:
     """Refuse an attack mix the spec's platform cannot run, before anything
-    is built: an unknown kind, a parameter the attack class lacks, or a
-    master (``hijacked_master``, ``victim``) or IP (a chain's ``device`` or
-    ``ring``) the topology lacks.  Each message is the one the campaign
-    raises on reaching the attack."""
+    is built: an unknown kind, a parameter the attack class lacks, a master
+    (``hijacked_master``, ``victim``) or IP (a chain's ``device`` or
+    ``ring``) the topology lacks, or a kind of device the attack
+    :attr:`~repro.attacks.base.Attack.needs` that the topology has none of.
+    The first messages are the ones the campaign raises on reaching the
+    attack."""
     if not spec.attacks:
         return
     topology = spec.topology
     masters = sorted(master.name for master in topology.masters)
     ips = sorted(slave.name for slave in topology.slaves if slave.is_register_kind)
+    kinds = {device.kind for device in topology.slaves + topology.masters}
     for attack in instantiate_attacks(spec):
         for name in (getattr(attack, "hijacked_master", None), getattr(attack, "victim", None)):
             if name is not None and name not in masters:
@@ -97,6 +100,13 @@ def _check_attacks(spec: ScenarioSpec) -> None:
         for name in (getattr(attack, "device", None), getattr(attack, "ring", None)):
             if name is not None and name not in ips:
                 raise ValueError(f"no IP named {name!r}; known: {ips}")
+        for kind in attack.needs:
+            if kind not in kinds:
+                role = "master" if kind in MASTER_KINDS else "slave"
+                raise ValueError(
+                    f"attack {attack.name!r} needs a {role} of kind {kind!r}; "
+                    f"{spec.name!r} has none"
+                )
 
 
 def build_interconnect(topology: TopologySpec, sim: Simulator) -> InterconnectFabric:

@@ -12,7 +12,7 @@ on :mod:`heapq`:
   comparison,
 * components schedule work with :meth:`Simulator.schedule` (relative delay) or
   :meth:`Simulator.schedule_at` (absolute cycle),
-* :meth:`Simulator.run` drains the queue up to an optional horizon.
+* :meth:`Simulator.run` drains the queue in one loop, until it is empty.
 
 This is a transaction-level model: nothing ticks every cycle, so simulated
 time can jump forward cheaply, but all latencies are expressed in exact cycle
@@ -22,7 +22,7 @@ counts so the latency accounting of Table II carries through unchanged.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["Event", "Simulator", "Component", "SimulationError"]
 
@@ -114,28 +114,13 @@ class Simulator:
 
     # -- execution --------------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process a single event.  Returns False when the queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)[1]
-            if event.cancelled:
-                continue
-            self._now = event.time
-            event.callback(*event.args)
-            self.events_processed += 1
-            return True
-        return False
+    def run(self) -> int:
+        """Run every queued event, and every event those schedule, until the
+        queue is empty; returns the final simulation time.
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run until the queue is empty, the horizon is reached, or the event
-        budget is exhausted.  Returns the final simulation time.
-
-        The drain loop is batched: it works directly on the calendar queue
-        (no per-event :meth:`step`/peek round trips), executing every ready
-        event — including whole same-cycle batches — back to back, and jumping
-        over idle cycle gaps in a single clock assignment.  Event ordering is
-        exactly the (time, sequence) order of the one-at-a-time kernel, so
-        simulations are bit-identical, just faster.
+        One loop pops the calendar queue in (time, sequence) order, skips
+        cancelled events and jumps the clock straight to each event's cycle,
+        so idle gaps cost nothing.
         """
         if self._running:
             raise SimulationError("simulator is already running")
@@ -144,31 +129,12 @@ class Simulator:
         pop = heapq.heappop
         processed = 0
         try:
-            if until is None and max_events is None:
-                # A full drain has no horizon or budget to test per event.
-                while queue:
-                    event = pop(queue)[1]
-                    if not event.cancelled:
-                        self._now = event.time
-                        event.callback(*event.args)
-                        processed += 1
-                return self._now
             while queue:
-                head = queue[0][1]
-                if head.cancelled:
-                    pop(queue)
-                    continue
-                if max_events is not None and processed >= max_events:
-                    return self._now
-                if until is not None and head.time > until:
-                    self._now = until
-                    return self._now
-                pop(queue)
-                self._now = head.time
-                head.callback(*head.args)
-                processed += 1
-            if until is not None and until > self._now:
-                self._now = until
+                event = pop(queue)[1]
+                if not event.cancelled:
+                    self._now = event.time
+                    event.callback(*event.args)
+                    processed += 1
             return self._now
         finally:
             # Here, so a raising callback leaves the count of those that returned.

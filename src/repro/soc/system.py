@@ -183,9 +183,9 @@ class SoCSystem:
             self.sim.run()
         return txn
 
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run the simulation; returns the final cycle count."""
-        return self.sim.run(until=until, max_events=max_events)
+    def run(self) -> int:
+        """Run the simulation until no event is left; returns the final cycle."""
+        return self.sim.run()
 
     def all_done(self) -> bool:
         """Whether every processor has finished its program."""

@@ -20,7 +20,7 @@ A mismatch in either direction is a bug in the analyzer or the simulator —
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Union
 
 from repro.scenarios.spec import ScenarioSpec
 from repro.soc.transaction import Step, TransactionStatus
@@ -54,25 +54,18 @@ class ConfirmationResult:
 
 
 def confirm_witness(
-    source: Union[ScenarioSpec, ScenarioBuilder],
-    witness: Witness,
-    *,
-    run_workload: bool = False,
+    source: Union[ScenarioSpec, ScenarioBuilder], witness: Witness
 ) -> ConfirmationResult:
     """Replay one witness against a freshly built protected platform.
 
     ``source`` is the scenario's spec or a builder of it (pass one builder
-    to replay many witnesses of a spec).  ``run_workload=True`` drains the
-    scenario's workload first, so the witness's transaction meets the
-    platform in its post-workload state.
+    to replay many witnesses of a spec).
     """
     # Imported lazily: the builder loads every device and attack.
     from repro.scenarios.builder import ScenarioBuilder
 
     builder = source if isinstance(source, ScenarioBuilder) else ScenarioBuilder(source)
     built = builder.build()
-    if run_workload:
-        built.run_workload()
     txn, alerts = built.issue(Step(
         witness.master,
         witness.op,
@@ -94,17 +87,12 @@ def confirm_witness(
     )
 
 
-def confirm_report(
-    scenario: Union[str, ScenarioSpec, VerificationReport],
-    *,
-    max_coverage: Optional[int] = None,
-) -> List[ConfirmationResult]:
-    """Confirm every witness a verification report carries.
+def confirm_report(scenario: Union[str, ScenarioSpec, VerificationReport]) -> List[ConfirmationResult]:
+    """Confirm every witness a verification report carries: each finding's,
+    then each coverage witness.
 
     Accepts a scenario name, a spec, or an already-computed report (the
-    first two are verified first).  Finding witnesses are always replayed;
-    coverage witnesses can be capped with ``max_coverage`` to bound runtime
-    on dense scenarios.
+    first two are verified first).
     """
     if isinstance(scenario, VerificationReport):
         report = scenario
@@ -123,10 +111,7 @@ def confirm_report(
     witnesses: List[Witness] = [
         finding.witness for finding in report.findings if finding.witness is not None
     ]
-    coverage = list(report.coverage)
-    if max_coverage is not None:
-        coverage = coverage[:max_coverage]
-    witnesses.extend(coverage)
+    witnesses.extend(report.coverage)
     from repro.scenarios.builder import ScenarioBuilder
 
     builder = ScenarioBuilder(spec)  # one for every witness of the spec

@@ -8,7 +8,6 @@ The paper's performance discussion is parameterised by two ratios:
 
 because "external communications have a larger overhead due to the
 cryptography resources" (section V).  The generators here expose exactly
-those knobs, plus a few named application-shaped workloads used by the
-examples (producer/consumer over the shared BRAM, firmware streaming into the
-protected DDR window, DMA offload).
+those knobs; a scenario's :class:`repro.scenarios.spec.WorkloadSpec` sets
+them for every CPU.
 """

@@ -301,6 +301,65 @@ class TestMissingEndpoints:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ScenarioBuilder(spec)
 
+    @pytest.mark.parametrize(
+        "scenario,attack,message",
+        [
+            (
+                "minimal_1x1",
+                AttackSpec("spoofing", {"victim": "cpu0"}),
+                "attack 'spoofing' needs a slave of kind 'ddr'; 'minimal_1x1' has none",
+            ),
+            (
+                "minimal_1x1",
+                AttackSpec("replay", {"victim": "cpu0"}),
+                "attack 'replay' needs a slave of kind 'ddr'; 'minimal_1x1' has none",
+            ),
+            (
+                "minimal_1x1",
+                AttackSpec("relocation", {"victim": "cpu0"}),
+                "attack 'relocation' needs a slave of kind 'ddr'; 'minimal_1x1' has none",
+            ),
+            (
+                "many_master_contention",
+                AttackSpec("sensitive_register_probe", {"hijacked_master": "cpu0"}),
+                "attack 'sensitive_register_probe' needs a slave of kind 'ip'; "
+                "'many_master_contention' has none",
+            ),
+            (
+                "many_master_contention",
+                AttackSpec("hijacked_ip_write", {"hijacked_master": "cpu0"}),
+                "attack 'hijacked_ip_write' needs a slave of kind 'ip'; "
+                "'many_master_contention' has none",
+            ),
+            (
+                "many_master_contention",
+                AttackSpec("cross_segment_write_storm", {"hijacked_master": "cpu0"}),
+                "attack 'cross_segment_write_storm' needs a slave of kind 'ip'; "
+                "'many_master_contention' has none",
+            ),
+            (
+                "dense_protection",
+                AttackSpec("exfiltration"),
+                "attack 'exfiltration' needs a master of kind 'dma'; "
+                "'dense_protection' has none",
+            ),
+        ],
+        ids=["spoofing", "replay", "relocation", "register_probe", "hijacked_write",
+             "write_storm", "exfiltration"],
+    )
+    def test_refuses_a_device_kind_the_topology_lacks(self, monkeypatch, scenario, attack, message):
+        """An attack that drives the primary DDR, the dedicated IP or the DMA
+        engine directly is refused, before any kernel exists, on a topology
+        without one."""
+        spec = replace(get_scenario(scenario), attacks=(attack,))
+
+        def no_kernel(self, *args, **kwargs):
+            pytest.fail("a kernel was created before the attack mix was checked")
+
+        monkeypatch.setattr(Simulator, "__init__", no_kernel)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Experiment.from_spec(spec).run()
+
 
 class TestCampaign:
     def test_requires_at_least_one_attack(self):

@@ -263,7 +263,7 @@ def test_load_cases_rejects_unknown_schema(tmp_path):
 
 
 def test_fuzz_scenario_is_bit_reproducible():
-    kwargs = dict(seed=5, budget=8, n_steps=6, shrink=False)
+    kwargs = dict(seed=5, budget=8, n_steps=6)
     first = fuzz_scenario(get_scenario("minimal_1x1"), **kwargs)
     second = fuzz_scenario(get_scenario("minimal_1x1"), **kwargs)
     assert first.to_dict() == second.to_dict()
@@ -281,7 +281,7 @@ def test_fuzz_scenario_constructs_one_builder(built_specs):
 
 
 def test_a_find_is_minimized_and_replayed_on_the_oracles_builder(built_specs):
-    report = fuzz_scenario(SPEC, seed=0, budget=60, n_steps=10, stop_on_first=True)
+    report = fuzz_scenario(SPEC, seed=0, budget=60, n_steps=10)
     assert len(report.findings) == 1
     assert built_specs == [SPEC.name]
 

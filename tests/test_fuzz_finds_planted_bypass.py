@@ -15,8 +15,9 @@ import json
 from repro.fuzz import FuzzCase, fuzz_scenario, planted_backdoor_spec
 from repro.staticcheck import verify_spec
 
-#: Pinned search parameters; seed 0 finds the hole on its 7th case.
-FUZZ_ARGS = dict(seed=0, budget=60, n_steps=10, stop_on_first=True)
+#: Pinned search parameters, those of the committed corpus: seed 0 finds the
+#: hole on its 7th case, and the other 53 cases find nothing new.
+FUZZ_ARGS = dict(seed=0, budget=60, n_steps=10)
 MAX_MINIMIZED_STEPS = 3
 
 

@@ -1,10 +1,13 @@
 """Tests for the area model (Table I), the latency model (Table II) and the
 execution-overhead analysis."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Experiment
 from repro.core.constants import (
     CONFIDENTIALITY_CORE_CYCLES,
     INTEGRITY_CORE_CYCLES,
@@ -17,11 +20,9 @@ from repro.metrics.area import (
     generate_table1,
 )
 from repro.metrics.latency import LatencyModel, PAPER_TABLE2, generate_table2
-from repro.metrics.perf import measure_execution_overhead, run_workload
 from repro.metrics.resources import ResourceVector
-from repro.scenarios import ScenarioBuilder, get_scenario
+from repro.scenarios import WorkloadSpec, get_scenario
 from repro.soc.processor import MemoryOperation, ProcessorProgram
-from repro.workloads.generators import make_uniform_programs
 
 from tests.conftest import figure1_spec
 
@@ -198,34 +199,32 @@ class TestLatencyModel:
 
 
 class TestExecutionOverhead:
-    def make_programs(self, external_share, n_operations=60):
-        from repro.soc.system import SoCConfig
+    """Section V's execution-time overhead: the makespan of a protected
+    ``Experiment`` over that of the unprotected run of the same spec."""
 
-        return make_uniform_programs(
-            SoCConfig(),
-            ["cpu0", "cpu1", "cpu2"],
-            n_operations=n_operations,
-            communication_ratio=0.6,
-            external_share=external_share,
-            external_working_set=1024,
-            seed=3,
-        )
+    @staticmethod
+    def run_both(spec, **workload):
+        """The unprotected and the protected run of ``spec`` under ``workload``."""
+        spec = replace(spec, workload=WorkloadSpec(**workload))
+        return [
+            Experiment.from_spec(spec).no_attacks().protected(protected).run()
+            for protected in (False, True)
+        ]
 
-    def test_run_workload_basic(self):
-        programs = self.make_programs(external_share=0.2)
-        result = run_workload(programs, False, figure1_spec())
-        assert result.makespan_cycles > 0
-        assert result.total_transactions > 0
-        assert result.blocked_transactions == 0
-        assert result.communication_cycles > 0 and result.computation_cycles > 0
+    @classmethod
+    def overhead_percent(cls, spec, **workload):
+        baseline, protected = cls.run_both(spec, **workload)
+        return (protected.workload["makespan"] / baseline.workload["makespan"] - 1.0) * 100.0
 
     def test_protection_adds_overhead(self):
-        programs = self.make_programs(external_share=0.3)
-        overhead = measure_execution_overhead(programs, figure1_spec())
-        assert overhead.slowdown > 1.0
-        assert overhead.overhead_percent > 0.0
-        assert overhead.protected.security_cycles > 0
-        assert overhead.baseline.security_cycles == 0
+        baseline, protected = self.run_both(
+            figure1_spec(), n_operations=60, communication_ratio=0.6, external_share=0.3,
+            internal_working_set=4096, external_working_set=1024, seed=3,
+        )
+        assert protected.workload["makespan"] > baseline.workload["makespan"] > 0
+        assert baseline.security is None
+        firewalls = protected.security["firewalls"].values()
+        assert sum(fw["sb_cycles_charged"] for fw in firewalls) > 0
 
     # Section V: the overhead "depends on the percentage of computation time
     # versus communication time" and on "the percentage of internal
@@ -243,21 +242,16 @@ class TestExecutionOverhead:
     def test_overhead_grows_with_external_share(
         self, spec, points, internal_working_set, external_working_set, seed
     ):
-        config = ScenarioBuilder(spec).build(protected=False).system.config
         overheads = [
-            measure_execution_overhead(
-                make_uniform_programs(
-                    config,
-                    ["cpu0", "cpu1", "cpu2"],
-                    n_operations=60,
-                    communication_ratio=ratio,
-                    external_share=share,
-                    internal_working_set=internal_working_set,
-                    external_working_set=external_working_set,
-                    seed=seed,
-                ),
+            self.overhead_percent(
                 spec,
-            ).overhead_percent
+                n_operations=60,
+                communication_ratio=ratio,
+                external_share=share,
+                internal_working_set=internal_working_set,
+                external_working_set=external_working_set,
+                seed=seed,
+            )
             for ratio, share in points
         ]
         assert all(value >= 0.0 for value in overheads)

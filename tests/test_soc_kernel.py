@@ -66,35 +66,40 @@ class TestScheduling:
         assert fired == []
         assert sim.pending_events == 0
 
-    def test_run_until_horizon(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(10, fired.append, "a")
-        sim.schedule(100, fired.append, "b")
-        sim.run(until=50)
-        assert fired == ["a"]
-        assert sim.now == 50
-        # Resume past the horizon.
-        sim.run()
-        assert fired == ["a", "b"]
-
-    def test_run_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(10):
-            sim.schedule(i, fired.append, i)
-        sim.run(max_events=4)
-        assert fired == [0, 1, 2, 3]
-
-    def test_step_returns_false_when_empty(self):
-        assert Simulator().step() is False
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(5):
             sim.schedule(i, lambda: None)
         sim.run()
         assert sim.events_processed == 5
+
+    def test_run_on_an_empty_queue_returns_the_clock(self):
+        sim = Simulator()
+        assert sim.run() == 0 and sim.events_processed == 0
+        sim.schedule(10, lambda: None)
+        assert sim.run() == 10
+        # A drained queue leaves the clock where the last event put it.
+        assert sim.run() == 10 and sim.events_processed == 1
+
+    def test_a_later_run_resumes_from_the_clock(self):
+        """What ``SoCSystem.issue`` relies on: work scheduled after one drain
+        is timed from where that drain stopped."""
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, lambda: fired.append(sim.now))
+        sim.run()
+        sim.schedule(5, lambda: fired.append(sim.now))
+        assert sim.run() == 15
+        assert fired == [10, 15] and sim.events_processed == 2
+
+    @pytest.mark.parametrize("kwargs", [{"until": 50}, {"max_events": 1}], ids=["until", "max_events"])
+    def test_run_takes_no_horizon_or_budget(self, kwargs):
+        sim = Simulator()
+        fired = []
+        sim.schedule(10, fired.append, "a")
+        with pytest.raises(TypeError):
+            sim.run(**kwargs)
+        assert fired == [] and sim.pending_events == 1
 
     def test_cannot_nest_run(self):
         sim = Simulator()
@@ -139,13 +144,11 @@ class TestHeapOrdering:
         sim = Simulator()
         fired = []
         sim.schedule(5, fired.append, "cancelled").cancel()
-        sim.schedule(100, fired.append, "live")
-        assert sim.run(until=50) == 50
-        assert fired == [] and sim.events_processed == 0
+        sim.schedule(100, lambda: fired.append(("live", sim.now)))
         assert sim.pending_events == 1
-        sim.run()
-        assert fired == ["live"] and sim.now == 100
-        assert sim.events_processed == 1
+        assert sim.run() == 100
+        assert fired == [("live", 100)] and sim.events_processed == 1
+        assert sim.pending_events == 0
 
     def test_cancelled_tail_does_not_advance_the_clock(self):
         sim = Simulator()
@@ -163,33 +166,23 @@ class TestHeapOrdering:
     )
     @settings(max_examples=25, deadline=None)
     def test_step_and_run_drain_in_the_same_order(self, draws):
-        def build():
-            sim = Simulator()
-            order = []
-            for index, (time, cancelled) in enumerate(draws):
-                event = sim.schedule_at(time, order.append, (time, index))
-                if cancelled:
-                    event.cancel()
-            return sim, order
+        sim = Simulator()
+        order = []
+        for index, (time, cancelled) in enumerate(draws):
+            event = sim.schedule_at(time, order.append, (time, index))
+            if cancelled:
+                event.cancel()
+        # The drain runs exactly the live events, in (time, sequence) order.
+        live = sorted(
+            (time, index) for index, (time, cancelled) in enumerate(draws) if not cancelled
+        )
+        final = live[-1][0] if live else 0
+        assert sim.run() == final and sim.now == final
+        assert order == live
+        assert sim.events_processed == len(live)
+        assert sim.pending_events == 0
 
-        stepped, stepped_order = build()
-        while stepped.step():
-            pass
-        assert stepped_order == sorted(stepped_order)
-        assert stepped.events_processed == len(stepped_order)
-        # The full drain, a horizon at the last live event, and a budget of
-        # exactly the live events must all match the one-at-a-time kernel.
-        last = max((time for time, cancelled in draws if not cancelled), default=0)
-        for kwargs in ({}, {"until": last}, {"max_events": len(stepped_order)}):
-            ran, ran_order = build()
-            ran.run(**kwargs)
-            assert ran_order == stepped_order, kwargs
-            assert ran.now == stepped.now, kwargs
-            assert ran.events_processed == stepped.events_processed, kwargs
-            assert ran.pending_events == 0, kwargs
-
-    @pytest.mark.parametrize("kwargs", [{}, {"until": 100}, {"max_events": 10}])
-    def test_a_raising_callback_leaves_the_count_of_callbacks_that_returned(self, kwargs):
+    def test_a_raising_callback_leaves_the_count_of_callbacks_that_returned(self):
         sim = Simulator()
         returned = []
 
@@ -201,7 +194,7 @@ class TestHeapOrdering:
         sim.schedule_at(4, boom)
         sim.schedule_at(5, returned.append, 5)
         with pytest.raises(RuntimeError, match="boom"):
-            sim.run(**kwargs)
+            sim.run()
         assert returned == [1, 2, 3]
         assert sim.events_processed == 3
         assert sim.now == 4

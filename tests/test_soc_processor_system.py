@@ -6,6 +6,7 @@ import pytest
 
 from repro.scenarios import MasterSpec, ScenarioBuilder, SlaveSpec, TopologySpec
 from repro.soc.processor import MemoryOperation, OperationKind, ProcessorProgram
+from repro.soc.transaction import Step, TransactionStatus
 from tests.conftest import figure1_spec
 
 
@@ -165,3 +166,26 @@ class TestReferencePlatform:
     def test_processor_accessor(self, plain_platform):
         system = plain_platform
         assert system.processor(2) is system.processors["cpu2"]
+
+
+class TestIssue:
+    """``SoCSystem.issue`` is the one path a single access takes to the bus."""
+
+    def test_issue_drains_the_transaction_and_everything_it_triggered(self, plain_platform):
+        system = plain_platform
+        address = system.config.bram_base + 0x40
+        write = system.issue(Step("cpu0", "write", address, data=b"\x11\x22\x33\x44"))
+        assert write.status is TransactionStatus.COMPLETED
+        assert system.sim.pending_events == 0
+        now = system.sim.now
+        assert now > 0 and system.run() == now
+        assert system.issue(Step("cpu1", "read", address)).data == b"\x11\x22\x33\x44"
+
+    def test_an_undrained_issue_completes_on_the_next_run(self, plain_platform):
+        system = plain_platform
+        txn = system.issue(Step("cpu0", "read", system.config.bram_base), drain=False)
+        assert txn.status is not TransactionStatus.COMPLETED
+        assert system.sim.pending_events > 0
+        final = system.run()
+        assert txn.status is TransactionStatus.COMPLETED
+        assert final == system.sim.now > 0 and system.sim.pending_events == 0

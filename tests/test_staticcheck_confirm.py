@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.scenarios import list_scenarios
+from repro.scenarios import ScenarioBuilder, list_scenarios
+from repro.soc.transaction import Step, TransactionStatus
 from repro.staticcheck import confirm_report, confirm_witness, verify_scenario, verify_spec
+from repro.staticcheck.analyzer import PROBE_PAYLOAD
 from tests.test_staticcheck_analyzer import bypass_spec
 
 #: Registered scenarios whose verification report carries no witness at all.
@@ -18,12 +20,15 @@ class TestBypassConfirmation:
         spec = bypass_spec()
         report = verify_spec(spec)
         witness = report.errors[0].witness
-        assert witness is not None
-        outcome = confirm_witness(spec, witness, run_workload=True)
-        assert outcome.reached, outcome.status
-        assert outcome.alerts == 0
-        assert outcome.status == "completed"
-        assert outcome.confirmed
+        assert witness is not None and witness.expectation == "reaches_silently"
+        built = ScenarioBuilder(spec).build()
+        built.run_workload()
+        txn, alerts = built.issue(Step(
+            witness.master, witness.op, witness.address, width=witness.width,
+            data=PROBE_PAYLOAD[: witness.width] if witness.op == "write" else None,
+        ))
+        assert txn.status is TransactionStatus.COMPLETED, txn.status
+        assert alerts == 0
 
     def test_probe_blocked_once_master_firewall_exists(self):
         from repro.scenarios.spec import (
@@ -82,9 +87,10 @@ class TestRegisteredScenarioConfirmation:
 
     def test_confirm_report_accepts_precomputed_report(self):
         report = verify_scenario("sparse_protection")
-        results = confirm_report(report, max_coverage=1)
-        assert len(results) == 1
-        assert results[0].confirmed
+        results = confirm_report(report)
+        findings = [f.witness for f in report.findings if f.witness is not None]
+        assert [r.witness for r in results] == findings + report.coverage
+        assert all(r.confirmed for r in results)
 
     def test_confirm_report_builds_every_witness_from_one_builder(self, built_specs):
         results = confirm_report("deep_hierarchy_3seg")

@@ -1,4 +1,4 @@
-"""Tests for the workload generators and application patterns."""
+"""Tests for the synthetic workload generators."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,16 +6,10 @@ from hypothesis import strategies as st
 
 from repro.soc.processor import OperationKind
 from repro.soc.system import SoCConfig
-from repro.soc.transaction import TransactionStatus
 from repro.workloads.generators import (
     SyntheticWorkloadConfig,
     SyntheticWorkloadGenerator,
     make_uniform_programs,
-)
-from repro.workloads.patterns import (
-    dma_offload_scenario,
-    firmware_update_program,
-    producer_consumer_programs,
 )
 
 
@@ -116,56 +110,3 @@ class TestSyntheticGenerator:
         for op in program.operations:
             if op.kind is OperationKind.WRITE:
                 assert op.data is not None and len(op.data) == op.width * op.burst_length
-
-
-class TestPatterns:
-    def test_producer_consumer_runs_clean_on_secured_platform(self, secured):
-        system, security = secured
-        programs = producer_consumer_programs(system.config, n_items=8)
-        system.load_programs(programs)
-        system.start_all()
-        system.run()
-        assert system.all_done()
-        assert security.monitor.count() == 0
-        consumer = system.processors["cpu1"]
-        blocked = [t for t in consumer.transactions if t.status is not TransactionStatus.COMPLETED]
-        assert not blocked
-
-    def test_producer_consumer_item_size_validation(self):
-        with pytest.raises(ValueError):
-            producer_consumer_programs(SoCConfig(), item_size=10)
-
-    def test_firmware_update_roundtrip(self, secured):
-        system, security = secured
-        program, image = firmware_update_program(system.config, image_size=256, chunk_size=16)
-        system.processors["cpu0"].load_program(program)
-        system.processors["cpu0"].start()
-        system.run()
-        cpu = system.processors["cpu0"]
-        reads = [t for t in cpu.transactions if t.is_read]
-        readback = b"".join(t.data for t in reads)
-        assert readback == image
-        # External memory never stores the image in plaintext.
-        raw = system.ddr.peek(system.config.ddr_base, 256)
-        assert raw != image
-        assert security.monitor.count() == 0
-
-    def test_firmware_update_validation(self):
-        with pytest.raises(ValueError):
-            firmware_update_program(SoCConfig(), image_size=100, chunk_size=13)
-        with pytest.raises(ValueError):
-            firmware_update_program(SoCConfig(), image_size=100, chunk_size=16)
-
-    def test_dma_offload_scenario(self, plain_platform):
-        system = plain_platform
-        program, staging, destination = dma_offload_scenario(system, buffer_size=64)
-        system.processors["cpu0"].load_program(program)
-        system.processors["cpu0"].start()
-        system.run()
-        system.dma.kickoff(staging, destination, 64)
-        system.run()
-        assert system.ddr.peek(destination, 64) == system.bram.peek(staging, 64)
-
-    def test_dma_offload_validation(self, plain_platform):
-        with pytest.raises(ValueError):
-            dma_offload_scenario(plain_platform, buffer_size=10)
